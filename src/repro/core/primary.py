@@ -320,17 +320,17 @@ class Primary:
             status=status,
             liveness_events=list(liveness_events or []),
             overload_events=list(self.network.overload_events))
-        records_without_submit = 0
+        record = TransactionRecord.from_transaction
         for secondary in self.secondaries:
-            for tx, client_name in secondary.sent:
-                if tx.submitted_at is None:
-                    # a transaction the Secondary generated but never
-                    # actually handed to a node has no place in latency
-                    # or throughput aggregates — count it instead
-                    records_without_submit += 1
-                    continue
-                result.records.append(
-                    TransactionRecord.from_transaction(tx, client_name))
+            # a transaction the Secondary generated but never actually
+            # handed to a node has no place in latency or throughput
+            # aggregates — it is counted below instead
+            result.records += [
+                record(tx, client_name) for tx, client_name in secondary.sent
+                if tx.submitted_at is not None]
+        records_without_submit = (
+            sum(len(secondary.sent) for secondary in self.secondaries)
+            - len(result.records))
         if records_without_submit:
             result.chain_stats["records_without_submit"] = (
                 records_without_submit)

@@ -11,17 +11,28 @@ committed transactions, per-second time series and latency CDFs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.chain.transaction import Transaction
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionRecord:
-    """One transaction's benchmark-relevant timestamps and outcome."""
+#: records encoded per ``json.dumps`` call in :meth:`BenchmarkResult.to_json`
+#: — bounds the row dicts and encoder pieces alive at once (~1 MB of JSON)
+#: while keeping the per-call overhead invisible
+ENCODE_CHUNK = 4096
+
+
+class TransactionRecord(NamedTuple):
+    """One transaction's benchmark-relevant timestamps and outcome.
+
+    Immutable. A named tuple rather than a frozen dataclass because a run
+    builds one per submitted transaction: construction is a single tuple
+    allocation instead of ten ``object.__setattr__`` calls.
+    """
 
     uid: int
     kind: str
@@ -54,17 +65,11 @@ class TransactionRecord:
             raise ValueError(
                 f"transaction {tx.uid} was never submitted"
                 " (submitted_at is None)")
+        aborted = tx.aborted
         return TransactionRecord(
-            uid=tx.uid,
-            kind=tx.kind.value,
-            contract=tx.contract,
-            function=tx.function,
-            client=client,
-            submitted_at=tx.submitted_at,
-            committed_at=None if tx.aborted else tx.committed_at,
-            aborted=tx.aborted,
-            abort_reason=tx.abort_reason,
-            retries=tx.retries)
+            tx.uid, tx.kind.value, tx.contract, tx.function, client,
+            tx.submitted_at, None if aborted else tx.committed_at,
+            aborted, tx.abort_reason, tx.retries)
 
 
 @dataclass
@@ -122,45 +127,48 @@ class BenchmarkResult:
         the paper's average-throughput-over-the-run metric.
         """
         horizon = self.duration if window is None else window
+        return [r for r in self._committed() if r.committed_at <= horizon]
+
+    def _rate(self, count: int) -> float:
+        """*count* transactions over the run window, as unscaled TPS."""
+        if self.duration <= 0:
+            return 0.0
+        return self._unscale(count / self.duration)
+
+    def _committed(self) -> List[TransactionRecord]:
+        """Every committed record, in record order.
+
+        The one walk over ``records`` that throughput, latency and the
+        commit ratio are all derived from.
+        """
         return [r for r in self.records
-                if r.committed and r.committed_at <= horizon]
+                if r.committed_at is not None and not r.aborted]
 
     @property
     def average_load(self) -> float:
         """Average submitted TPS (the paper's 'average workload')."""
-        if self.duration <= 0:
-            return 0.0
-        return self._unscale(self.submitted / self.duration)
+        return self._rate(len(self.records))
 
     @property
     def average_throughput(self) -> float:
         """Average committed TPS over the run window."""
-        if self.duration <= 0:
-            return 0.0
-        return self._unscale(len(self.committed_records()) / self.duration)
+        return self._rate(len(self.committed_records()))
 
     @property
     def commit_ratio(self) -> float:
         """Proportion of submitted transactions ever committed."""
-        if not self.records:
-            return 0.0
-        committed = sum(1 for r in self.records if r.committed)
-        return committed / len(self.records)
+        return _ratio(len(self._committed()), len(self.records))
 
     def latencies(self, window: Optional[float] = None) -> np.ndarray:
-        recs = (self.committed_records(window) if window is not None
-                else [r for r in self.records if r.committed])
-        return np.array([r.latency for r in recs], dtype=float)
+        return _latencies(self._committed(), window)
 
     @property
     def average_latency(self) -> float:
-        lats = self.latencies(self.duration)
-        return float(lats.mean()) if lats.size else float("nan")
+        return _mean(self.latencies(self.duration))
 
     @property
     def median_latency(self) -> float:
-        lats = self.latencies(self.duration)
-        return float(np.median(lats)) if lats.size else float("nan")
+        return _median(self.latencies(self.duration))
 
     def latency_percentile(self, q: float) -> float:
         lats = self.latencies()
@@ -320,12 +328,9 @@ class BenchmarkResult:
     # -- abort accounting ----------------------------------------------------------------
 
     def abort_reasons(self) -> Dict[str, int]:
-        reasons: Dict[str, int] = {}
-        for record in self.records:
-            if record.aborted and record.abort_reason:
-                reasons[record.abort_reason] = reasons.get(
-                    record.abort_reason, 0) + 1
-        return reasons
+        """Abort reason -> count, in order of first occurrence."""
+        return dict(Counter(r.abort_reason for r in self.records
+                            if r.aborted and r.abort_reason))
 
     def execution_failed(self) -> bool:
         """True when the chain could not execute the DApp at all (Fig. 5's X).
@@ -340,20 +345,23 @@ class BenchmarkResult:
     # -- serialization ------------------------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
+        submitted = len(self.records)
+        committed = self._committed()
+        in_window = _latencies(committed, self.duration)
         summary: Dict[str, Any] = {
             "chain": self.chain,
             "configuration": self.configuration,
             "workload": self.workload_name,
             "duration": self.duration,
             "scale": self.scale,
-            "submitted": self.submitted,
-            "average_load_tps": round(self.average_load, 2),
-            "average_throughput_tps": round(self.average_throughput, 2),
-            "average_latency_s": round(self.average_latency, 3)
-            if self.records else None,
-            "median_latency_s": round(self.median_latency, 3)
-            if self.records else None,
-            "commit_ratio": round(self.commit_ratio, 4),
+            "submitted": submitted,
+            "average_load_tps": round(self._rate(submitted), 2),
+            "average_throughput_tps": round(self._rate(in_window.size), 2),
+            "average_latency_s": round(_mean(in_window), 3)
+            if submitted else None,
+            "median_latency_s": round(_median(in_window), 3)
+            if submitted else None,
+            "commit_ratio": round(_ratio(len(committed), submitted), 4),
             "aborts": self.abort_reasons(),
             "chain_stats": self.chain_stats,
             "status": self.status,
@@ -373,23 +381,38 @@ class BenchmarkResult:
             summary["population"] = self.population
         return summary
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        payload = {
-            "summary": self.summary(),
-            "transactions": [asdict(record) for record in self.records],
-        }
-        return json.dumps(payload, indent=indent)
+    def to_json(self) -> str:
+        """The run's JSON file: ``{"summary": ..., "transactions": [...]}``.
+
+        Encoded as ``json.dumps`` of the whole payload would encode it,
+        but :data:`ENCODE_CHUNK` records at a time, so the row dicts of a
+        large run never all exist at once.
+        """
+        fields = TransactionRecord._fields
+        records = self.records
+        parts = [json.dumps({"summary": self.summary()})[:-1],
+                 ', "transactions": [']
+        for start in range(0, len(records), ENCODE_CHUNK):
+            if start:
+                parts.append(", ")
+            parts.append(json.dumps(
+                [dict(zip(fields, record))
+                 for record in records[start:start + ENCODE_CHUNK]])[1:-1])
+        parts.append("]}")
+        return "".join(parts)
 
     @staticmethod
     def from_json(text: str) -> "BenchmarkResult":
         payload = json.loads(text)
         summary = payload["summary"]
-        result = BenchmarkResult(
+        return BenchmarkResult(
             chain=summary["chain"],
             configuration=summary["configuration"],
             workload_name=summary["workload"],
             duration=summary["duration"],
             scale=summary["scale"],
+            records=[TransactionRecord(**raw)
+                     for raw in payload["transactions"]],
             chain_stats=summary.get("chain_stats", {}),
             fault_events=summary.get("fault_events", []),
             status=summary.get("status", "ok"),
@@ -398,6 +421,23 @@ class BenchmarkResult:
             timeseries=summary.get("timeseries", []),
             economics=summary.get("economics", {}),
             population=summary.get("population", {}))
-        for raw in payload["transactions"]:
-            result.records.append(TransactionRecord(**raw))
-        return result
+
+
+def _ratio(count: int, total: int) -> float:
+    return count / total if total else 0.0
+
+
+def _latencies(committed: List[TransactionRecord],
+               window: Optional[float]) -> np.ndarray:
+    """Latencies of *committed* records (landing within *window*, if given)."""
+    return np.array([r.committed_at - r.submitted_at for r in committed
+                     if window is None or r.committed_at <= window],
+                    dtype=float)
+
+
+def _mean(latencies: np.ndarray) -> float:
+    return float(latencies.mean()) if latencies.size else float("nan")
+
+
+def _median(latencies: np.ndarray) -> float:
+    return float(np.median(latencies)) if latencies.size else float("nan")

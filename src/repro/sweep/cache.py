@@ -13,11 +13,12 @@ fields, so
 * any change to the inputs — a different seed, one more account, an
   edited source file under ``src/repro`` — misses and re-runs.
 
-Layout: ``<cache_dir>/<key[:2]>/<key>.json``, one entry per cell, each a
-JSON document carrying the human-readable key fields and the verbatim
-``BenchmarkResult`` JSON produced by the run. Entries are written
-atomically (temp file + rename), so concurrent sweeps sharing a cache
-directory cannot corrupt each other.
+Layout: ``<cache_dir>/<key[:2]>/<key>.json``, one entry per cell: a
+one-line JSON header carrying the key and the human-readable key fields,
+a newline, then the verbatim ``BenchmarkResult`` JSON produced by the
+run — stored and returned as it is, never re-encoded or parsed here.
+Entries are written atomically (temp file + rename), so concurrent sweeps
+sharing a cache directory cannot corrupt each other.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ from repro.core.spec import WorkloadSpec
 from repro.sweep.spec import SweepCell
 
 #: cache format version; bump to orphan every existing entry
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+
+#: how entry files are opened: no newline translation in either direction,
+#: so the body read back is the body written
+_VERBATIM = {"encoding": "utf-8", "newline": ""}
 
 
 def _canonical(value: Any) -> Any:
@@ -152,31 +157,32 @@ class ResultCache:
     def get(self, key: str) -> Optional[str]:
         """The cached result JSON for *key*, or None on a miss.
 
-        An unreadable/corrupt entry counts as a miss (it will be
-        overwritten by the re-run), never an error.
+        An unreadable/corrupt entry — no file, no header line, a header
+        that is not a JSON object naming *key*, an empty or undecodable
+        body — counts as a miss (it will be overwritten by the re-run),
+        never an error. The body is returned unparsed.
         """
-        path = self._path(key)
         try:
-            entry = json.loads(path.read_text())
+            with self._path(key).open(**_VERBATIM) as handle:
+                header = json.loads(handle.readline())
+                body = handle.read()
         except (OSError, ValueError):
             return None
-        result = entry.get("result_json")
-        return result if isinstance(result, str) else None
+        if not isinstance(header, dict) or header.get("key") != key:
+            return None
+        return body or None
 
     def put(self, key: str, fields: Dict[str, Any], result_json: str) -> None:
-        """Store *result_json* under *key*, atomically."""
+        """Store *result_json* under *key*, atomically and verbatim."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = json.dumps({
-            "key": key,
-            "fields": fields,
-            "result_json": result_json,
-        }, indent=1)
+        header = json.dumps({"key": key, "fields": fields})
         descriptor, temp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
         try:
-            with os.fdopen(descriptor, "w") as handle:
-                handle.write(entry)
+            with os.fdopen(descriptor, "w", **_VERBATIM) as handle:
+                handle.write(header + "\n")
+                handle.write(result_json)
             os.replace(temp_name, path)
         except BaseException:
             try:

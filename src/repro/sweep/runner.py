@@ -180,7 +180,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     * With a *cache*, cells whose key is already on disk are replayed
       instantly; fresh results (including watchdog-failed ones, which are
       deterministic outcomes) are written back. Crashed cells are never
-      cached.
+      cached. An entry that does not parse as a result is a miss (also
+      counted in ``sweep.cache.corrupt``) and is overwritten by the re-run.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -192,6 +193,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     cells_counter = sweep_metrics.counter("cells")
     hits_counter = sweep_metrics.counter("cache.hits")
     misses_counter = sweep_metrics.counter("cache.misses")
+    corrupt_counter = sweep_metrics.counter("cache.corrupt")
     failures_counter = sweep_metrics.counter("failures")
     cell_wall = sweep_metrics.histogram("cell_wall_seconds")
 
@@ -210,10 +212,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
         if cache is not None:
             key = cell_key(cell)
             keys[cell.index] = key
+            result = None
             cached_json = cache.get(key)
             if cached_json is not None:
+                try:
+                    result = BenchmarkResult.from_json(cached_json)
+                except (ValueError, KeyError, TypeError):
+                    # an entry whose body is not a result is a miss: the
+                    # cell re-runs and finish() overwrites the entry
+                    corrupt_counter.inc()
+            if result is not None:
                 hits_counter.inc()
-                result = BenchmarkResult.from_json(cached_json)
                 status = "failed" if result.status == "failed" else "done"
                 failure = None
                 if status == "failed":

@@ -1,0 +1,106 @@
+"""Property tests: the chunked result encoder against a one-shot oracle.
+
+``BenchmarkResult.to_json`` encodes the records a chunk at a time; the
+oracle here is the obvious whole-payload ``json.dumps``. For arbitrary
+records — non-ASCII client names, ``None`` contract/function/reason,
+int-valued, tiny and huge timestamps — and for record counts on either
+side of a chunk boundary, the bytes must be equal and must parse back to
+equal records and an equal summary.
+"""
+
+from __future__ import annotations
+
+import json
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import results as results_module
+from repro.core.results import BenchmarkResult, TransactionRecord
+
+FIELDS = ("uid", "kind", "contract", "function", "client", "submitted_at",
+          "committed_at", "aborted", "abort_reason", "retries")
+
+timestamps = st.one_of(
+    st.integers(min_value=0, max_value=10**6),              # int-valued
+    st.floats(min_value=0.0, max_value=1e300),
+    st.floats(min_value=0.0, max_value=1e-300),             # subnormal-ish
+    st.sampled_from([0.1 + 0.2, 1 / 3, 1e16, 1e-7, 123456789.123456789]))
+names = st.one_of(st.none(), st.text(max_size=8))
+
+records = st.builds(
+    TransactionRecord,
+    uid=st.integers(min_value=0, max_value=2**63),
+    kind=st.sampled_from(["transfer", "invoke"]),
+    contract=names,
+    function=names,
+    client=st.text(max_size=12),                            # any unicode
+    submitted_at=timestamps,
+    committed_at=st.one_of(st.none(), timestamps),
+    aborted=st.booleans(),
+    abort_reason=names,
+    retries=st.integers(min_value=0, max_value=50))
+
+
+def make_result(recs, duration=10.0) -> BenchmarkResult:
+    result = BenchmarkResult("quorum", "testnet", "w", duration, 0.5,
+                             chain_stats={"height": 3})
+    result.records = list(recs)
+    return result
+
+
+def oracle(result: BenchmarkResult) -> str:
+    return json.dumps({
+        "summary": result.summary(),
+        "transactions": [{name: getattr(record, name) for name in FIELDS}
+                         for record in result.records]})
+
+
+def assert_encodes_like_the_oracle(result: BenchmarkResult) -> None:
+    text = result.to_json()
+    assert text == oracle(result)
+    clone = BenchmarkResult.from_json(text)
+    assert clone.records == result.records
+    # compared as text: an empty latency window makes the averages NaN
+    assert json.dumps(clone.summary()) == json.dumps(result.summary())
+    assert clone.to_json() == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(recs=st.lists(records, max_size=13),
+       duration=st.sampled_from([0.0, 10.0, 1e6]))
+def test_chunked_encoding_equals_one_shot_encoding(recs, duration):
+    # chunks of 4: zero records, one short chunk, exact multiples, a tail
+    with mock.patch.object(results_module, "ENCODE_CHUNK", 4):
+        assert_encodes_like_the_oracle(make_result(recs, duration))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_the_real_chunk_boundary(chunks, offset):
+    count = chunks * results_module.ENCODE_CHUNK + offset
+    recs = [TransactionRecord(i, "transfer", None, None, "clïent-0",
+                              i * 0.001, None if i % 3 else i * 0.002,
+                              i % 5 == 0, "evicted" if i % 5 == 0 else None)
+            for i in range(count)]
+    assert_encodes_like_the_oracle(make_result(recs))
+
+
+@given(record=records)
+def test_records_are_immutable_and_compare_field_wise(record):
+    for name in FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    values = [getattr(record, name) for name in FIELDS]
+    assert TransactionRecord(*values) == record                  # positional
+    assert TransactionRecord(**dict(zip(FIELDS, values))) == record
+    assert record._replace(uid=record.uid + 1) != record
+
+
+def test_retries_defaults_to_zero():
+    assert TransactionRecord(1, "transfer", None, None, "c", 0.0, None,
+                             False, None).retries == 0

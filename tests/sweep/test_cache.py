@@ -124,11 +124,38 @@ class TestStore:
         assert ResultCache(tmp_path).get("cd" + "0" * 62) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
+        """Every malformed header or body shape is a miss, never an error."""
         cache = ResultCache(tmp_path)
         key = "ef" + "0" * 62
-        cache.put(key, {}, "{}")
-        (tmp_path / key[:2] / f"{key}.json").write_text("not json {")
-        assert cache.get(key) is None
+        header = json.dumps({"key": key, "fields": {}}).encode()
+        for entry in (
+                b"not json {",
+                b"",                                    # empty file
+                b"[]",                                  # JSON, not an object
+                b"[]\n{}",
+                header[:20],                            # truncated header
+                header.replace(b"ef", b"99") + b"\n{}",  # another cell's
+                b'{"fields": {}}\n{}',                  # no key at all
+                header,                                 # header, no body
+                header + b"\n",
+                header + b"\n\xff\xfe",                 # undecodable body
+        ):
+            cache.put(key, {}, "{}")
+            assert cache.get(key) == "{}"
+            (tmp_path / key[:2] / f"{key}.json").write_bytes(entry)
+            assert cache.get(key) is None, entry
+
+    def test_entry_is_a_header_line_then_the_verbatim_body(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" + "1" * 62
+        body = '{"summary": {"chain": "caf\\u00e9 \\"q\\""}, "transactions": []}'
+        cache.put(key, {"chain": "quorum"}, body)
+        header, stored = (tmp_path / key[:2] / f"{key}.json") \
+            .read_text().split("\n", 1)
+        assert json.loads(header) == {"key": key,
+                                      "fields": {"chain": "quorum"}}
+        assert stored == body
+        assert not list(tmp_path.glob("*/.*.tmp"))     # temp file renamed
 
     def test_entries_on_missing_directory(self, tmp_path):
         assert ResultCache(tmp_path / "nowhere").entries() == 0

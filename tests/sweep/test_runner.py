@@ -9,6 +9,8 @@ from repro.sweep import (
     CellOptions,
     ResultCache,
     SweepSpec,
+    cell_key,
+    cell_key_fields,
     run_sweep,
 )
 from repro.workloads.traces import Trace
@@ -158,6 +160,32 @@ class TestCaching:
         monkeypatch.setenv("REPRO_CODE_VERSION", "v2")
         sweep = run_sweep(spec, cache=cache)
         assert sweep.cache_misses == 1
+
+    @pytest.mark.parametrize("damage", [
+        lambda body: body[:len(body) // 2],             # JSONDecodeError
+        lambda body: '{"transactions": []}',            # KeyError
+        lambda body: "[]",                              # TypeError
+    ], ids=["truncated", "no-summary", "not-an-object"])
+    def test_hit_that_is_not_a_result_reruns_the_cell(
+            self, tmp_path, monkeypatch, damage):
+        """A sweep never dies: an unparseable hit is a miss, then healed."""
+        monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+        cache = ResultCache(tmp_path)
+        spec = SweepSpec(chains=("quorum", "solana"), seeds=(1,), **FAST)
+        first = run_sweep(spec, cache=cache)
+        quorum = first.outcomes[0]
+        key = cell_key(quorum.cell)
+        cache.put(key, cell_key_fields(quorum.cell),
+                  damage(quorum.result_json))
+        second = run_sweep(spec, cache=cache)
+        assert [o.cached for o in second.outcomes] == [False, True]
+        assert second.outcomes[0].result_json == quorum.result_json
+        assert second.metrics["sweep.cache.corrupt"] == 1
+        assert second.metrics["sweep.cache.hits"] == 1
+        assert cache.get(key) == quorum.result_json     # overwritten
+        third = run_sweep(spec, cache=cache)
+        assert (third.cache_hits, third.metrics["sweep.cache.corrupt"]) == \
+            (2, 0)
 
     def test_progress_events_stream_in_lifecycle_order(self):
         spec = SweepSpec(chains=("quorum",), seeds=(1,), **FAST)
