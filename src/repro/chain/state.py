@@ -20,11 +20,6 @@ class ContractStorage:
     def put(self, key: str, value: Any) -> None:
         self.data[key] = value
 
-    def size_of(self, key: str) -> int:
-        """Approximate byte size of one key-value pair (for AVM limits)."""
-        value = self.data.get(key)
-        return len(str(key)) + len(str(value)) if value is not None else len(str(key))
-
     def __len__(self) -> int:
         return len(self.data)
 

@@ -103,8 +103,7 @@ class Transaction:
         """Wire size in bytes, used by the network and block-size limits."""
         if self.kind is TxKind.TRANSFER:
             return TRANSFER_SIZE + self.extra_size
-        arg_size = sum(32 for _ in self.args)
-        return INVOKE_BASE_SIZE + arg_size + self.extra_size
+        return INVOKE_BASE_SIZE + 32 * len(self.args) + self.extra_size
 
     @property
     def is_invoke(self) -> bool:

@@ -26,6 +26,7 @@ scale in ``tests/consensus/test_model_calibration.py``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +43,12 @@ from repro.sim.network import (
 
 
 class WanProfile:
-    """Latency/bandwidth statistics for a validator placement."""
+    """Latency/bandwidth statistics for a validator placement.
+
+    Immutable after construction: the placement, the pairwise RTTs and the
+    per-region validator counts are fixed here, so the statistics the
+    models ask for on every block are computed once per profile.
+    """
 
     def __init__(self, node_regions: Sequence[str]) -> None:
         if not node_regions:
@@ -64,7 +70,9 @@ class WanProfile:
             self._pair_rtts = pair_rtts[mask]
         else:
             self._pair_rtts = np.array([INTRA_REGION_RTT])
-        self.distinct_regions = sorted(set(self.node_regions))
+        self._region_counts = Counter(self.node_regions)
+        self.distinct_regions = sorted(self._region_counts)
+        self._rtt_quantiles: Dict[float, float] = {}
 
     @property
     def n(self) -> int:
@@ -74,9 +82,15 @@ class WanProfile:
         """The *q*-quantile of pairwise validator RTTs, in seconds.
 
         Quorum formation waits for the fastest 2/3 of the network, so BFT
-        models use q ~= 0.66; gossip completion uses q ~= 0.9.
+        models use q ~= 0.66; gossip completion uses q ~= 0.9. Each
+        distinct *q* is computed once: the models ask for the same two or
+        three quantiles on every block.
         """
-        return float(np.quantile(self._pair_rtts, q))
+        value = self._rtt_quantiles.get(q)
+        if value is None:
+            value = self._rtt_quantiles[q] = float(
+                np.quantile(self._pair_rtts, q))
+        return value
 
     def mean_rtt(self) -> float:
         return float(np.mean(self._pair_rtts))
@@ -93,9 +107,7 @@ class WanProfile:
         ``relay_cap`` per region receive the block by intra-region relay.
         """
         i = self._index[leader_region]
-        counts: Dict[str, int] = {}
-        for region in self.node_regions:
-            counts[region] = counts.get(region, 0) + 1
+        counts = self._region_counts
         worst = 0.0
         for region in self.distinct_regions:
             j = self._index[region]

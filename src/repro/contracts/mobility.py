@@ -42,10 +42,18 @@ DISTANCE_ITERATION_GAS = 120
 
 
 def _driver_positions(count: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic driver placement on the grid."""
+    """Deterministic driver placement on the grid, as read-only arrays.
+
+    The arrays go into contract storage as they are (see the constructor)
+    and every deployment of one :class:`Contract` object shares them —
+    ``VirtualMachine.probe_gas`` redeploys into a scratch state — so they
+    are frozen: contract state only changes through ``ctx.store``.
+    """
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, GRID_SIZE, size=count)
     ys = rng.integers(0, GRID_SIZE, size=count)
+    xs.flags.writeable = False
+    ys.flags.writeable = False
     return xs, ys
 
 
@@ -64,8 +72,8 @@ def make_uber_contract(driver_count: int = DRIVER_COUNT) -> Contract:
             ctx.store("driver_y", int(ys[0]))
             ctx.store("mode", "single")
         else:
-            ctx.store("xs", xs.tolist())
-            ctx.store("ys", ys.tolist())
+            ctx.store("xs", xs)
+            ctx.store("ys", ys)
             ctx.store("mode", "all")
         ctx.store("matches", 0)
 
@@ -88,8 +96,8 @@ def make_uber_contract(driver_count: int = DRIVER_COUNT) -> Contract:
                                      single_effect)
             best_driver, best_distance = 0, distance
         else:
-            driver_xs = np.asarray(ctx.load("xs"))
-            driver_ys = np.asarray(ctx.load("ys"))
+            driver_xs = ctx.load("xs")
+            driver_ys = ctx.load("ys")
 
             def scan_effect() -> tuple[int, int]:
                 dx = driver_xs - customer_x

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import (
     ContractError,
     StateLimitError,
@@ -51,6 +53,18 @@ class VMCapabilities:
 
 
 ContractFunction = Callable[["ExecutionContext"], Any]
+
+
+def kv_entry_size(key: str, value: Any) -> int:
+    """Bytes one key-value pair occupies, for ``kv_entry_limit``.
+
+    Ints and strings count their text form. An ndarray counts its buffer:
+    ``str`` of a large array is numpy's elided summary (35 characters for
+    10,000 elements), which would slip 80 KB past a 128-byte limit.
+    """
+    value_size = (value.nbytes if isinstance(value, np.ndarray)
+                  else len(str(value)))
+    return len(str(key)) + value_size
 
 
 class Contract:
@@ -136,7 +150,7 @@ class ExecutionContext:
                     f"{caps.language}: state limited to"
                     f" {caps.max_state_entries} key-value pairs")
         if caps.kv_entry_limit is not None:
-            entry_size = len(str(key)) + len(str(value))
+            entry_size = kv_entry_size(key, value)
             if entry_size > caps.kv_entry_limit:
                 raise StateLimitError(
                     f"{caps.language}: key-value pair of {entry_size} bytes"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.consensus.models import (
@@ -13,7 +14,8 @@ from repro.consensus.models import (
     PoHPerf,
     WanProfile,
 )
-from repro.sim.deployment import COMMUNITY, DATACENTER, DEVNET
+from repro.sim.deployment import COMMUNITY, CONSORTIUM, DATACENTER, DEVNET
+from repro.sim.network import INTRA_REGION_RTT, REGIONS, rtt_matrix
 
 
 def profile_for(config):
@@ -65,6 +67,63 @@ class TestWanProfile:
         profile = profile_for(DEVNET)
         assert profile.client_delay("ohio", "tokyo") == pytest.approx(
             0.1318 / 2)
+
+
+def pairwise_rtts(node_regions):
+    """Every ordered pair of distinct validators, straight off Table 3."""
+    rtt = rtt_matrix()
+    index = [REGIONS.index(region) for region in node_regions]
+    return [rtt[i, j] for a, i in enumerate(index)
+            for b, j in enumerate(index) if a != b]
+
+
+class TestWanProfileStatistics:
+    """The per-profile statistics are computed once and stay the values
+    ``np.quantile`` and the per-block count gave."""
+
+    QUANTILES = (0.5, 0.66, 0.9)
+
+    def test_quantiles_of_a_200_node_placement(self):
+        placement = CONSORTIUM.node_regions()
+        assert len(placement) == 200
+        profile = WanProfile(placement)
+        pairs = pairwise_rtts(placement)
+        assert len(pairs) == 200 * 199
+        for q in self.QUANTILES:
+            expected = float(np.quantile(pairs, q))
+            assert profile.rtt_quantile(q) == expected
+            assert profile.rtt_quantile(q) == expected   # the repeated ask
+
+    def test_quantiles_of_a_single_node(self):
+        profile = WanProfile(["tokyo"])
+        for q in self.QUANTILES:
+            assert profile.rtt_quantile(q) == float(
+                np.quantile([INTRA_REGION_RTT], q))
+
+    def test_profiles_do_not_share_statistics(self):
+        near = WanProfile(["ohio", "ohio", "oregon"])
+        far = WanProfile(["ohio", "sydney", "cape-town"])
+        for q in self.QUANTILES:
+            assert near.rtt_quantile(q) == float(
+                np.quantile(pairwise_rtts(near.node_regions), q))
+            assert far.rtt_quantile(q) == float(
+                np.quantile(pairwise_rtts(far.node_regions), q))
+            assert near.rtt_quantile(q) < far.rtt_quantile(q)
+
+    def test_dissemination_on_a_mixed_placement_is_unchanged(self):
+        # flat mode multiplies by the per-region validator count (capped)
+        profile = WanProfile(["ohio"] * 5 + ["tokyo"] * 3 + ["sydney"]
+                             + ["milan"] * 2)
+        assert profile.dissemination_time(250_000, "ohio") == (
+            0.12973771929824562)
+        assert profile.dissemination_time(250_000, "ohio", flat=True) == (
+            0.13653006993006994)
+        assert profile.dissemination_time(250_000, "sydney") == (
+            0.16726981132075472)
+        assert profile.dissemination_time(250_000, "sydney", flat=True) == (
+            0.23500087719298246)
+        assert profile.dissemination_time(
+            250_000, "sydney", flat=True, relay_cap=2) == 0.21443962264150945
 
 
 class TestOverloadCurves:

@@ -1,8 +1,9 @@
 """Golden bytes: ``BenchmarkResult.to_json()`` of pinned tiny runs.
 
 ``result_golden.json`` holds the sha256 of the result JSON of six chains
-x five scenarios (native transfer, one DApp trace, a population with a
-tracked cohort, a fault schedule, a ``fees:`` section). Any change to the
+x seven scenarios (native transfer, one DApp trace, a population with a
+tracked cohort, a fault schedule, a ``fees:`` section, the Uber
+``checkDistance`` trace, a Byzantine schedule). Any change to the
 simulation or to the result encoding moves a digest; a change that means
 to keep behaviour must leave every one of them alone.
 
@@ -30,6 +31,7 @@ from repro.core.spec import (
     simple_spec,
 )
 from repro.econ.fees import FeeSpec
+from repro.sim.byzantine import Silence
 from repro.sim.faults import events_from_dicts
 from repro.workloads import workload_registry
 
@@ -73,12 +75,36 @@ def _fees(chain: str) -> BenchmarkResult:
     return run_benchmark(chain, "testnet", spec, "golden-fees", **RUN)
 
 
+def _mobility(chain: str) -> BenchmarkResult:
+    # the three geth-EVM chains execute the scan; diem, solana and
+    # algorand (which deploys the single-driver flavour) abort every
+    # call on their hard budget
+    return run_trace(chain, "testnet", workload_registry()["dapp-mobility"],
+                     accounts=50, scale=0.002, seed=7, drain=30)
+
+
+def _byzantine(chain: str) -> BenchmarkResult:
+    # testnet has 10 validators: 2/10 silent stays below every tolerance
+    # (1/3, clique 1/2) and stretches the rounds; 5/10 is at or above
+    # every tolerance and fails the rounds inside its window. The first
+    # window spans a 5 s clique period and the second outlasts a 10 s
+    # IBFT round timeout, so every chain seals inside both.
+    byzantine = (
+        tuple(Silence(0.5, 5.5, node) for node in range(2))
+        + tuple(Silence(5.5, 20.0, node) for node in range(5)))
+    spec = simple_spec(TRANSFER, LoadSchedule.constant(400, 6),
+                       byzantine=byzantine)
+    return run_benchmark(chain, "testnet", spec, "golden-byzantine", **RUN)
+
+
 SCENARIOS: Dict[str, Callable[[str], BenchmarkResult]] = {
     "transfer": _transfer,
     "dapp": _dapp,
     "population": _population,
     "faults": _faults,
     "fees": _fees,
+    "mobility": _mobility,
+    "byzantine": _byzantine,
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.chain.receipt import ExecStatus
@@ -26,7 +27,12 @@ from repro.vm.machines import (
     geth_evm,
     move_vm,
 )
-from repro.vm.program import Contract, ExecutionContext, VMCapabilities
+from repro.vm.program import (
+    Contract,
+    ExecutionContext,
+    VMCapabilities,
+    kv_entry_size,
+)
 
 
 class TestGasMeter:
@@ -82,6 +88,32 @@ class TestExecutionContext:
         ctx = _ctx(AVM_CAPS)
         with pytest.raises(StateLimitError):
             ctx.store("k", "x" * 200)
+
+    def test_kv_entry_size_of_ints_and_strings_is_their_text(self):
+        # the gaming and video DApps deploy (or not) on Algorand by these
+        assert kv_entry_size("n", 0) == 2
+        assert kv_entry_size("player:3:x", 250) == 13
+        assert kv_entry_size("video:1", "alice:cat") == 16
+        assert kv_entry_size("k", "x" * 200) == 201
+
+    def test_kv_entry_size_of_an_array_is_its_buffer(self):
+        # str() of a large array is numpy's elided summary, not its content
+        positions = np.arange(10_000)
+        assert len(str(positions)) < 128
+        assert kv_entry_size("xs", positions) == 2 + positions.nbytes
+
+    def test_array_state_is_limited_on_avm_only(self):
+        contract = Contract("Arrays")
+
+        @contract.constructor
+        def init(ctx):
+            ctx.store("xs", np.arange(10_000))
+
+        with pytest.raises(StateLimitError):
+            avm().deploy(WorldState(), contract)
+        state = WorldState()
+        geth_evm().deploy(state, contract)
+        assert len(state.storage("contract:Arrays").get("xs")) == 10_000
 
     def test_max_state_entries(self):
         caps = VMCapabilities("tiny", max_state_entries=2)
