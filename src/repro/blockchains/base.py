@@ -269,7 +269,6 @@ class SubmissionResult:
     """Outcome of handing one transaction to a node."""
 
     accepted: bool
-    reason: Optional[str] = None
     will_retry: bool = False   # rejected now, but a client retry is scheduled
 
 
@@ -404,10 +403,6 @@ class BlockchainNetwork:
         self.fee_bump_exempt: frozenset = frozenset()
         self._retry_rng = self.rng.stream("client", "retry-jitter")
         self._attempts: Dict[int, int] = {}
-        #: arrivals per non-client submission lane (e.g. ``"aggregate"``
-        #: for a population's untracked users — see repro.core.population).
-        #: Stays empty on classic runs so their stats remain byte-identical.
-        self.lane_arrivals: Dict[str, int] = {}
         self._retries_scheduled = chain_metrics.counter("retries_scheduled")
         self._retries_succeeded = chain_metrics.counter("retries_succeeded")
         #: lifecycle tracer; None = tracing fully off (the default), every
@@ -448,7 +443,7 @@ class BlockchainNetwork:
 
         Also hooks the admission queue's drain path so transactions that
         enter the pool from the backpressure queue get their admission
-        timestamp (direct admits are stamped in :meth:`submit`).
+        timestamp (direct admits are stamped in :meth:`submit_batch`).
         """
         self.tracer = tracer
         self.admission.on_admit = (
@@ -585,9 +580,6 @@ class BlockchainNetwork:
             estimates.append(max(1, self._gas_cap_unscaled // 21_000))
         return min(estimates) if estimates else 10_000
 
-    def _record_arrivals(self, count: int) -> None:
-        self._arrivals.append((self.engine.now, count))
-
     def arrival_rate(self) -> float:
         """Recent client submission rate in unscaled TPS."""
         now = self.engine.now
@@ -602,60 +594,87 @@ class BlockchainNetwork:
 
     # -- submission ------------------------------------------------------------------------
 
-    def submit(self, tx: Transaction, submitted_at: Optional[float] = None) -> SubmissionResult:
-        """A client hands *tx* to its collocated node.
+    def submit_batch(self, txs: Sequence[Transaction]) -> int:
+        """Clients hand *txs* to their collocated nodes at the current
+        instant; return how many were accepted.
 
-        The transaction reaches the proposer's pool one gossip hop later;
-        admission control applies the chain's mempool policy — including the
-        backpressure front door (load shedding, admission queue). With a
-        :class:`RetryPolicy` configured, a rejected submission schedules a
-        backed-off client retry instead of dropping immediately; the
+        Each transaction reaches the proposer's pool one gossip hop later;
+        admission control applies the chain's mempool policy — including
+        the backpressure front door (load shedding, admission queue). With
+        a :class:`RetryPolicy` configured, a rejected submission schedules
+        a backed-off client retry instead of dropping immediately; the
         transaction only counts as dropped once its attempts are exhausted.
+
+        The batch is recorded as one arrival and its counter increments
+        are accumulated across the loop. That is safe because
+        :meth:`arrival_rate` only sums counts per timestamp, and the
+        counters are only read from block-production events. An attached
+        tracer sees every transaction of the batch, in submission order.
         """
+        count = len(txs)
+        if count == 0:
+            return 0
         now = self.engine.now
-        attempt = self._attempts.get(tx.uid, 0) + 1
-        self._attempts[tx.uid] = attempt
-        if attempt == 1:
-            tx.submitted_at = submitted_at if submitted_at is not None else now
-        else:
-            tx.resubmitted_at = now
-            tx.retries = attempt - 1
-        self._record_arrivals(1)
+        attempts = self._attempts
+        admission_submit = self.admission.submit
+        schedule_retry = self._schedule_retry
+        record_drop = self._record_drop
+        tracer = self.tracer
+        self._arrivals.append((now, count))
         self.last_arrival_at = now
-        if self.tracer is not None:
-            self.tracer.tx_submit(tx, now, attempt)
-        try:
-            status = self.admission.submit(tx)
-        except NodeOverloadedError as exc:
-            # shed at the door: the node rejected cheaply, before paying the
-            # admission path, so no churn is charged against its memory
-            will_retry = self._schedule_retry(tx, attempt)
-            if self.tracer is not None:
-                self.tracer.tx_rejected(tx, now, "shed_load", will_retry)
-            if will_retry:
-                return SubmissionResult(False, str(exc), will_retry=True)
-            self._record_drop(tx, "shed_load")
-            return SubmissionResult(False, str(exc))
-        except (MempoolFullError, BackpressureError) as exc:
-            self._admission_processed += 1
-            will_retry = self._schedule_retry(tx, attempt)
-            if self.tracer is not None:
-                self.tracer.tx_rejected(tx, now, type(exc).__name__,
-                                        will_retry)
-            if will_retry:
-                return SubmissionResult(False, str(exc), will_retry=True)
-            self._record_drop(tx, type(exc).__name__)
-            return SubmissionResult(False, str(exc))
-        self._admission_processed += 1
-        if attempt > 1:
-            self._retries_succeeded.inc()
-        if self.tracer is not None:
-            if status == "queued":
-                self.tracer.tx_queued(tx, now)
+        accepted = 0
+        processed = 0
+        retried_ok = 0
+        for tx in txs:
+            uid = tx.uid
+            attempt = attempts.get(uid, 0) + 1
+            attempts[uid] = attempt
+            if attempt == 1:
+                tx.submitted_at = now
             else:
-                self.tracer.tx_admitted(tx, now)
-        self._ensure_production()
-        return SubmissionResult(True)
+                tx.resubmitted_at = now
+                tx.retries = attempt - 1
+            if tracer is not None:
+                tracer.tx_submit(tx, now, attempt)
+            try:
+                status = admission_submit(tx)
+            except NodeOverloadedError:
+                # shed at the door: the node rejected cheaply, before
+                # paying the admission path, so no churn is charged
+                # against its memory
+                reason = "shed_load"
+            except (MempoolFullError, BackpressureError) as exc:
+                processed += 1
+                reason = type(exc).__name__
+            else:
+                processed += 1
+                if attempt > 1:
+                    retried_ok += 1
+                accepted += 1
+                if tracer is not None:
+                    if status == "queued":
+                        tracer.tx_queued(tx, now)
+                    else:
+                        tracer.tx_admitted(tx, now)
+                self._ensure_production()
+                continue
+            will_retry = schedule_retry(tx, attempt)
+            if tracer is not None:
+                tracer.tx_rejected(tx, now, reason, will_retry)
+            if not will_retry:
+                record_drop(tx, reason)
+        self._admission_processed += processed
+        if retried_ok:
+            self._retries_succeeded.inc(retried_ok)
+        return accepted
+
+    def submit(self, tx: Transaction) -> SubmissionResult:
+        """:meth:`submit_batch` of one, for a caller that decides per
+        transaction (the DoS adversary releases a reservation between
+        submissions). A rejection either schedules a retry or records a
+        drop, so the drop mark tells the two apart."""
+        accepted = self.submit_batch((tx,)) == 1
+        return SubmissionResult(accepted, not accepted and not tx.aborted)
 
     def _record_drop(self, tx: Transaction, reason: str) -> None:
         """Single point where a transaction becomes a client-visible drop.
@@ -695,7 +714,7 @@ class BlockchainNetwork:
             # a resubmitting client re-reads the chain head first, exactly
             # the Solana recent-blockhash refresh loop (§5.2)
             tx.recent_block_hash = self.ledger.head.block_hash
-        self.submit(tx)
+        self.submit_batch((tx,))
 
     def _bump_fee(self, tx: Transaction) -> None:
         """Raise *tx*'s bid before resubmission, within the cumulative cap.
@@ -724,80 +743,6 @@ class BlockchainNetwork:
     def attempts_for(self, tx: Transaction) -> int:
         """Submission attempts recorded for *tx* (1 = no retries)."""
         return self._attempts.get(tx.uid, 0)
-
-    def submit_batch(self, txs: Sequence[Transaction],
-                     lane: str = "client") -> int:
-        """Submit many transactions at the current instant; return #accepted.
-
-        Fast lane for the Secondary's per-tick batch: per-transaction
-        behaviour identical to :meth:`submit` (attempt bookkeeping,
-        admission outcomes, retry scheduling in the same calendar order,
-        production kick), with the invariant work hoisted — one arrival
-        record covering the whole batch, counter increments accumulated
-        across the loop, and no :class:`SubmissionResult` allocations.
-        Batching the arrival record is safe because
-        :meth:`arrival_rate` only sums counts per timestamp, and the
-        batched counters are only read from block-production events.
-        With a tracer attached the batch falls back to per-transaction
-        :meth:`submit` so trace events keep their exact shape.
-
-        ``lane`` names the submission lane for arrival attribution:
-        ``"client"`` (the default) is untagged; any other lane — the
-        population layer submits its untracked users as ``"aggregate"``
-        — accumulates in :attr:`lane_arrivals` and surfaces as an
-        ``arrivals_<lane>`` stat. Admission treats every lane the same.
-        """
-        if lane != "client" and txs:
-            self.lane_arrivals[lane] = (
-                self.lane_arrivals.get(lane, 0) + len(txs))
-        if self.tracer is not None:
-            accepted = 0
-            for tx in txs:
-                if self.submit(tx).accepted:
-                    accepted += 1
-            return accepted
-        count = len(txs)
-        if count == 0:
-            return 0
-        now = self.engine.now
-        attempts = self._attempts
-        admission_submit = self.admission.submit
-        schedule_retry = self._schedule_retry
-        record_drop = self._record_drop
-        self._record_arrivals(count)
-        self.last_arrival_at = now
-        accepted = 0
-        processed = 0
-        retried_ok = 0
-        for tx in txs:
-            uid = tx.uid
-            attempt = attempts.get(uid, 0) + 1
-            attempts[uid] = attempt
-            if attempt == 1:
-                tx.submitted_at = now
-            else:
-                tx.resubmitted_at = now
-                tx.retries = attempt - 1
-            try:
-                admission_submit(tx)
-            except NodeOverloadedError:
-                if not schedule_retry(tx, attempt):
-                    record_drop(tx, "shed_load")
-                continue
-            except (MempoolFullError, BackpressureError) as exc:
-                processed += 1
-                if not schedule_retry(tx, attempt):
-                    record_drop(tx, type(exc).__name__)
-                continue
-            processed += 1
-            if attempt > 1:
-                retried_ok += 1
-            accepted += 1
-            self._ensure_production()
-        self._admission_processed += processed
-        if retried_ok:
-            self._retries_succeeded.inc(retried_ok)
-        return accepted
 
     def on_commit(self, listener: Callable[[Transaction], None]) -> None:
         self._commit_listeners.append(listener)
@@ -1142,10 +1087,6 @@ class BlockchainNetwork:
 
     # -- results ----------------------------------------------------------------------------------
 
-    def drain(self, until: float) -> None:
-        """Run the engine until *until* to let in-flight blocks land."""
-        self.engine.run(until=until)
-
     def stats(self) -> Dict[str, float]:
         committed = len(self.committed)
         stats: Dict[str, float] = {
@@ -1178,6 +1119,4 @@ class BlockchainNetwork:
             stats["byzantine_stalled_blocks"] = (
                 self._byzantine_stalled_blocks.value)
             stats["byzantine_events"] = len(self.byzantine_schedule)
-        for lane, count in sorted(self.lane_arrivals.items()):
-            stats[f"arrivals_{lane}"] = count
         return stats

@@ -8,9 +8,12 @@ encoded interaction e, and (iv) c.trigger(e)."
 
 :class:`BlockchainConnector` is that interface; :class:`SimConnector` is
 its implementation for the simulated chains of :mod:`repro.blockchains`.
-Implementing a connector for a real chain (e.g. via web3.py) requires
-exactly these four methods — the paper notes real implementations run
-1,000-1,200 LOC.
+A Secondary tick emits many interactions at one virtual instant, so the
+two functions on the emission path are implemented in their batch form,
+``encode_batch`` and ``trigger_batch``, and the paper's ``encode`` and
+``trigger`` are the batch of one. Implementing a connector for a real
+chain (e.g. via web3.py) requires exactly these four methods — the paper
+notes real implementations run 1,000-1,200 LOC.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.blockchains.base import BlockchainNetwork
 from repro.chain.account import Account
-from repro.chain.transaction import Transaction, TxKind, invoke, transfer
+from repro.chain.transaction import Transaction, TxKind
 from repro.common.errors import ConfigurationError, SpecError
 from repro.contracts import CONTRACT_FACTORIES, estimated_call_gas
 from repro.core.spec import (
@@ -43,10 +46,6 @@ class Client:
     location: str
     endpoints: Tuple[str, ...]
 
-    def trigger(self, connector: "BlockchainConnector",
-                encoded: Transaction) -> bool:
-        return connector.trigger(self, encoded)
-
 
 class BlockchainConnector:
     """The 4-function abstraction DIABLO programs against."""
@@ -58,50 +57,24 @@ class BlockchainConnector:
     def create_resource(self, spec: Any) -> Any:
         raise NotImplementedError
 
-    def encode(self, interaction: Interaction, resource: Any,
-               t: float) -> Transaction:
-        raise NotImplementedError
-
-    def trigger(self, client: Client, encoded: Transaction) -> bool:
-        raise NotImplementedError
-
-    # -- batched emission ----------------------------------------------------------
-    #
-    # One Secondary tick emits `count` interactions at the same virtual
-    # instant; the batch forms let a connector amortize per-transaction
-    # plumbing. The defaults delegate to encode()/trigger() so any
-    # connector is batch-capable, and the contract is that a batch is
-    # observably identical to `count` sequential encode/trigger pairs.
-
     def encode_batch(self, interaction: Interaction, resource: Any,
                      t: float, count: int) -> List[Transaction]:
-        return [self.encode(interaction, resource, t) for _ in range(count)]
+        """Encode *count* interactions of one tick, in emission order."""
+        raise NotImplementedError
 
     def trigger_batch(self, clients: Sequence[Client],
                       encoded: Sequence[Transaction]) -> int:
         """Trigger one encoded interaction per client; return #accepted."""
-        accepted = 0
-        for client, tx in zip(clients, encoded):
-            if self.trigger(client, tx):
-                accepted += 1
-        return accepted
+        raise NotImplementedError
 
-    def trigger_aggregate(self, encoded: Sequence[Transaction]) -> int:
-        """Submit a population's aggregate-lane batch; return #accepted.
+    # -- the paper's single forms: the batch of one -----------------------------------
 
-        Aggregate transactions have no client object behind them — they
-        represent the untracked users of a ``population:`` workload
-        (see :mod:`repro.core.population`). The default funnels them
-        through :meth:`trigger` under one shared placeholder client so
-        any connector is population-capable.
-        """
-        if not hasattr(self, "_population_client"):
-            self._population_client = Client("population", "", ())
-        accepted = 0
-        for tx in encoded:
-            if self.trigger(self._population_client, tx):
-                accepted += 1
-        return accepted
+    def encode(self, interaction: Interaction, resource: Any,
+               t: float) -> Transaction:
+        return self.encode_batch(interaction, resource, t, 1)[0]
+
+    def trigger(self, client: Client, encoded: Transaction) -> bool:
+        return self.trigger_batch((client,), (encoded,)) == 1
 
 
 class SimConnector(BlockchainConnector):
@@ -162,12 +135,6 @@ class SimConnector(BlockchainConnector):
             ring = self._ring = list(accounts)
         return ring
 
-    def _next_account(self) -> Account:
-        ring = self._account_ring()
-        account = ring[self._account_cursor % len(ring)]
-        self._account_cursor += 1
-        return account
-
     def _signer_for(self, account: Account) -> Any:
         """A cached per-account fast signer (see crypto.signing)."""
         signer = self._signers.get(account.address)
@@ -207,54 +174,20 @@ class SimConnector(BlockchainConnector):
         self._gas_estimates[key] = limit
         return limit
 
-    def encode(self, interaction: Interaction, resource: Any,
-               t: float) -> Transaction:
-        """Build and pre-sign the transaction for one interaction event.
-
-        Secondaries pre-sign transactions (§4); the signature uses the
-        chain's scheme so the signing cost model applies.
-        """
-        account = self._next_account()
-        if isinstance(interaction, TransferSpec):
-            recipient = self._next_account()
-            tx = transfer(account.address, recipient.address,
-                          amount=interaction.amount,
-                          sequence=account.next_sequence(),
-                          gas_limit=TRANSFER_GAS_LIMIT)
-        elif isinstance(interaction, InvokeSpec):
-            contract_name = self._contract_name(interaction.contract.name)
-            tx = invoke(account.address, contract_name,
-                        interaction.function, interaction.args,
-                        sequence=account.next_sequence(),
-                        gas_limit=DEFAULT_INVOKE_GAS_LIMIT)
-            tx.gas_limit = self._invoke_gas_limit(
-                contract_name, interaction.function, tx)
-        else:
-            raise SpecError(f"unknown interaction {interaction!r}")
-        market = self.network.fee_market
-        if market is not None:
-            # honest wallets price at the current suggestion (base fee
-            # times headroom plus default tip); the signature below covers
-            # the price fields, like a real signed envelope
-            tx.fee_per_gas, tx.tip = market.suggest()
-        tx.signature = self._signer_for(account)(tx.signing_payload())
-        if self.network.params.tx_expiry is not None:
-            tx.recent_block_hash = self.network.ledger.head.block_hash
-        return tx
-
     def encode_batch(self, interaction: Interaction, resource: Any,
                      t: float, count: int) -> List[Transaction]:
-        """Encode one tick's worth of interactions in a single pass.
+        """Build and pre-sign one tick's worth of interactions.
 
-        Byte-identical to ``count`` sequential :meth:`encode` calls
-        (tested per chain in tests/core/test_emission_fastpath.py): the
-        account cursor advances arithmetically over the materialized
-        ring, per-transaction state (account sequence numbers, tx uids)
-        is consumed in the same order, and the invariant lookups —
-        fee-market suggestion callable, signature scheme, ledger head —
-        are hoisted out of the loop. Hoisting the head hash is safe
-        because the whole batch runs inside one engine callback and the
-        head only moves in block-append events.
+        Secondaries pre-sign transactions (§4); the signature uses the
+        chain's scheme so the signing cost model applies. One batch of
+        *N* equals *N* batches of one (tested per chain in
+        tests/core/test_emission_fastpath.py): the account cursor
+        advances over the materialized ring and per-transaction state
+        (account sequence numbers, tx uids) is consumed in emission order. The
+        invariant lookups — fee-market suggestion callable, signature
+        scheme, ledger head — are hoisted out of the loop; hoisting the
+        head hash is safe because the whole batch runs inside one engine
+        callback and the head only moves in block-append events.
         """
         if count <= 0:
             return []
@@ -281,6 +214,10 @@ class SimConnector(BlockchainConnector):
                                  sequence=account.next_sequence(),
                                  gas_limit=TRANSFER_GAS_LIMIT)
                 if suggest is not None:
+                    # honest wallets price at the current suggestion (base
+                    # fee times headroom plus default tip); the signature
+                    # below covers the price fields, like a real signed
+                    # envelope
                     tx.fee_per_gas, tx.tip = suggest()
                 signer = signers.get(account.address)
                 if signer is None:
@@ -318,25 +255,12 @@ class SimConnector(BlockchainConnector):
 
     # -- triggering ----------------------------------------------------------------------
 
-    def trigger(self, client: Client, encoded: Transaction) -> bool:
-        """Send the encoded interaction to the client's blockchain node."""
-        return self.network.submit(encoded).accepted
-
     def trigger_batch(self, clients: Sequence[Client],
                       encoded: Sequence[Transaction]) -> int:
-        """Submit a tick's batch through the network's batched fast lane.
+        """Send each encoded interaction to its client's blockchain node.
 
         The simulated network ignores which client submits (clients share
         their region's endpoints), so the batch collapses to one
         :meth:`BlockchainNetwork.submit_batch` call.
         """
         return self.network.submit_batch(encoded)
-
-    def trigger_aggregate(self, encoded: Sequence[Transaction]) -> int:
-        """Submit an aggregate-lane batch, tagged for lane accounting.
-
-        Same admission path as client traffic; the ``lane`` tag only
-        adds per-lane arrival counters to the chain stats so population
-        runs can attribute load (see docs/SCALE.md).
-        """
-        return self.network.submit_batch(encoded, lane="aggregate")

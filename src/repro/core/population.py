@@ -11,9 +11,9 @@ as two lanes:
   those users transact this tick (Poisson via its normal approximation,
   optionally modulated by a two-state burst envelope, or the exact
   deterministic carry accumulator) and emits that count through the
-  batched ``encode_batch``/``submit_batch`` fast path. The transactions
-  are real — they hit admission, the mempool, consensus and the VM — but
-  no per-client object exists for them;
+  Secondary's one ``encode_batch``/``trigger_batch`` tick loop. The
+  transactions are real — they hit admission, the mempool, consensus
+  and the VM — but no per-client object exists for them;
 * a **cohort lane**: a deterministic sample of individually-tracked
   clients (default :data:`DEFAULT_COHORT`) runs through the unchanged
   classic client path, preserving per-transaction latency/retry/fee-bump

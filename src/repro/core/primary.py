@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.blockchains.base import (
     BlockchainNetwork,
+    ChainParams,
     ExperimentScale,
     default_scale,
 )
@@ -24,7 +25,7 @@ from repro.core.interface import Client, SimConnector
 from repro.core.population import AggregateArrivals, population_block
 from repro.core.results import BenchmarkResult, TransactionRecord
 from repro.core.secondary import Secondary
-from repro.core.spec import WorkloadSpec
+from repro.core.spec import ContractSample, WorkloadSpec
 from repro.core.watchdog import DEFAULT_WINDOW, LivenessWatchdog
 from repro.econ.fees import FeeSpec
 from repro.obs import (
@@ -52,7 +53,7 @@ class Primary:
                  scale: Optional[float] = None,
                  seed: int = 0,
                  secondaries_per_region: int = 1,
-                 params: Optional["ChainParams"] = None,
+                 params: Optional[ChainParams] = None,
                  observe: Optional[ObservabilityOptions] = None) -> None:
         """Coordinate benchmarks for *chain* in *deployment*.
 
@@ -77,7 +78,6 @@ class Primary:
         self.secondaries_per_region = secondaries_per_region
         self.engine = Engine()
         if params is not None:
-            from repro.blockchains.base import BlockchainNetwork
             self.network = BlockchainNetwork(
                 params, self.deployment, self.engine,
                 scale=self.scale, seed=seed)
@@ -107,7 +107,6 @@ class Primary:
         if population > 0:
             self.network.create_accounts(population)
         for dapp_name in spec.contracts_used():
-            from repro.core.spec import ContractSample
             self.connector.create_resource(ContractSample(dapp_name))
 
     def _build_secondaries(self, spec: WorkloadSpec) -> None:
@@ -320,6 +319,12 @@ class Primary:
             status=status,
             liveness_events=list(liveness_events or []),
             overload_events=list(self.network.overload_events))
+        # aggregate-lane txs never become records (they carry no client
+        # identity); they are counted here and in the population block
+        aggregate_sent = [tx for secondary in self.secondaries
+                          for tx in secondary.aggregate_sent]
+        if aggregate_sent:
+            result.chain_stats["arrivals_aggregate"] = len(aggregate_sent)
         record = TransactionRecord.from_transaction
         for secondary in self.secondaries:
             # a transaction the Secondary generated but never actually
@@ -342,11 +347,7 @@ class Primary:
                 economics["adversary"] = self.adversary.stats()
             result.economics = economics
         if spec.population is not None:
-            # every TransactionRecord of a population run is a cohort
-            # record; aggregate-lane txs never become records (they carry
-            # no client identity) but are counted here
-            aggregate_sent = [tx for secondary in self.secondaries
-                              for tx in secondary.aggregate_sent]
+            # every TransactionRecord of a population run is a cohort record
             result.population = population_block(
                 spec.population, result.records, aggregate_sent,
                 duration, self.scale.factor)

@@ -15,10 +15,10 @@ from repro.core.spec import WorkloadSpec, load_spec
 from repro.core.watchdog import DEFAULT_WINDOW
 from repro.obs import ObservabilityOptions
 from repro.sim.deployment import DeploymentConfig
-from repro.workloads.traces import Trace
 
 if TYPE_CHECKING:
     from repro.sweep import ResultCache
+    from repro.workloads.traces import Trace
 
 
 def run_benchmark(chain: str, deployment: Union[str, DeploymentConfig],

@@ -11,18 +11,19 @@ generation — the reproduction is never bottlenecked by the generator, see
 DESIGN.md). It records the submission timestamp right before triggering,
 like the real implementation.
 
-Population workloads add an **aggregate lane** next to the classic client
-assignments: an :class:`~repro.core.population.AggregateArrivals` process
-decides how many of the population's untracked users transact each tick,
-and the Secondary emits that count through the batched
-``encode_batch``/``trigger_aggregate`` path — no per-client objects, so
-millions of users cost one event per tick (see docs/SCALE.md).
+Every lane runs the same tick loop: ask a scheduler how many interactions
+are due, encode them in one ``encode_batch`` and trigger them in one
+``trigger_batch``. A classic client assignment is scheduled by its
+per-client rate; population workloads add an **aggregate lane** whose
+:class:`~repro.core.population.AggregateArrivals` process decides how many
+of the population's untracked users transact each tick — no per-client
+objects, so millions of users cost one event per tick (see docs/SCALE.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.blockchains.base import ExperimentScale
 from repro.chain.transaction import Transaction
@@ -32,13 +33,6 @@ from repro.core.spec import Behavior, Interaction
 from repro.sim.engine import Engine
 
 DEFAULT_TICK = 0.1
-
-#: default for :class:`Secondary`'s batched emission path. The fast path
-#: emits each tick's transactions through ``encode_batch``/``trigger_batch``
-#: and is byte-identical to the per-transaction reference path (tested in
-#: tests/core/test_emission_fastpath.py); the toggle exists so those tests
-#: can run both paths against each other.
-USE_FAST_PATH = True
 
 
 @dataclass(slots=True)
@@ -54,15 +48,13 @@ class Secondary:
 
     def __init__(self, name: str, region: str, engine: Engine,
                  connector: BlockchainConnector,
-                 scale: ExperimentScale, tick: float = DEFAULT_TICK,
-                 fast_path: Optional[bool] = None) -> None:
+                 scale: ExperimentScale, tick: float = DEFAULT_TICK) -> None:
         self.name = name
         self.region = region
         self.engine = engine
         self.connector = connector
         self.scale = scale
         self.tick = tick
-        self.fast_path = USE_FAST_PATH if fast_path is None else fast_path
         self.assignments: List[Assignment] = []
         self.sent: List[Tuple[Transaction, str]] = []  # (tx, client name)
         self.rejected = 0
@@ -97,121 +89,86 @@ class Secondary:
             self._start_aggregate(process, interaction)
 
     def _start_assignment(self, assignment: Assignment) -> None:
+        """Per-client rate lane: a carry accumulator turns the schedule's
+        rate into whole transactions, recorded in ``sent`` under the
+        client that triggered them."""
         behavior = assignment.behavior
-        duration = behavior.load.duration
-        state = {"t": 0.0, "carry": 0.0, "cursor": 0}
-        emit_label = f"{self.name}-emit"
-        # hoisted per-assignment invariants (the fast path reads these in
-        # the tick loop; the reference path keeps its original body)
-        clients = assignment.clients
-        nclients = len(clients)
-        interaction = behavior.interaction
+        nclients = len(assignment.clients)
         rate_at = behavior.load.rate_at
+        rate_scale = self.scale.rate
+        tick = self.tick
+        carry = 0.0
+
+        def due(t: float) -> int:
+            nonlocal carry
+            # per-client rate times client count, scaled for the experiment
+            carry += rate_scale(rate_at(t) * nclients) * tick
+            count = int(carry)
+            carry -= count
+            return count
+
+        def record(txs: List[Transaction], clients: List[Client],
+                   accepted: int) -> None:
+            self.sent.extend(zip(txs, (c.name for c in clients)))
+            self.rejected += len(txs) - accepted
+
+        self._start_lane(f"{self.name}-", behavior.load.duration,
+                         behavior.interaction, assignment.clients,
+                         due, record)
+
+    def _start_aggregate(self, process: AggregateArrivals,
+                         interaction: Interaction) -> None:
+        """Aggregate arrivals lane: the process says how many of its users
+        transact (exactly one :meth:`AggregateArrivals.count_at` call per
+        tick — the determinism contract). The transactions land in
+        ``aggregate_sent``, not ``sent``: they trigger under one
+        placeholder client and never become TransactionRecords."""
+
+        def record(txs: List[Transaction], clients: List[Client],
+                   accepted: int) -> None:
+            self.aggregate_sent.extend(txs)
+            self.aggregate_rejected += len(txs) - accepted
+
+        self._start_lane(f"{self.name}-aggregate-", process.duration,
+                         interaction, [Client("population", self.region, ())],
+                         process.count_at, record)
+
+    def _start_lane(self, label: str, duration: float,
+                    interaction: Interaction, clients: List[Client],
+                    due: Callable[[float], int],
+                    record: Callable[[List[Transaction], List[Client], int],
+                                     None]) -> None:
+        """The tick loop: every ``tick`` seconds until *duration*, emit the
+        ``due(t)`` interactions in one encode_batch and one trigger_batch,
+        handing them to *clients* round-robin."""
+        emit_label = label + "emit"
+        nclients = len(clients)
         connector = self.connector
         engine = self.engine
         tick = self.tick
         late_after = 5 * tick
-        rate_scale = self.scale.rate
-
-        def emit_fast() -> None:
-            """One tick: one encode_batch + one trigger_batch call.
-
-            Byte-identical to :func:`emit` (the per-transaction
-            reference): the carry accumulator and the account/client
-            round-robin cursors advance arithmetically through exactly
-            the same sequence, and the connector's batch forms are
-            contractually equal to ``count`` encode/trigger pairs.
-            """
-            t = state["t"]
-            if t >= duration:
-                return
-            # per-client rate times client count, scaled for the experiment
-            state["carry"] += rate_scale(rate_at(t) * nclients) * tick
-            count = int(state["carry"])
-            state["carry"] -= count
-            now = engine.now
-            if now - t > late_after:
-                self.late_warnings += 1
-            if count:
-                cursor = state["cursor"]
-                state["cursor"] = cursor + count
-                batch_clients = [clients[(cursor + i) % nclients]
-                                 for i in range(count)]
-                txs = connector.encode_batch(interaction, None, now, count)
-                accepted = connector.trigger_batch(batch_clients, txs)
-                self.sent.extend(
-                    zip(txs, (c.name for c in batch_clients)))
-                self.rejected += count - accepted
-            state["t"] = t + tick
-            if state["t"] < duration:
-                engine.schedule_after(tick, emit_fast, label=emit_label)
+        t = 0.0
+        cursor = 0
 
         def emit() -> None:
-            t = state["t"]
+            nonlocal t, cursor
             if t >= duration:
                 return
-            # per-client rate times client count, scaled for the experiment
-            rate = behavior.load.rate_at(t) * len(assignment.clients)
-            state["carry"] += self.scale.rate(rate) * self.tick
-            count = int(state["carry"])
-            state["carry"] -= count
-            expected = t
-            now = self.engine.now
-            if now - expected > 5 * self.tick:
-                # the real Secondary warns when it falls behind the Primary's
-                # demanded schedule; virtual time cannot fall behind, but the
-                # check is kept for interface parity
+            count = due(t)
+            now = engine.now
+            if now - t > late_after:
+                # the real Secondary warns when it falls behind the
+                # Primary's demanded schedule; virtual time cannot fall
+                # behind, but the check is kept for interface parity
                 self.late_warnings += 1
-            for _ in range(count):
-                client = assignment.clients[
-                    state["cursor"] % len(assignment.clients)]
-                state["cursor"] += 1
-                encoded = self.connector.encode(
-                    behavior.interaction, None, now)
-                accepted = self.connector.trigger(client, encoded)
-                self.sent.append((encoded, client.name))
-                if not accepted:
-                    self.rejected += 1
-            state["t"] = t + self.tick
-            if state["t"] < duration:
-                self.engine.schedule_after(self.tick, emit,
-                                           label=emit_label)
-
-        tick_body = emit_fast if self.fast_path else emit
-        self.engine.schedule_after(0.0, tick_body, label=f"{self.name}-start")
-
-    def _start_aggregate(self, process: AggregateArrivals,
-                         interaction: Interaction) -> None:
-        """Tick loop for one aggregate arrival process.
-
-        Each tick asks the process how many of its users transact
-        (exactly one :meth:`AggregateArrivals.count_at` call per tick —
-        the determinism contract), encodes that many transactions through
-        the batched fast path and submits them on the aggregate lane.
-        The transactions land in ``aggregate_sent``, not ``sent``: they
-        carry no client identity and never become TransactionRecords.
-        """
-        duration = process.duration
-        state = {"t": 0.0}
-        emit_label = f"{self.name}-aggregate-emit"
-        connector = self.connector
-        engine = self.engine
-        tick = self.tick
-
-        def emit_aggregate() -> None:
-            t = state["t"]
-            if t >= duration:
-                return
-            count = process.count_at(t)
             if count:
-                now = engine.now
+                batch = [clients[(cursor + i) % nclients]
+                         for i in range(count)]
+                cursor += count
                 txs = connector.encode_batch(interaction, None, now, count)
-                accepted = connector.trigger_aggregate(txs)
-                self.aggregate_sent.extend(txs)
-                self.aggregate_rejected += count - accepted
-            state["t"] = t + tick
-            if state["t"] < duration:
-                engine.schedule_after(tick, emit_aggregate, label=emit_label)
+                record(txs, batch, connector.trigger_batch(batch, txs))
+            t += tick
+            if t < duration:
+                engine.schedule_after(tick, emit, label=emit_label)
 
-        self.engine.schedule_after(0.0, emit_aggregate,
-                                   label=f"{self.name}-aggregate-start")
+        engine.schedule_after(0.0, emit, label=label + "start")

@@ -9,16 +9,6 @@ Message delivery time = propagation (RTT/2) + serialization (size/bandwidth)
 + lognormal jitter. Each directed region pair has a bandwidth pipe shared by
 its messages, so saturating a link queues traffic, which is how overload
 experiments (Fig. 4) develop growing latency.
-
-Aggregate admission accounting: population runs (docs/SCALE.md) submit
-their aggregate-lane transactions through the same batched
-``submit_batch`` entry point the classic clients use, but tagged
-``lane="aggregate"`` — submission is collocated with the node the
-emitting Secondary views, so the batch pays the same regional admission
-and gossip costs a per-client submission would. Per-lane arrival counts
-surface as ``arrivals_<lane>`` keys in the chain stats (a run without
-an aggregate lane emits no such key, keeping classic result JSON
-byte-identical).
 """
 
 from __future__ import annotations

@@ -1,28 +1,36 @@
-"""The batched emission fast path must be byte-identical to the reference.
+"""The one emission-to-admission lane: encode_batch, the tick loop, submit.
 
-Three layers of evidence, mirroring the determinism contract:
+* connector level — one ``SimConnector.encode_batch`` of *N* equals *N*
+  batches of one (``encode`` is the batch of one), for transfers,
+  invocations, fee markets and expiry chains: the property client
+  retries and the DoS adversary rely on when they submit singly;
+* schedule level (hypothesis) — the Secondary's tick loop emits what the
+  carry accumulator dictates, at the tick's timestamp, round-robin over
+  its clients, for arbitrary rate profiles, tick sizes and client counts;
+* the derived single forms — a connector that implements only the batch
+  forms gets ``encode``/``trigger``, and ``BlockchainNetwork.submit``
+  answers ``accepted``/``will_retry`` for each admission outcome.
 
-* connector level — ``SimConnector.encode_batch`` produces exactly the
-  transactions of ``count`` sequential ``encode`` calls, for transfers,
-  invocations, fee markets and expiry chains;
-* run level — full six-chain benchmarks serialize to identical JSON with
-  the fast path on and off;
-* schedule level (hypothesis) — the carry-accumulator emission counts and
-  the account/client round-robin cursor sequence are unchanged for
-  arbitrary rate profiles, tick sizes and client counts.
+Run-level bytes are pinned by tests/core/test_result_golden.py.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.secondary as secondary_module
-from repro.blockchains.registry import build_network
-from repro.chain.transaction import reset_tx_counter
-from repro.core.interface import BlockchainConnector, SimConnector
-from repro.core.runner import run_trace
+from repro.blockchains.base import (
+    BlockchainNetwork,
+    ExperimentScale,
+    RetryPolicy,
+)
+from repro.blockchains.registry import build_network, chain_params
+from repro.chain.mempool import MempoolPolicy
+from repro.chain.transaction import reset_tx_counter, transfer
+from repro.core.interface import BlockchainConnector, Client, SimConnector
 from repro.core.secondary import Secondary
 from repro.core.spec import (
     AccountSample,
@@ -33,13 +41,11 @@ from repro.core.spec import (
     TransferSpec,
 )
 from repro.econ.fees import FeeSpec
+from repro.sim.deployment import TESTNET
 from repro.sim.engine import Engine
-from repro.workloads import constant_transfer_trace, stock_trace
 
 SIX_CHAINS = ["algorand", "avalanche", "diem", "ethereum", "quorum",
               "solana"]
-
-FAST = dict(accounts=100, scale=0.05, drain=120, seed=3)
 
 
 def tx_fields(tx):
@@ -129,66 +135,60 @@ class TestEncodeBatchMatchesEncodeLoop:
         assert got == expected
 
 
-class TestRunLevelByteIdentity:
-    def run_both(self, chain, trace, **kwargs):
-        outputs = {}
-        original = secondary_module.USE_FAST_PATH
-        try:
-            for fast in (False, True):
-                secondary_module.USE_FAST_PATH = fast
-                outputs[fast] = run_trace(chain, "testnet", trace,
-                                          **kwargs).to_json()
-        finally:
-            secondary_module.USE_FAST_PATH = original
-        return outputs
-
-    @pytest.mark.parametrize("chain", SIX_CHAINS)
-    def test_transfer_runs_identical(self, chain):
-        outputs = self.run_both(chain, constant_transfer_trace(200, 20),
-                                **FAST)
-        assert outputs[False] == outputs[True]
-
-    def test_invoke_run_identical(self):
-        outputs = self.run_both("quorum", stock_trace("google"), **FAST)
-        assert outputs[False] == outputs[True]
-
-
 class StubConnector(BlockchainConnector):
-    """Records the emission schedule; inherits the default batch forms."""
+    """Records the emission schedule; implements only the batch forms."""
 
     def __init__(self, reject_every: int = 0) -> None:
-        self.encodes = []          # t per encode, in call order
+        self.encodes = []          # t per interaction, in emission order
+        self.batches = []          # size of each encode_batch call
         self.triggered = []        # client name per trigger, in call order
         self.reject_every = reject_every
 
     def create_client(self, name, location, endpoints):
-        from repro.core.interface import Client
         return Client(name, location, tuple(endpoints))
 
-    def encode(self, interaction, resource, t):
-        self.encodes.append(t)
-        return len(self.encodes)
+    def encode_batch(self, interaction, resource, t, count):
+        first = len(self.encodes)
+        self.encodes += [t] * count
+        self.batches.append(count)
+        return list(range(first + 1, first + count + 1))
 
-    def trigger(self, client, encoded):
-        self.triggered.append(client.name)
-        if self.reject_every and len(self.triggered) % self.reject_every == 0:
-            return False
-        return True
+    def trigger_batch(self, clients, encoded):
+        accepted = 0
+        for client in clients:
+            self.triggered.append(client.name)
+            if not (self.reject_every
+                    and len(self.triggered) % self.reject_every == 0):
+                accepted += 1
+        return accepted
 
 
-def run_secondary(fast_path, points, tick, nclients, reject_every):
+def run_secondary(points, tick, nclients, reject_every):
     connector = StubConnector(reject_every)
     clients = [connector.create_client(f"c{i}", "ohio", ())
                for i in range(nclients)]
     engine = Engine()
     secondary = Secondary("sec-0", "ohio", engine, connector,
-                          scale=secondary_module.ExperimentScale(1.0),
-                          tick=tick, fast_path=fast_path)
+                          scale=ExperimentScale(1.0), tick=tick)
     secondary.assign(clients, Behavior(TransferSpec(AccountSample(1)),
                                        LoadSchedule(points)))
     secondary.start()
     engine.run()
     return connector, secondary
+
+
+def due_per_tick(points, tick, nclients):
+    """The schedule, stated once: ``(t, count)`` for every tick, counts
+    from a carry accumulator over rate x clients x tick."""
+    load = LoadSchedule(points)
+    t, carry, ticks = 0.0, 0.0, []
+    while t < load.duration:
+        carry += load.rate_at(t) * nclients * tick
+        count = int(carry)
+        carry -= count
+        ticks.append((t, count))
+        t += tick
+    return ticks
 
 
 rates = st.floats(min_value=0.0, max_value=40.0, allow_nan=False)
@@ -211,17 +211,57 @@ class TestEmissionScheduleProperty:
             t += width
         points.append((t, 0.0))
         points = tuple(points)
-        ref_conn, ref_sec = run_secondary(False, points, tick, nclients,
-                                          reject_every)
-        fast_conn, fast_sec = run_secondary(True, points, tick, nclients,
-                                            reject_every)
-        # identical per-tick emission counts and encode timestamps...
-        assert fast_conn.encodes == ref_conn.encodes
-        # ...identical client round-robin sequence...
-        assert fast_conn.triggered == ref_conn.triggered
-        # ...and identical client-visible bookkeeping
-        assert len(fast_sec.sent) == len(ref_sec.sent)
-        assert [name for _, name in fast_sec.sent] == \
-            [name for _, name in ref_sec.sent]
-        assert fast_sec.rejected == ref_sec.rejected
-        assert fast_sec.late_warnings == ref_sec.late_warnings
+        connector, secondary = run_secondary(points, tick, nclients,
+                                             reject_every)
+        ticks = due_per_tick(points, tick, nclients)
+        total = sum(count for _, count in ticks)
+        # one encode_batch per tick with anything due, stamped with the
+        # tick's time...
+        assert connector.batches == [count for _, count in ticks if count]
+        assert connector.encodes == [t for t, count in ticks
+                                     for _ in range(count)]
+        # ...triggered round-robin over the clients...
+        names = [f"c{i % nclients}" for i in range(total)]
+        assert connector.triggered == names
+        # ...and booked under the client that triggered it
+        assert secondary.sent == list(zip(range(1, total + 1), names))
+        assert secondary.rejected == (total // reject_every
+                                      if reject_every else 0)
+        assert secondary.late_warnings == 0
+
+
+class TestSingleFormsAreTheBatchOfOne:
+    def test_batch_only_connector_gets_encode_and_trigger(self):
+        connector = StubConnector(reject_every=2)
+        client = connector.create_client("c0", "ohio", ())
+        spec = TransferSpec(AccountSample(1))
+        assert connector.encode(spec, None, 0.5) == 1
+        assert connector.encode(spec, None, 0.75) == 2
+        assert connector.batches == [1, 1]
+        assert connector.encodes == [0.5, 0.75]
+        assert connector.trigger(client, 1) is True
+        assert connector.trigger(client, 2) is False
+        assert connector.triggered == ["c0", "c0"]
+
+    @pytest.mark.parametrize("max_attempts, outcome", [
+        (1, (False, False)),    # rejected and dropped
+        (2, (False, True)),     # rejected with a retry scheduled
+    ])
+    def test_submit_reports_each_admission_outcome(self, max_attempts,
+                                                   outcome):
+        params = replace(chain_params("quorum", TESTNET),
+                         retry_policy=RetryPolicy(max_attempts=max_attempts),
+                         mempool_policy=MempoolPolicy(capacity=1))
+        net = BlockchainNetwork(params, TESTNET, Engine(),
+                                scale=ExperimentScale(1.0), seed=1)
+        admitted, rejected = transfer("a", "b"), transfer("c", "d")
+        result = net.submit(admitted)
+        assert (result.accepted, result.will_retry) == (True, False)
+        assert not admitted.aborted and admitted in net.mempool
+        result = net.submit(rejected)
+        assert (result.accepted, result.will_retry) == outcome
+        # a rejection is a scheduled retry or a recorded drop, never both
+        dropped = not result.will_retry
+        assert rejected.aborted is dropped
+        assert net.drop_reasons.get("MempoolFullError", 0) == int(dropped)
+        assert net.retries_scheduled == int(result.will_retry)

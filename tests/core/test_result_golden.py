@@ -1,11 +1,14 @@
 """Golden bytes: ``BenchmarkResult.to_json()`` of pinned tiny runs.
 
 ``result_golden.json`` holds the sha256 of the result JSON of six chains
-x seven scenarios (native transfer, one DApp trace, a population with a
+x eight scenarios (native transfer, one DApp trace, a population with a
 tracked cohort, a fault schedule, a ``fees:`` section, the Uber
-``checkDistance`` trace, a Byzantine schedule). Any change to the
-simulation or to the result encoding moves a digest; a change that means
-to keep behaviour must leave every one of them alone.
+``checkDistance`` trace, a Byzantine schedule, a fee-bidding DoS
+adversary on a saturated pool), of a 10x overload on the four chains
+whose overload responses differ, and of five traced runs, whose digest
+also covers the tracer's events and spans. Any change to the simulation,
+to the result encoding or to what a tracer records moves a digest; a
+change that means to keep behaviour must leave every one of them alone.
 
 Regenerate (only when a behaviour change is intended) with::
 
@@ -14,24 +17,34 @@ Regenerate (only when a behaviour change is intended) with::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 import pytest
 
+from repro.blockchains.base import ChainParams
+from repro.blockchains.registry import chain_params
+from repro.chain.admission import AdmissionPolicy
+from repro.core.primary import Primary
 from repro.core.results import BenchmarkResult
 from repro.core.runner import run_benchmark, run_trace
 from repro.core.spec import (
     AccountSample,
     LoadSchedule,
     TransferSpec,
+    WorkloadSpec,
     simple_population_spec,
     simple_spec,
 )
 from repro.econ.fees import FeeSpec
+from repro.obs import LifecycleTracer, ObservabilityOptions
 from repro.sim.byzantine import Silence
+from repro.sim.deployment import TESTNET
+from repro.sim.dos import AdversarySpec
 from repro.sim.faults import events_from_dicts
 from repro.workloads import workload_registry
 
@@ -44,9 +57,13 @@ TRANSFER = TransferSpec(AccountSample(50))
 RUN = dict(scale=0.1, seed=7, drain=30)
 
 
+def _transfer_spec() -> WorkloadSpec:
+    return simple_spec(TRANSFER, LoadSchedule.constant(400, 5))
+
+
 def _transfer(chain: str) -> BenchmarkResult:
-    spec = simple_spec(TRANSFER, LoadSchedule.constant(400, 5))
-    return run_benchmark(chain, "testnet", spec, "golden-transfer", **RUN)
+    return run_benchmark(chain, "testnet", _transfer_spec(),
+                         "golden-transfer", **RUN)
 
 
 def _dapp(chain: str) -> BenchmarkResult:
@@ -54,11 +71,15 @@ def _dapp(chain: str) -> BenchmarkResult:
                      accounts=50, scale=0.002, seed=7, drain=30)
 
 
-def _population(chain: str) -> BenchmarkResult:
-    spec = simple_population_spec(
+def _population_spec() -> WorkloadSpec:
+    return simple_population_spec(
         users=20_000, interaction=TRANSFER, rate_per_user=0.2,
         duration=5, cohort=2_000)
-    return run_benchmark(chain, "testnet", spec, "golden-population", **RUN)
+
+
+def _population(chain: str) -> BenchmarkResult:
+    return run_benchmark(chain, "testnet", _population_spec(),
+                         "golden-population", **RUN)
 
 
 def _faults(chain: str) -> BenchmarkResult:
@@ -97,6 +118,35 @@ def _byzantine(chain: str) -> BenchmarkResult:
     return run_benchmark(chain, "testnet", spec, "golden-byzantine", **RUN)
 
 
+def _dos_spec() -> WorkloadSpec:
+    # 3000 + 2000 TPS saturates every pool that has a cap: honest
+    # transfers are outbid, bump their fee and retry, and on solana the
+    # attacker's bids evict residents, which retry through the same path
+    return simple_spec(TRANSFER, LoadSchedule.constant(3000, 5),
+                       fees=FeeSpec(),
+                       adversary=AdversarySpec(budget=10 ** 9, rate=2000))
+
+
+@functools.cache
+def _dos(chain: str) -> BenchmarkResult:
+    return run_benchmark(chain, "testnet", _dos_spec(), "golden-dos", **RUN)
+
+
+OVERLOAD_RUN = dict(scale=0.02, seed=7, drain=120)
+
+
+def _overload_spec() -> WorkloadSpec:
+    # the paper's 10x overload (section 6.3), as tests/blockchains/
+    # test_overload.py runs it
+    return simple_spec(TransferSpec(AccountSample(500)),
+                       LoadSchedule.constant(10_000, 60))
+
+
+def _overload(chain: str) -> BenchmarkResult:
+    return run_benchmark(chain, "testnet", _overload_spec(),
+                         "golden-overload", **OVERLOAD_RUN)
+
+
 SCENARIOS: Dict[str, Callable[[str], BenchmarkResult]] = {
     "transfer": _transfer,
     "dapp": _dapp,
@@ -105,11 +155,61 @@ SCENARIOS: Dict[str, Callable[[str], BenchmarkResult]] = {
     "fees": _fees,
     "mobility": _mobility,
     "byzantine": _byzantine,
+    "dos": _dos,
 }
+
+#: overload response per chain: oom_crash, commit_stall, shed_load twice
+OVERLOAD_CHAINS = ("solana", "diem", "ethereum", "algorand")
+SHEDDING_CHAINS = ("ethereum", "algorand")
+
+
+def _queued_params() -> ChainParams:
+    # no registry chain has an admission queue; a capped pool with a
+    # queue behind it is what makes ``AdmissionController.submit`` answer
+    # "queued" (capacities are unscaled: 200 and 100 slots at scale 0.1)
+    params = chain_params("quorum", TESTNET)
+    return replace(
+        params,
+        mempool_policy=replace(params.mempool_policy, capacity=2_000),
+        admission=AdmissionPolicy(queue_capacity=1_000))
+
+
+#: cell -> (spec, run arguments, chain parameters or None for the
+#: registry's): a clean run, fee-bump retries with evictions and drops,
+#: shed-load rejections, the aggregate lane, the admission queue
+TRACED: Dict[str, Tuple[Callable[[], WorkloadSpec], Dict,
+                        Optional[Callable[[], ChainParams]]]] = {
+    "diem/traced-transfer": (_transfer_spec, RUN, None),
+    "solana/traced-dos": (_dos_spec, RUN, None),
+    "ethereum/traced-overload": (_overload_spec, OVERLOAD_RUN, None),
+    "algorand/traced-population": (_population_spec, RUN, None),
+    "quorum/traced-queued": (
+        lambda: simple_spec(TRANSFER, LoadSchedule.constant(3000, 5)),
+        RUN, _queued_params),
+}
+
+
+@functools.cache
+def _traced(cell: str, trace: bool
+            ) -> Tuple[BenchmarkResult, Optional[LifecycleTracer]]:
+    spec, run, params = TRACED[cell]
+    primary = Primary(cell.split("/")[0], "testnet", scale=run["scale"],
+                      seed=run["seed"], params=params and params(),
+                      observe=ObservabilityOptions(trace=True)
+                      if trace else None)
+    result = primary.run(spec(), "golden-traced", drain=run["drain"])
+    return result, primary.tracer
 
 
 def _digest(result: BenchmarkResult) -> str:
     return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+
+def _traced_digest(result: BenchmarkResult, tracer: LifecycleTracer) -> str:
+    trace = json.dumps({"events": tracer.events,
+                        "spans": [span.to_dict() for span in tracer.spans]})
+    return hashlib.sha256(
+        (trace + result.to_json()).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +219,10 @@ def golden() -> Dict[str, str]:
 
 def test_golden_file_covers_every_cell(golden):
     assert sorted(golden) == sorted(
-        f"{chain}/{scenario}"
-        for chain in SIX_CHAINS for scenario in SCENARIOS)
+        [f"{chain}/{scenario}"
+         for chain in SIX_CHAINS for scenario in SCENARIOS]
+        + [f"{chain}/overload" for chain in OVERLOAD_CHAINS]
+        + list(TRACED))
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -131,8 +233,50 @@ def test_result_bytes_match_golden(chain, scenario, golden):
     assert _digest(result) == golden[f"{chain}/{scenario}"]
 
 
+def test_dos_scenario_retries():
+    # the scenario exists to pin the retry path: it must not decay into
+    # a quiet one
+    retrying = [chain for chain in SIX_CHAINS
+                if _dos(chain).chain_stats["retries_scheduled"] > 0]
+    assert len(retrying) >= 2
+
+
+@pytest.mark.parametrize("chain", OVERLOAD_CHAINS)
+def test_overload_bytes_match_golden(chain, golden):
+    result = _overload(chain)
+    assert result.overload_events
+    if chain in SHEDDING_CHAINS:
+        assert result.chain_stats["admission_shed_rejections"] > 0
+    assert _digest(result) == golden[f"{chain}/overload"]
+
+
+@pytest.mark.parametrize("cell", TRACED)
+def test_traced_bytes_match_golden(cell, golden):
+    """Tracing on emits the pinned trace and changes nothing else."""
+    result, tracer = _traced(cell, True)
+    assert _traced_digest(result, tracer) == golden[cell]
+    assert result.timeseries
+    assert (replace(result, timeseries=[]).to_json()
+            == _traced(cell, False)[0].to_json())
+
+
+def test_traced_cells_reach_every_admission_outcome():
+    kinds = {
+        cell: {(event["kind"], event.get("will_retry"))
+               for event in _traced(cell, True)[1].events}
+        for cell in TRACED}
+    assert ("rejected", True) in kinds["solana/traced-dos"]
+    assert ("rejected", False) in kinds["solana/traced-dos"]
+    assert ("rejected", False) in kinds["ethereum/traced-overload"]
+    assert ("queued", None) in kinds["quorum/traced-queued"]
+    assert all(("admitted", None) in seen for seen in kinds.values())
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {f"{chain}/{scenario}": _digest(run(chain))
-         for chain in SIX_CHAINS for scenario, run in SCENARIOS.items()},
-        indent=1, sort_keys=True) + "\n")
+    digests = {f"{chain}/{scenario}": _digest(run(chain))
+               for chain in SIX_CHAINS for scenario, run in SCENARIOS.items()}
+    digests.update({f"{chain}/overload": _digest(_overload(chain))
+                    for chain in OVERLOAD_CHAINS})
+    digests.update({cell: _traced_digest(*_traced(cell, True))
+                    for cell in TRACED})
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

@@ -32,7 +32,7 @@ INTERACTION = TransferSpec(AccountSample(10))
 
 
 class CountingConnector(BlockchainConnector):
-    """Counts per-lane emissions; inherits the default batch forms."""
+    """Counts per-lane emissions by the client they trigger under."""
 
     def __init__(self) -> None:
         self.cohort_emitted = 0
@@ -41,15 +41,14 @@ class CountingConnector(BlockchainConnector):
     def create_client(self, name, location, endpoints):
         return Client(name, location, tuple(endpoints))
 
-    def encode(self, interaction, resource, t):
-        return object()
+    def encode_batch(self, interaction, resource, t, count):
+        return [object()] * count
 
-    def trigger(self, client, encoded):
-        if client.name == "population":
-            self.aggregate_emitted += 1
-        else:
-            self.cohort_emitted += 1
-        return True
+    def trigger_batch(self, clients, encoded):
+        aggregate = sum(client.name == "population" for client in clients)
+        self.aggregate_emitted += aggregate
+        self.cohort_emitted += len(clients) - aggregate
+        return len(clients)
 
 
 def run_population_secondary(spec: PopulationSpec, tick: float,
