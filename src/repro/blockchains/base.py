@@ -61,7 +61,7 @@ from repro.crypto.signing import ECDSA, SignatureScheme
 from repro.econ.fees import FeePolicy, FeeSpec, build_fee_model
 from repro.econ.market import FeeMarket
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NullTracer
+from repro.obs.trace import LifecycleTracer
 from repro.sim.deployment import DeploymentConfig
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector
@@ -402,12 +402,11 @@ class BlockchainNetwork:
         #: reservations)
         self.fee_bump_exempt: frozenset = frozenset()
         self._retry_rng = self.rng.stream("client", "retry-jitter")
-        self._attempts: Dict[int, int] = {}
         self._retries_scheduled = chain_metrics.counter("retries_scheduled")
         self._retries_succeeded = chain_metrics.counter("retries_succeeded")
         #: lifecycle tracer; None = tracing fully off (the default), every
         #: hook site is guarded so the untraced path does no extra work
-        self.tracer: Optional[NullTracer] = None
+        self.tracer: Optional[LifecycleTracer] = None
 
     # -- registry views -------------------------------------------------------------
 
@@ -438,7 +437,7 @@ class BlockchainNetwork:
 
     # -- tracing --------------------------------------------------------------------
 
-    def attach_tracer(self, tracer: NullTracer) -> None:
+    def attach_tracer(self, tracer: LifecycleTracer) -> None:
         """Attach a lifecycle tracer to this chain's pipeline.
 
         Also hooks the admission queue's drain path so transactions that
@@ -528,8 +527,7 @@ class BlockchainNetwork:
         fee bump after backoff, exactly like any other rejection; with
         retries exhausted the eviction becomes a client-visible drop.
         """
-        attempt = max(1, self._attempts.get(tx.uid, 1))
-        if not self._schedule_retry(tx, attempt):
+        if not self._schedule_retry(tx, max(1, self.attempts_for(tx))):
             self._record_drop(tx, "fee_evicted")
 
     def _node_available(self, index: int) -> bool:
@@ -615,7 +613,6 @@ class BlockchainNetwork:
         if count == 0:
             return 0
         now = self.engine.now
-        attempts = self._attempts
         admission_submit = self.admission.submit
         schedule_retry = self._schedule_retry
         record_drop = self._record_drop
@@ -626,14 +623,13 @@ class BlockchainNetwork:
         processed = 0
         retried_ok = 0
         for tx in txs:
-            uid = tx.uid
-            attempt = attempts.get(uid, 0) + 1
-            attempts[uid] = attempt
-            if attempt == 1:
+            if tx.submitted_at is None:
+                attempt = 1
                 tx.submitted_at = now
             else:
+                tx.retries += 1
+                attempt = tx.retries + 1
                 tx.resubmitted_at = now
-                tx.retries = attempt - 1
             if tracer is not None:
                 tracer.tx_submit(tx, now, attempt)
             try:
@@ -742,7 +738,7 @@ class BlockchainNetwork:
 
     def attempts_for(self, tx: Transaction) -> int:
         """Submission attempts recorded for *tx* (1 = no retries)."""
-        return self._attempts.get(tx.uid, 0)
+        return 0 if tx.submitted_at is None else tx.retries + 1
 
     def on_commit(self, listener: Callable[[Transaction], None]) -> None:
         self._commit_listeners.append(listener)
@@ -1081,7 +1077,8 @@ class BlockchainNetwork:
         policy = self.retry_policy
         for tx in self.mempool.drop_expired(now, self.params.tx_expiry):
             if (policy is not None and policy.resubmit_on_expiry
-                    and self._schedule_retry(tx, self._attempts.get(tx.uid, 1))):
+                    and self._schedule_retry(
+                        tx, max(1, self.attempts_for(tx)))):
                 continue
             self._record_drop(tx, "expired")
 

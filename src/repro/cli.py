@@ -23,8 +23,6 @@ workload is the same YAML dialect::
 
     python -m repro sweep experiments.yaml --workers 4
 
-    python -m repro bench --suite mini --compare BENCH_2026-08-08.json
-
 ``run`` executes a YAML workload specification; ``suite`` runs one of the
 built-in DApp/synthetic traces; ``population`` simulates an aggregate
 client population (millions of users as batched arrival processes plus a
@@ -34,10 +32,9 @@ experiment matrix (chains × configurations × workloads × seeds × scales
 a results JSON file to
 the artifact's per-transaction CSV format; ``trace`` runs a short
 workload with full observability (lifecycle tracer + engine profiler)
-and prints the per-phase latency breakdown; ``bench`` records a point on
-the repo's performance trajectory (``BENCH_<date>.json``) and gates
-regressions against a baseline; ``chains`` and ``workloads`` list what
-is available.
+and prints the per-phase latency breakdown; ``chains`` and ``workloads``
+list what is available. The simulator's own host cost is measured from
+outside the package, by ``python3 perfbench/run.py`` (docs/BENCHMARKS.md).
 """
 
 from __future__ import annotations
@@ -179,69 +176,6 @@ def _run_byzantine_command(args: argparse.Namespace) -> int:
     return 0 if auditor.verdict == "ok" else 1
 
 
-def _run_bench_command(args: argparse.Namespace) -> int:
-    """``python -m repro bench``: record/compare performance points."""
-    from repro.bench import (
-        bench_date,
-        bench_filename,
-        bench_summary,
-        compare_benches,
-        comparison_report,
-        load_bench,
-        run_suite,
-        thresholds_scaled,
-        write_bench,
-    )
-    from repro.bench.schema import BenchFormatError
-
-    if args.update_baseline and args.compare is None:
-        print("--update-baseline requires --compare <baseline>",
-              file=sys.stderr)
-        return 2
-
-    if args.replay is not None:
-        try:
-            payload = load_bench(args.replay)
-        except (OSError, BenchFormatError) as exc:
-            print(f"cannot load {args.replay}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        def progress(kind: str, detail: str) -> None:
-            print(f"[{kind}] {detail}", file=sys.stderr)
-
-        payload = run_suite(suite=args.bench_suite, repeats=args.repeats,
-                            workers=args.workers,
-                            isolate=not args.no_isolate,
-                            label=args.label,
-                            progress=progress)
-        output = args.output or Path(bench_filename(bench_date()))
-        write_bench(payload, output)
-        print(f"wrote {output}", file=sys.stderr)
-        print(bench_summary(payload))
-
-    if args.compare is None:
-        return 0
-    try:
-        baseline = load_bench(args.compare)
-    except (OSError, BenchFormatError) as exc:
-        print(f"cannot load baseline {args.compare}: {exc}", file=sys.stderr)
-        return 2
-    thresholds = thresholds_scaled(args.threshold_scale)
-    comparison = compare_benches(baseline, payload, thresholds)
-    print()
-    print(comparison_report(comparison, strict_counted=args.strict_counted))
-    code = comparison.exit_code(strict_counted=args.strict_counted)
-    if args.update_baseline:
-        if code != 0:
-            print(f"refusing to update {args.compare}: verdict is"
-                  f" {comparison.verdict(args.strict_counted)}",
-                  file=sys.stderr)
-        else:
-            write_bench(payload, args.compare)
-            print(f"updated baseline {args.compare}", file=sys.stderr)
-    return code
-
-
 def _run_sweep_command(args: argparse.Namespace) -> int:
     """``python -m repro sweep``: stream progress, print the table."""
     from repro.obs import sweep_report
@@ -360,49 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               " sweep summary here")
     sweep_parser.add_argument("--quiet", action="store_true",
                               help="suppress per-cell progress lines")
-
-    bench_parser = commands.add_parser(
-        "bench", help="run the pinned performance suite, record a"
-        " schema-versioned BENCH_<date>.json, and optionally compare"
-        " against a baseline with noise-aware regression thresholds")
-    bench_parser.add_argument("--suite", dest="bench_suite", default="full",
-                              choices=("full", "mini"),
-                              help="pinned scenario set (mini = the CI"
-                              " regression gate)")
-    bench_parser.add_argument("--repeats", type=int, default=3,
-                              help="timed repeats per scenario; the median"
-                              " is recorded")
-    bench_parser.add_argument("--workers", type=int, default=1,
-                              help="parallel worker processes (timed"
-                              " metrics are least noisy at 1)")
-    bench_parser.add_argument("--label", default="",
-                              help="free-form description recorded in the"
-                              " bench file")
-    bench_parser.add_argument("--output", type=Path, default=None,
-                              help="where to write the results"
-                              " (default: ./BENCH_<date>.json)")
-    bench_parser.add_argument("--compare", type=Path, default=None,
-                              help="baseline BENCH_*.json to compare"
-                              " against; exits 1 on a regression beyond"
-                              " threshold")
-    bench_parser.add_argument("--replay", type=Path, default=None,
-                              help="compare this previously recorded file"
-                              " instead of running the suite")
-    bench_parser.add_argument("--update-baseline", action="store_true",
-                              help="overwrite the --compare baseline with"
-                              " the current results when the verdict is"
-                              " clean")
-    bench_parser.add_argument("--threshold-scale", type=float, default=1.0,
-                              help="multiply every noise threshold (use"
-                              " > 1 on shared/noisy machines)")
-    bench_parser.add_argument("--strict-counted", action="store_true",
-                              help="fail when deterministic counted"
-                              " metrics changed (CI runs the same code"
-                              " twice, so any drift is a bug)")
-    bench_parser.add_argument("--no-isolate", action="store_true",
-                              help="run repeats inline instead of in fresh"
-                              " subprocesses (faster; peak-RSS figures"
-                              " become cumulative)")
 
     csv_parser = commands.add_parser(
         "csv", help="convert a results JSON file to per-transaction CSV")
@@ -626,8 +517,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(dos_report(baseline, attacked))
     elif args.command == "byzantine":
         return _run_byzantine_command(args)
-    elif args.command == "bench":
-        return _run_bench_command(args)
     elif args.command == "trace":
         spec = simple_spec(
             TransferSpec(AccountSample(args.accounts)),

@@ -34,22 +34,16 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSampler,
 )
-from repro.obs.profiler import (
-    SUBSYSTEMS,
-    EngineProfiler,
-    peak_rss_bytes,
-    subsystem_for,
-)
+from repro.obs.profiler import EngineProfiler, peak_rss_bytes
 from repro.obs.report import (
     consensus_table,
     hotspot_table,
     phase_table,
-    subsystem_table,
     sweep_report,
     sweep_table,
     trace_report,
 )
-from repro.obs.trace import TX_PHASES, LifecycleTracer, NullTracer, Span
+from repro.obs.trace import TX_PHASES, LifecycleTracer, Span
 
 
 @dataclass(frozen=True)
@@ -82,9 +76,7 @@ __all__ = [
     "MetricsNamespace",
     "MetricsRegistry",
     "MetricsSampler",
-    "NullTracer",
     "ObservabilityOptions",
-    "SUBSYSTEMS",
     "Span",
     "TX_PHASES",
     "chrome_trace",
@@ -94,8 +86,6 @@ __all__ = [
     "peak_rss_bytes",
     "phase_table",
     "spans_to_jsonl",
-    "subsystem_for",
-    "subsystem_table",
     "sweep_report",
     "sweep_table",
     "trace_report",

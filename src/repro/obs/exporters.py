@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import EngineProfiler
-from repro.obs.trace import LifecycleTracer, NullTracer, Span, TX_PHASES
+from repro.obs.trace import LifecycleTracer, Span, TX_PHASES
 
 PathLike = Union[str, Path]
 
@@ -34,18 +34,18 @@ _BLOCK_PID = 2
 # -- JSONL spans --------------------------------------------------------------------
 
 
-def spans_to_jsonl(tracer: NullTracer) -> str:
+def spans_to_jsonl(tracer: LifecycleTracer) -> str:
     """Serialize a tracer's spans and events, one JSON object per line."""
     lines: List[str] = []
-    for span in getattr(tracer, "spans", []):
+    for span in tracer.spans:
         lines.append(json.dumps({"type": "span", **span.to_dict()},
                                 sort_keys=True))
-    for event in getattr(tracer, "events", []):
+    for event in tracer.events:
         lines.append(json.dumps({"type": "event", **event}, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_spans_jsonl(tracer: NullTracer, path: PathLike) -> Path:
+def write_spans_jsonl(tracer: LifecycleTracer, path: PathLike) -> Path:
     path = Path(path)
     path.write_text(spans_to_jsonl(tracer))
     return path
@@ -83,7 +83,7 @@ def _us(seconds: float) -> float:
     return round(seconds * 1e6, 3)
 
 
-def chrome_trace(tracer: NullTracer,
+def chrome_trace(tracer: LifecycleTracer,
                  profiler: Optional[EngineProfiler] = None) -> Dict[str, Any]:
     """Build a ``chrome://tracing``-loadable trace document.
 
@@ -103,7 +103,7 @@ def chrome_trace(tracer: NullTracer,
     for phase, tid in phase_tid.items():
         events.append({"name": "thread_name", "ph": "M", "pid": _TX_PID,
                        "tid": tid, "args": {"name": phase}})
-    for span in getattr(tracer, "spans", []):
+    for span in tracer.spans:
         meta = dict(span.meta)
         if span.scope == "tx":
             pid = _TX_PID
@@ -126,7 +126,7 @@ def chrome_trace(tracer: NullTracer,
     document: Dict[str, Any] = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {"chain": getattr(tracer, "chain", "")},
+        "otherData": {"chain": tracer.chain},
     }
     if profiler is not None:
         document["otherData"]["engine"] = {
@@ -136,7 +136,7 @@ def chrome_trace(tracer: NullTracer,
     return document
 
 
-def write_chrome_trace(tracer: NullTracer, path: PathLike,
+def write_chrome_trace(tracer: LifecycleTracer, path: PathLike,
                        profiler: Optional[EngineProfiler] = None) -> Path:
     path = Path(path)
     path.write_text(json.dumps(chrome_trace(tracer, profiler)))

@@ -33,51 +33,14 @@ def peak_rss_bytes() -> int:
     """Peak resident set size of this process, normalized to bytes.
 
     ``getrusage`` reports ``ru_maxrss`` in platform-dependent units:
-    kibibytes on Linux (``man 2 getrusage``), bytes on macOS. Every
-    consumer in the repo (the profiler, ``repro.bench``) goes through
-    this helper so recorded RSS figures are always bytes.
+    kibibytes on Linux (``man 2 getrusage``), bytes on macOS. The
+    profiler and the trace report read RSS through this helper, so the
+    figures they print are always bytes.
     """
     raw = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":
         return int(raw)
     return int(raw) * 1024
-
-
-#: Attribution buckets for :func:`subsystem_for`, in report order.
-SUBSYSTEMS = ("network", "consensus", "clients", "adversary", "faults",
-              "harness", "other")
-
-#: Consensus message-level protocol label prefixes (repro.consensus.*).
-_PROTOCOL_PREFIXES = ("poh-", "snowball-", "ba-", "hs-", "clique-",
-                      "raft-", "ibft-")
-
-#: Chain-runtime block pipeline label suffixes (repro.blockchains.base).
-_CHAIN_SUFFIXES = ("-block", "-append", "-stalled", "-memstall", "-idle")
-
-
-def subsystem_for(label: str) -> str:
-    """Map one engine event label to the subsystem that scheduled it.
-
-    Labels follow the conventions of the call sites: the network tags
-    deliveries ``network-delivery`` / ``msg-*`` / ``self-*`` /
-    ``degraded-*``, chain runtimes tag their block pipeline
-    ``<chain>-block`` etc., Secondaries tag client emission
-    ``secondary-*``, and so on. Unrecognized labels (including bare
-    callback names from unlabeled events) land in ``other``.
-    """
-    if (label.startswith(("network", "msg-", "self-", "degraded-"))):
-        return "network"
-    if label.startswith("secondary-") or label.endswith("-retry"):
-        return "clients"
-    if label.endswith("-adversary"):
-        return "adversary"
-    if label.startswith("fault-"):
-        return "faults"
-    if label in ("metrics-sampler", "liveness-watchdog"):
-        return "harness"
-    if label.endswith(_CHAIN_SUFFIXES) or label.startswith(_PROTOCOL_PREFIXES):
-        return "consensus"
-    return "other"
 
 
 class EngineProfiler:
@@ -119,24 +82,3 @@ class EngineProfiler:
     def peak_rss_bytes(self) -> int:
         """Peak RSS of the hosting process in bytes (see module helper)."""
         return peak_rss_bytes()
-
-    def subsystem_seconds(self) -> Dict[str, float]:
-        """Accumulated wall-clock per subsystem (see :func:`subsystem_for`)."""
-        totals: Dict[str, float] = {}
-        for name, seconds in self.seconds.items():
-            subsystem = subsystem_for(name)
-            totals[subsystem] = totals.get(subsystem, 0.0) + seconds
-        return totals
-
-    def subsystem_shares(self) -> Dict[str, float]:
-        """Each subsystem's fraction of total profiled wall-clock time.
-
-        Empty when nothing was profiled; otherwise the values sum to 1
-        (up to float rounding), sorted hottest first.
-        """
-        total = self.total_seconds
-        if total <= 0:
-            return {}
-        seconds = self.subsystem_seconds()
-        return {name: seconds[name] / total
-                for name in sorted(seconds, key=lambda n: -seconds[n])}

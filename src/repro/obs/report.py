@@ -78,20 +78,6 @@ def hotspot_table(profiler: EngineProfiler, top: int = 10) -> str:
     return format_table(rows)
 
 
-def subsystem_table(profiler: EngineProfiler) -> str:
-    """Per-subsystem wall-clock attribution table (hottest first)."""
-    shares = profiler.subsystem_shares()
-    if not shares:
-        return "(no events profiled)"
-    seconds = profiler.subsystem_seconds()
-    rows = [{
-        "subsystem": name,
-        "wall_s": f"{seconds[name]:.4f}",
-        "share": f"{share:.1%}",
-    } for name, share in shares.items()]
-    return format_table(rows)
-
-
 def trace_report(tracer: LifecycleTracer,
                  profiler: Optional[EngineProfiler] = None,
                  top: int = 10) -> str:
@@ -113,10 +99,6 @@ def trace_report(tracer: LifecycleTracer,
             f" peak RSS {profiler.peak_rss_bytes / (1 << 20):.1f} MiB",
             "",
             hotspot_table(profiler, top=top),
-            "",
-            "wall clock by subsystem",
-            "",
-            subsystem_table(profiler),
         ]
     return "\n".join(lines)
 

@@ -27,9 +27,9 @@ propose/vote/execute breakdown (:class:`DecisionOutcome.breakdown`),
 normalised to the block's actual decision latency, which is what the Chrome
 ``trace_event`` export renders as nested consensus rounds.
 
-A :class:`NullTracer` is the default everywhere: a run without tracing
-performs no per-transaction bookkeeping and is outcome-identical (the
-runtimes guard every hook behind ``if self.tracer is not None``).
+No tracer is the default everywhere: a run without tracing performs no
+per-transaction bookkeeping and is outcome-identical (the runtimes guard
+every hook behind ``if self.tracer is not None``).
 """
 
 from __future__ import annotations
@@ -74,59 +74,8 @@ class Span:
                     start=row["start"], end=row["end"], meta=meta)
 
 
-class NullTracer:
-    """Tracing disabled: every hook is a no-op.
-
-    The runtimes never call hooks when no tracer is attached, so this class
-    exists for call sites that want an unconditional tracer object (tests,
-    reports); ``enabled`` is the flag the attach paths check.
-    """
-
-    enabled = False
-
-    def tx_submit(self, tx: Any, t: float, attempt: int) -> None:
-        pass
-
-    def tx_rejected(self, tx: Any, t: float, reason: str,
-                    will_retry: bool) -> None:
-        pass
-
-    def tx_queued(self, tx: Any, t: float) -> None:
-        pass
-
-    def tx_admitted(self, tx: Any, t: float) -> None:
-        pass
-
-    def tx_dropped(self, tx: Any, t: float, reason: str) -> None:
-        pass
-
-    def tx_committed(self, tx: Any, final_time: float,
-                     committed_at: float) -> None:
-        pass
-
-    def block_sealed(self, t: float, height: int, leader: str,
-                     txs: Sequence[Any], exec_time: float,
-                     outcome: Any) -> int:
-        return -1
-
-    def block_appended(self, block_id: int, t: float) -> None:
-        pass
-
-    def block_requeued(self, block_id: int, t: float) -> None:
-        pass
-
-    def adversary_window(self, index: int, kind: str, start: float,
-                         stop: float, node: Any) -> None:
-        pass
-
-    def adversary_action(self, t: float, action: str, **info: Any) -> None:
-        pass
-
-
-class LifecycleTracer(NullTracer):
+class LifecycleTracer:
     """Collects per-transaction and per-block spans for one chain run."""
-
-    enabled = True
 
     def __init__(self, chain: str = "") -> None:
         self.chain = chain

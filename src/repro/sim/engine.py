@@ -12,8 +12,8 @@ which keeps runs reproducible regardless of dict/set iteration details.
 
 The calendar is the hottest data structure in the repo — every message
 delivery, block, client emission and timer passes through it — so its
-representation is chosen from bench evidence (``python -m repro bench``,
-see docs/BENCHMARKS.md): the heap holds bare ``(time, sequence, event)``
+representation is chosen from measured evidence (round 1 in
+docs/BENCHMARKS.md): the heap holds bare ``(time, sequence, event)``
 tuples (C-level comparisons instead of dataclass ``__lt__``), event
 records carry ``__slots__``, and :meth:`Engine.schedule_batch` amortizes
 fan-out insertions (broadcasts) into a single heap rebuild when that is

@@ -5,7 +5,9 @@ EXPERIMENTS.md once already). This test walks README.md, EXPERIMENTS.md
 and everything under docs/, extracts each quoted ``python -m repro``
 invocation, and asserts its subcommand still exists and its ``--help``
 exits 0 — so a renamed or removed subcommand fails CI with the name of
-the file that still quotes it.
+the file that still quotes it. The same files quote ``perfbench/run.py``,
+the repo's one performance harness, and every flag they give it must be
+one its ``--help`` lists.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +31,9 @@ DOC_FILES = sorted(
     + list((REPO_ROOT / "docs").glob("*.md")))
 
 _COMMAND_RE = re.compile(r"python -m repro\s+([a-z][a-z0-9-]*)")
+#: a quoted perfbench invocation, up to the end of its line or code span
+_PERFBENCH_RE = re.compile(r"perfbench/run\.py([^\n`#]*)")
+_FLAG_RE = re.compile(r"--[a-z][a-z-]*")
 
 
 def quoted_subcommands() -> list:
@@ -55,3 +62,18 @@ def test_quoted_command_parses(doc, command):
         f"{doc} quotes 'python -m repro {command}' but"
         f" '--help' exited {excinfo.value.code}")
     assert command in stdout.getvalue()
+
+
+def test_quoted_perfbench_flags_exist():
+    quoted = {(path.name, flag)
+              for path in DOC_FILES
+              for match in _PERFBENCH_RE.finditer(path.read_text())
+              for flag in _FLAG_RE.findall(match.group(1))}
+    assert quoted, "no doc quotes a perfbench/run.py invocation with a flag"
+    listed = set(_FLAG_RE.findall(subprocess.run(
+        [sys.executable, str(REPO_ROOT / "perfbench" / "run.py"), "--help"],
+        capture_output=True, text=True, check=True).stdout))
+    unknown = sorted((doc, flag) for doc, flag in quoted
+                     if flag not in listed)
+    assert not unknown, (
+        f"flags perfbench/run.py --help does not list: {unknown}")

@@ -82,47 +82,3 @@ def test_profiler_peak_rss_property_matches_helper():
     profiler = EngineProfiler()
     # both read the same monotone high-water mark
     assert abs(profiler.peak_rss_bytes - peak_rss_bytes()) < 16 * 1024 * 1024
-
-
-def test_subsystem_for_classifies_label_conventions():
-    from repro.obs.profiler import SUBSYSTEMS, subsystem_for
-
-    expected = {
-        "network-delivery": "network",
-        "msg-propose": "network",
-        "self-deliver": "network",
-        "degraded-link": "network",
-        "secondary-ohio-0-emit": "clients",
-        "transfer-retry": "clients",
-        "dos-adversary": "adversary",
-        "fault-crash-node-3": "faults",
-        "metrics-sampler": "harness",
-        "liveness-watchdog": "harness",
-        "ethereum-block": "consensus",
-        "hs-timeout": "consensus",
-        "poh-tick": "consensus",
-        "solana-idle": "consensus",
-        "completely-unknown": "other",
-    }
-    for label, subsystem in expected.items():
-        assert subsystem_for(label) == subsystem, label
-        assert subsystem in SUBSYSTEMS
-
-
-def test_subsystem_shares_sum_to_one_and_rank_hottest_first():
-    import time
-
-    profiler = EngineProfiler()
-    profiler.record("network-delivery", lambda: time.sleep(0.002))
-    profiler.record("ethereum-block", lambda: None)
-    profiler.record("secondary-ohio-0-emit", lambda: None)
-    shares = profiler.subsystem_shares()
-    assert set(shares) == {"network", "consensus", "clients"}
-    assert abs(sum(shares.values()) - 1.0) < 1e-9
-    values = list(shares.values())
-    assert values == sorted(values, reverse=True)
-    assert next(iter(shares)) == "network"
-
-
-def test_subsystem_shares_empty_without_events():
-    assert EngineProfiler().subsystem_shares() == {}
