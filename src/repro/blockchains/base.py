@@ -60,7 +60,7 @@ from repro.consensus.models import (
 from repro.crypto.signing import ECDSA, SignatureScheme
 from repro.econ.fees import FeePolicy, FeeSpec, build_fee_model
 from repro.econ.market import FeeMarket
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import LifecycleTracer
 from repro.sim.deployment import DeploymentConfig
 from repro.sim.engine import Engine
@@ -362,17 +362,23 @@ class BlockchainNetwork:
         self.receipts: Dict[int, Receipt] = {}
         self.committed: List[Transaction] = []
         self.dropped: List[Transaction] = []
+        #: drops of submissions nobody built (see :meth:`admission_room`):
+        #: counted in every total, absent from :attr:`dropped`
+        self.dropped_unbuilt = 0
         # chain-level counters live in the shared registry (legacy attribute
         # names remain available as read-only properties below)
         chain_metrics = self.metrics.namespace("chain")
         self._chain_metrics = chain_metrics
+        # per-reason drop counters, registered on a reason's first drop
+        self._drop_counters: Dict[str, Counter] = {}
         self._blocks_failed = chain_metrics.counter("blocks_failed")
         self._view_changes = chain_metrics.counter("view_changes")
         chain_metrics.gauge("height", supplier=lambda: self.ledger.height)
         chain_metrics.gauge("committed_total",
                             supplier=lambda: len(self.committed))
-        chain_metrics.gauge("dropped_total",
-                            supplier=lambda: len(self.dropped))
+        chain_metrics.gauge(
+            "dropped_total",
+            supplier=lambda: len(self.dropped) + self.dropped_unbuilt)
         chain_metrics.gauge("memory_pressure",
                             supplier=lambda: self.memory_pressure)
         self._committed_height = 0
@@ -592,9 +598,33 @@ class BlockchainNetwork:
 
     # -- submission ------------------------------------------------------------------------
 
-    def submit_batch(self, txs: Sequence[Transaction]) -> int:
+    def admission_room(self, count: int) -> Optional[int]:
+        """How many of *count* fresh submissions :meth:`submit_batch`
+        would accept at this instant, whatever they carry: always the
+        first that many. A caller that wants no more of a rejected
+        transaction than its count can then build only that prefix and
+        pass the rest as ``turned_away``.
+
+        None means unknown, and the caller builds everything: either a
+        tracer, a retry policy or a drop listener would look at a rejected
+        transaction, or the pool's answer depends on the transactions
+        (see :meth:`AdmissionController.room`; a fee market installs both
+        a pricer and a retry policy).
+        """
+        if (self.tracer is not None or self.retry_policy is not None
+                or self._drop_listeners):
+            return None
+        return self.admission.room(count)
+
+    def submit_batch(self, txs: Sequence[Transaction],
+                     turned_away: int = 0) -> int:
         """Clients hand *txs* to their collocated nodes at the current
         instant; return how many were accepted.
+
+        *turned_away* more submissions follow *txs* in the same batch
+        without having been built, because :meth:`admission_room` said the
+        node rejects them: they are counted exactly where the loop below
+        would have counted them, and no more.
 
         Each transaction reaches the proposer's pool one gossip hop later;
         admission control applies the chain's mempool policy — including
@@ -609,7 +639,7 @@ class BlockchainNetwork:
         counters are only read from block-production events. An attached
         tracer sees every transaction of the batch, in submission order.
         """
-        count = len(txs)
+        count = len(txs) + turned_away
         if count == 0:
             return 0
         now = self.engine.now
@@ -659,6 +689,14 @@ class BlockchainNetwork:
                 tracer.tx_rejected(tx, now, reason, will_retry)
             if not will_retry:
                 record_drop(tx, reason)
+        if turned_away:
+            if self.admission.turn_away(turned_away):
+                reason = "shed_load"
+            else:
+                processed += turned_away
+                reason = MempoolFullError.__name__
+            self.dropped_unbuilt += turned_away
+            self._drop_counter(reason).inc(turned_away)
         self._admission_processed += processed
         if retried_ok:
             self._retries_succeeded.inc(retried_ok)
@@ -682,11 +720,18 @@ class BlockchainNetwork:
         tx.aborted = True
         tx.abort_reason = reason
         self.dropped.append(tx)
-        self._chain_metrics.counter(f"drops.{reason}").inc()
+        self._drop_counter(reason).inc()
         if self.tracer is not None:
             self.tracer.tx_dropped(tx, self.engine.now, reason)
         for listener in self._drop_listeners:
             listener(tx)
+
+    def _drop_counter(self, reason: str) -> Counter:
+        counter = self._drop_counters.get(reason)
+        if counter is None:
+            counter = self._drop_counters[reason] = (
+                self._chain_metrics.counter(f"drops.{reason}"))
+        return counter
 
     # -- client retries -----------------------------------------------------------
 
@@ -1089,7 +1134,7 @@ class BlockchainNetwork:
         stats: Dict[str, float] = {
             "height": self.ledger.height,
             "committed": committed,
-            "dropped": len(self.dropped),
+            "dropped": len(self.dropped) + self.dropped_unbuilt,
             "pending": len(self.mempool),
             "blocks_failed": self.blocks_failed,
             "view_changes": self.view_changes_total,

@@ -137,6 +137,42 @@ class AdmissionController:
             return "queued"
         return "admitted"
 
+    def room(self, count: int) -> Optional[int]:
+        """How many of *count* uniform submissions :meth:`submit` would
+        accept right now (always the first that many); None when the
+        answer depends on the transactions (see :meth:`Mempool.room`).
+
+        Not shedding, a capacity-only pool takes what fits, the queue the
+        next ``queue_capacity - depth``, and the rest are capacity
+        rejections. Shedding, the pool is primed up to
+        ``shed_pool_target`` and the rest are shed; a target beyond the
+        pool's capacity would mix the two, so it is not answered.
+        """
+        pool_room = self.mempool.room(count)
+        if pool_room is None:
+            return None
+        if self.shedding:
+            target = self.shed_pool_target
+            if target is None:
+                return 0
+            capacity = self.mempool.policy.capacity
+            if capacity is not None and target > capacity:
+                return None
+            return min(count, max(0, target - len(self.mempool)))
+        return min(count, pool_room
+                   + self.policy.queue_capacity - len(self._queue))
+
+    def turn_away(self, count: int) -> bool:
+        """Reject *count* submissions nobody built: the tail of a batch
+        whose head, as long as :meth:`room` allowed, was just submitted.
+        True when they were shed at the door, False when the full pool
+        (and queue) rejected them."""
+        if self.shedding:
+            self._shed_rejections.inc(count)
+            return True
+        self.mempool.reject_unbuilt(count)
+        return False
+
     def drain(self) -> int:
         """Move queued transactions into the pool while it has room."""
         moved = 0

@@ -31,7 +31,7 @@ from repro.common.errors import (
     UnderpricedError,
 )
 from repro.chain.transaction import Transaction
-from repro.obs.metrics import MetricsNamespace, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsNamespace, MetricsRegistry
 
 #: Canonical drop-reason tags recorded by the pool.
 DROP_CAPACITY = "capacity"
@@ -75,6 +75,8 @@ class Mempool:
         self._metrics = (metrics if metrics is not None
                          else MetricsRegistry().namespace("mempool"))
         self._admitted = self._metrics.counter("admitted")
+        # per-reason drop counters, registered on a reason's first drop
+        self._drop_counters: Dict[str, Counter] = {}
         self._resident_bytes = self._metrics.gauge("resident_bytes")
         self._metrics.gauge("resident", supplier=self._pool.__len__)
         self.last_drop_reason: Optional[str] = None
@@ -130,9 +132,35 @@ class Mempool:
 
     # -- admission ---------------------------------------------------------------
 
-    def _count_drop(self, reason: str) -> None:
-        self._metrics.counter(f"drops.{reason}").inc()
+    def _count_drop(self, reason: str, count: int = 1) -> None:
+        counter = self._drop_counters.get(reason)
+        if counter is None:
+            counter = self._drop_counters[reason] = self._metrics.counter(
+                f"drops.{reason}")
+        counter.inc(count)
         self.last_drop_reason = reason
+
+    def room(self, count: int) -> Optional[int]:
+        """How many of *count* transactions :meth:`add` would take right
+        now, whoever sends them and whatever they carry; None when that
+        depends on the transactions (sender quota, byte budget, price) or
+        admitting one evicts another.
+
+        With a capacity-only policy :meth:`add` takes exactly the first
+        that many of any *count* and rejects the rest for capacity.
+        """
+        policy = self.policy
+        if (self.pricer is not None or policy.per_sender_quota is not None
+                or policy.max_bytes is not None or policy.evict_oldest):
+            return None
+        if policy.capacity is None:
+            return count
+        return min(count, max(0, policy.capacity - len(self._pool)))
+
+    def reject_unbuilt(self, count: int) -> None:
+        """Count *count* capacity rejections of transactions nobody built:
+        the tail of a batch :meth:`room` left no room for."""
+        self._count_drop(DROP_CAPACITY, count)
 
     def would_accept(self, tx: Transaction) -> Optional[str]:
         """Drop reason :meth:`add` would record for *tx*, or None if it fits.

@@ -33,6 +33,18 @@ def reset_tx_counter() -> None:
     global _TX_COUNTER
     _TX_COUNTER = itertools.count()
 
+
+def skip_tx_uids(count: int) -> None:
+    """Consume *count* uids without building their transactions.
+
+    The aggregate lane does not build what the node would turn away (see
+    ``SimConnector.trigger_aggregate``), but the transactions it builds
+    next must carry the uids they would have had.
+    """
+    global _TX_COUNTER
+    _TX_COUNTER = itertools.count(next(_TX_COUNTER) + count)
+
+
 # Baseline payload sizes in bytes. A native transfer is roughly an Ethereum
 # legacy transaction; invocations add ABI-encoded call data.
 TRANSFER_SIZE = 110
@@ -44,6 +56,12 @@ class TxKind(Enum):
 
     TRANSFER = "transfer"
     INVOKE = "invoke"
+
+    def __init__(self, tag: str) -> None:
+        #: the member's value as a plain attribute: ``.value`` goes
+        #: through Enum's Python-level descriptor, which the per-
+        #: transaction payload, hash and record paths cannot afford
+        self.tag = tag
 
 
 @dataclass(slots=True)
@@ -93,7 +111,7 @@ class Transaction:
         byte-identical to the generic ``digest(...)`` form.
         """
         return hashlib.sha256(
-            f"tx\x00{self.uid}\x00{self.sender}\x00{self.kind.value}\x00"
+            f"tx\x00{self.uid}\x00{self.sender}\x00{self.kind.tag}\x00"
             f"{self.sequence}\x00{self.recipient}\x00{self.contract}\x00"
             f"{self.function}\x00{self.args}\x00"
             f"{self.amount}\x00".encode()).hexdigest()
@@ -119,7 +137,7 @@ class Transaction:
         over concatenation.
         """
         return hashlib.sha256(
-            f"payload\x00{self.sender}\x00{self.kind.value}\x00"
+            f"payload\x00{self.sender}\x00{self.kind.tag}\x00"
             f"{self.sequence}\x00{self.recipient}\x00{self.contract}\x00"
             f"{self.function}\x00{self.args}\x00{self.amount}\x00"
             f"{self.fee_per_gas}\x00{self.gas_limit}\x00"
@@ -129,7 +147,7 @@ class Transaction:
         """Loggable summary dictionary."""
         return {
             "uid": self.uid,
-            "kind": self.kind.value,
+            "kind": self.kind.tag,
             "sender": self.sender,
             "sequence": self.sequence,
             "contract": self.contract,

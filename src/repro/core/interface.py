@@ -18,12 +18,13 @@ notes real implementations run 1,000-1,200 LOC.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.blockchains.base import BlockchainNetwork
 from repro.chain.account import Account
-from repro.chain.transaction import Transaction, TxKind
+from repro.chain.transaction import Transaction, TxKind, skip_tx_uids
 from repro.common.errors import ConfigurationError, SpecError
 from repro.contracts import CONTRACT_FACTORIES, estimated_call_gas
 from repro.core.spec import (
@@ -252,6 +253,51 @@ class SimConnector(BlockchainConnector):
             raise SpecError(f"unknown interaction {interaction!r}")
         self._account_cursor = cursor
         return txs
+
+    # -- the aggregate lane's trimmed tick -------------------------------------------------
+
+    def admission_room(self, interaction: Interaction,
+                       count: int) -> Optional[int]:
+        """How many of *count* interactions the node would admit if they
+        were triggered now (the first that many), or None for unknown.
+
+        A lane nobody reads rejected transactions from can encode that
+        prefix only and pass the rest to :meth:`trigger_aggregate` as a
+        number. Unknown whenever the node says so (see
+        :meth:`BlockchainNetwork.admission_room`) and for a DApp call
+        whose gas estimate is not cached yet, because encoding is what
+        probes it.
+        """
+        if isinstance(interaction, InvokeSpec) and (
+                self._contract_name(interaction.contract.name),
+                interaction.function) not in self._gas_estimates:
+            return None
+        return self.network.admission_room(count)
+
+    def trigger_aggregate(self, encoded: Sequence[Transaction],
+                          interaction: Interaction, turned_away: int) -> int:
+        """Trigger *encoded* followed by *turned_away* more interactions
+        that were not encoded because :meth:`admission_room` said the node
+        rejects them; return #accepted.
+
+        The unbuilt tail consumes what encoding it would have consumed —
+        transaction uids, the account-ring cursor, sender sequence numbers
+        — so whatever is encoded next is the transaction it would have
+        been.
+        """
+        ring = self._account_ring()
+        n = len(ring)
+        cursor = self._account_cursor
+        stride = 2 if isinstance(interaction, TransferSpec) else 1
+        # the senders repeat with this period; every one of a full period
+        # is visited once more than count // period times or exactly that
+        period = n // math.gcd(stride, n)
+        full, rest = divmod(turned_away, period)
+        for i in range(min(turned_away, period)):
+            ring[(cursor + stride * i) % n].sequence += full + (i < rest)
+        self._account_cursor = cursor + stride * turned_away
+        skip_tx_uids(turned_away)
+        return self.network.submit_batch(encoded, turned_away)
 
     # -- triggering ----------------------------------------------------------------------
 

@@ -231,6 +231,7 @@ def _latency_stats(latencies: Sequence[float]) -> Dict[str, float]:
 def population_block(spec: PopulationSpec,
                      cohort_records: Sequence["TransactionRecord"],
                      aggregate_sent: Sequence["Transaction"],
+                     aggregate_unbuilt: int,
                      duration: float,
                      scale_factor: float) -> Dict[str, object]:
     """The ``population`` block of a :class:`BenchmarkResult` summary.
@@ -240,7 +241,9 @@ def population_block(spec: PopulationSpec,
     * ``cohort_exact`` — per-transaction metrics from the tracked cohort
       (exact for those users: full retry/fee-bump/latency fidelity);
     * ``aggregate_lane`` — totals from the aggregate arrival process
-      (directly simulated load, but no per-client identity);
+      (directly simulated load, but no per-client identity):
+      *aggregate_sent* plus the *aggregate_unbuilt* submissions the node
+      turned away before the lane built them;
     * ``population_scaled`` — the full-population estimates: combined
       throughput/commit counts (both lanes are real simulated traffic)
       with latency quantiles borrowed from the cohort distribution.
@@ -267,16 +270,18 @@ def population_block(spec: PopulationSpec,
                      if tx.committed_at is not None and not tx.aborted]
     agg_in_window = [tx for tx in agg_committed
                      if tx.committed_at <= duration]
+    agg_count = len(agg_submitted) + aggregate_unbuilt
     aggregate: Dict[str, object] = {
-        "submitted": len(agg_submitted),
+        "submitted": agg_count,
         "committed": len(agg_committed),
-        "dropped": sum(1 for tx in agg_submitted if tx.aborted),
-        "commit_ratio": round(len(agg_committed) / len(agg_submitted), 4)
-        if agg_submitted else 0.0,
+        "dropped": (sum(1 for tx in agg_submitted if tx.aborted)
+                    + aggregate_unbuilt),
+        "commit_ratio": round(len(agg_committed) / agg_count, 4)
+        if agg_count else 0.0,
     }
     aggregate.update(_latency_stats(
         [tx.committed_at - tx.submitted_at for tx in agg_committed]))
-    combined_submitted = len(cohort_records) + len(agg_submitted)
+    combined_submitted = len(cohort_records) + agg_count
     combined_committed = len(cohort_committed) + len(agg_committed)
     committed_in_window = len(cohort_in_window) + len(agg_in_window)
     scaled: Dict[str, object] = {

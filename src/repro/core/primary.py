@@ -320,11 +320,15 @@ class Primary:
             liveness_events=list(liveness_events or []),
             overload_events=list(self.network.overload_events))
         # aggregate-lane txs never become records (they carry no client
-        # identity); they are counted here and in the population block
+        # identity); they are counted here and in the population block.
+        # Only that lane leaves submissions unbuilt, so the network's
+        # count of them is the lane's
         aggregate_sent = [tx for secondary in self.secondaries
                           for tx in secondary.aggregate_sent]
-        if aggregate_sent:
-            result.chain_stats["arrivals_aggregate"] = len(aggregate_sent)
+        aggregate_unbuilt = self.network.dropped_unbuilt
+        if aggregate_sent or aggregate_unbuilt:
+            result.chain_stats["arrivals_aggregate"] = (
+                len(aggregate_sent) + aggregate_unbuilt)
         record = TransactionRecord.from_transaction
         for secondary in self.secondaries:
             # a transaction the Secondary generated but never actually
@@ -350,5 +354,5 @@ class Primary:
             # every TransactionRecord of a population run is a cohort record
             result.population = population_block(
                 spec.population, result.records, aggregate_sent,
-                duration, self.scale.factor)
+                aggregate_unbuilt, duration, self.scale.factor)
         return result

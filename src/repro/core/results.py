@@ -67,7 +67,7 @@ class TransactionRecord(NamedTuple):
                 " (submitted_at is None)")
         aborted = tx.aborted
         return TransactionRecord(
-            tx.uid, tx.kind.value, tx.contract, tx.function, client,
+            tx.uid, tx.kind.tag, tx.contract, tx.function, client,
             tx.submitted_at, None if aborted else tx.committed_at,
             aborted, tx.abort_reason, tx.retries)
 

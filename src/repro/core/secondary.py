@@ -18,12 +18,17 @@ per-client rate; population workloads add an **aggregate lane** whose
 :class:`~repro.core.population.AggregateArrivals` process decides how many
 of the population's untracked users transact each tick — no per-client
 objects, so millions of users cost one event per tick (see docs/SCALE.md).
+Nobody reads an aggregate transaction the node rejects, so that lane asks
+admission first: when the connector can tell how many of the tick's count
+the node would take, the lane encodes only those and triggers the rest as
+a number (docs/ARCHITECTURE.md, "Asking admission first"); the signing
+cost of a tick then follows what is admitted, not what is offered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.blockchains.base import ExperimentScale
 from repro.chain.transaction import Transaction
@@ -62,8 +67,9 @@ class Secondary:
         # the aggregate lane (population workloads): arrival processes
         # with no client objects behind them
         self.aggregates: List[Tuple[AggregateArrivals, Interaction]] = []
+        #: the aggregate lane's built transactions; what the node turned
+        #: away unbuilt is ``BlockchainNetwork.dropped_unbuilt``
         self.aggregate_sent: List[Transaction] = []
-        self.aggregate_rejected = 0
 
     def assign(self, clients: List[Client], behavior: Behavior) -> None:
         if clients:
@@ -122,25 +128,34 @@ class Secondary:
         transact (exactly one :meth:`AggregateArrivals.count_at` call per
         tick — the determinism contract). The transactions land in
         ``aggregate_sent``, not ``sent``: they trigger under one
-        placeholder client and never become TransactionRecords."""
+        placeholder client and never become TransactionRecords. Nobody
+        reads a rejected one, so a connector that can tell how many the
+        node would admit (``admission_room``) has the lane build only
+        those; any other connector builds them all."""
 
         def record(txs: List[Transaction], clients: List[Client],
                    accepted: int) -> None:
             self.aggregate_sent.extend(txs)
-            self.aggregate_rejected += len(txs) - accepted
 
         self._start_lane(f"{self.name}-aggregate-", process.duration,
                          interaction, [Client("population", self.region, ())],
-                         process.count_at, record)
+                         process.count_at, record,
+                         getattr(self.connector, "admission_room", None))
 
     def _start_lane(self, label: str, duration: float,
                     interaction: Interaction, clients: List[Client],
                     due: Callable[[float], int],
                     record: Callable[[List[Transaction], List[Client], int],
-                                     None]) -> None:
+                                     None],
+                    room: Optional[Callable[[Interaction, int],
+                                            Optional[int]]] = None) -> None:
         """The tick loop: every ``tick`` seconds until *duration*, emit the
         ``due(t)`` interactions in one encode_batch and one trigger_batch,
-        handing them to *clients* round-robin."""
+        handing them to *clients* round-robin.
+
+        With *room*, the lane first asks how many of the tick's count the
+        node would admit and, unless the answer is None, encodes only
+        that prefix; ``trigger_aggregate`` gets the rest as a number."""
         emit_label = label + "emit"
         nclients = len(clients)
         connector = self.connector
@@ -162,11 +177,21 @@ class Secondary:
                 # behind, but the check is kept for interface parity
                 self.late_warnings += 1
             if count:
+                built = count
+                if room is not None:
+                    admitted = room(interaction, count)
+                    if admitted is not None:
+                        built = admitted
                 batch = [clients[(cursor + i) % nclients]
-                         for i in range(count)]
+                         for i in range(built)]
                 cursor += count
-                txs = connector.encode_batch(interaction, None, now, count)
-                record(txs, batch, connector.trigger_batch(batch, txs))
+                txs = connector.encode_batch(interaction, None, now, built)
+                if built < count:
+                    accepted = connector.trigger_aggregate(
+                        txs, interaction, count - built)
+                else:
+                    accepted = connector.trigger_batch(batch, txs)
+                record(txs, batch, accepted)
             t += tick
             if t < duration:
                 engine.schedule_after(tick, emit, label=emit_label)

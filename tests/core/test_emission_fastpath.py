@@ -4,6 +4,9 @@
   batches of one (``encode`` is the batch of one), for transfers,
   invocations, fee markets and expiry chains: the property client
   retries and the DoS adversary rely on when they submit singly;
+* the unbuilt tail — what ``trigger_aggregate`` is told the node turned
+  away consumes the uids, ring positions and sequence numbers that
+  encoding it would have;
 * schedule level (hypothesis) — the Secondary's tick loop emits what the
   carry accumulator dictates, at the tick's timestamp, round-robin over
   its clients, for arbitrary rate profiles, tick sizes and client counts;
@@ -133,6 +136,46 @@ class TestEncodeBatchMatchesEncodeLoop:
         got.append(tx_fields(fast.encode(spec, None, 0.0)))
         got += [tx_fields(tx) for tx in fast.encode_batch(spec, None, 0.0, 4)]
         assert got == expected
+
+
+class TestUnbuiltTailConsumesWhatEncodingWould:
+    """``trigger_aggregate``'s unbuilt tail against encoding and
+    discarding it: the next transaction and every account's sequence
+    number come out the same."""
+
+    @staticmethod
+    def next_after(spec, accounts, prefix, tail, build_tail):
+        reset_tx_counter()
+        connector = fresh_connector("quorum", accounts=accounts)
+        connector.encode_batch(spec, None, 0.0, prefix)
+        if build_tail:
+            connector.encode_batch(spec, None, 0.0, tail)
+        else:
+            connector.trigger_aggregate([], spec, tail)
+        sequences = [a.sequence for a in connector.network.accounts]
+        return tx_fields(connector.encode(spec, None, 0.0)), sequences
+
+    @given(st.integers(1, 12), st.integers(0, 9), st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_transfers(self, accounts, prefix, tail):
+        spec = TransferSpec(AccountSample(accounts))
+        assert self.next_after(spec, accounts, prefix, tail, False) == \
+            self.next_after(spec, accounts, prefix, tail, True)
+
+    @pytest.mark.parametrize("tail", [1, 7, 10, 23])
+    def test_invocations(self, tail):
+        spec = InvokeSpec(AccountSample(10), ContractSample("exchange"),
+                          "order", ("google", 2))
+        assert self.next_after(spec, 10, 3, tail, False) == \
+            self.next_after(spec, 10, 3, tail, True)
+
+    def test_uncached_gas_estimate_is_not_answered(self):
+        spec = InvokeSpec(AccountSample(10), ContractSample("exchange"),
+                          "order", ("google", 2))
+        connector = fresh_connector("quorum")
+        assert connector.admission_room(spec, 5) is None
+        connector.encode_batch(spec, None, 0.0, 1)      # probes the gas
+        assert connector.admission_room(spec, 5) == 5
 
 
 class StubConnector(BlockchainConnector):
