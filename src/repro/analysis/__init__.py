@@ -1,7 +1,6 @@
 """Result analysis: CSV export, comparison tables, time series, CDFs."""
 
 from repro.analysis.summary import (
-    CSV_COLUMNS,
     binding_subsystem,
     cdf_points,
     comparison_table,
@@ -10,13 +9,11 @@ from repro.analysis.summary import (
     format_table,
     knee_table,
     population_report,
-    results_to_csv,
     throughput_timeseries,
     transactions_to_csv,
 )
 
 __all__ = [
-    "CSV_COLUMNS",
     "binding_subsystem",
     "cdf_points",
     "comparison_table",
@@ -25,7 +22,6 @@ __all__ = [
     "format_table",
     "knee_table",
     "population_report",
-    "results_to_csv",
     "throughput_timeseries",
     "transactions_to_csv",
 ]

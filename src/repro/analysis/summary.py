@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.results import BenchmarkResult
-
-CSV_COLUMNS = (
-    "chain", "configuration", "workload", "submitted", "committed",
-    "average_load_tps", "average_throughput_tps", "average_latency_s",
-    "median_latency_s", "p95_latency_s", "p99_latency_s", "commit_ratio",
-)
 
 #: metric names computed from the result object rather than read out of
 #: ``summary()`` (tail latencies are analysis-side: adding them to the
@@ -28,35 +22,6 @@ _COMPUTED_METRICS = {
     "p95_latency_s": lambda result: result.latency_percentile(95),
     "p99_latency_s": lambda result: result.latency_percentile(99),
 }
-
-
-def _tail_latency(result: BenchmarkResult, q: float) -> Optional[float]:
-    value = result.latency_percentile(q)
-    return None if np.isnan(value) else round(value, 3)
-
-
-def results_to_csv(results: Iterable[BenchmarkResult]) -> str:
-    """One CSV row per benchmark run (the csv-results equivalent)."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    for result in results:
-        summary = result.summary()
-        writer.writerow({
-            "chain": summary["chain"],
-            "configuration": summary["configuration"],
-            "workload": summary["workload"],
-            "submitted": summary["submitted"],
-            "committed": sum(1 for r in result.records if r.committed),
-            "average_load_tps": summary["average_load_tps"],
-            "average_throughput_tps": summary["average_throughput_tps"],
-            "average_latency_s": summary["average_latency_s"],
-            "median_latency_s": summary["median_latency_s"],
-            "p95_latency_s": _tail_latency(result, 95),
-            "p99_latency_s": _tail_latency(result, 99),
-            "commit_ratio": summary["commit_ratio"],
-        })
-    return buffer.getvalue()
 
 
 def transactions_to_csv(result: BenchmarkResult) -> str:
@@ -212,7 +177,7 @@ def _p50(result: BenchmarkResult) -> Optional[float]:
     """Median commit latency over the whole horizon (drain included).
 
     Under attack honest commits often land past the nominal duration
-    window, so the windowed ``median_latency`` can be NaN while plenty
+    window, so the windowed ``median_latency_s`` can be NaN while plenty
     of transactions did commit — the full-horizon median is the honest
     number to compare.
     """

@@ -40,12 +40,11 @@ from repro.chain.admission import AdmissionController, AdmissionPolicy
 from repro.chain.block import Block
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool, MempoolPolicy
-from repro.chain.receipt import ExecStatus, Receipt
+from repro.chain.receipt import Receipt
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.common.errors import (
     BackpressureError,
-    ChainError,
     ConfigurationError,
     DeploymentError,
     MempoolFullError,

@@ -9,7 +9,7 @@ cap through :class:`AccountFactoryLimits`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from repro.common.errors import DeploymentError, UnknownAccountError

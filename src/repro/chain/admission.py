@@ -194,14 +194,6 @@ class AdmissionController:
         self._drained_total.inc(moved)
         return moved
 
-    def forget(self, tx: Transaction) -> bool:
-        """Drop *tx* from the admission queue (committed/expired elsewhere)."""
-        try:
-            self._queue.remove(tx)
-        except ValueError:
-            return False
-        return True
-
     def stats(self) -> Dict[str, int]:
         return {
             "queued": self.queued_total,

@@ -9,11 +9,10 @@ depth, and exposes the polling queries the DIABLO secondaries use.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import List, Optional
 
 from repro.common.errors import ChainError
 from repro.chain.block import Block, genesis_block
-from repro.chain.transaction import Transaction
 
 
 class Ledger:
@@ -25,7 +24,6 @@ class Ledger:
         self.confirmation_depth = confirmation_depth
         genesis = genesis_block()
         self._blocks: List[Block] = [genesis]
-        self._by_hash: Dict[str, Block] = {genesis.block_hash: genesis}
         self._decided_at: List[float] = [0.0]
         # virtual time each height became *final* (confirmed); genesis is
         # final immediately
@@ -42,7 +40,6 @@ class Ledger:
         if block.parent_hash != head.block_hash:
             raise ChainError("block does not extend the current head")
         self._blocks.append(block)
-        self._by_hash[block.block_hash] = block
         self._decided_at.append(decided_at)
         self._final_at.append(None if self.confirmation_depth > 0 else decided_at)
         if self.confirmation_depth > 0:
@@ -66,12 +63,6 @@ class Ledger:
             raise ChainError(f"no block at height {height}")
         return self._blocks[height]
 
-    def block_by_hash(self, block_hash: str) -> Block:
-        try:
-            return self._by_hash[block_hash]
-        except KeyError:
-            raise ChainError(f"unknown block hash {block_hash!r}") from None
-
     def decided_at(self, height: int) -> float:
         return self._decided_at[height]
 
@@ -81,19 +72,5 @@ class Ledger:
             raise ChainError(f"no block at height {height}")
         return self._final_at[height]
 
-    def blocks_since(self, height: int) -> Iterator[Block]:
-        """Blocks strictly above *height* (the secondary polling query)."""
-        for h in range(height + 1, len(self._blocks)):
-            yield self._blocks[h]
-
-    def recent_hash_age(self, block_hash: str, now: float) -> float:
-        """Age in seconds of the block carrying *block_hash* (Solana rule)."""
-        block = self.block_by_hash(block_hash)
-        return now - self._decided_at[block.height]
-
     def total_transactions(self) -> int:
         return sum(len(b) for b in self._blocks)
-
-    def all_transactions(self) -> Iterator[Transaction]:
-        for block in self._blocks:
-            yield from block.transactions

@@ -112,18 +112,7 @@ class Mempool:
     def __contains__(self, tx: Transaction) -> bool:
         return tx.uid in self._pool
 
-    def pending_for(self, sender: str) -> int:
-        return self._per_sender.get(sender, 0)
-
     # -- legacy counter views ---------------------------------------------------
-
-    @property
-    def rejected_full(self) -> int:
-        return self.drops.get(DROP_CAPACITY, 0)
-
-    @property
-    def rejected_quota(self) -> int:
-        return self.drops.get(DROP_QUOTA, 0)
 
     @property
     def evicted(self) -> int:
@@ -280,22 +269,6 @@ class Mempool:
         self._count_drop(reason)
         if self.on_evict is not None and reason == DROP_FEE_EVICTED:
             self.on_evict(victim)
-
-    def price_floor(self) -> int:
-        """The effective per-gas price admission currently requires.
-
-        The fee model's floor, raised to the cheapest resident's price
-        while the pool is at capacity (an incoming transaction must
-        strictly outbid it to get in). Zero without a pricer.
-        """
-        if self.pricer is None:
-            return 0
-        floor = self.pricer.floor()
-        cap = self.policy.capacity
-        if cap is not None and len(self._pool) >= cap and self._pool:
-            cheapest = self._cheapest()
-            floor = max(floor, self.pricer.effective_price(cheapest))
-        return floor
 
     # -- removal ---------------------------------------------------------------
 

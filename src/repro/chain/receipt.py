@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 
 class ExecStatus(Enum):
@@ -46,13 +46,3 @@ class Receipt:
     @property
     def ok(self) -> bool:
         return self.status is ExecStatus.SUCCESS
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "tx_uid": self.tx_uid,
-            "status": self.status.value,
-            "gas_used": self.gas_used,
-            "block_height": self.block_height,
-            "error": self.error,
-            "events": len(self.events),
-        }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.common.errors import UnknownAccountError
 
@@ -53,9 +53,6 @@ class WorldState:
         self._balances[address] = balance - amount
         return True
 
-    def has_account(self, address: str) -> bool:
-        return address in self._balances or address in self._nonces
-
     # -- nonces --------------------------------------------------------------------
 
     def nonce(self, address: str) -> int:
@@ -80,9 +77,6 @@ class WorldState:
         except KeyError:
             raise UnknownAccountError(
                 f"contract {contract_address!r} not deployed") from None
-
-    def has_contract(self, contract_address: str) -> bool:
-        return contract_address in self._contracts
 
     def contracts(self) -> Dict[str, ContractStorage]:
         return dict(self._contracts)

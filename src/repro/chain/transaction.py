@@ -14,9 +14,8 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.crypto.hashing import digest
 
 _TX_COUNTER = itertools.count()
 
@@ -123,10 +122,6 @@ class Transaction:
             return TRANSFER_SIZE + self.extra_size
         return INVOKE_BASE_SIZE + 32 * len(self.args) + self.extra_size
 
-    @property
-    def is_invoke(self) -> bool:
-        return self.kind is TxKind.INVOKE
-
     def signing_payload(self) -> str:
         """The string covered by the sender's signature.
 
@@ -142,21 +137,6 @@ class Transaction:
             f"{self.function}\x00{self.args}\x00{self.amount}\x00"
             f"{self.fee_per_gas}\x00{self.gas_limit}\x00"
             f"{self.recent_block_hash}\x00".encode()).hexdigest()
-
-    def describe(self) -> Dict[str, Any]:
-        """Loggable summary dictionary."""
-        return {
-            "uid": self.uid,
-            "kind": self.kind.tag,
-            "sender": self.sender,
-            "sequence": self.sequence,
-            "contract": self.contract,
-            "function": self.function,
-            "submitted_at": self.submitted_at,
-            "committed_at": self.committed_at,
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
-        }
 
 
 def transfer(sender: str, recipient: str, amount: int = 1,

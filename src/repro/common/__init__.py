@@ -14,14 +14,12 @@ from repro.common.errors import (
     SenderQuotaError,
     SimulationError,
     SpecError,
-    StaleBlockHashError,
     StateLimitError,
     UnderpricedError,
     UnknownAccountError,
-    UnsupportedOperationError,
     VMError,
 )
-from repro.common.ids import IdAllocator, short_hash
+from repro.common.ids import short_hash
 from repro.common.rng import RngFactory, derive_seed
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "ConfigurationError",
     "ContractError",
     "DeploymentError",
-    "IdAllocator",
     "InvalidTransactionError",
     "MempoolFullError",
     "NetworkError",
@@ -40,11 +37,9 @@ __all__ = [
     "SenderQuotaError",
     "SimulationError",
     "SpecError",
-    "StaleBlockHashError",
     "StateLimitError",
     "UnderpricedError",
     "UnknownAccountError",
-    "UnsupportedOperationError",
     "VMError",
     "derive_seed",
     "short_hash",

@@ -79,14 +79,6 @@ class NodeOverloadedError(BackpressureError):
     """The node is shedding load under memory pressure (§6 overload)."""
 
 
-class AdmissionQueueFullError(BackpressureError):
-    """The node's admission queue (in front of the pool) is full."""
-
-
-class StaleBlockHashError(ChainError):
-    """The referenced recent block hash is too old (Solana's 120 s rule)."""
-
-
 class UnderpricedError(MempoolFullError):
     """The transaction's price is below the mempool's current fee floor.
 
@@ -117,13 +109,6 @@ class StateLimitError(VMError):
 
     Algorand's AVM limits state to key-value pairs of 128 bytes, which is why
     the video sharing DApp cannot be implemented in TEAL (paper §5.2).
-    """
-
-
-class UnsupportedOperationError(VMError):
-    """The VM/language does not support the requested operation.
-
-    E.g. floating point operations in PyTeal and Move (paper §3, Mobility).
     """
 
 

@@ -3,31 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
-from typing import Iterator
 
 
 def short_hash(*parts: object, length: int = 16) -> str:
     """Deterministic hex identifier derived from the given parts."""
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode())
     return digest.hexdigest()[:length]
-
-
-class IdAllocator:
-    """Monotonically increasing integer ids with an optional prefix.
-
-    >>> alloc = IdAllocator("tx")
-    >>> alloc.next(), alloc.next()
-    ('tx-0', 'tx-1')
-    """
-
-    def __init__(self, prefix: str = "") -> None:
-        self.prefix = prefix
-        self._counter: Iterator[int] = itertools.count()
-
-    def next(self) -> str:
-        value = next(self._counter)
-        return f"{self.prefix}-{value}" if self.prefix else str(value)
-
-    def next_int(self) -> int:
-        return next(self._counter)

@@ -40,18 +40,6 @@ MIB = 1024**2
 GIB = 1024**3
 
 
-def kib(value: float) -> int:
-    return int(value * KIB)
-
-
-def mib(value: float) -> int:
-    return int(value * MIB)
-
-
-def gib(value: float) -> int:
-    return int(value * GIB)
-
-
 # -- rates -------------------------------------------------------------------
 
 

@@ -18,8 +18,7 @@ with no confirmation depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.common.ids import short_hash
 from repro.consensus.base import Message, Replica

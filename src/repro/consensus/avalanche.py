@@ -16,8 +16,7 @@ analytic model's latency shape: O(log n) polling rounds of one RTT each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 from repro.common.rng import RngFactory
 from repro.consensus.base import Message, Replica

@@ -15,8 +15,8 @@ depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.common.rng import RngFactory
 from repro.consensus.base import Message, Replica

@@ -13,7 +13,7 @@ runs in tests at n = 4..16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.consensus.base import Message, Replica

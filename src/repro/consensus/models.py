@@ -27,8 +27,8 @@ scale in ``tests/consensus/test_model_calibration.py``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -92,9 +92,6 @@ class WanProfile:
                 np.quantile(self._pair_rtts, q))
         return value
 
-    def mean_rtt(self) -> float:
-        return float(np.mean(self._pair_rtts))
-
     def dissemination_time(self, payload_bytes: int, leader_region: str,
                            flat: bool = False, relay_cap: int = 4) -> float:
         """Block dissemination time from *leader_region*.
@@ -117,12 +114,6 @@ class WanProfile:
             worst = max(worst, transfer + propagation)
         intra = payload_bytes / INTRA_REGION_BANDWIDTH + INTRA_REGION_RTT / 2
         return worst + intra
-
-    def client_delay(self, client_region: str, node_region: str) -> float:
-        """One-way delay from a client to a blockchain node."""
-        i = self._index[client_region]
-        j = self._index[node_region]
-        return float(self._rtt[i, j]) / 2.0
 
 
 @dataclass

@@ -15,7 +15,7 @@ latency comparison; no snapshotting or membership changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.common.rng import RngFactory

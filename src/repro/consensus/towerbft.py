@@ -17,8 +17,8 @@ leader's block misses the slot deadline at some validators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
 from repro.consensus.base import Message, Replica
 

@@ -6,7 +6,6 @@ from repro.contracts.mobility import (
     DISTANCE_ITERATION_GAS,
     DRIVER_COUNT,
     GRID_SIZE,
-    estimated_call_gas,
     make_uber_contract,
 )
 from repro.contracts.videoshare import VIDEO_RECORD_SIZE, make_youtube_contract
@@ -29,7 +28,6 @@ __all__ = [
     "PLAYER_COUNT",
     "STOCKS",
     "VIDEO_RECORD_SIZE",
-    "estimated_call_gas",
     "make_counter_contract",
     "make_dota_contract",
     "make_exchange_contract",

@@ -9,7 +9,6 @@ greater than 0", then emits a corresponding event.
 
 from __future__ import annotations
 
-from typing import Dict
 
 from repro.vm.program import Contract, ExecutionContext
 
@@ -47,8 +46,3 @@ def make_exchange_contract(supply: int = DEFAULT_SUPPLY) -> Contract:
         return ctx.load(f"supply:{stock}")
 
     return contract
-
-
-def remaining_supply(storage_view: Dict[str, int]) -> Dict[str, int]:
-    """Convenience: supply counters from a raw storage dict (for tests)."""
-    return {stock: storage_view.get(f"supply:{stock}", 0) for stock in STOCKS}

@@ -119,10 +119,3 @@ def make_uber_contract(driver_count: int = DRIVER_COUNT) -> Contract:
         return ctx.load("matches")
 
     return contract
-
-
-def estimated_call_gas(driver_count: int = DRIVER_COUNT) -> int:
-    """Rough gas a checkDistance call needs (for workload gas limits)."""
-    loop = driver_count * DISTANCE_ITERATION_GAS
-    overhead = 5 * 200 + 2 * 5_000 + 2_000  # loads, stores, emit
-    return loop + overhead

@@ -10,8 +10,8 @@ encoded interaction e, and (iv) c.trigger(e)."
 its implementation for the simulated chains of :mod:`repro.blockchains`.
 A Secondary tick emits many interactions at one virtual instant, so the
 two functions on the emission path are implemented in their batch form,
-``encode_batch`` and ``trigger_batch``, and the paper's ``encode`` and
-``trigger`` are the batch of one. Implementing a connector for a real
+``encode_batch`` and ``trigger_batch``; the paper's ``encode`` is the
+batch of one. Implementing a connector for a real
 chain (e.g. via web3.py) requires exactly these four methods — the paper
 notes real implementations run 1,000-1,200 LOC.
 """
@@ -26,7 +26,7 @@ from repro.blockchains.base import BlockchainNetwork
 from repro.chain.account import Account
 from repro.chain.transaction import Transaction, TxKind, skip_tx_uids
 from repro.common.errors import ConfigurationError, SpecError
-from repro.contracts import CONTRACT_FACTORIES, estimated_call_gas
+from repro.contracts import CONTRACT_FACTORIES
 from repro.core.spec import (
     AccountSample,
     ContractSample,
@@ -68,14 +68,11 @@ class BlockchainConnector:
         """Trigger one encoded interaction per client; return #accepted."""
         raise NotImplementedError
 
-    # -- the paper's single forms: the batch of one -----------------------------------
+    # -- the paper's single form: the batch of one ------------------------------------
 
     def encode(self, interaction: Interaction, resource: Any,
                t: float) -> Transaction:
         return self.encode_batch(interaction, resource, t, 1)[0]
-
-    def trigger(self, client: Client, encoded: Transaction) -> bool:
-        return self.trigger_batch((client,), (encoded,)) == 1
 
 
 class SimConnector(BlockchainConnector):

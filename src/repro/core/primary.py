@@ -11,7 +11,7 @@ into a :class:`BenchmarkResult` (the JSON output of the real tool).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.blockchains.base import (
     BlockchainNetwork,
@@ -20,7 +20,7 @@ from repro.blockchains.base import (
     default_scale,
 )
 from repro.blockchains.registry import build_network
-from repro.common.errors import ConfigurationError, DeploymentError
+from repro.common.errors import ConfigurationError
 from repro.core.interface import Client, SimConnector
 from repro.core.population import AggregateArrivals, population_block
 from repro.core.results import BenchmarkResult, TransactionRecord

@@ -166,10 +166,6 @@ class BenchmarkResult:
     def average_latency(self) -> float:
         return _mean(self.latencies(self.duration))
 
-    @property
-    def median_latency(self) -> float:
-        return _median(self.latencies(self.duration))
-
     def latency_percentile(self, q: float) -> float:
         lats = self.latencies()
         return float(np.percentile(lats, q)) if lats.size else float("nan")
@@ -192,18 +188,6 @@ class BenchmarkResult:
         bins = np.arange(0.0, end + bin_size, bin_size)
         counts, edges = np.histogram(submits, bins=bins)
         return edges[:-1], self._unscale(counts / bin_size)
-
-    def fraction_within(self, latency: float) -> float:
-        """Fraction of *submitted* transactions committed within *latency*.
-
-        The Fig. 6 statistic: "91% of the transactions are committed with
-        a latency of 8 seconds or less".
-        """
-        if not self.records:
-            return 0.0
-        within = sum(1 for r in self.records
-                     if r.committed and r.latency <= latency)
-        return within / len(self.records)
 
     def latency_cdf(self) -> Tuple[np.ndarray, np.ndarray]:
         """(sorted latencies, cumulative fraction *of submitted*).
@@ -311,10 +295,6 @@ class BenchmarkResult:
         }
 
     # -- overload accounting -------------------------------------------------------------
-
-    def crash_events(self) -> List[Dict[str, Any]]:
-        """OOM crashes the resource-exhaustion model fired during the run."""
-        return [e for e in self.overload_events if e["kind"] == "oom_crash"]
 
     def stalled_at(self) -> Optional[float]:
         """Start of the stall the run ended in, or None if it kept going."""

@@ -7,7 +7,7 @@ the workload, run, aggregate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
 
 from repro.core.primary import DEFAULT_DRAIN, Primary
 from repro.core.results import BenchmarkResult

@@ -27,7 +27,7 @@ cost of a tick then follows what is admitted, not what is offered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.blockchains.base import ExperimentScale
@@ -80,10 +80,6 @@ class Secondary:
         """Attach an aggregate arrival process (a population's untracked
         users) to this Secondary's emission schedule."""
         self.aggregates.append((process, interaction))
-
-    @property
-    def worker_count(self) -> int:
-        return sum(len(a.clients) for a in self.assignments)
 
     # -- execution -----------------------------------------------------------------
 

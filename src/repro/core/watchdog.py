@@ -14,7 +14,7 @@ detected stall (stop draining early, mark the run ``failed``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.common.errors import ConfigurationError
 from repro.sim.engine import Engine, PeriodicTask
@@ -88,13 +88,6 @@ class LivenessWatchdog:
     def stalled(self) -> bool:
         """True while a stall is in effect (no commit since detection)."""
         return self._stalled
-
-    @property
-    def stalled_since(self) -> Optional[float]:
-        """Start of the current stall window, if one is in effect."""
-        if not self._stalled:
-            return None
-        return self._last_progress
 
     def stop(self) -> None:
         self._task.stop()

@@ -1,6 +1,6 @@
 """Simulated cryptography: deterministic hashing and cost-modeled signing."""
 
-from repro.crypto.hashing import digest, hash_cost, merkle_root
+from repro.crypto.hashing import digest, merkle_root
 from repro.crypto.signing import (
     ECDSA,
     ED25519,
@@ -17,7 +17,6 @@ __all__ = [
     "SCHEMES",
     "SignatureScheme",
     "digest",
-    "hash_cost",
     "keypair",
     "merkle_root",
 ]

@@ -2,18 +2,13 @@
 
 Real blockchains hash serialized payloads; here we hash stable string
 representations. The point is not cryptographic strength but determinism and
-collision-freedom, plus a CPU cost model so hashing load shows up in the
-simulated machines.
+collision-freedom.
 """
 
 from __future__ import annotations
 
 import hashlib
 from typing import Iterable
-
-# CPU seconds to hash one kilobyte on a c5-class core. SHA-256 runs at
-# roughly 500 MB/s per core, i.e. ~2 microseconds per KB.
-HASH_COST_PER_KB = 2e-6
 
 
 def digest(*parts: object) -> str:
@@ -40,8 +35,3 @@ def merkle_root(leaves: Iterable[str]) -> str:
         level = [digest(level[i], level[i + 1])
                  for i in range(0, len(level), 2)]
     return level[0]
-
-
-def hash_cost(size_bytes: int) -> float:
-    """CPU seconds to hash *size_bytes* of data."""
-    return max(0, size_bytes) / 1024 * HASH_COST_PER_KB

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigurationError
 from repro.obs.exporters import (
     chrome_trace,
-    load_spans_jsonl,
     spans_to_jsonl,
     write_chrome_trace,
     write_prometheus,
@@ -82,7 +81,6 @@ __all__ = [
     "chrome_trace",
     "consensus_table",
     "hotspot_table",
-    "load_spans_jsonl",
     "peak_rss_bytes",
     "phase_table",
     "spans_to_jsonl",

@@ -3,8 +3,8 @@
 Three interchange formats, all derived from the same tracer state:
 
 * **JSONL spans** — one JSON object per line, one line per span, followed
-  by the tracer's point events. Loads back losslessly
-  (:func:`load_spans_jsonl`), which the round-trip tests assert.
+  by the tracer's point events. A span line is :meth:`Span.to_dict`
+  plus ``"type": "span"``, so :meth:`Span.from_dict` loads it back.
 * **Chrome trace JSON** — the ``trace_event`` format Chrome's
   ``chrome://tracing`` and Perfetto load: complete (``"ph": "X"``) events
   with microsecond timestamps. Transactions render as one track per
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import EngineProfiler
-from repro.obs.trace import LifecycleTracer, Span, TX_PHASES
+from repro.obs.trace import LifecycleTracer, TX_PHASES
 
 PathLike = Union[str, Path]
 
@@ -49,31 +49,6 @@ def write_spans_jsonl(tracer: LifecycleTracer, path: PathLike) -> Path:
     path = Path(path)
     path.write_text(spans_to_jsonl(tracer))
     return path
-
-
-def load_spans_jsonl(source: Union[PathLike, str]
-                     ) -> Tuple[List[Span], List[Dict[str, Any]]]:
-    """Parse a JSONL export back into (spans, events).
-
-    Accepts a path or the raw text itself (text containing a newline is
-    never a valid path, so the dispatch is unambiguous).
-    """
-    text = source if isinstance(source, str) and "\n" in source else None
-    if text is None:
-        text = Path(source).read_text()
-    spans: List[Span] = []
-    events: List[Dict[str, Any]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        kind = row.pop("type", "span")
-        if kind == "span":
-            spans.append(Span.from_dict(row))
-        else:
-            events.append(row)
-    return spans, events
 
 
 # -- Chrome trace_event ---------------------------------------------------------------

@@ -34,8 +34,8 @@ every hook behind ``if self.tracer is not None``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -236,22 +236,7 @@ class LifecycleTracer:
         """One adversarial intervention (a forked/withheld/delayed send)."""
         self.events.append({"t": t, "kind": f"byzantine_{action}", **info})
 
-    def byzantine_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.scope == "byzantine"]
-
     # -- aggregation -----------------------------------------------------------------
-
-    def tx_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.scope == "tx"]
-
-    def block_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.scope == "block"]
-
-    def spans_for(self, uid: int) -> List[Span]:
-        """The phase spans of one transaction, in lifecycle order."""
-        order = {phase: i for i, phase in enumerate(TX_PHASES)}
-        found = [s for s in self.spans if s.scope == "tx" and s.key == uid]
-        return sorted(found, key=lambda s: order.get(s.phase, len(order)))
 
     def phase_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-phase latency statistics: count, mean, p50/p95/p99 seconds."""

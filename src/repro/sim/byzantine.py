@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,

@@ -14,16 +14,14 @@ The calendar is the hottest data structure in the repo — every message
 delivery, block, client emission and timer passes through it — so its
 representation is chosen from measured evidence (round 1 in
 docs/BENCHMARKS.md): the heap holds bare ``(time, sequence, event)``
-tuples (C-level comparisons instead of dataclass ``__lt__``), event
-records carry ``__slots__``, and :meth:`Engine.schedule_batch` amortizes
-fan-out insertions (broadcasts) into a single heap rebuild when that is
-cheaper than pushing one by one.
+tuples (C-level comparisons instead of dataclass ``__lt__``) and event
+records carry ``__slots__``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -92,11 +90,6 @@ class Engine:
         """Number of callbacks executed so far (for tests/diagnostics)."""
         return self._events_executed
 
-    @property
-    def pending(self) -> int:
-        """Number of events still in the calendar (including cancelled)."""
-        return len(self._queue)
-
     # -- scheduling ------------------------------------------------------------
 
     def schedule_at(self, time: float, callback: EventCallback,
@@ -118,59 +111,7 @@ class Engine:
             raise SimulationError(f"negative delay {delay} (label={label!r})")
         return self.schedule_at(self._now + delay, callback, label)
 
-    def schedule_batch(self, items: Iterable[Tuple[float, EventCallback, str]],
-                       ) -> List[EventHandle]:
-        """Schedule many ``(time, callback, label)`` entries at once.
-
-        Semantically identical to calling :meth:`schedule_at` per item in
-        iteration order (sequence numbers are assigned in that order, so
-        same-time ties break exactly the same way). The win is mechanical:
-        for a large batch landing in a small calendar it is cheaper to
-        extend the list and re-heapify (O(n+k)) than to sift k pushes
-        (O(k log n)) — the broadcast fan-out path hits this constantly.
-        """
-        queue = self._queue
-        now = self._now
-        sequence = self._sequence
-        entries: List[Tuple[float, int, _ScheduledEvent]] = []
-        handles: List[EventHandle] = []
-        for time, callback, label in items:
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule event at {time:.6f} before"
-                    f" now={now:.6f} (label={label!r})")
-            event = _ScheduledEvent(time, callback, label)
-            entries.append((time, sequence, event))
-            sequence += 1
-            handles.append(EventHandle(event))
-        self._sequence = sequence
-        k = len(entries)
-        n = len(queue)
-        total = n + k
-        if k > 1 and k * max(1.0, (total).bit_length() - 1) >= total:
-            queue.extend(entries)
-            heapq.heapify(queue)
-        else:
-            for entry in entries:
-                heapq.heappush(queue, entry)
-        return handles
-
     # -- execution ---------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the next non-cancelled event. Return False if none left."""
-        while self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._events_executed += 1
-            if self.profiler is not None:
-                self.profiler.record(event.label, event.callback)
-            else:
-                event.callback()
-            return True
-        return False
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -251,12 +192,3 @@ class PeriodicTask:
         if not self._stopped:
             self._handle = self._engine.schedule_after(
                 self._period, self._tick, label=self._label)
-
-
-def run_simulation(setup: Callable[[Engine], Any],
-                   until: Optional[float] = None) -> Engine:
-    """Convenience: build an engine, call *setup*, run it, return the engine."""
-    engine = Engine()
-    setup(engine)
-    engine.run(until=until)
-    return engine

@@ -19,7 +19,7 @@ re-degrading a link with zero extra latency and zero drop rate restores it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,

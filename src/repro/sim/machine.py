@@ -60,10 +60,9 @@ INSTANCE_TYPES: Dict[str, InstanceType] = {
 class MemoryLedger:
     """Categorised memory accounting for one machine, with hysteresis.
 
-    Consumers charge bytes against named categories (``mempool``,
-    ``consensus``, ``state``, ...) either incrementally (:meth:`charge` /
-    :meth:`release`) or absolutely (:meth:`set_level`, what the blockchain
-    runtimes do each production round). :attr:`pressure` is total usage
+    Consumers set the resident bytes of named categories (``mempool``,
+    ``consensus``, ``state``, ...) with :meth:`set_level`, as the blockchain
+    runtimes do each production round. :attr:`pressure` is total usage
     over capacity; :attr:`state` is ``"ok"`` until pressure crosses
     ``high_water`` and returns to ``"ok"`` only below ``low_water`` — the
     hysteresis keeps overload responses from flapping at the threshold.
@@ -84,19 +83,6 @@ class MemoryLedger:
         self._high = False
         self.peak_pressure = 0.0
         self.high_water_crossings = 0
-
-    def charge(self, category: str, nbytes: int) -> None:
-        """Add *nbytes* to *category* (negative amounts are an error)."""
-        if nbytes < 0:
-            raise SimulationError(f"negative charge {nbytes} ({category})")
-        self.set_level(category, self._categories.get(category, 0) + nbytes)
-
-    def release(self, category: str, nbytes: int) -> None:
-        """Subtract *nbytes* from *category*, clamping at zero."""
-        if nbytes < 0:
-            raise SimulationError(f"negative release {nbytes} ({category})")
-        current = self._categories.get(category, 0)
-        self.set_level(category, max(0, current - nbytes))
 
     def set_level(self, category: str, nbytes: int) -> None:
         """Set *category*'s resident bytes to an absolute level."""
@@ -170,16 +156,6 @@ class Machine:
         self._metrics.gauge("memory_pressure",
                             supplier=lambda: self.memory.pressure)
 
-    # -- registry views ---------------------------------------------------------
-
-    @property
-    def cpu_seconds_total(self) -> float:
-        return self._cpu_seconds.value
-
-    @property
-    def jobs_executed(self) -> int:
-        return self._jobs.value
-
     @property
     def name(self) -> str:
         return self.endpoint.name
@@ -187,30 +163,6 @@ class Machine:
     @property
     def region(self) -> str:
         return self.endpoint.region
-
-    # -- memory ---------------------------------------------------------------
-
-    @property
-    def memory_used(self) -> int:
-        return self.memory.total
-
-    @property
-    def memory_available(self) -> int:
-        return self.memory.capacity - self.memory.total
-
-    def allocate(self, size: int) -> bool:
-        """Reserve general-purpose memory; return False when it does not fit."""
-        if size < 0:
-            raise SimulationError(f"negative allocation {size}")
-        if self.memory.total + size > self.memory.capacity:
-            return False
-        self.memory.charge("general", size)
-        return True
-
-    def release(self, size: int) -> None:
-        if size < 0:
-            raise SimulationError(f"negative release {size}")
-        self.memory.release("general", size)
 
     # -- CPU ----------------------------------------------------------------------
 
@@ -237,18 +189,6 @@ class Machine:
             self.engine.schedule_at(finish, on_done,
                                     label=label or f"{self.name}-cpu-done")
         return finish
-
-    def utilization(self, window: float) -> float:
-        """Fraction of CPU capacity used over the last *window* seconds.
-
-        A coarse diagnostic: busy core-time remaining relative to now,
-        normalised by capacity.
-        """
-        if window <= 0:
-            raise SimulationError("window must be positive")
-        now = self.engine.now
-        busy = sum(max(0.0, t - now) for t in self._core_free_at)
-        return min(1.0, busy / (window * self.instance_type.vcpus))
 
     def backlog(self) -> float:
         """Seconds until all currently queued CPU work drains."""

@@ -229,13 +229,6 @@ class _LinkPipe:
         self.bandwidth = bandwidth
         self.free_at = 0.0
 
-    def reserve(self, now: float, size: int) -> Tuple[float, float]:
-        """Reserve the pipe for a message; return (start, transfer_time)."""
-        start = max(now, self.free_at)
-        transfer = size / self.bandwidth
-        self.free_at = start + transfer
-        return start, transfer
-
 
 class Network:
     """Point-to-point message delivery over the Table 3 topology.
@@ -267,8 +260,6 @@ class Network:
         self._fault_sampler = BlockSampler(self._fault_rng, "random")
         self._model_bandwidth = model_bandwidth
         self._index = _region_index()
-        self._rtt = rtt_matrix()
-        self._bw = bandwidth_matrix()
         # hot-path views: exact Python floats, no numpy scalar boxing
         self._half_rtt = _HALF_RTT
         self._bandwidth = _BANDWIDTH
@@ -290,34 +281,9 @@ class Network:
     def messages_sent(self) -> int:
         return self._messages_sent.value
 
-    @property
-    def bytes_sent(self) -> int:
-        return self._bytes_sent.value
-
-    @property
-    def messages_blocked(self) -> int:
-        return self._messages_blocked.value
-
-    @property
-    def messages_fault_dropped(self) -> int:
-        return self._messages_fault_dropped.value
-
     def attach_faults(self, injector: "FaultInjector") -> None:
         """Consult *injector* on every send (reachability + degradation)."""
         self.injector = injector
-
-    # -- queries -------------------------------------------------------------
-
-    def one_way_delay(self, src_region: str, dst_region: str) -> float:
-        """Base propagation delay (RTT/2) between two regions, no jitter."""
-        return self._half_rtt[self._index[src_region]][self._index[dst_region]]
-
-    def _pipe(self, i: int, j: int) -> _LinkPipe:
-        pipe = self._pipes.get((i, j))
-        if pipe is None:
-            pipe = _LinkPipe(self._bandwidth[i][j])
-            self._pipes[(i, j)] = pipe
-        return pipe
 
     def _jitter(self, base: float) -> float:
         if self._jitter_sampler is None:
@@ -328,16 +294,15 @@ class Network:
 
     # -- sending ---------------------------------------------------------------
 
-    def _prepare(self, src: Endpoint, dst: Endpoint,
-                 size: int) -> Optional[float]:
-        """Fault checks, pipe reservation, jitter — everything but the
-        calendar insertion and the sent-message counters (callers
-        increment those, so :meth:`broadcast` can batch them). Returns
-        the delivery delay, or None when the message is blocked or
-        fault-dropped. RNG streams are consumed in exactly the order
-        messages are prepared, which is what keeps :meth:`broadcast`'s
-        batched scheduling byte-identical to a loop of :meth:`send`
-        calls."""
+    def send(self, src: Endpoint, dst: Endpoint, size: int,
+             on_delivery: Callable[[], None], label: str = "") -> float:
+        """Schedule delivery of a message; return the delivery time.
+
+        With a fault injector attached, messages over unreachable links
+        (crashed endpoint, partition, region outage) are silently blocked
+        and ``inf`` is returned; degraded links add latency and may drop
+        the message with their configured probability.
+        """
         if size < 0:
             raise NetworkError(f"negative message size {size}")
         fault_latency = 0.0
@@ -345,20 +310,20 @@ class Network:
             if not self.injector.reachable(src.name, dst.name,
                                            src.region, dst.region):
                 self._messages_blocked.inc()
-                return None
+                return float("inf")
             extra, drop = self._link_faults(src, dst)
             if drop > 0 and self._fault_sampler.next() < drop:
                 self._messages_fault_dropped.inc()
-                return None
+                return float("inf")
             fault_latency = extra
         index = self._index
         i, j = index[src.region], index[dst.region]
         now = self.engine.now
         propagation = self._half_rtt[i][j]
         if self._model_bandwidth:
-            # inlined _LinkPipe.reserve with an idle-pipe short circuit:
-            # an uncontended link (the common case for client traffic)
-            # skips the queueing arithmetic entirely
+            # FIFO reservation of the link pipe with an idle-pipe short
+            # circuit: an uncontended link (the common case for client
+            # traffic) skips the queueing arithmetic entirely
             pipe = self._pipes.get((i, j))
             if pipe is None:
                 pipe = _LinkPipe(self._bandwidth[i][j])
@@ -374,21 +339,8 @@ class Network:
         else:
             transfer = size / self._bandwidth[i][j]
             queueing = 0.0
-        return (queueing + transfer + propagation
-                + self._jitter(propagation) + fault_latency)
-
-    def send(self, src: Endpoint, dst: Endpoint, size: int,
-             on_delivery: Callable[[], None], label: str = "") -> float:
-        """Schedule delivery of a message; return the delivery time.
-
-        With a fault injector attached, messages over unreachable links
-        (crashed endpoint, partition, region outage) are silently blocked
-        and ``inf`` is returned; degraded links add latency and may drop
-        the message with their configured probability.
-        """
-        delay = self._prepare(src, dst, size)
-        if delay is None:
-            return float("inf")
+        delay = (queueing + transfer + propagation
+                 + self._jitter(propagation) + fault_latency)
         self._messages_sent.inc()
         self._bytes_sent.inc(size)
         self.engine.schedule_after(delay, on_delivery,
@@ -404,40 +356,6 @@ class Network:
             extra += region_extra
             drop = 1.0 - (1.0 - drop) * (1.0 - region_drop)
         return extra, drop
-
-    def broadcast(self, src: Endpoint, dsts: Iterable[Endpoint], size: int,
-                  on_delivery: Callable[[Endpoint], None],
-                  label: str = "") -> List[float]:
-        """Send the same message to many endpoints; return delivery times.
-
-        Equivalent to calling :meth:`send` per destination in order, but
-        the calendar insertions go through :meth:`Engine.schedule_batch`
-        so a wide fan-out costs one heap rebuild instead of one sift per
-        destination, and the sent-message counters are incremented once
-        for the whole fan-out. Preparation (and therefore RNG
-        consumption and pipe reservation) still happens strictly in
-        destination order, and batch sequence numbers are assigned in
-        that same order, so results are identical to the one-by-one
-        path.
-        """
-        label = label or "network-delivery"
-        now = self.engine.now
-        times: List[float] = []
-        entries: List[Tuple[float, Callable[[], None], str]] = []
-        for dst in dsts:
-            delay = self._prepare(src, dst, size)
-            if delay is None:
-                times.append(float("inf"))
-                continue
-            entries.append((now + delay, (lambda d=dst: on_delivery(d)),
-                            label))
-            times.append(now + delay)
-        sent = len(entries)
-        if sent:
-            self._messages_sent.inc(sent)
-            self._bytes_sent.inc(size * sent)
-        self.engine.schedule_batch(entries)
-        return times
 
 
 def spread_endpoints(count: int, regions: Iterable[str] = REGIONS,

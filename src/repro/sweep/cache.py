@@ -191,9 +191,6 @@ class ResultCache:
                 pass
             raise
 
-    def contains(self, key: str) -> bool:
-        return self._path(key).is_file()
-
     def entries(self) -> int:
         """Number of cached results on disk."""
         if not self.directory.is_dir():

@@ -20,7 +20,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.results import BenchmarkResult
 from repro.core.runner import run_benchmark, run_trace

@@ -12,15 +12,14 @@ intensity, §6.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.common.errors import (
     BudgetExceededError,
     ContractError,
     OutOfGasError,
     StateLimitError,
-    UnsupportedOperationError,
 )
 from repro.chain.receipt import ExecStatus, Receipt
 from repro.chain.state import WorldState
@@ -160,8 +159,7 @@ class VirtualMachine:
             return Receipt(tx.uid, ExecStatus.OUT_OF_GAS,
                            gas_used=tx.gas_limit,
                            block_height=block_height, error=str(exc))
-        except (ContractError, StateLimitError,
-                UnsupportedOperationError) as exc:
+        except (ContractError, StateLimitError) as exc:
             return Receipt(tx.uid, ExecStatus.REVERTED,
                            gas_used=intrinsic + meter.used,
                            block_height=block_height, error=str(exc))

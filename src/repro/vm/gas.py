@@ -26,7 +26,6 @@ class GasSchedule:
     emit: int = 1_125            # LOG with one topic
     memory_byte: int = 3         # per byte of calldata/memory traffic
     call_overhead: int = 2_600   # entering a contract function
-    sqrt_newton_iter: int = 60   # one Newton integer-sqrt iteration
 
 
 DEFAULT_SCHEDULE = GasSchedule()
@@ -58,7 +57,6 @@ def scaled_schedule(execution_factor: float,
         emit=scale(base.emit),
         memory_byte=scale(base.memory_byte),
         call_overhead=scale(base.call_overhead),
-        sqrt_newton_iter=scale(base.sqrt_newton_iter),
     )
 
 
@@ -118,10 +116,3 @@ class GasMeter:
                 f" {self.hard_budget}")
         if self.used > self.limit:
             raise OutOfGasError(f"out of gas: {self.used} > limit {self.limit}")
-
-    @property
-    def remaining(self) -> int:
-        ceilings = [self.limit]
-        if self.hard_budget is not None:
-            ceilings.append(self.hard_budget)
-        return max(0, min(ceilings) - self.used)

@@ -25,14 +25,12 @@ from repro.vm.program import VMCapabilities
 GETH_EVM_CAPS = VMCapabilities(
     language="solidity/geth-evm",
     hard_budget=None,        # "no hard limit on gas budget of a transaction"
-    supports_float=False,
     has_builtin_sqrt=False,
 )
 
 AVM_CAPS = VMCapabilities(
     language="pyteal/avm",
     hard_budget=500_000,     # TEAL AppCall opcode budget, in abstract units
-    supports_float=False,
     has_builtin_sqrt=False,
     kv_entry_limit=128,      # 128 bytes per key-value pair (§5.2)
     max_state_entries=64,    # AVM global state pairs
@@ -41,14 +39,12 @@ AVM_CAPS = VMCapabilities(
 MOVE_VM_CAPS = VMCapabilities(
     language="move/movevm",
     hard_budget=1_000_000,   # Diem max-gas-per-transaction
-    supports_float=False,
     has_builtin_sqrt=False,
 )
 
 EBPF_CAPS = VMCapabilities(
     language="solidity/ebpf",
     hard_budget=600_000,     # Solana compute budget per transaction
-    supports_float=False,
     has_builtin_sqrt=False,
 )
 

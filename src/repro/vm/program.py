@@ -26,7 +26,6 @@ import numpy as np
 from repro.common.errors import (
     ContractError,
     StateLimitError,
-    UnsupportedOperationError,
 )
 from repro.chain.receipt import Event
 from repro.chain.state import ContractStorage
@@ -38,7 +37,6 @@ class VMCapabilities:
     """What a VM's contract language supports and enforces.
 
     ``hard_budget``      per-transaction compute cap (None = unbounded, geth)
-    ``supports_float``   floating point arithmetic available
     ``has_builtin_sqrt`` a native sqrt (none of the paper's three languages)
     ``kv_entry_limit``   max bytes per key-value pair (AVM: 128)
     ``max_state_entries`` max number of KV pairs (AVM global state: 64)
@@ -46,7 +44,6 @@ class VMCapabilities:
 
     language: str
     hard_budget: Optional[int] = None
-    supports_float: bool = False
     has_builtin_sqrt: bool = False
     kv_entry_limit: Optional[int] = None
     max_state_entries: Optional[int] = None
@@ -162,42 +159,6 @@ class ExecutionContext:
     def compute(self, units: int = 1) -> None:
         """Charge for *units* basic arithmetic operations."""
         self.meter.charge(self.meter.schedule.arith * units)
-
-    def float_op(self) -> None:
-        """Guard a floating point operation.
-
-        Raises on every language of the paper's suite: "neither the PyTeal
-        nor the Move languages support floating points" and Solidity has no
-        native floats either (§3).
-        """
-        if not self.capabilities.supports_float:
-            raise UnsupportedOperationError(
-                f"{self.capabilities.language} does not support floating point")
-
-    def isqrt(self, value: int) -> int:
-        """Newton's integer square root, metered per iteration.
-
-        This is the function the authors implemented "in Solidity, PyTeal and
-        Move languages" to compute Euclidean distances without floats (§3).
-        """
-        if value < 0:
-            raise ContractError("isqrt of negative value")
-        schedule = self.meter.schedule
-        if value < 2:
-            self.meter.charge(schedule.arith)
-            return value
-        # Newton iteration count for 64-bit-ish integers is ~log2(log2(v)) + c;
-        # run it for real so the metering matches the actual work.
-        x = value
-        y = (x + 1) // 2
-        iterations = 0
-        while y < x:
-            x = y
-            y = (x + value // x) // 2
-            iterations += 1
-        self.meter.charge(schedule.sqrt_newton_iter * iterations
-                          + schedule.arith)
-        return x
 
     # -- bulk loop (performance substitution, DESIGN.md) -----------------------------
 

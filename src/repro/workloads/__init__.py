@@ -12,15 +12,13 @@ from repro.workloads.synthetic import (
     VISA_AVERAGE_TPS,
     constant_transfer_trace,
     deployment_challenge_trace,
-    robustness_trace,
 )
 from repro.workloads.traces import (
     Trace,
     burst_then_decay,
     schedule_from_rates,
-    sinusoid,
 )
-from repro.workloads.uber import derived_world_tps, uber_trace
+from repro.workloads.uber import uber_trace
 from repro.workloads.youtube import derived_average_tps, youtube_trace
 
 
@@ -56,14 +54,11 @@ __all__ = [
     "dapp_suite",
     "deployment_challenge_trace",
     "derived_average_tps",
-    "derived_world_tps",
     "dota_trace",
     "expected_peak_tps",
     "fifa_trace",
     "gafam_trace",
-    "robustness_trace",
     "schedule_from_rates",
-    "sinusoid",
     "stock_trace",
     "uber_trace",
     "workload_registry",

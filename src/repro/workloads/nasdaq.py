@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.spec import LoadSchedule
 from repro.workloads.traces import Trace, burst_then_decay
 
 DURATION = 180.0  # "runs for 3 minutes"

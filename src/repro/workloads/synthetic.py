@@ -28,8 +28,3 @@ def constant_transfer_trace(rate: float,
 def deployment_challenge_trace() -> Trace:
     """The §6.2 scalability workload: 1,000 TPS for 120 s."""
     return constant_transfer_trace(1_000.0)
-
-
-def robustness_trace() -> Trace:
-    """The §6.3 robustness/DoS workload: 10,000 TPS for 120 s."""
-    return constant_transfer_trace(10_000.0)

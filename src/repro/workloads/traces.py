@@ -12,7 +12,7 @@ substitution table).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,15 +155,4 @@ def burst_then_decay(peak: float, floor: float, duration: float,
     seconds = int(round(duration))
     times = np.arange(seconds)
     rates = floor + (peak - floor) * np.exp(-times / decay_time)
-    return schedule_from_rates(rates.tolist())
-
-
-def sinusoid(low: float, high: float, duration: float,
-             period: float = 60.0) -> LoadSchedule:
-    """Rate oscillating between *low* and *high* (diurnal-ish demand)."""
-    seconds = int(round(duration))
-    times = np.arange(seconds)
-    mid = (low + high) / 2
-    amp = (high - low) / 2
-    rates = mid + amp * np.sin(2 * np.pi * times / period)
     return schedule_from_rates(rates.tolist())

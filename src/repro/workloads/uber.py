@@ -18,18 +18,6 @@ DURATION = 120.0
 RATE_LOW = 810.0
 RATE_HIGH = 900.0
 
-# derivation constants from §3, kept for the tests that re-check the math
-NYC_PEAK_2015_PER_HOUR = 16_496
-GROWTH_FACTOR = 7.91
-NYC_SHARE_OF_WORLD = 1 / 24
-
-
-def derived_world_tps() -> float:
-    """The paper's demand derivation: ~864 TPS world-wide."""
-    nyc_per_hour = NYC_PEAK_2015_PER_HOUR * GROWTH_FACTOR
-    nyc_tps = nyc_per_hour / 3600
-    return nyc_tps / NYC_SHARE_OF_WORLD
-
 
 def uber_trace() -> Trace:
     """The Uber matching workload (810-900 TPS for 120 s)."""

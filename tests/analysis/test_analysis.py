@@ -11,7 +11,6 @@ from repro.analysis.summary import (
     cdf_points,
     comparison_table,
     format_table,
-    results_to_csv,
     throughput_timeseries,
     transactions_to_csv,
 )
@@ -33,12 +32,6 @@ def make_result(chain="quorum", n=10):
 
 
 class TestCsv:
-    def test_results_csv_one_row_per_run(self):
-        text = results_to_csv([make_result("quorum"), make_result("diem")])
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 2
-        assert rows[0]["chain"] == "quorum"
-        assert int(rows[0]["committed"]) == 10
 
     def test_transactions_csv_matches_artifact_format(self):
         text = transactions_to_csv(make_result(n=3))

@@ -221,8 +221,10 @@ class TestEndToEndScenario:
     def test_solana_model_ooms_and_fails(self):
         result = self._run("solana")
         assert result.status == "failed"
-        assert result.crash_events(), "no OOM crash recorded"
-        first = min(e["at"] for e in result.crash_events())
+        crashes = [e for e in result.overload_events
+                   if e["kind"] == "oom_crash"]
+        assert crashes, "no OOM crash recorded"
+        first = min(e["at"] for e in crashes)
         assert 0.0 < first < 60.0
         assert result.stalled_at() is not None
 

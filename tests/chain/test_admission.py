@@ -125,15 +125,3 @@ class TestDrain:
         assert pool.pop_batch() == [second]
         ctl.drain()
         assert pool.pop_batch() == [third]
-
-
-class TestForget:
-    def test_forget_removes_from_queue(self):
-        pool, ctl = make_controller(capacity=1, queue_capacity=2)
-        kept = transfer("a", "b")
-        ctl.submit(kept)
-        queued = transfer("a", "b")
-        ctl.submit(queued)
-        assert ctl.forget(queued)
-        assert not ctl.forget(queued)
-        assert ctl.queue_depth == 0

@@ -39,7 +39,7 @@ class TestAdmission:
         pool.add(b)
         with pytest.raises(MempoolFullError):
             pool.add(c)
-        assert pool.rejected_full == 1
+        assert pool.drops[DROP_CAPACITY] == 1
 
     def test_evict_oldest_instead_of_rejecting(self):
         pool = Mempool(MempoolPolicy(capacity=2, evict_oldest=True))
@@ -59,7 +59,7 @@ class TestAdmission:
         with pytest.raises(SenderQuotaError):
             pool.add(transfer("alice", "bob"))
         pool.add(transfer("carol", "bob"))  # other senders unaffected
-        assert pool.rejected_quota == 1
+        assert pool.drops[DROP_QUOTA] == 1
 
     def test_quota_frees_after_pop(self):
         pool = Mempool(MempoolPolicy(per_sender_quota=2))
@@ -125,7 +125,7 @@ class TestDropReasons:
         pool = Mempool(MempoolPolicy(capacity=1, per_sender_quota=2))
         pool.add(transfer("a", "b"))
         pool.try_add(transfer("c", "b"))
-        assert pool.rejected_full == 1
+        assert pool.drops[DROP_CAPACITY] == 1
         pool.drop_expired(now=1e9, max_age=1.0)
 
 
@@ -287,12 +287,3 @@ class TestRemoveAndExpiry:
         tx = transfer("a", "b")  # submitted_at None
         pool.add(tx)
         assert pool.drop_expired(now=1e9, max_age=1.0) == []
-
-    def test_pending_for_tracks_senders(self):
-        pool = Mempool()
-        pool.add(transfer("a", "b"))
-        pool.add(transfer("a", "b"))
-        pool.add(transfer("c", "b"))
-        assert pool.pending_for("a") == 2
-        assert pool.pending_for("c") == 1
-        assert pool.pending_for("nobody") == 0

@@ -29,7 +29,6 @@ class TestConstruction:
         assert tx.contract == "Counter"
         assert tx.function == "add"
         assert tx.args == (1, 2)
-        assert tx.is_invoke
 
     def test_uids_are_unique(self):
         a, b = transfer("x", "y"), transfer("x", "y")
@@ -85,10 +84,3 @@ class TestBookkeeping:
         assert tx.submitted_at is None
         assert tx.committed_at is None
         assert not tx.aborted
-
-    def test_describe_contains_key_fields(self):
-        tx = invoke("a", "C", "f")
-        info = tx.describe()
-        assert info["kind"] == "invoke"
-        assert info["contract"] == "C"
-        assert info["uid"] == tx.uid

@@ -5,17 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.common import errors
-from repro.common.ids import IdAllocator, short_hash
+from repro.common.ids import short_hash
 from repro.common.rng import RngFactory, derive_seed
 from repro.common.units import (
     GIB,
     KIB,
     MIB,
     gbps,
-    gib,
-    kib,
     mbps,
-    mib,
     minutes,
     ms,
     seconds,
@@ -30,10 +27,9 @@ class TestUnits:
         assert minutes(2) == 120.0
 
     def test_size_helpers(self):
-        assert kib(1) == 1024
-        assert mib(2) == 2 * MIB
-        assert gib(1) == GIB
+        assert KIB == 1024
         assert KIB * 1024 == MIB
+        assert MIB * 1024 == GIB
 
     def test_rate_helpers(self):
         assert mbps(8) == 1e6          # 8 Mbps = 1 MB/s
@@ -78,21 +74,6 @@ class TestIds:
 
     def test_short_hash_length(self):
         assert len(short_hash("x", length=8)) == 8
-
-    def test_id_allocator(self):
-        alloc = IdAllocator("tx")
-        assert alloc.next() == "tx-0"
-        assert alloc.next() == "tx-1"
-
-    def test_id_allocator_without_prefix(self):
-        alloc = IdAllocator()
-        assert alloc.next() == "0"
-
-    def test_next_int(self):
-        alloc = IdAllocator()
-        assert alloc.next_int() == 0
-        assert alloc.next_int() == 1
-
 
 class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self):

@@ -201,7 +201,7 @@ class TestTracing:
             Silence(node=1, start=1.0, stop=3.0)))
         harness, _ = run_audited("ibft", schedule, until=4.0,
                                  tracer=tracer)
-        spans = tracer.byzantine_spans()
+        spans = [s for s in tracer.spans if s.scope == "byzantine"]
         assert len(spans) == 2
         assert {s.phase for s in spans} == {"equivocate", "silence"}
         assert all(s.scope == "byzantine" for s in spans)

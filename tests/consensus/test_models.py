@@ -63,12 +63,6 @@ class TestWanProfile:
                                               relay_cap=100)
         assert capped < uncapped
 
-    def test_client_delay(self):
-        profile = profile_for(DEVNET)
-        assert profile.client_delay("ohio", "tokyo") == pytest.approx(
-            0.1318 / 2)
-
-
 def pairwise_rtts(node_regions):
     """Every ordered pair of distinct validators, straight off Table 3."""
     rtt = rtt_matrix()

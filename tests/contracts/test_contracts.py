@@ -13,7 +13,6 @@ from repro.contracts.gaming import MAP_SIZE, PLAYER_COUNT, make_dota_contract
 from repro.contracts.mobility import (
     DISTANCE_ITERATION_GAS,
     DRIVER_COUNT,
-    estimated_call_gas,
     make_uber_contract,
 )
 from repro.contracts.videoshare import make_youtube_contract
@@ -166,9 +165,6 @@ class TestMobility:
         storage = state.storage("contract:ContractUber")
         assert storage.get("mode") == "single"
         assert "xs" not in storage.data
-
-    def test_estimated_call_gas_helper(self):
-        assert estimated_call_gas() > DRIVER_COUNT * DISTANCE_ITERATION_GAS
 
     def test_match_counter_increments(self):
         vm, state = deploy(geth_evm, make_uber_contract)

@@ -76,18 +76,3 @@ class TestCompression:
         capsys.readouterr()
         assert main(["csv", str(gz)]) == 0
         assert "submitted_at" in capsys.readouterr().out
-
-
-class TestFractionWithin:
-    def test_fraction_within_matches_fig6_statistic(self):
-        from repro.core.results import BenchmarkResult, TransactionRecord
-        result = BenchmarkResult("q", "t", "w", 10.0, 1.0)
-        for i in range(10):
-            result.records.append(TransactionRecord(
-                uid=i, kind="transfer", contract=None, function=None,
-                client="c", submitted_at=0.0,
-                committed_at=float(i + 1) if i < 8 else None,
-                aborted=i >= 8, abort_reason=None))
-        assert result.fraction_within(4.0) == 0.4
-        assert result.fraction_within(100.0) == 0.8
-        assert result.fraction_within(0.0) == 0.0

@@ -11,7 +11,7 @@
   carry accumulator dictates, at the tick's timestamp, round-robin over
   its clients, for arbitrary rate profiles, tick sizes and client counts;
 * the derived single forms — a connector that implements only the batch
-  forms gets ``encode``/``trigger``, and ``BlockchainNetwork.submit``
+  forms gets ``encode``, and ``BlockchainNetwork.submit``
   answers ``accepted``/``will_retry`` for each admission outcome.
 
 Run-level bytes are pinned by tests/core/test_result_golden.py.
@@ -274,17 +274,13 @@ class TestEmissionScheduleProperty:
 
 
 class TestSingleFormsAreTheBatchOfOne:
-    def test_batch_only_connector_gets_encode_and_trigger(self):
-        connector = StubConnector(reject_every=2)
-        client = connector.create_client("c0", "ohio", ())
+    def test_batch_only_connector_gets_encode(self):
+        connector = StubConnector()
         spec = TransferSpec(AccountSample(1))
         assert connector.encode(spec, None, 0.5) == 1
         assert connector.encode(spec, None, 0.75) == 2
         assert connector.batches == [1, 1]
         assert connector.encodes == [0.5, 0.75]
-        assert connector.trigger(client, 1) is True
-        assert connector.trigger(client, 2) is False
-        assert connector.triggered == ["c0", "c0"]
 
     @pytest.mark.parametrize("max_attempts, outcome", [
         (1, (False, False)),    # rejected and dropped

@@ -87,7 +87,7 @@ class TestConnector:
         client = connector.create_client(
             "c", "ohio", [connector.network.endpoints[0].name])
         tx = connector.encode(TransferSpec(AccountSample(2)), None, 0.0)
-        assert connector.trigger(client, tx)
+        assert connector.trigger_batch((client,), (tx,)) == 1
         assert len(connector.network.mempool) == 1
 
 
@@ -136,7 +136,8 @@ class TestPrimary:
                           LoadSchedule.constant(70, 5)),))),))
         primary = Primary("quorum", "testnet", scale=0.2)
         primary.run(spec, drain=30)
-        assert sum(s.worker_count for s in primary.secondaries) == 7
+        assert sum(len(a.clients) for s in primary.secondaries
+                   for a in s.assignments) == 7
 
 
 class TestRunner:

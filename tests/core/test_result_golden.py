@@ -20,6 +20,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
@@ -231,6 +234,22 @@ def test_result_bytes_match_golden(chain, scenario, golden):
     result = SCENARIOS[scenario](chain)
     assert result.records, "a golden run with no records proves nothing"
     assert _digest(result) == golden[f"{chain}/{scenario}"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("hashseed", ["1", "12345"])
+def test_bytes_do_not_depend_on_the_hash_seed(hashseed, golden):
+    """docs/ARCHITECTURE.md says ``PYTHONHASHSEED`` does not matter. The
+    fee market and its retries keep dict- and set-shaped state, so a run
+    under another hash seed is where an iteration-order leak would show."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]))
+    code = ("from tests.core.test_result_golden import _digest, _fees;"
+            " print(_digest(_fees('ethereum')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == golden["ethereum/fees"]
 
 
 def test_dos_scenario_retries():

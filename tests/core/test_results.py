@@ -51,7 +51,7 @@ class TestAggregates:
         records = [record(0, 0.0, commit=1.0), record(1, 0.0, commit=3.0)]
         result = make_result(records)
         assert result.average_latency == pytest.approx(2.0)
-        assert result.median_latency == pytest.approx(2.0)
+        assert result.summary()["median_latency_s"] == pytest.approx(2.0)
 
     def test_latency_of_aborted_is_none(self):
         rec = record(0, 0.0, aborted=True)

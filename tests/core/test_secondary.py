@@ -111,4 +111,3 @@ class TestEmission:
         secondary.assign([], Behavior(TransferSpec(AccountSample(20)),
                                       LoadSchedule.constant(10, 5)))
         assert secondary.assignments == []
-        assert secondary.worker_count == 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import InvalidTransactionError
-from repro.crypto.hashing import digest, hash_cost, merkle_root
+from repro.crypto.hashing import digest, merkle_root
 from repro.crypto.signing import ECDSA, ED25519, RSA4096, SCHEMES, keypair
 
 
@@ -37,11 +37,6 @@ class TestHashing:
 
     def test_merkle_single_leaf_differs_from_empty(self):
         assert merkle_root(["a"]) != merkle_root([])
-
-    def test_hash_cost_scales_with_size(self):
-        assert hash_cost(2048) == pytest.approx(2 * hash_cost(1024))
-        assert hash_cost(0) == 0.0
-
 
 class TestSigning:
     def test_sign_verify_roundtrip(self):

@@ -71,21 +71,11 @@ class TestDisplacement:
             pool.add(tx("b", fee=100, tip=5))
         assert pool.drops[DROP_UNDERPRICED] == 1
 
-    def test_price_floor_tracks_cheapest_resident_at_capacity(self):
-        pool = priced_pool(capacity=2, base_fee=10)
-        assert pool.price_floor() == 10
-        pool.add(tx("a", fee=100, tip=3))
-        pool.add(tx("b", fee=100, tip=7))
-        # at capacity: entry now requires strictly outbidding the
-        # cheapest resident's effective price
-        assert pool.price_floor() == 13
-
     def test_no_pricer_keeps_legacy_capacity_behavior(self):
         pool = Mempool(MempoolPolicy(capacity=1))
         pool.add(tx("a", fee=1))
         with pytest.raises(MempoolFullError):
             pool.add(tx("b", fee=100))
-        assert pool.price_floor() == 0
 
 
 class TestOrdering:

@@ -18,7 +18,6 @@ from repro.obs import (
     ObservabilityOptions,
     Span,
     chrome_trace,
-    load_spans_jsonl,
     spans_to_jsonl,
 )
 from repro.obs.trace import TX_PHASES
@@ -37,6 +36,16 @@ def traced_run(chain, seed=3, observe=ObservabilityOptions(
     return primary, result
 
 
+def tx_spans(tracer):
+    return [s for s in tracer.spans if s.scope == "tx"]
+
+
+def spans_for(tracer, uid):
+    """The phase spans of one transaction, in lifecycle order."""
+    return sorted((s for s in tx_spans(tracer) if s.key == uid),
+                  key=lambda s: TX_PHASES.index(s.phase))
+
+
 @pytest.fixture(scope="module")
 def ethereum_traced():
     return traced_run("ethereum")
@@ -51,7 +60,7 @@ class TestSpanInvariants:
         assert committed, f"{chain}: nothing committed in the traced run"
         checked = 0
         for record in committed:
-            spans = tracer.spans_for(record.uid)
+            spans = spans_for(tracer, record.uid)
             if not spans:
                 continue  # committed during drain after an untraced requeue
             checked += 1
@@ -68,7 +77,7 @@ class TestSpanInvariants:
     def test_aborted_tx_has_no_spans(self, ethereum_traced):
         primary, result = ethereum_traced
         tracer = primary.tracer
-        spanned = {s.key for s in tracer.tx_spans()}
+        spanned = {s.key for s in tx_spans(tracer)}
         for record in result.records:
             if record.aborted:
                 assert record.uid not in spanned
@@ -76,7 +85,7 @@ class TestSpanInvariants:
     def test_traced_count_matches_receipt_spans(self, ethereum_traced):
         primary, _ = ethereum_traced
         tracer = primary.tracer
-        receipts = [s for s in tracer.tx_spans() if s.phase == "receipt"]
+        receipts = [s for s in tx_spans(tracer) if s.phase == "receipt"]
         assert tracer.traced_transactions() == len(receipts)
 
     def test_phase_breakdown_covers_all_phases(self, ethereum_traced):
@@ -133,11 +142,12 @@ class TestExporters:
         primary, _ = ethereum_traced
         tracer = primary.tracer
         text = spans_to_jsonl(tracer)
-        spans, events = load_spans_jsonl(text)
-        original = tracer.tx_spans() + tracer.block_spans()
-        assert sorted(spans, key=lambda s: (s.scope, s.key, s.start)) == \
-            sorted(original, key=lambda s: (s.scope, s.key, s.start))
-        assert len(events) == len(tracer.events)
+        rows = [json.loads(line) for line in text.splitlines()]
+        spans = [Span.from_dict({k: v for k, v in row.items() if k != "type"})
+                 for row in rows if row["type"] == "span"]
+        assert spans == tracer.spans
+        assert (len([row for row in rows if row["type"] == "event"])
+                == len(tracer.events))
 
     def test_span_dict_round_trip(self):
         span = Span(scope="tx", key=42, phase="mempool",
@@ -154,8 +164,8 @@ class TestExporters:
             assert event["ts"] >= 0
             assert event["dur"] >= 0
             assert isinstance(event["pid"], int)
-        tx_spans = primary.tracer.tx_spans()
-        assert len([e for e in complete if e["pid"] == 1]) == len(tx_spans)
+        assert (len([e for e in complete if e["pid"] == 1])
+                == len(tx_spans(primary.tracer)))
 
     def test_timeseries_lands_in_result(self, ethereum_traced):
         _, result = ethereum_traced

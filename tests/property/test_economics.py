@@ -43,10 +43,21 @@ class TestEvictionFloor:
         pool.pricer = build_fee_model(
             FeePolicy(base_fee=base_fee), gas_target=1_000)
         violations = []
+        resident = {}
         floor_before = 0
         incoming_price = 0
 
+        def admission_floor() -> int:
+            # the fee model's floor, raised to the cheapest resident's
+            # price while the pool is at capacity
+            floor = pool.pricer.floor()
+            if len(resident) >= capacity:
+                floor = max(floor, min(map(pool.pricer.effective_price,
+                                           resident.values())))
+            return floor
+
         def check(victim) -> None:
+            del resident[victim.uid]
             # only the cheapest resident, outbid strictly, may go: the
             # victim is never priced above the admission floor that was
             # in force when the displacing transaction arrived, and is
@@ -59,12 +70,13 @@ class TestEvictionFloor:
         for i, (fee, tip) in enumerate(prices):
             tx = transfer(f"s{i % 5}", "sink", sequence=i,
                           fee_per_gas=fee, tip=tip, gas_limit=21_000)
-            floor_before = pool.price_floor()
+            floor_before = admission_floor()
             incoming_price = pool.pricer.effective_price(tx)
             try:
                 pool.add(tx)
             except MempoolFullError:
-                pass
+                continue
+            resident[tx.uid] = tx
         assert not violations
 
 

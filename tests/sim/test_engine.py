@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import Engine, PeriodicTask, run_simulation
+from repro.sim.engine import PeriodicTask
 
 
 class TestScheduling:
@@ -101,15 +101,6 @@ class TestRun:
         engine.run(max_events=5)
         assert len(seen) == 5
 
-    def test_step_executes_one_event(self, engine):
-        seen = []
-        engine.schedule_at(1.0, lambda: seen.append(1))
-        engine.schedule_at(2.0, lambda: seen.append(2))
-        assert engine.step()
-        assert seen == [1]
-        assert engine.step()
-        assert not engine.step()
-
     def test_events_executed_counter(self, engine):
         for i in range(7):
             engine.schedule_at(float(i), lambda: None)
@@ -123,14 +114,6 @@ class TestRun:
 
         engine.schedule_at(1.0, recurse)
         engine.run()
-
-    def test_run_simulation_helper(self):
-        seen = []
-        engine = run_simulation(
-            lambda e: e.schedule_at(2.0, lambda: seen.append("done")))
-        assert seen == ["done"]
-        assert engine.now == 2.0
-
 
 class TestPeriodicTask:
     def test_fires_at_fixed_period(self, engine):
@@ -170,67 +153,3 @@ class TestPeriodicTask:
     def test_zero_period_rejected(self, engine):
         with pytest.raises(SimulationError):
             PeriodicTask(engine, 0.0, lambda: None)
-
-
-class TestScheduleBatch:
-    def test_batch_equals_sequential_scheduling(self, engine):
-        from repro.sim.engine import Engine
-
-        order_batch, order_seq = [], []
-        items = [(0.5, "a"), (0.2, "b"), (0.5, "c"), (0.1, "d")]
-        engine.schedule_batch([
-            (t, (lambda n=n: order_batch.append(n)), "batch")
-            for t, n in items])
-        engine.run()
-        reference = Engine()
-        for t, n in items:
-            reference.schedule_at(t, (lambda n=n: order_seq.append(n)))
-        reference.run()
-        assert order_batch == order_seq == ["d", "b", "a", "c"]
-
-    def test_batch_ties_break_in_item_order(self, engine):
-        ran = []
-        engine.schedule_batch([
-            (1.0, (lambda i=i: ran.append(i)), "tie") for i in range(5)])
-        engine.run()
-        assert ran == [0, 1, 2, 3, 4]
-
-    def test_batch_interleaves_with_singles_by_sequence(self, engine):
-        ran = []
-        engine.schedule_at(1.0, lambda: ran.append("single-first"))
-        engine.schedule_batch([
-            (1.0, lambda: ran.append("batched"), "")])
-        engine.schedule_at(1.0, lambda: ran.append("single-last"))
-        engine.run()
-        assert ran == ["single-first", "batched", "single-last"]
-
-    def test_large_batch_into_populated_calendar(self, engine):
-        # large k vs small n takes the extend+heapify path
-        ran = []
-        engine.schedule_at(0.05, lambda: ran.append(-1))
-        engine.schedule_batch([
-            (0.1 + i * 0.01, (lambda i=i: ran.append(i)), "bulk")
-            for i in range(200)])
-        engine.run()
-        assert ran == [-1] + list(range(200))
-
-    def test_batch_handles_support_cancellation(self, engine):
-        ran = []
-        handles = engine.schedule_batch([
-            (float(i + 1), (lambda i=i: ran.append(i)), "c")
-            for i in range(3)])
-        handles[1].cancel()
-        engine.run()
-        assert ran == [0, 2]
-
-    def test_batch_rejects_past_times(self, engine):
-        from repro.common.errors import SimulationError
-
-        engine.schedule_at(5.0, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.schedule_batch([(1.0, lambda: None, "late")])
-
-    def test_empty_batch_is_a_noop(self, engine):
-        assert engine.schedule_batch([]) == []
-        assert engine.pending == 0

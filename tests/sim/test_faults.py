@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.faults import (
     FaultInjector,
@@ -194,7 +195,9 @@ class TestScheduleOnEngine:
 class TestNetworkIntegration:
     def _network(self):
         engine = Engine()
-        network = Network(engine, jitter_cv=0.0)
+        self.registry = MetricsRegistry()
+        network = Network(engine, jitter_cv=0.0,
+                          metrics=self.registry.namespace("network"))
         injector = FaultInjector()
         network.attach_faults(injector)
         a = Endpoint("a", "ohio")
@@ -209,7 +212,7 @@ class TestNetworkIntegration:
         engine.run()
         assert t == float("inf")
         assert delivered == []
-        assert network.messages_blocked == 1
+        assert self.registry.value("network.messages_blocked") == 1
 
     def test_partition_blocks_cross_group_sends(self):
         engine, network, injector, a, b = self._network()
@@ -235,11 +238,13 @@ class TestNetworkIntegration:
         injector.degrade_link("ohio", "tokyo", extra_latency=0.0,
                               drop_rate=1.0)
         assert network.send(a, b, 100, lambda: None) == float("inf")
-        assert network.messages_fault_dropped == 1
+        assert self.registry.value("network.messages_fault_dropped") == 1
 
     def test_without_injector_nothing_changes(self):
         engine = Engine()
-        network = Network(engine, jitter_cv=0.0)
+        registry = MetricsRegistry()
+        network = Network(engine, jitter_cv=0.0,
+                          metrics=registry.namespace("network"))
         a, b = Endpoint("a", "ohio"), Endpoint("b", "tokyo")
         assert network.send(a, b, 100, lambda: None) < float("inf")
-        assert network.messages_blocked == 0
+        assert registry.value("network.messages_blocked") == 0

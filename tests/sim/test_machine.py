@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.machine import (
     C5_2XLARGE,
@@ -68,11 +69,14 @@ class TestCpu:
         with pytest.raises(SimulationError):
             machine.execute(-1.0)
 
-    def test_counters(self, engine, machine):
+    def test_counters(self, engine):
+        registry = MetricsRegistry()
+        machine = Machine(engine, Endpoint("m", "ohio"), C5_XLARGE,
+                          metrics=registry.namespace("machine"))
         machine.execute(1.0)
         machine.execute(0.5)
-        assert machine.jobs_executed == 2
-        assert machine.cpu_seconds_total == pytest.approx(1.5)
+        assert registry.value("machine.jobs_executed") == 2
+        assert registry.value("machine.cpu_seconds") == pytest.approx(1.5)
 
     def test_backlog_reports_queued_work(self, engine, machine):
         for _ in range(8):
@@ -86,52 +90,17 @@ class TestCpu:
         assert fast.execute(1.0) == pytest.approx(0.5)
 
 
-class TestMemory:
-    def test_allocate_within_capacity(self, machine):
-        assert machine.allocate(1024)
-        assert machine.memory_used == 1024
-
-    def test_allocate_beyond_capacity_fails(self, machine):
-        assert not machine.allocate(machine.instance_type.memory + 1)
-        assert machine.memory_used == 0
-
-    def test_release_frees_memory(self, machine):
-        machine.allocate(2048)
-        machine.release(1024)
-        assert machine.memory_used == 1024
-
-    def test_release_never_goes_negative(self, machine):
-        machine.release(1 << 40)
-        assert machine.memory_used == 0
-
-    def test_negative_allocation_rejected(self, machine):
-        with pytest.raises(SimulationError):
-            machine.allocate(-1)
-
-
 class TestMemoryLedger:
-    def test_charge_release_and_levels(self):
-        ledger = MemoryLedger(1000)
-        ledger.charge("mempool", 300)
-        ledger.charge("mempool", 200)
-        ledger.charge("state", 100)
-        assert ledger.level("mempool") == 500
-        assert ledger.total == 600
-        ledger.release("mempool", 450)
-        assert ledger.level("mempool") == 50
-        assert ledger.breakdown() == {"mempool": 50, "state": 100}
-
-    def test_release_clamps_at_zero(self):
-        ledger = MemoryLedger(1000)
-        ledger.charge("x", 10)
-        ledger.release("x", 100)
-        assert ledger.level("x") == 0
 
     def test_set_level_is_absolute(self):
         ledger = MemoryLedger(1000)
         ledger.set_level("consensus", 700)
         ledger.set_level("consensus", 200)
+        ledger.set_level("state", 100)
+        ledger.set_level("mempool", 0)
         assert ledger.level("consensus") == 200
+        assert ledger.total == 300
+        assert ledger.breakdown() == {"consensus": 200, "state": 100}
 
     def test_pressure_can_exceed_one(self):
         ledger = MemoryLedger(100)
@@ -160,10 +129,6 @@ class TestMemoryLedger:
     def test_negative_amounts_rejected(self):
         ledger = MemoryLedger(100)
         with pytest.raises(SimulationError):
-            ledger.charge("x", -1)
-        with pytest.raises(SimulationError):
-            ledger.release("x", -1)
-        with pytest.raises(SimulationError):
             ledger.set_level("x", -1)
 
     def test_bad_configuration_rejected(self):
@@ -179,22 +144,3 @@ class TestMemoryLedger:
         with pytest.raises(ConfigurationError):
             Machine(engine, Endpoint("m", "ohio"), C5_XLARGE,
                     memory_margin=0.0)
-
-    def test_legacy_allocate_backed_by_ledger(self, engine, machine):
-        machine.allocate(4096)
-        assert machine.memory.level("general") == 4096
-        assert machine.memory_available == machine.memory.capacity - 4096
-
-
-class TestUtilization:
-    def test_idle_machine_has_zero_utilization(self, machine):
-        assert machine.utilization(1.0) == 0.0
-
-    def test_saturated_machine_reports_full(self, engine, machine):
-        for _ in range(16):
-            machine.execute(1.0)
-        assert machine.utilization(1.0) == 1.0
-
-    def test_window_must_be_positive(self, machine):
-        with pytest.raises(SimulationError):
-            machine.utilization(0.0)

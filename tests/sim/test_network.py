@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.errors import NetworkError
 from repro.common.rng import RngFactory
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.network import (
     REGIONS,
@@ -164,15 +165,6 @@ class TestDelivery:
         assert one_run(7) == one_run(7)
         assert one_run(7) != one_run(8)
 
-    def test_broadcast_reaches_everyone(self, engine):
-        net = Network(engine, jitter_cv=0.0)
-        src = Endpoint("src", "ohio")
-        dsts = spread_endpoints(6, ["tokyo", "milan"])
-        seen = []
-        net.broadcast(src, dsts, 100, lambda d: seen.append(d.name))
-        engine.run()
-        assert sorted(seen) == sorted(d.name for d in dsts)
-
     def test_negative_size_rejected(self, engine):
         net = Network(engine)
         with pytest.raises(NetworkError):
@@ -180,72 +172,10 @@ class TestDelivery:
                      lambda: None)
 
     def test_counters(self, engine):
-        net = Network(engine)
+        registry = MetricsRegistry()
+        net = Network(engine, metrics=registry.namespace("network"))
         src, dst = Endpoint("a", "ohio"), Endpoint("b", "ohio")
         net.send(src, dst, 500, lambda: None)
         net.send(src, dst, 700, lambda: None)
         assert net.messages_sent == 2
-        assert net.bytes_sent == 1200
-
-
-class TestBroadcastBatchEquivalence:
-    """broadcast() batches calendar insertions; results must be identical
-    to a loop of send() calls with the same seed."""
-
-    def _endpoints(self):
-        return spread_endpoints(7)
-
-    def test_delivery_times_match_sequential_sends(self):
-        eng_a, eng_b = Engine(), Engine()
-        net_a = Network(eng_a, rng_factory=RngFactory(42))
-        net_b = Network(eng_b, rng_factory=RngFactory(42))
-        eps = self._endpoints()
-        src, dsts = eps[0], eps[1:]
-        times_broadcast = net_a.broadcast(src, dsts, size=600,
-                                          on_delivery=lambda d: None)
-        times_sends = [net_b.send(src, d, 600, lambda: None) for d in dsts]
-        assert times_broadcast == times_sends
-
-    def test_delivery_order_matches_sequential_sends(self):
-        eng_a, eng_b = Engine(), Engine()
-        net_a = Network(eng_a, rng_factory=RngFactory(42))
-        net_b = Network(eng_b, rng_factory=RngFactory(42))
-        eps = self._endpoints()
-        src, dsts = eps[0], eps[1:]
-        got_a, got_b = [], []
-        net_a.broadcast(src, dsts, size=600,
-                        on_delivery=lambda d: got_a.append(d.name))
-        for d in dsts:
-            net_b.send(src, d, 600, (lambda d=d: got_b.append(d.name)))
-        eng_a.run()
-        eng_b.run()
-        assert got_a == got_b
-
-    def test_broadcast_counters_match_sequential_sends(self):
-        # broadcast batches the sent counters into one increment; totals
-        # must still equal the per-send path
-        eng_a, eng_b = Engine(), Engine()
-        net_a = Network(eng_a, rng_factory=RngFactory(4))
-        net_b = Network(eng_b, rng_factory=RngFactory(4))
-        eps = self._endpoints()
-        net_a.broadcast(eps[0], eps[1:], size=250,
-                        on_delivery=lambda d: None)
-        for d in eps[1:]:
-            net_b.send(eps[0], d, 250, lambda: None)
-        assert net_a.messages_sent == net_b.messages_sent == len(eps) - 1
-        assert net_a.bytes_sent == net_b.bytes_sent == 250 * (len(eps) - 1)
-
-    def test_broadcast_consumes_rng_in_destination_order(self):
-        # two identically seeded networks broadcasting to the same
-        # destinations must leave their jitter streams in the same state
-        eng_a, eng_b = Engine(), Engine()
-        net_a = Network(eng_a, rng_factory=RngFactory(9))
-        net_b = Network(eng_b, rng_factory=RngFactory(9))
-        eps = self._endpoints()
-        net_a.broadcast(eps[0], eps[1:], size=100,
-                        on_delivery=lambda d: None)
-        for d in eps[1:]:
-            net_b.send(eps[0], d, 100, lambda: None)
-        after_a = net_a.send(eps[0], eps[1], 100, lambda: None)
-        after_b = net_b.send(eps[0], eps[1], 100, lambda: None)
-        assert after_a == after_b
+        assert registry.value("network.bytes_sent") == 1200

@@ -11,12 +11,10 @@ from repro.workloads import (
     dapp_suite,
     deployment_challenge_trace,
     derived_average_tps,
-    derived_world_tps,
     dota_trace,
     expected_peak_tps,
     fifa_trace,
     gafam_trace,
-    robustness_trace,
     stock_trace,
     uber_trace,
     youtube_trace,
@@ -95,9 +93,6 @@ class TestFifa:
 
 
 class TestUber:
-    def test_paper_derivation(self):
-        # §3: "24 x 36 = 864 TPS"
-        assert derived_world_tps() == pytest.approx(864, rel=0.02)
 
     def test_rate_band(self):
         # §6.4: "810 TPS to 900 TPS ... during 120 seconds"
@@ -132,9 +127,6 @@ class TestSynthetic:
         assert trace.average_tps == pytest.approx(1000)
         assert trace.duration == 120
         assert VISA_AVERAGE_TPS == 1736
-
-    def test_robustness_is_10x(self):
-        assert robustness_trace().average_tps == pytest.approx(10_000)
 
     def test_native_transfers_have_no_dapp(self):
         spec = constant_transfer_trace(10, 5).spec(accounts=10)
