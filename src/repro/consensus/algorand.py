@@ -83,9 +83,7 @@ class AlgorandReplica(Replica):
         self.schedule(STEP_TIMEOUT,
                       lambda: self._recover(round_), label="ba-recover")
 
-    def on_message(self, message: Message) -> None:
-        handler = getattr(self, "_on_" + message.kind.replace("-", "_"))
-        handler(message)
+    on_message = Replica.dispatch
 
     def _on_ba_proposal(self, message: Message) -> None:
         round_ = message.payload["round"]

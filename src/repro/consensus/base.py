@@ -15,12 +15,14 @@ the ground truth those models are validated against (see
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.rng import RngFactory
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector
 from repro.sim.network import Endpoint, Network, spread_endpoints
@@ -53,13 +55,18 @@ class Replica:
 
     Subclasses implement ``on_start`` and ``on_message``; they call
     ``self.send``/``self.broadcast`` to communicate and ``self.decide`` when
-    a value commits locally.
+    a value commits locally. A protocol with one ``_on_<kind>`` method per
+    message kind sets ``on_message = Replica.dispatch``.
     """
 
     def __init__(self) -> None:
         # wired by the harness
         self.node_id: int = -1
         self.harness: "ConsensusHarness" = None  # type: ignore[assignment]
+        # filled on first sight: message kind -> bound ``_on_<kind>``,
+        # counter name -> the registry's ``replica.<protocol>.<name>``
+        self._handlers: Dict[str, Callable[[Message], None]] = {}
+        self._counters: Dict[str, Counter] = {}
 
     # -- harness plumbing ----------------------------------------------------------
 
@@ -82,13 +89,13 @@ class Replica:
         return self.harness.engine.now
 
     def send(self, target: int, message: Message) -> None:
-        self.harness.route(self.node_id, target, message)
+        self.harness.route(self.node_id, (target,), message)
 
     def broadcast(self, message: Message, include_self: bool = True) -> None:
-        for target in range(self.n):
-            if target == self.node_id and not include_self:
-                continue
-            self.harness.route(self.node_id, target, message)
+        targets: Sequence[int] = range(self.n)
+        if not include_self:
+            targets = [t for t in targets if t != self.node_id]
+        self.harness.route(self.node_id, targets, message)
 
     def schedule(self, delay: float, callback: Callable[[], None],
                  label: str = "") -> Any:
@@ -105,8 +112,12 @@ class Replica:
         (proposals, votes cast, view changes, polls...), which land in the
         harness's shared registry next to the routing counters.
         """
-        protocol = type(self).__name__.lower()
-        self.harness.metrics.counter(f"replica.{protocol}.{name}").inc(amount)
+        counter = self._counters.get(name)
+        if counter is None:
+            protocol = type(self).__name__.lower()
+            counter = self._counters[name] = self.harness.metrics.counter(
+                f"replica.{protocol}.{name}")
+        counter.inc(amount)
 
     def next_payload(self) -> Any:
         """Fetch the next client payload to propose (or a filler)."""
@@ -120,6 +131,14 @@ class Replica:
     def on_message(self, message: Message) -> None:
         """Called on each delivered message."""
         raise NotImplementedError
+
+    def dispatch(self, message: Message) -> None:
+        """Hand *message* to ``self._on_<kind>`` (dashes as underscores)."""
+        handler = self._handlers.get(message.kind)
+        if handler is None:
+            handler = self._handlers[message.kind] = getattr(
+                self, "_on_" + message.kind.replace("-", "_"))
+        handler(message)
 
     def on_recover(self) -> None:
         """Called when this replica rejoins after a crash.
@@ -163,8 +182,10 @@ class ConsensusHarness:
         if injector is not None and len(injector.schedule):
             self.injector.register(self.engine)
         self.decisions: List[Decision] = []
-        self._payload_queue: List[Any] = []
+        self._payload_queue: deque = deque()
         self._filler_counter = 0
+        # message kind -> its (network, self-delivery, degraded) event labels
+        self._labels: Dict[str, Tuple[str, str, str]] = {}
         harness_metrics = self.metrics.namespace("harness")
         self._messages_routed = harness_metrics.counter("messages_routed")
         # sender or target fail-stopped
@@ -220,7 +241,7 @@ class ConsensusHarness:
 
     def next_payload(self, node_id: int) -> Any:
         if self._payload_queue:
-            return self._payload_queue.pop(0)
+            return self._payload_queue.popleft()
         self._filler_counter += 1
         return f"filler-{self._filler_counter}"
 
@@ -241,54 +262,84 @@ class ConsensusHarness:
         if isinstance(payload, int) and 0 <= payload < self.n:
             self.replicas[payload].on_recover()
 
-    def route(self, sender: int, target: int, message: Message) -> None:
-        self._messages_routed.inc()
-        sender_region = self.endpoints[sender].region
-        target_region = self.endpoints[target].region
+    def route(self, sender: int, targets: Sequence[int],
+              message: Message) -> None:
+        """Carry *message* from *sender* to each of *targets*, in order.
+
+        A fan-out is one call: the sender's crash state and region and
+        whether the injector has any fault in force are read once; crash,
+        reachability and link-degrade checks then run per target only
+        while a fault is in force. Adversary, auditor, the two drop
+        streams and every counter stay per target, in target order. The
+        network takes the surviving deliveries as one broadcast.
+        """
+        self._messages_routed.inc(len(targets))
         injector = self.injector
-        if injector.is_crashed(sender) or injector.is_crashed(target):
-            self._dropped_by_crash.inc()
+        faulty = not injector.fault_free
+        if faulty and injector.is_crashed(sender):
+            self._dropped_by_crash.inc(len(targets))
             return
-        if not injector.reachable(sender, target,
-                                  sender_region, target_region):
-            self._dropped_by_fault.inc()
-            return
-        extra_latency = 0.0
-        if self.adversary is not None:
-            message, adversary_delay = self.adversary.intervene(
-                sender, target, message, self.engine.now)
-            if message is None:
-                return
-            extra_latency += adversary_delay
-        # audited post-adversary: forked variants count as endorsements
-        # (they are really signed and sent), withheld ones never do
-        if self.auditor is not None:
-            self.auditor.observe_message(sender, target, message)
-        if sender != target:
-            link_latency, fault_drop = self._link_faults(
-                sender, target, sender_region, target_region)
-            extra_latency += link_latency
-            if fault_drop > 0 and float(self._fault_rng.random()) < fault_drop:
-                self._dropped_by_fault.inc()
-                return
-            if self.drop_rate > 0:
-                if float(self._drop_rng.random()) < self.drop_rate:
-                    self._dropped_by_loss.inc()
-                    return
-        replica = self.replicas[target]
-        deliver: Callable[[], None] = lambda: replica.on_message(message)
-        if extra_latency > 0:
-            deliver = (lambda d=deliver, lat=extra_latency:
-                       self.engine.schedule_after(
-                           lat, d, label=f"degraded-{message.kind}"))
-        if sender == target:
-            # local delivery: next event, no network transit
-            self.engine.schedule_after(
-                0.0, deliver, label=f"self-{message.kind}")
-            return
-        self.network.send(
-            self.endpoints[sender], self.endpoints[target], message.size,
-            deliver, label=f"msg-{message.kind}")
+        kind = message.kind
+        labels = self._labels.get(kind)
+        if labels is None:
+            labels = self._labels[kind] = (
+                f"msg-{kind}", f"self-{kind}", f"degraded-{kind}")
+        network_label, self_label, degraded_label = labels
+        endpoints = self.endpoints
+        sender_region = endpoints[sender].region
+        adversary, auditor = self.adversary, self.auditor
+        engine = self.engine
+        deliveries: List[Tuple[Endpoint, Callable[[], None]]] = []
+        for target in targets:
+            if faulty:
+                target_region = endpoints[target].region
+                if injector.is_crashed(target):
+                    self._dropped_by_crash.inc()
+                    continue
+                if not injector.reachable(sender, target,
+                                          sender_region, target_region):
+                    self._dropped_by_fault.inc()
+                    continue
+            # every target starts from the sender's message: the adversary
+            # forks per audience, never from another target's variant
+            outgoing = message
+            extra_latency = 0.0
+            if adversary is not None:
+                outgoing, extra_latency = adversary.intervene(
+                    sender, target, message, engine.now)
+                if outgoing is None:
+                    continue
+            # audited post-adversary: forked variants count as endorsements
+            # (they are really signed and sent), withheld ones never do
+            if auditor is not None:
+                auditor.observe_message(sender, target, outgoing)
+            if sender != target:
+                if faulty:
+                    link_latency, fault_drop = self._link_faults(
+                        sender, target, sender_region, target_region)
+                    extra_latency += link_latency
+                    if (fault_drop > 0
+                            and float(self._fault_rng.random()) < fault_drop):
+                        self._dropped_by_fault.inc()
+                        continue
+                if self.drop_rate > 0:
+                    if float(self._drop_rng.random()) < self.drop_rate:
+                        self._dropped_by_loss.inc()
+                        continue
+            deliver: Callable[[], None] = partial(
+                self.replicas[target].on_message, outgoing)
+            if extra_latency > 0:
+                deliver = partial(engine.schedule_after, extra_latency,
+                                  deliver, degraded_label)
+            if sender == target:
+                # local delivery: next event, no network transit
+                engine.schedule_after(0.0, deliver, self_label)
+            else:
+                deliveries.append((endpoints[target], deliver))
+        if deliveries:
+            # every variant of a message keeps its size
+            self.network.broadcast(endpoints[sender], deliveries,
+                                   message.size, network_label)
 
     def _link_faults(self, sender: int, target: int,
                      sender_region: str, target_region: str

@@ -136,9 +136,7 @@ class HotStuffReplica(Replica):
             "proposal", self.node_id,
             {"block": block}, size=PROPOSAL_BASE_SIZE))
 
-    def on_message(self, message: Message) -> None:
-        handler = getattr(self, f"_on_{message.kind.replace('-', '_')}")
-        handler(message)
+    on_message = Replica.dispatch
 
     # -- proposals -----------------------------------------------------------------------
 

@@ -126,9 +126,7 @@ class IBFTReplica(Replica):
                                {"proposal": proposal},
                                size=PROPOSAL_BASE_SIZE))
 
-    def on_message(self, message: Message) -> None:
-        handler = getattr(self, f"_on_{message.kind.replace('-', '_')}")
-        handler(message)
+    on_message = Replica.dispatch
 
     # -- three phases ----------------------------------------------------------------
 

@@ -206,6 +206,4 @@ class RaftReplica(Replica):
             self.decide(self.commit_index,
                         self.log[self.commit_index - 1].value)
 
-    def on_message(self, message: Message) -> None:
-        handler = getattr(self, "_on_" + message.kind.replace("-", "_"))
-        handler(message)
+    on_message = Replica.dispatch

@@ -14,14 +14,15 @@ The calendar is the hottest data structure in the repo — every message
 delivery, block, client emission and timer passes through it — so its
 representation is chosen from measured evidence (round 1 in
 docs/BENCHMARKS.md): the heap holds bare ``(time, sequence, event)``
-tuples (C-level comparisons instead of dataclass ``__lt__``) and event
-records carry ``__slots__``.
+tuples (C-level comparisons instead of dataclass ``__lt__``), event
+records carry ``__slots__``, and :meth:`Engine.schedule_batch` inserts a
+fan-out (one broadcast's deliveries) without a handle per entry.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -110,6 +111,33 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"negative delay {delay} (label={label!r})")
         return self.schedule_at(self._now + delay, callback, label)
+
+    def schedule_batch(self, items: Iterable[Tuple[float, EventCallback]],
+                       label: str = "") -> None:
+        """Schedule ``(time, callback)`` pairs, all under one *label*.
+
+        Identical to calling :meth:`schedule_at` per pair in iteration
+        order (sequence numbers are assigned in that order, so same-time
+        ties break exactly the same way, and a time before ``now`` raises
+        with the pairs ahead of it already on the calendar), except that
+        no :class:`EventHandle` is made: batched events cannot be
+        cancelled, which is what a message already on the wire is.
+        """
+        queue = self._queue
+        now = self._now
+        sequence = self._sequence
+        heappush = heapq.heappush
+        try:
+            for time, callback in items:
+                if time < now:
+                    raise SimulationError(
+                        f"cannot schedule event at {time:.6f} before"
+                        f" now={now:.6f} (label={label!r})")
+                heappush(queue, (time, sequence,
+                                 _ScheduledEvent(time, callback, label)))
+                sequence += 1
+        finally:
+            self._sequence = sequence
 
     # -- execution ---------------------------------------------------------------
 

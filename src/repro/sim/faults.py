@@ -434,6 +434,18 @@ class FaultInjector:
     def partitioned(self) -> bool:
         return self._groups is not None
 
+    @property
+    def fault_free(self) -> bool:
+        """No fault of any kind is in force right now.
+
+        Read from the state itself on every call, so a fault event applied
+        at this instant is seen by the very next query. When true, every
+        node is available, every pair reachable and every link clean; a
+        caller about to ask those per message can skip the questions.
+        """
+        return not (self.crashed or self._groups is not None
+                    or self._regions_down or self._links)
+
     def is_crashed(self, node: NodeKey) -> bool:
         return node in self.crashed
 

@@ -223,10 +223,9 @@ class _LinkPipe:
     each other FIFO. ``free_at`` tracks when the pipe next becomes idle.
     """
 
-    __slots__ = ("bandwidth", "free_at")
+    __slots__ = ("free_at",)
 
-    def __init__(self, bandwidth: float) -> None:
-        self.bandwidth = bandwidth
+    def __init__(self) -> None:
         self.free_at = 0.0
 
 
@@ -285,13 +284,6 @@ class Network:
         """Consult *injector* on every send (reachability + degradation)."""
         self.injector = injector
 
-    def _jitter(self, base: float) -> float:
-        if self._jitter_sampler is None:
-            return 0.0
-        # lognormal with mean ~1, scaled to a fraction of the base delay
-        factor = self._jitter_sampler.next()
-        return base * (factor - 1.0) if factor > 1.0 else 0.0
-
     # -- sending ---------------------------------------------------------------
 
     def send(self, src: Endpoint, dst: Endpoint, size: int,
@@ -303,49 +295,90 @@ class Network:
         and ``inf`` is returned; degraded links add latency and may drop
         the message with their configured probability.
         """
+        return self.broadcast(src, ((dst, on_delivery),), size, label)[0]
+
+    def broadcast(self, src: Endpoint,
+                  deliveries: Iterable[Tuple[Endpoint, Callable[[], None]]],
+                  size: int, label: str = "") -> List[float]:
+        """Send one *size*-byte message to each ``(destination, on_delivery)``
+        pair; return the delivery times in that order (``inf`` = lost).
+
+        The outcome is that of one :meth:`send` per pair, in order: every
+        message passes the injector, reserves its pipe and draws its
+        jitter in turn, so the RNG streams and the pipes end up where the
+        one-by-one path leaves them. What depends only on the region pair
+        (propagation, transfer time, the pipe) is looked up once per
+        destination region, the sent counters move once, and the
+        calendar takes the fan-out as one :meth:`Engine.schedule_batch`.
+        """
         if size < 0:
             raise NetworkError(f"negative message size {size}")
-        fault_latency = 0.0
-        if self.injector is not None:
-            if not self.injector.reachable(src.name, dst.name,
-                                           src.region, dst.region):
-                self._messages_blocked.inc()
-                return float("inf")
-            extra, drop = self._link_faults(src, dst)
-            if drop > 0 and self._fault_sampler.next() < drop:
-                self._messages_fault_dropped.inc()
-                return float("inf")
-            fault_latency = extra
-        index = self._index
-        i, j = index[src.region], index[dst.region]
+        injector = self.injector
         now = self.engine.now
-        propagation = self._half_rtt[i][j]
-        if self._model_bandwidth:
-            # FIFO reservation of the link pipe with an idle-pipe short
-            # circuit: an uncontended link (the common case for client
-            # traffic) skips the queueing arithmetic entirely
-            pipe = self._pipes.get((i, j))
+        src_region = src.region
+        jitter_sampler = self._jitter_sampler
+        links: Dict[str, Tuple[float, float, Optional[_LinkPipe]]] = {}
+        times: List[float] = []
+        batch: List[Tuple[float, Callable[[], None]]] = []
+        for dst, on_delivery in deliveries:
+            dst_region = dst.region
+            fault_latency = 0.0
+            if injector is not None:
+                if not injector.reachable(src.name, dst.name,
+                                          src_region, dst_region):
+                    self._messages_blocked.inc()
+                    times.append(float("inf"))
+                    continue
+                fault_latency, drop = self._link_faults(src, dst)
+                if drop > 0 and self._fault_sampler.next() < drop:
+                    self._messages_fault_dropped.inc()
+                    times.append(float("inf"))
+                    continue
+            link = links.get(dst_region)
+            if link is None:
+                link = links[dst_region] = self._link(
+                    src_region, dst_region, size)
+            propagation, transfer, pipe = link
             if pipe is None:
-                pipe = _LinkPipe(self._bandwidth[i][j])
-                self._pipes[(i, j)] = pipe
-            transfer = size / pipe.bandwidth
-            free_at = pipe.free_at
-            if free_at <= now:
-                pipe.free_at = now + transfer
                 queueing = 0.0
             else:
-                pipe.free_at = free_at + transfer
-                queueing = free_at - now
-        else:
-            transfer = size / self._bandwidth[i][j]
-            queueing = 0.0
-        delay = (queueing + transfer + propagation
-                 + self._jitter(propagation) + fault_latency)
-        self._messages_sent.inc()
-        self._bytes_sent.inc(size)
-        self.engine.schedule_after(delay, on_delivery,
-                                   label=label or "network-delivery")
-        return self.engine.now + delay
+                # FIFO reservation of the link pipe with an idle-pipe
+                # short circuit: an uncontended link skips the queueing
+                # arithmetic entirely
+                free_at = pipe.free_at
+                if free_at <= now:
+                    pipe.free_at = now + transfer
+                    queueing = 0.0
+                else:
+                    pipe.free_at = free_at + transfer
+                    queueing = free_at - now
+            jitter = 0.0
+            if jitter_sampler is not None:
+                # lognormal with mean ~1, scaled to a fraction of the
+                # propagation delay; only the slow half of it is kept
+                factor = jitter_sampler.next()
+                if factor > 1.0:
+                    jitter = propagation * (factor - 1.0)
+            arrival = now + (queueing + transfer + propagation
+                             + jitter + fault_latency)
+            batch.append((arrival, on_delivery))
+            times.append(arrival)
+        self._messages_sent.inc(len(batch))
+        self._bytes_sent.inc(size * len(batch))
+        self.engine.schedule_batch(batch, label or "network-delivery")
+        return times
+
+    def _link(self, src_region: str, dst_region: str, size: int
+              ) -> Tuple[float, float, Optional[_LinkPipe]]:
+        """(propagation, transfer time of *size* bytes, pipe) of a directed
+        region pair; no pipe when bandwidth is not modelled."""
+        i, j = self._index[src_region], self._index[dst_region]
+        pipe = None
+        if self._model_bandwidth:
+            pipe = self._pipes.get((i, j))
+            if pipe is None:
+                pipe = self._pipes[(i, j)] = _LinkPipe()
+        return self._half_rtt[i][j], size / self._bandwidth[i][j], pipe
 
     def _link_faults(self, src: Endpoint, dst: Endpoint) -> Tuple[float, float]:
         """Combined degradation for a link, by endpoint name and by region."""

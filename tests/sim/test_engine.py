@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import PeriodicTask
+from repro.sim.engine import Engine, PeriodicTask
 
 
 class TestScheduling:
@@ -153,3 +153,83 @@ class TestPeriodicTask:
     def test_zero_period_rejected(self, engine):
         with pytest.raises(SimulationError):
             PeriodicTask(engine, 0.0, lambda: None)
+
+
+class TestScheduleBatch:
+    """schedule_batch is schedule_at per item, minus the handles."""
+
+    def test_batch_equals_sequential_scheduling(self, engine):
+        items = [(0.5, "a"), (0.2, "b"), (0.5, "c"), (0.1, "d"), (0.2, "e")]
+        order_batch, order_seq = [], []
+        engine.schedule_batch(
+            [(t, (lambda n=n: order_batch.append((engine.now, n))))
+             for t, n in items], "batch")
+        engine.run()
+        reference = Engine()
+        for t, n in items:
+            reference.schedule_at(
+                t, (lambda n=n: order_seq.append((reference.now, n))))
+        reference.run()
+        assert order_batch == order_seq
+        assert [n for _, n in order_batch] == ["d", "b", "e", "a", "c"]
+        assert engine.events_executed == reference.events_executed == 5
+
+    def test_batch_ties_break_in_item_order(self, engine):
+        ran = []
+        engine.schedule_batch(
+            [(1.0, (lambda i=i: ran.append(i))) for i in range(5)])
+        engine.run()
+        assert ran == [0, 1, 2, 3, 4]
+
+    def test_batch_interleaves_with_singles_by_sequence(self, engine):
+        ran = []
+        engine.schedule_at(1.0, lambda: ran.append("single-first"))
+        engine.schedule_batch([(1.0, lambda: ran.append("batched-1")),
+                               (1.0, lambda: ran.append("batched-2"))])
+        engine.schedule_at(1.0, lambda: ran.append("single-last"))
+        engine.run()
+        assert ran == ["single-first", "batched-1", "batched-2",
+                       "single-last"]
+
+    def test_batch_accepts_a_generator_and_the_current_instant(self, engine):
+        ran = []
+        engine.schedule_at(2.0, lambda: engine.schedule_batch(
+            (engine.now + d, (lambda d=d: ran.append(d)))
+            for d in (0.0, 1.0)))
+        engine.run()
+        assert ran == [0.0, 1.0]
+
+    def test_batch_rejects_past_times_and_stays_usable(self, engine):
+        engine.schedule_at(5.0, lambda: None)
+        engine.run()
+        ran = []
+        with pytest.raises(SimulationError):
+            engine.schedule_batch([(6.0, lambda: ran.append("before")),
+                                   (1.0, lambda: ran.append("late")),
+                                   (7.0, lambda: ran.append("after"))],
+                                  "late")
+        # as with schedule_at in a loop: what preceded the bad item is on
+        # the calendar, what followed is not, and ties still break in order
+        engine.schedule_at(6.0, lambda: ran.append("single"))
+        engine.run()
+        assert ran == ["before", "single"]
+
+    def test_batch_labels_reach_the_profiler(self, engine):
+        seen = []
+
+        class Recorder:
+            def record(self, label, callback):
+                seen.append(label)
+                callback()
+
+        engine.profiler = Recorder()
+        engine.schedule_batch([(1.0, lambda: None), (2.0, lambda: None)],
+                              "msg-vote")
+        engine.run()
+        assert seen == ["msg-vote", "msg-vote"]
+
+    def test_empty_batch_is_a_noop(self, engine):
+        engine.schedule_batch([])
+        engine.run()
+        assert engine.events_executed == 0
+        assert engine.now == 0.0

@@ -9,6 +9,7 @@ from repro.common.errors import NetworkError
 from repro.common.rng import RngFactory
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
+from repro.sim.faults import FaultInjector
 from repro.sim.network import (
     REGIONS,
     Endpoint,
@@ -179,3 +180,117 @@ class TestDelivery:
         net.send(src, dst, 700, lambda: None)
         assert net.messages_sent == 2
         assert registry.value("network.bytes_sent") == 1200
+
+
+class TestBroadcastEquivalence:
+    """``broadcast`` is ``send`` per destination, in order: two networks on
+    the same seed, one fanned out and one sent to one by one, must agree
+    on every delivery, every counter and where the RNG streams stand."""
+
+    def _pair(self, seed, injectors=(None, None)):
+        sides = []
+        for injector in injectors:
+            engine = Engine()
+            registry = MetricsRegistry()
+            net = Network(engine, RngFactory(seed),
+                          metrics=registry.namespace("network"))
+            if injector is not None:
+                net.attach_faults(injector)
+            sides.append((engine, net, registry))
+        return sides
+
+    def _fan_out(self, side, src, dsts, size, one_by_one):
+        """Times returned, and (time, destination) as delivered."""
+        engine, net, _ = side
+        got = []
+        arrive = lambda d: (lambda: got.append((engine.now, d.name)))
+        if one_by_one:
+            times = [net.send(src, d, size, arrive(d), "fan") for d in dsts]
+        else:
+            times = net.broadcast(src, [(d, arrive(d)) for d in dsts],
+                                  size, "fan")
+        return times, got
+
+    def _assert_same(self, a, b):
+        (engine_a, net_a, registry_a), (engine_b, net_b, registry_b) = a, b
+        assert registry_a.sample() == registry_b.sample()
+        assert engine_a.events_executed == engine_b.events_executed
+        # the next jitter draw is the same one on both sides
+        src, dst = Endpoint("x", "ohio"), Endpoint("y", "milan")
+        assert (net_a.send(src, dst, 100, lambda: None)
+                == net_b.send(src, dst, 100, lambda: None))
+
+    def test_single_region_fan_out_matches_sequential_sends(self):
+        fanned, sequential = self._pair(42)
+        eps = spread_endpoints(7, ["ohio"])
+        times_a, got_a = self._fan_out(fanned, eps[0], eps[1:], 600, False)
+        times_b, got_b = self._fan_out(sequential, eps[0], eps[1:], 600, True)
+        assert times_a == times_b
+        fanned[0].run()
+        sequential[0].run()
+        assert got_a == got_b and len(got_a) == 6
+        assert sorted(t for t, _ in got_a) == sorted(times_a)
+        assert fanned[1].messages_sent == 6
+        assert fanned[2].value("network.bytes_sent") == 3600
+        self._assert_same(fanned, sequential)
+
+    def test_three_regions_queue_behind_an_earlier_fan_out(self):
+        fanned, sequential = self._pair(9)
+        eps = spread_endpoints(10, ["ohio", "oregon", "tokyo"])
+        src, dsts = eps[0], eps[1:]
+        big = 2_000_000     # ~0.19 s on the 85.8 Mbps ohio->tokyo pipe
+        results = []
+        for side, one_by_one in ((fanned, False), (sequential, True)):
+            first, _ = self._fan_out(side, src, dsts, big, one_by_one)
+            second, got = self._fan_out(side, src, dsts, 600, one_by_one)
+            side[0].run()
+            results.append((first, second, got))
+        assert results[0] == results[1]
+        first, second, _ = results[0]
+        # one pipe per region pair: three pipes, each FIFO across fan-outs
+        assert len(fanned[1]._pipes) == 3
+        tokyo = [i for i, d in enumerate(dsts) if d.region == "tokyo"]
+        assert first[tokyo[0]] < first[tokyo[1]] < first[tokyo[2]]
+        assert (min(second[i] for i in tokyo)
+                > 3 * big / bandwidth_between("ohio", "tokyo"))
+        self._assert_same(fanned, sequential)
+
+    def test_faults_block_and_degrade_the_same_destinations(self):
+        def injector():
+            faults = FaultInjector()
+            faults.crash("node-2")
+            faults.degrade_link("node-0", "node-4",
+                                extra_latency=0.25, drop_rate=0.0)
+            faults.degrade_link("ohio", "tokyo",
+                                extra_latency=0.0, drop_rate=0.5)
+            return faults
+
+        fanned, sequential = self._pair(5, (injector(), injector()))
+        eps = spread_endpoints(12, ["ohio", "tokyo"])
+        results = []
+        for side, one_by_one in ((fanned, False), (sequential, True)):
+            results.append([
+                self._fan_out(side, eps[0], eps[1:], 600, one_by_one)
+                for _ in range(3)])
+            side[0].run()
+        assert results[0] == results[1]
+        times, _ = results[0][0]
+        assert times[1] == float("inf")                 # node-2 is crashed
+        assert times[3] > times[5] + 0.2                # node-4 is degraded
+        assert fanned[2].value("network.messages_blocked") == 3
+        assert 0 < fanned[2].value("network.messages_fault_dropped") < 18
+        self._assert_same(fanned, sequential)
+
+    def test_empty_fan_out_sends_nothing(self, engine):
+        net = Network(engine)
+        assert net.broadcast(Endpoint("a", "ohio"), [], 100) == []
+        engine.run()
+        assert net.messages_sent == 0 and engine.events_executed == 0
+
+    def test_negative_size_rejected_before_any_delivery(self, engine):
+        net = Network(engine)
+        a, b = Endpoint("a", "ohio"), Endpoint("b", "ohio")
+        with pytest.raises(NetworkError):
+            net.broadcast(a, [(b, lambda: None)], -1)
+        engine.run()
+        assert engine.events_executed == 0

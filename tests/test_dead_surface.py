@@ -35,7 +35,8 @@ IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 #: "module::qualname" -> why it stays although nothing names it
 ALLOWED = {
     **{f"consensus/{module}.py::{cls}._on_{kind}":
-       'dispatched by getattr(self, "_on_" + kind) in on_message'
+       'looked up by getattr(self, "_on_" + kind) in Replica.dispatch,'
+       ' which the class binds as its on_message'
        for module, cls, kinds in (
            ("algorand", "AlgorandReplica", ("ba_proposal", "ba_soft", "ba_cert")),
            ("hotstuff", "HotStuffReplica", ("proposal", "vote", "new_view")),
