@@ -20,6 +20,13 @@ import numpy as np
 from repro.chain.transaction import Transaction
 
 
+#: how :meth:`BenchmarkResult.to_json` opens and closes the summary value:
+#: what :meth:`BenchmarkResult.summary_from_json` finds it by
+_SUMMARY_OPEN = '{"summary": '
+_SUMMARY_CLOSE = ', "transactions": ['
+_DOCUMENT_CLOSE = "]}"
+_DECODER = json.JSONDecoder()
+
 #: records encoded per ``json.dumps`` call in :meth:`BenchmarkResult.to_json`
 #: — bounds the row dicts and encoder pieces alive at once (~1 MB of JSON)
 #: while keeping the per-call overhead invisible
@@ -370,16 +377,33 @@ class BenchmarkResult:
         """
         fields = TransactionRecord._fields
         records = self.records
-        parts = [json.dumps({"summary": self.summary()})[:-1],
-                 ', "transactions": [']
+        parts = [_SUMMARY_OPEN, json.dumps(self.summary()), _SUMMARY_CLOSE]
         for start in range(0, len(records), ENCODE_CHUNK):
             if start:
                 parts.append(", ")
             parts.append(json.dumps(
                 [dict(zip(fields, record))
                  for record in records[start:start + ENCODE_CHUNK]])[1:-1])
-        parts.append("]}")
+        parts.append(_DOCUMENT_CLOSE)
         return "".join(parts)
+
+    @staticmethod
+    def summary_from_json(text: str) -> Dict[str, Any]:
+        """The ``summary`` of a :meth:`to_json` document, records unparsed.
+
+        Decodes the one JSON value :meth:`to_json` writes first and checks
+        that the transaction list opens after it and closes the document;
+        what lies between is not read (:meth:`from_json` does that).
+        Raises :class:`ValueError` on a text that is not such a document.
+        """
+        if not (text.startswith(_SUMMARY_OPEN)
+                and text.endswith(_DOCUMENT_CLOSE)):
+            raise ValueError("not a result document")
+        summary, end = _DECODER.raw_decode(text, len(_SUMMARY_OPEN))
+        if not (isinstance(summary, dict)
+                and text.startswith(_SUMMARY_CLOSE, end)):
+            raise ValueError("not a result document")
+        return summary
 
     @staticmethod
     def from_json(text: str) -> "BenchmarkResult":

@@ -108,8 +108,10 @@ def sweep_table(sweep_result: Any) -> str:
 
     Takes a :class:`repro.sweep.runner.SweepResult` (duck-typed — this
     module cannot import :mod:`repro.sweep`, which imports :mod:`repro.obs`
-    for its metrics registry). Crashed cells render their error in place
-    of the aggregates.
+    for its metrics registry). Every aggregate is read from the cell's
+    result summary, as the run rounded it, so a replayed cell prints what
+    the run printed without its records being parsed. Crashed cells render
+    their error in place of the aggregates.
     """
     rows: List[Dict[str, Any]] = []
     for outcome in sweep_result.outcomes:
@@ -121,13 +123,16 @@ def sweep_table(sweep_result: Any) -> str:
             "seed": cell.seed,
             "scale": f"{cell.scale:g}",
         }
-        result = outcome.result
-        if result is not None:
+        summary = outcome.summary
+        if summary is not None:
+            latency = summary["average_latency_s"]
             row.update({
-                "status": result.status,
-                "tput_tps": round(result.average_throughput, 2),
-                "latency_s": _cell(result.average_latency),
-                "commit": round(result.commit_ratio, 4),
+                "status": summary["status"],
+                "tput_tps": summary["average_throughput_tps"],
+                # None: nothing submitted; NaN: nothing committed in time
+                "latency_s": "-" if latency is None or math.isnan(latency)
+                else f"{latency:.3f}",
+                "commit": summary["commit_ratio"],
             })
         else:
             row.update({

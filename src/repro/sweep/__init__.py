@@ -19,7 +19,7 @@ Quickstart::
     sweep = run_sweep(spec, workers=4,
                       cache=ResultCache("~/.cache/repro-sweeps"))
     for outcome in sweep.outcomes:
-        print(outcome.cell.label, outcome.status, outcome.result.summary())
+        print(outcome.cell.label, outcome.status, outcome.summary)
 
 Or from YAML via the CLI: ``python -m repro sweep spec.yaml --workers 4``.
 See docs/SWEEPS.md for the spec dialect and cache invalidation rules.

@@ -14,11 +14,15 @@ fields, so
   edited source file under ``src/repro`` — misses and re-runs.
 
 Layout: ``<cache_dir>/<key[:2]>/<key>.json``, one entry per cell: a
-one-line JSON header carrying the key and the human-readable key fields,
-a newline, then the verbatim ``BenchmarkResult`` JSON produced by the
-run — stored and returned as it is, never re-encoded or parsed here.
-Entries are written atomically (temp file + rename), so concurrent sweeps
-sharing a cache directory cannot corrupt each other.
+one-line JSON header carrying the key, the human-readable key fields and
+the SHA-256 of the body bytes, a newline, then the verbatim
+``BenchmarkResult`` JSON produced by the run — stored and returned as it
+is, never re-encoded or parsed here. A hit is an entry whose body still
+has the digest its header names, so truncation, a flipped byte and an
+entry of an older format are all misses (counted in
+:attr:`ResultCache.corrupt`) that the re-run overwrites. Entries are
+written atomically (temp file + rename), so concurrent sweeps sharing a
+cache directory cannot corrupt each other.
 """
 
 from __future__ import annotations
@@ -36,11 +40,7 @@ from repro.core.spec import WorkloadSpec
 from repro.sweep.spec import SweepCell
 
 #: cache format version; bump to orphan every existing entry
-CACHE_VERSION = 2
-
-#: how entry files are opened: no newline translation in either direction,
-#: so the body read back is the body written
-_VERBATIM = {"encoding": "utf-8", "newline": ""}
+CACHE_VERSION = 3
 
 
 def _canonical(value: Any) -> Any:
@@ -150,6 +150,8 @@ class ResultCache:
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory).expanduser()
+        #: entries :meth:`get` found on disk and refused, so far
+        self.corrupt = 0
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
@@ -157,32 +159,42 @@ class ResultCache:
     def get(self, key: str) -> Optional[str]:
         """The cached result JSON for *key*, or None on a miss.
 
-        An unreadable/corrupt entry — no file, no header line, a header
-        that is not a JSON object naming *key*, an empty or undecodable
-        body — counts as a miss (it will be overwritten by the re-run),
-        never an error. The body is returned unparsed.
+        No entry file is a plain miss. An entry that is there but is not
+        what :meth:`put` wrote — no header line, a header that is not a
+        JSON object naming *key* and a digest, a body with another digest
+        or one that is not UTF-8 — is a miss too, counted in
+        :attr:`corrupt` (it will be overwritten by the re-run), never an
+        error. The body is returned unparsed.
         """
         try:
-            with self._path(key).open(**_VERBATIM) as handle:
-                header = json.loads(handle.readline())
+            with self._path(key).open("rb") as handle:
+                header_line = handle.readline()
                 body = handle.read()
-        except (OSError, ValueError):
+        except OSError:
             return None
-        if not isinstance(header, dict) or header.get("key") != key:
+        try:
+            header = json.loads(header_line)
+            if (header["key"] != key
+                    or header["sha256"] != hashlib.sha256(body).hexdigest()):
+                raise ValueError("entry is not the one put() wrote")
+            return body.decode("utf-8")
+        except (ValueError, KeyError, TypeError):
+            self.corrupt += 1
             return None
-        return body or None
 
     def put(self, key: str, fields: Dict[str, Any], result_json: str) -> None:
         """Store *result_json* under *key*, atomically and verbatim."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        header = json.dumps({"key": key, "fields": fields})
+        body = result_json.encode("utf-8")
+        header = json.dumps({"key": key, "fields": fields,
+                             "sha256": hashlib.sha256(body).hexdigest()})
         descriptor, temp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
         try:
-            with os.fdopen(descriptor, "w", **_VERBATIM) as handle:
-                handle.write(header + "\n")
-                handle.write(result_json)
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(header.encode("utf-8") + b"\n")
+                handle.write(body)
             os.replace(temp_name, path)
         except BaseException:
             try:

@@ -12,6 +12,13 @@ takes the sweep down with it.
 Cache discipline: the parent process resolves hits before dispatching
 (hits are instant replays, no worker involved) and writes misses back
 after they complete, so workers never touch the cache directory.
+
+A result document becomes a :class:`CellOutcome` in one place,
+:func:`_outcome`, whether a worker just produced it or the cache
+returned it: status, the watchdog :class:`CellFailure` and
+``CellOutcome.summary`` are read from the document's summary, so a replay
+reports what the run reported and parses no transaction record.
+``CellOutcome.result`` parses the records when somebody asks for them.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.results import BenchmarkResult
 from repro.core.runner import run_benchmark, run_trace
@@ -61,6 +68,9 @@ class CellOutcome:
     wall_seconds: float
     result_json: Optional[str] = None
     failure: Optional[CellFailure] = None
+    #: the result document's ``summary`` (None for a crashed cell): what
+    #: the sweep report reads, so a replay parses nothing else
+    summary: Optional[Dict[str, Any]] = None
     _result: Optional[BenchmarkResult] = field(
         default=None, repr=False, compare=False)
 
@@ -123,9 +133,29 @@ class SweepResult:
                 f"  workers: {self.workers}")
 
 
+def _outcome(cell: SweepCell, result_json: str, cached: bool,
+             wall_seconds: float) -> CellOutcome:
+    """The outcome of a cell that produced *result_json*, fresh or cached.
+
+    Raises :class:`ValueError` if *result_json* is not a result document.
+    """
+    summary = BenchmarkResult.summary_from_json(result_json)
+    failure = None
+    if summary["status"] == "failed":
+        failure = CellFailure(
+            kind="watchdog",
+            error_type="RunFailed",
+            message=(f"run marked failed (liveness watchdog / deadline);"
+                     f" commit_ratio={summary['commit_ratio']:.4f}"))
+    return CellOutcome(
+        cell=cell, status="done" if failure is None else "failed",
+        cached=cached, wall_seconds=wall_seconds, result_json=result_json,
+        failure=failure, summary=summary)
+
+
 def _execute_cell(cell: SweepCell) -> Tuple[int, Optional[str],
                                             Optional[CellFailure], float]:
-    """Run one cell; never raises. Returns (index, json, failure, wall)."""
+    """Run one cell; never raises. Returns (index, json, crash, wall)."""
     start = time.perf_counter()
     options = cell.options
     try:
@@ -156,15 +186,7 @@ def _execute_cell(cell: SweepCell) -> Tuple[int, Optional[str],
             traceback_text=traceback.format_exc())
         return cell.index, None, failure, time.perf_counter() - start
     wall = time.perf_counter() - start
-    result_json = result.to_json()
-    if result.status == "failed":
-        failure = CellFailure(
-            kind="watchdog",
-            error_type="RunFailed",
-            message=(f"run marked failed (liveness watchdog / deadline);"
-                     f" commit_ratio={result.commit_ratio:.4f}"))
-        return cell.index, result_json, failure, wall
-    return cell.index, result_json, None, wall
+    return cell.index, result.to_json(), None, wall
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1,
@@ -180,8 +202,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     * With a *cache*, cells whose key is already on disk are replayed
       instantly; fresh results (including watchdog-failed ones, which are
       deterministic outcomes) are written back. Crashed cells are never
-      cached. An entry that does not parse as a result is a miss (also
-      counted in ``sweep.cache.corrupt``) and is overwritten by the re-run.
+      cached. An entry the cache refuses, or whose body is not a result
+      document, is a miss (also counted in ``sweep.cache.corrupt``) and is
+      overwritten by the re-run.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -207,65 +230,66 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     outcomes: Dict[int, CellOutcome] = {}
     pending: List[SweepCell] = []
     keys: Dict[int, str] = {}
+
+    def finish(outcome: CellOutcome) -> None:
+        cell = outcome.cell
+        outcomes[cell.index] = outcome
+        if outcome.failure is not None:
+            failures_counter.inc()
+        notes = []
+        if cache is not None:
+            notes.append("cache hit" if outcome.cached else "cache miss")
+        if outcome.failure is not None:
+            notes.append(str(outcome.failure))
+        emit(CellEvent(outcome.status, cell, cached=outcome.cached,
+                       wall_seconds=outcome.wall_seconds,
+                       detail="; ".join(notes)))
+
+    corrupt_before = 0 if cache is None else cache.corrupt
     for cell in cells:
         cells_counter.inc()
         if cache is not None:
             key = cell_key(cell)
             keys[cell.index] = key
-            result = None
             cached_json = cache.get(key)
             if cached_json is not None:
                 try:
-                    result = BenchmarkResult.from_json(cached_json)
-                except (ValueError, KeyError, TypeError):
-                    # an entry whose body is not a result is a miss: the
-                    # cell re-runs and finish() overwrites the entry
+                    hit = _outcome(cell, cached_json, cached=True,
+                                   wall_seconds=0.0)
+                except (ValueError, KeyError):
+                    # a body that is not a result document is a miss: the
+                    # cell re-runs and the entry is overwritten
                     corrupt_counter.inc()
-            if result is not None:
-                hits_counter.inc()
-                status = "failed" if result.status == "failed" else "done"
-                failure = None
-                if status == "failed":
-                    failures_counter.inc()
-                    failure = CellFailure(
-                        kind="watchdog", error_type="RunFailed",
-                        message="cached run was marked failed")
-                outcomes[cell.index] = CellOutcome(
-                    cell=cell, status=status, cached=True, wall_seconds=0.0,
-                    result_json=cached_json, failure=failure, _result=result)
-                emit(CellEvent(status, cell, cached=True, wall_seconds=0.0,
-                               detail="cache hit"))
-                continue
+                else:
+                    hits_counter.inc()
+                    finish(hit)
+                    continue
             misses_counter.inc()
         pending.append(cell)
+    if cache is not None:
+        corrupt_counter.inc(cache.corrupt - corrupt_before)
 
-    def finish(index: int, result_json: Optional[str],
-               failure: Optional[CellFailure], wall: float) -> None:
+    def ran(index: int, result_json: Optional[str],
+            crash: Optional[CellFailure], wall: float) -> None:
         cell = cells[index]
         cell_wall.observe(wall)
-        status = "done" if failure is None else "failed"
-        if failure is not None:
-            failures_counter.inc()
-        if (cache is not None and result_json is not None):
+        if result_json is None:
+            finish(CellOutcome(cell=cell, status="failed", cached=False,
+                               wall_seconds=wall, failure=crash))
+            return
+        if cache is not None:
             cache.put(keys[index], cell_key_fields(cell), result_json)
-        outcomes[index] = CellOutcome(
-            cell=cell, status=status, cached=False, wall_seconds=wall,
-            result_json=result_json, failure=failure)
-        detail = "cache miss" if cache is not None else ""
-        if failure is not None:
-            detail = (detail + "; " if detail else "") + str(failure)
-        emit(CellEvent(status, cell, cached=False, wall_seconds=wall,
-                       detail=detail))
+        finish(_outcome(cell, result_json, cached=False, wall_seconds=wall))
 
     if workers == 1 or len(pending) <= 1:
         for cell in pending:
             emit(CellEvent("running", cell))
-            finish(*_execute_cell(cell))
+            ran(*_execute_cell(cell))
     else:
         pool_size = min(workers, len(pending))
         with multiprocessing.Pool(processes=pool_size) as pool:
             for completed in pool.imap_unordered(_execute_cell, pending):
-                finish(*completed)
+                ran(*completed)
 
     ordered = [outcomes[i] for i in range(len(cells))]
     return SweepResult(

@@ -9,6 +9,9 @@ whose overload responses differ, and of five traced runs, whose digest
 also covers the tracer's events and spans. Any change to the simulation,
 to the result encoding or to what a tracer records moves a digest; a
 change that means to keep behaviour must leave every one of them alone.
+Every document produced here is also read back through
+``BenchmarkResult.summary_from_json``, which must return the summary a
+full parse returns.
 
 Regenerate (only when a behaviour change is intended) with::
 
@@ -161,6 +164,15 @@ SCENARIOS: Dict[str, Callable[[str], BenchmarkResult]] = {
     "dos": _dos,
 }
 
+#: the optional summary sections a scenario is there to produce
+SUMMARY_SECTIONS = {
+    "population": ("population",),
+    "faults": ("fault_events", "degradation"),
+    "fees": ("economics",),
+    "byzantine": ("fault_events",),
+    "dos": ("economics",),
+}
+
 #: overload response per chain: oom_crash, commit_stall, shed_load twice
 OVERLOAD_CHAINS = ("solana", "diem", "ethereum", "algorand")
 SHEDDING_CHAINS = ("ethereum", "algorand")
@@ -208,6 +220,15 @@ def _digest(result: BenchmarkResult) -> str:
     return hashlib.sha256(result.to_json().encode()).hexdigest()
 
 
+def _assert_summary_reads_back(result: BenchmarkResult, *sections: str
+                               ) -> None:
+    text = result.to_json()
+    summary = BenchmarkResult.summary_from_json(text)
+    assert all(summary[section] for section in sections)
+    # compared as text: a run that commits nothing has NaN latencies
+    assert json.dumps(summary) == json.dumps(json.loads(text)["summary"])
+
+
 def _traced_digest(result: BenchmarkResult, tracer: LifecycleTracer) -> str:
     trace = json.dumps({"events": tracer.events,
                         "spans": [span.to_dict() for span in tracer.spans]})
@@ -234,6 +255,7 @@ def test_result_bytes_match_golden(chain, scenario, golden):
     result = SCENARIOS[scenario](chain)
     assert result.records, "a golden run with no records proves nothing"
     assert _digest(result) == golden[f"{chain}/{scenario}"]
+    _assert_summary_reads_back(result, *SUMMARY_SECTIONS.get(scenario, ()))
 
 
 @pytest.mark.slow
@@ -267,6 +289,7 @@ def test_overload_bytes_match_golden(chain, golden):
     if chain in SHEDDING_CHAINS:
         assert result.chain_stats["admission_shed_rejections"] > 0
     assert _digest(result) == golden[f"{chain}/overload"]
+    _assert_summary_reads_back(result, "overload_events")
 
 
 @pytest.mark.parametrize("cell", TRACED)
@@ -275,6 +298,7 @@ def test_traced_bytes_match_golden(cell, golden):
     result, tracer = _traced(cell, True)
     assert _traced_digest(result, tracer) == golden[cell]
     assert result.timeseries
+    _assert_summary_reads_back(result, "timeseries")
     assert (replace(result, timeseries=[]).to_json()
             == _traced(cell, False)[0].to_json())
 

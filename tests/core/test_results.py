@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,26 @@ class TestSerialization:
         assert clone.chain == result.chain
         assert clone.summary() == result.summary()
         assert len(clone.records) == 2
+
+    @pytest.mark.parametrize("records", [
+        [record(0, 0.0, commit=1.0),
+         record(1, 0.5, aborted=True, reason='", "transactions": [')],
+        [record(0, 0.0, aborted=True, reason="expired")],   # NaN latencies
+        [],                                                 # None latencies
+    ], ids=["committed", "nothing-committed", "nothing-submitted"])
+    def test_summary_from_json_is_the_summary_of_a_full_parse(self, records):
+        text = make_result(records).to_json()
+        summary = BenchmarkResult.summary_from_json(text)
+        # compared as text: NaN is not equal to itself
+        assert json.dumps(summary) == json.dumps(json.loads(text)["summary"])
+
+    def test_summary_from_json_refuses_what_is_not_a_result(self):
+        text = make_result([record(0, 0.0, commit=1.0)]).to_json()
+        for not_a_result in ("", "[]", '{"transactions": []}',
+                             '{"summary": []' + text[text.index(', "tr'):],
+                             text[:40], text[:-1], text[:-2] + "}"):
+            with pytest.raises(ValueError):
+                BenchmarkResult.summary_from_json(not_a_result)
 
     def test_from_transaction(self):
         tx = transfer("a", "b")

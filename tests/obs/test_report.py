@@ -1,4 +1,5 @@
-"""``python -m repro trace`` report tests: phase, round and hotspot tables."""
+"""Report tests: the ``trace`` phase, round and hotspot tables and the
+``sweep`` comparison table."""
 
 from __future__ import annotations
 
@@ -15,9 +16,13 @@ from repro.obs import (
     EngineProfiler,
     ObservabilityOptions,
     hotspot_table,
+    sweep_report,
+    sweep_table,
     trace_report,
 )
 from repro.obs.trace import TX_PHASES
+from repro.sweep import CellOptions, ResultCache, SweepSpec, run_sweep
+from tests.sweep.test_runner import FAST, crashing_trace
 
 
 def test_trace_report_has_phase_round_and_hotspot_tables():
@@ -45,3 +50,59 @@ def test_trace_report_has_phase_round_and_hotspot_tables():
 
 def test_hotspot_table_without_events():
     assert hotspot_table(EngineProfiler()) == "(no events profiled)"
+
+
+def _rows(table):
+    """The table's data rows as column -> cell dicts (columns are at
+    least two spaces apart; a cell may hold single ones)."""
+    header, _rule, *rows = (re.split(r"\s{2,}", line.strip())
+                            for line in table.splitlines())
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_sweep_report_rows_and_lines(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+    cache = ResultCache(tmp_path)
+    spec = SweepSpec(chains=("quorum",), configurations=("testnet",),
+                     workloads=(crashing_trace(), "native-100"),
+                     seeds=(1,), scales=(0.05,))
+    cold = run_sweep(spec, cache=cache)
+    crashed, done = _rows(sweep_table(cold))
+    assert crashed["status"].startswith("crashed (")
+    assert (crashed["tput_tps"], crashed["latency_s"], crashed["commit"]) \
+        == ("-", "-", "-")
+    summary = cold.outcomes[1].summary
+    assert done == {
+        "chain": "quorum", "configuration": "testnet",
+        "workload": "native-100", "seed": "1", "scale": "0.05",
+        "status": "ok",
+        "tput_tps": f"{summary['average_throughput_tps']:.2f}",
+        "latency_s": f"{summary['average_latency_s']:.3f}",
+        "commit": f"{summary['commit_ratio']:.2f}",
+        "cache": "miss"}
+    assert "simulated cells" not in sweep_report(cold)
+
+    # the crash is never cached and runs again; the clean cell replays
+    warm = sweep_report(run_sweep(spec, cache=cache))
+    crashed_again, replayed = _rows(warm.split("\n\n")[0])
+    assert crashed_again == crashed
+    assert replayed == {**done, "cache": "hit"}
+    assert ("simulated cells: 1 of 2"
+            " (the rest replayed from the result cache)") in warm.splitlines()
+    assert warm.splitlines()[-2].startswith(
+        "failed: quorum/testnet/crashes")
+    assert warm.splitlines()[-1].startswith(
+        "cells: 2  done: 1  failed: 1  cache: 1 hits, 1 misses")
+
+
+def test_sweep_table_watchdog_failed_row():
+    spec = SweepSpec(chains=("quorum",), seeds=(1,),
+                     options=CellOptions(max_sim_seconds=5.0), **FAST)
+    sweep = run_sweep(spec)
+    (row,) = _rows(sweep_table(sweep))
+    summary = sweep.outcomes[0].summary
+    assert row["status"] == "failed"
+    assert row["tput_tps"] == f"{summary['average_throughput_tps']:.2f}"
+    assert row["commit"] == f"{summary['commit_ratio']:.2f}"
+    assert f"failed: {sweep.outcomes[0].cell.label} — RunFailed: run marked" \
+        in sweep_report(sweep)

@@ -5,7 +5,9 @@ oracle here is the obvious whole-payload ``json.dumps``. For arbitrary
 records — non-ASCII client names, ``None`` contract/function/reason,
 int-valued, tiny and huge timestamps — and for record counts on either
 side of a chunk boundary, the bytes must be equal and must parse back to
-equal records and an equal summary.
+equal records and an equal summary. ``summary_from_json`` finds the
+summary by position, so whatever text the summary's own keys hold, it
+must return what a full parse returns.
 """
 
 from __future__ import annotations
@@ -75,6 +77,30 @@ def test_chunked_encoding_equals_one_shot_encoding(recs, duration):
     # chunks of 4: zero records, one short chunk, exact multiples, a tail
     with mock.patch.object(results_module, "ENCODE_CHUNK", 4):
         assert_encodes_like_the_oracle(make_result(recs, duration))
+
+
+#: the document's own delimiters, as text inside the summary
+hostile = st.one_of(
+    st.text(alphabet='{}[]",:\\ é', min_size=1, max_size=8),
+    st.sampled_from(['"transactions"', ', "transactions": [', ']}',
+                     '{"summary": ', '\\"']))
+
+
+@given(stats=st.dictionaries(hostile, st.integers(), max_size=4),
+       reasons=st.lists(hostile, max_size=4),
+       recs=st.lists(records, max_size=3))
+def test_summary_reader_is_not_fooled_by_the_summary_text(stats, reasons,
+                                                          recs):
+    aborted = [TransactionRecord(uid, "transfer", None, None, "c", 0.0, None,
+                                 True, reason)
+               for uid, reason in enumerate(reasons)]
+    result = make_result(recs + aborted)
+    result.chain_stats = stats
+    text = result.to_json()
+    summary = BenchmarkResult.summary_from_json(text)
+    assert set(reasons) <= set(summary["aborts"])
+    assert summary["chain_stats"] == stats
+    assert json.dumps(summary) == json.dumps(json.loads(text)["summary"])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -121,13 +122,18 @@ class TestStore:
         assert cache.entries() == 1
 
     def test_miss_returns_none(self, tmp_path):
-        assert ResultCache(tmp_path).get("cd" + "0" * 62) is None
+        cache = ResultCache(tmp_path)
+        assert cache.get("cd" + "0" * 62) is None
+        assert cache.corrupt == 0           # nothing there to refuse
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        """Every malformed header or body shape is a miss, never an error."""
+        """Every malformed header or body is a counted miss, never an error."""
         cache = ResultCache(tmp_path)
         key = "ef" + "0" * 62
-        header = json.dumps({"key": key, "fields": {}}).encode()
+        cache.put(key, {}, "{}")
+        path = tmp_path / key[:2] / f"{key}.json"
+        header = path.read_bytes().split(b"\n", 1)[0]
+        version_2 = json.dumps({"key": key, "fields": {}}).encode()
         for entry in (
                 b"not json {",
                 b"",                                    # empty file
@@ -136,25 +142,34 @@ class TestStore:
                 header[:20],                            # truncated header
                 header.replace(b"ef", b"99") + b"\n{}",  # another cell's
                 b'{"fields": {}}\n{}',                  # no key at all
+                version_2 + b"\n{}",                    # no digest
                 header,                                 # header, no body
                 header + b"\n",
+                header + b"\n{",                        # truncated body
+                header + b"\n[]",                       # same length
                 header + b"\n\xff\xfe",                 # undecodable body
         ):
             cache.put(key, {}, "{}")
             assert cache.get(key) == "{}"
-            (tmp_path / key[:2] / f"{key}.json").write_bytes(entry)
+            refused = cache.corrupt
+            path.write_bytes(entry)
             assert cache.get(key) is None, entry
+            assert cache.corrupt == refused + 1, entry
 
     def test_entry_is_a_header_line_then_the_verbatim_body(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "ab" + "1" * 62
-        body = '{"summary": {"chain": "caf\\u00e9 \\"q\\""}, "transactions": []}'
+        # an escape, a two-byte character and a CR LF: none is translated
+        body = ('{"summary": {"chain": "caf\\u00e9 \u00e9 \\"q\\""},\r\n'
+                ' "transactions": []}')
         cache.put(key, {"chain": "quorum"}, body)
         header, stored = (tmp_path / key[:2] / f"{key}.json") \
-            .read_text().split("\n", 1)
-        assert json.loads(header) == {"key": key,
-                                      "fields": {"chain": "quorum"}}
-        assert stored == body
+            .read_bytes().split(b"\n", 1)
+        assert json.loads(header) == {
+            "key": key, "fields": {"chain": "quorum"},
+            "sha256": hashlib.sha256(stored).hexdigest()}
+        assert stored == body.encode()
+        assert cache.get(key) == body
         assert not list(tmp_path.glob("*/.*.tmp"))     # temp file renamed
 
     def test_entries_on_missing_directory(self, tmp_path):

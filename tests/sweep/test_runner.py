@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
+from repro.core.results import BenchmarkResult
 from repro.core.spec import LoadSchedule
+from repro.obs import sweep_report
 from repro.sweep import (
     CellOptions,
     ResultCache,
@@ -23,6 +28,31 @@ def crashing_trace() -> Trace:
     """A trace whose run raises: it invokes a DApp that does not exist."""
     return Trace(name="crashes", dapp="no-such-dapp", function="f",
                  schedule=LoadSchedule.constant(10, 5))
+
+
+def _without_cache_column(report):
+    return [re.sub(r"\s+\S+\s*$", "", line) for line in report.splitlines()
+            if not line.startswith("cells:")]
+
+
+def _damaged_entry_heals(tmp_path, monkeypatch, damage):
+    """One of two cached cells is damaged: it alone re-runs, is counted
+    once as corrupt, and the entry it leaves is a hit again."""
+    monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+    cache = ResultCache(tmp_path)
+    spec = SweepSpec(chains=("quorum", "solana"), seeds=(1,), **FAST)
+    first = run_sweep(spec, cache=cache)
+    quorum = first.outcomes[0]
+    damage(cache, quorum.cell)
+    second = run_sweep(spec, cache=cache)
+    assert [o.cached for o in second.outcomes] == [False, True]
+    assert second.outcomes[0].result_json == quorum.result_json
+    assert second.metrics["sweep.cache.corrupt"] == 1
+    assert second.metrics["sweep.cache.hits"] == 1
+    assert second.metrics["sweep.cache.misses"] == 1
+    assert cache.get(cell_key(quorum.cell)) == quorum.result_json
+    third = run_sweep(spec, cache=cache)
+    assert (third.cache_hits, third.metrics["sweep.cache.corrupt"]) == (2, 0)
 
 
 class TestEdgeCases:
@@ -162,30 +192,75 @@ class TestCaching:
         assert sweep.cache_misses == 1
 
     @pytest.mark.parametrize("damage", [
-        lambda body: body[:len(body) // 2],             # JSONDecodeError
-        lambda body: '{"transactions": []}',            # KeyError
-        lambda body: "[]",                              # TypeError
-    ], ids=["truncated", "no-summary", "not-an-object"])
+        lambda header, body: header + b"\n" + body[:len(body) // 2],
+        lambda header, body: header + b'\n{"transactions": []}',
+        lambda header, body: header + b"\n[]",
+        lambda header, body: (header + b"\n" + body[:100]
+                              + bytes([body[100] ^ 1]) + body[101:]),
+        lambda header, body: json.dumps(
+            {name: value for name, value in json.loads(header).items()
+             if name != "sha256"}).encode() + b"\n" + body,
+    ], ids=["truncated", "no-summary", "not-an-object", "flipped-byte",
+            "v2-entry"])
     def test_hit_that_is_not_a_result_reruns_the_cell(
             self, tmp_path, monkeypatch, damage):
-        """A sweep never dies: an unparseable hit is a miss, then healed."""
+        """A sweep never dies: a damaged entry is a miss, then healed."""
+        def on_disk(cache, cell):
+            path = tmp_path / cell_key(cell)[:2] / f"{cell_key(cell)}.json"
+            path.write_bytes(damage(*path.read_bytes().split(b"\n", 1)))
+        _damaged_entry_heals(tmp_path, monkeypatch, on_disk)
+
+    @pytest.mark.parametrize("body", [
+        "[]", '{"transactions": []}', '{"summary": {}, "transactions": []}'])
+    def test_stored_text_that_is_not_a_result_reruns_the_cell(
+            self, tmp_path, monkeypatch, body):
+        """The digest says the bytes are the ones stored, not what they
+        are: a body that verifies still has to read as a result."""
+        _damaged_entry_heals(
+            tmp_path, monkeypatch, lambda cache, cell:
+            cache.put(cell_key(cell), cell_key_fields(cell), body))
+
+    def test_warm_sweep_parses_no_record(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
         cache = ResultCache(tmp_path)
         spec = SweepSpec(chains=("quorum", "solana"), seeds=(1,), **FAST)
-        first = run_sweep(spec, cache=cache)
-        quorum = first.outcomes[0]
-        key = cell_key(quorum.cell)
-        cache.put(key, cell_key_fields(quorum.cell),
-                  damage(quorum.result_json))
-        second = run_sweep(spec, cache=cache)
-        assert [o.cached for o in second.outcomes] == [False, True]
-        assert second.outcomes[0].result_json == quorum.result_json
-        assert second.metrics["sweep.cache.corrupt"] == 1
-        assert second.metrics["sweep.cache.hits"] == 1
-        assert cache.get(key) == quorum.result_json     # overwritten
-        third = run_sweep(spec, cache=cache)
-        assert (third.cache_hits, third.metrics["sweep.cache.corrupt"]) == \
-            (2, 0)
+        cold = run_sweep(spec, cache=cache)
+
+        def from_json(text):
+            raise AssertionError("a replay parsed a result's records")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(BenchmarkResult, "from_json",
+                            staticmethod(from_json))
+            warm = run_sweep(spec, cache=cache)
+            report = sweep_report(warm)
+        assert warm.cache_hits == 2
+        # a replay prints what the run printed, cache column aside
+        assert _without_cache_column(report) == \
+            _without_cache_column(sweep_report(cold))
+        for fresh, replayed in zip(cold.outcomes, warm.outcomes):
+            assert replayed.summary == fresh.summary
+            assert replayed.result == fresh.result      # parsed on demand
+
+    def test_replayed_failed_cell_reports_what_the_run_reported(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+        cache = ResultCache(tmp_path)
+        spec = SweepSpec(chains=("quorum",), seeds=(1,),
+                         options=CellOptions(max_sim_seconds=5.0), **FAST)
+        events = []
+        reports = [sweep_report(run_sweep(spec, cache=cache,
+                                          progress=events.append))
+                   for _ in ("cold", "warm")]
+        fresh, replayed = ([line for line in report.splitlines()
+                            if line.startswith("failed: ")]
+                           for report in reports)
+        assert len(fresh) == 1 and "commit_ratio=0." in fresh[0]
+        assert replayed == fresh
+        fresh_event, replayed_event = (e for e in events if e.kind == "failed")
+        assert (fresh_event.cached, replayed_event.cached) == (False, True)
+        assert fresh_event.detail.removeprefix("cache miss") == \
+            replayed_event.detail.removeprefix("cache hit")
 
     def test_progress_events_stream_in_lifecycle_order(self):
         spec = SweepSpec(chains=("quorum",), seeds=(1,), **FAST)
