@@ -4,8 +4,8 @@ These are the two interaction types of the DIABLO blockchain abstraction
 (§4): ``transfer_X`` moves X coins between accounts and ``invoke_D_Xs``
 invokes DApp D with parameters Xs. Transactions carry the metadata the
 evaluated blockchains need: a sequence number (Ethereum/Diem), a fee and gas
-limit (London-style dynamic fees), a recent block hash (Solana) and a
-signature produced by the sender's scheme.
+limit (London-style dynamic fees), a recent block hash (Solana) and the
+signer that produces the sender's signature when somebody reads it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 
 _TX_COUNTER = itertools.count()
@@ -67,6 +67,15 @@ class TxKind(Enum):
 class Transaction:
     """A signed client request.
 
+    ``signer`` is the sender's signing function (message -> signature);
+    :attr:`signature` is what it says about the transaction as it stands
+    now. Nothing on the run path reads a signature — the chain charges
+    ``verify_cost`` in sim-time and never looks at the string — so none
+    is computed until somebody asks, and it is not cached: a retry
+    refreshes ``recent_block_hash`` and a fee bump raises ``fee_per_gas``,
+    both covered by :meth:`signing_payload`, and a stored string would
+    stop covering them.
+
     ``submitted_at`` / ``committed_at`` are filled in by the DIABLO
     secondaries during a benchmark — they correspond to the submission and
     decision timestamps the Primary aggregates into its JSON output.
@@ -84,7 +93,7 @@ class Transaction:
     tip: int = 0
     gas_limit: int = 10_000_000
     recent_block_hash: Optional[str] = None
-    signature: Optional[str] = None
+    signer: Optional[Callable[[str], str]] = None
     extra_size: int = 0
     uid: int = field(default_factory=lambda: next(_TX_COUNTER))
 
@@ -101,6 +110,13 @@ class Transaction:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Transaction) and other.uid == self.uid
+
+    @property
+    def signature(self) -> Optional[str]:
+        """The sender's signature over :meth:`signing_payload`, derived on
+        every read; None for a transaction nobody signed."""
+        signer = self.signer
+        return None if signer is None else signer(self.signing_payload())
 
     @property
     def tx_hash(self) -> str:

@@ -174,18 +174,21 @@ class SimConnector(BlockchainConnector):
 
     def encode_batch(self, interaction: Interaction, resource: Any,
                      t: float, count: int) -> List[Transaction]:
-        """Build and pre-sign one tick's worth of interactions.
+        """Build one tick's worth of interactions, each with its signer.
 
-        Secondaries pre-sign transactions (§4); the signature uses the
-        chain's scheme so the signing cost model applies. One batch of
-        *N* equals *N* batches of one (tested per chain in
-        tests/core/test_emission_fastpath.py): the account cursor
+        DIABLO's Secondaries pre-sign transactions so that signing is not
+        on the measured path (§4). Here nothing on the run path reads a
+        signature at all, so a transaction gets its sender's signer (the
+        chain's scheme, one :class:`PrecomputedSigner` per account) and
+        ``tx.signature`` is derived when read; no hash is computed in the
+        tick. One batch of *N* equals *N* batches of one (tested per chain
+        in tests/core/test_emission_fastpath.py): the account cursor
         advances over the materialized ring and per-transaction state
-        (account sequence numbers, tx uids) is consumed in emission order. The
-        invariant lookups — fee-market suggestion callable, signature
-        scheme, ledger head — are hoisted out of the loop; hoisting the
-        head hash is safe because the whole batch runs inside one engine
-        callback and the head only moves in block-append events.
+        (account sequence numbers, tx uids) is consumed in emission order.
+        The invariant lookups — fee-market suggestion callable, ledger
+        head — are hoisted out of the loop; hoisting the head hash is safe
+        because the whole batch runs inside one engine callback and the
+        head only moves in block-append events.
         """
         if count <= 0:
             return []
@@ -207,20 +210,18 @@ class SimConnector(BlockchainConnector):
                 account = ring[cursor % n]
                 recipient = ring[(cursor + 1) % n]
                 cursor += 2
-                tx = Transaction(sender=account.address, kind=TxKind.TRANSFER,
-                                 amount=amount, recipient=recipient.address,
-                                 sequence=account.next_sequence(),
-                                 gas_limit=TRANSFER_GAS_LIMIT)
-                if suggest is not None:
-                    # honest wallets price at the current suggestion (base
-                    # fee times headroom plus default tip); the signature
-                    # below covers the price fields, like a real signed
-                    # envelope
-                    tx.fee_per_gas, tx.tip = suggest()
                 signer = signers.get(account.address)
                 if signer is None:
                     signer = signer_for(account)
-                tx.signature = signer(tx.signing_payload())
+                tx = Transaction(sender=account.address, kind=TxKind.TRANSFER,
+                                 amount=amount, recipient=recipient.address,
+                                 sequence=account.next_sequence(),
+                                 gas_limit=TRANSFER_GAS_LIMIT, signer=signer)
+                if suggest is not None:
+                    # honest wallets price at the current suggestion (base
+                    # fee times headroom plus default tip); the signature
+                    # covers the price fields, like a real signed envelope
+                    tx.fee_per_gas, tx.tip = suggest()
                 if expiry:
                     tx.recent_block_hash = head_hash
                 append(tx)
@@ -231,18 +232,18 @@ class SimConnector(BlockchainConnector):
             for _ in range(count):
                 account = ring[cursor % n]
                 cursor += 1
+                signer = signers.get(account.address)
+                if signer is None:
+                    signer = signer_for(account)
                 tx = Transaction(sender=account.address, kind=TxKind.INVOKE,
                                  contract=contract_name, function=function,
                                  args=args, sequence=account.next_sequence(),
-                                 gas_limit=DEFAULT_INVOKE_GAS_LIMIT)
+                                 gas_limit=DEFAULT_INVOKE_GAS_LIMIT,
+                                 signer=signer)
                 tx.gas_limit = self._invoke_gas_limit(
                     contract_name, function, tx)
                 if suggest is not None:
                     tx.fee_per_gas, tx.tip = suggest()
-                signer = signers.get(account.address)
-                if signer is None:
-                    signer = signer_for(account)
-                tx.signature = signer(tx.signing_payload())
                 if expiry:
                     tx.recent_block_hash = head_hash
                 append(tx)
