@@ -63,26 +63,14 @@ class Replica:
         # wired by the harness
         self.node_id: int = -1
         self.harness: "ConsensusHarness" = None  # type: ignore[assignment]
+        #: cluster size, Byzantine faults tolerated (n-1)//3, quorum 2f+1
+        self.n = self.f = self.quorum = 0
         # filled on first sight: message kind -> bound ``_on_<kind>``,
         # counter name -> the registry's ``replica.<protocol>.<name>``
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._counters: Dict[str, Counter] = {}
 
     # -- harness plumbing ----------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.harness.n
-
-    @property
-    def f(self) -> int:
-        """Maximum Byzantine faults tolerated: floor((n-1)/3)."""
-        return (self.n - 1) // 3
-
-    @property
-    def quorum(self) -> int:
-        """Quorum size 2f+1 for BFT protocols."""
-        return 2 * self.f + 1
 
     @property
     def now(self) -> float:
@@ -194,9 +182,12 @@ class ConsensusHarness:
         self._dropped_by_fault = harness_metrics.counter("dropped_by_fault")
         # baseline drop_rate losses
         self._dropped_by_loss = harness_metrics.counter("dropped_by_loss")
+        f = (self.n - 1) // 3
         for node_id, replica in enumerate(self.replicas):
             replica.node_id = node_id
             replica.harness = self
+            replica.n, replica.f, replica.quorum = self.n, f, 2 * f + 1
+        self._started = False
         # byzantine adversary + safety auditor (repro.sim.byzantine /
         # repro.consensus.auditor). An adversary with an empty schedule is
         # normalised to None so benign runs never consult it — the no-op
@@ -387,8 +378,11 @@ class ConsensusHarness:
     # -- execution --------------------------------------------------------------------
 
     def run(self, until: float) -> None:
-        for replica in self.replicas:
-            replica.on_start()
+        """Run to *until*; replicas start on the first call only."""
+        if not self._started:
+            self._started = True
+            for replica in self.replicas:
+                replica.on_start()
         self.engine.run(until=until)
 
     # -- invariant checks (used by tests) ---------------------------------------------

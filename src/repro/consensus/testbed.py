@@ -76,7 +76,7 @@ def _drive_raft(harness: ConsensusHarness, recipe: "ProtocolRecipe",
         leader = max(leaders, key=lambda r: r.term)
         for i in range(recipe.payloads):
             leader.propose(f"tx-{i}")
-    harness.engine.run(until=until)
+    harness.run(until=until)
 
 
 PROTOCOLS: Dict[str, ProtocolRecipe] = {

@@ -7,76 +7,66 @@ secondaries injecting load — runs on top of one :class:`Engine` per
 experiment, so an entire geo-distributed 200-node benchmark executes
 deterministically in a single OS process.
 
-Events scheduled at the same virtual time are ordered by insertion order,
-which keeps runs reproducible regardless of dict/set iteration details.
-
 The calendar is the hottest data structure in the repo — every message
 delivery, block, client emission and timer passes through it — so its
-representation is chosen from measured evidence (round 1 in
-docs/BENCHMARKS.md): the heap holds bare ``(time, sequence, event)``
-tuples (C-level comparisons instead of dataclass ``__lt__``), event
-records carry ``__slots__``, and :meth:`Engine.schedule_batch` inserts a
-fan-out (one broadcast's deliveries) without a handle per entry.
+representation is chosen from measured evidence (docs/BENCHMARKS.md): an
+entry is the bare tuple ``(time, sequence, callback, label)``, where the
+sequence is unique and grows with every insertion. ``(time, sequence)``
+is thus a total order that C-level tuple comparison settles without
+reaching the callback, and same-time events run in insertion order.
+A cancel records the sequence in the engine's cancelled set: the entry is
+dropped, uncounted and without moving the clock, when it reaches the
+head, and once cancelled entries outnumber both :data:`COMPACT_MIN` and
+half the heap (a pacemaker re-arms its timer every view) the heap is
+rebuilt in place from its live entries. The next event is always the
+least live ``(time, sequence)``, so neither step can reorder anything.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
 
 EventCallback = Callable[[], None]
 
-
-class _ScheduledEvent:
-    """One calendar entry. Heap ordering lives in the queue tuple."""
-
-    __slots__ = ("time", "callback", "cancelled", "label")
-
-    def __init__(self, time: float, callback: EventCallback,
-                 label: str = "") -> None:
-        self.time = time
-        self.callback = callback
-        self.cancelled = False
-        self.label = label
+#: cancelled entries the heap may hold before compaction is considered
+COMPACT_MIN = 64
 
 
 class EventHandle:
     """Handle to a scheduled event, allowing cancellation."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("_engine", "_sequence", "time", "cancelled")
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
+    def __init__(self, engine: "Engine", sequence: int, time: float) -> None:
+        self._engine = engine
+        self._sequence = sequence
+        self.time = time
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Cancel the event; a cancelled event's callback never runs."""
-        self._event.cancelled = True
+        self.cancelled = True
+        self._engine._cancel(self._sequence)
 
 
 class Engine:
     """Deterministic discrete-event scheduler with a virtual clock."""
 
     def __init__(self) -> None:
-        # heap of (time, sequence, event) — bare tuples compare at C speed,
-        # and the monotone sequence keeps same-time ordering insertion-stable
-        self._queue: List[Tuple[float, int, _ScheduledEvent]] = []
+        # heap of (time, sequence, callback, label)
+        self._queue: List[Tuple[float, int, EventCallback, str]] = []
+        # cancelled sequences (one that already ran goes at compaction)
+        self._cancelled: Set[int] = set()
         self._now = 0.0
         self._sequence = 0
         self._running = False
         self._events_executed = 0
-        #: optional :class:`repro.obs.profiler.EngineProfiler`; when set,
-        #: every event callback runs through it (wall-clock attribution
-        #: per event label — observation only, event order is unchanged)
+        #: optional :class:`repro.obs.profiler.EngineProfiler`, read when
+        #: :meth:`run` starts; every event callback then runs through it
+        #: (wall-clock attribution per event label — observation only)
         self.profiler: Optional[Any] = None
 
     # -- clock ---------------------------------------------------------------
@@ -100,17 +90,21 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f} before now={self._now:.6f}"
                 f" (label={label!r})")
-        event = _ScheduledEvent(time, callback, label)
-        heapq.heappush(self._queue, (time, self._sequence, event))
-        self._sequence += 1
-        return EventHandle(event)
+        sequence = self._sequence
+        heapq.heappush(self._queue, (time, sequence, callback, label))
+        self._sequence = sequence + 1
+        return EventHandle(self, sequence, time)
 
     def schedule_after(self, delay: float, callback: EventCallback,
                        label: str = "") -> EventHandle:
         """Schedule *callback* to run *delay* seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} (label={label!r})")
-        return self.schedule_at(self._now + delay, callback, label)
+        time = self._now + delay
+        sequence = self._sequence
+        heapq.heappush(self._queue, (time, sequence, callback, label))
+        self._sequence = sequence + 1
+        return EventHandle(self, sequence, time)
 
     def schedule_batch(self, items: Iterable[Tuple[float, EventCallback]],
                        label: str = "") -> None:
@@ -133,11 +127,20 @@ class Engine:
                     raise SimulationError(
                         f"cannot schedule event at {time:.6f} before"
                         f" now={now:.6f} (label={label!r})")
-                heappush(queue, (time, sequence,
-                                 _ScheduledEvent(time, callback, label)))
+                heappush(queue, (time, sequence, callback, label))
                 sequence += 1
         finally:
             self._sequence = sequence
+
+    def _cancel(self, sequence: int) -> None:
+        """Mark entry *sequence* dead; compact once the dead dominate."""
+        cancelled, queue = self._cancelled, self._queue
+        cancelled.add(sequence)
+        if len(cancelled) > COMPACT_MIN and 2 * len(cancelled) > len(queue):
+            # in place: a running loop holds this very list
+            queue[:] = [entry for entry in queue if entry[1] not in cancelled]
+            heapq.heapify(queue)
+            cancelled.clear()
 
     # -- execution ---------------------------------------------------------------
 
@@ -154,25 +157,28 @@ class Engine:
         self._running = True
         executed = 0
         queue = self._queue
+        cancelled = self._cancelled
+        profiler = self.profiler
         heappop = heapq.heappop
         try:
             while queue:
-                head_time, _, head = queue[0]
-                if head.cancelled:
+                time, sequence, callback, label = queue[0]
+                if sequence in cancelled:
                     heappop(queue)
+                    cancelled.discard(sequence)
                     continue
-                if until is not None and head_time > until:
+                if until is not None and time > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 heappop(queue)
-                self._now = head_time
+                self._now = time
                 self._events_executed += 1
                 executed += 1
-                if self.profiler is not None:
-                    self.profiler.record(head.label, head.callback)
+                if profiler is not None:
+                    profiler.record(label, callback)
                 else:
-                    head.callback()
+                    callback()
             if until is not None and self._now < until:
                 self._now = until
         finally:
@@ -196,7 +202,6 @@ class PeriodicTask:
         self._callback = callback
         self._label = label
         self._stopped = False
-        self._handle: Optional[EventHandle] = None
         first = engine.now if start_at is None else start_at
         self._handle = engine.schedule_at(first, self._tick, label=label)
 
@@ -206,8 +211,7 @@ class PeriodicTask:
 
     def stop(self) -> None:
         self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
+        self._handle.cancel()
 
     def _tick(self) -> None:
         if self._stopped:

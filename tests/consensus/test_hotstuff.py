@@ -6,6 +6,7 @@ import pytest
 
 from repro.consensus.base import ConsensusHarness
 from repro.consensus.hotstuff import HotStuffReplica, QuorumCertificate
+from repro.consensus.testbed import build_harness
 
 
 def run_harness(n=4, regions=("ohio",), until=2.0, payloads=10, seed=1,
@@ -97,6 +98,22 @@ class TestPacemaker:
         harness = ConsensusHarness([HotStuffReplica() for _ in range(7)])
         assert harness.replicas[0].f == 2
         assert harness.replicas[0].quorum == 5
+
+    def test_dead_timers_do_not_pile_up(self):
+        # every view re-arms (cancels) each replica's pacemaker timer, so
+        # at n = 16 nearly every calendar entry would be a dead timer if
+        # the calendar kept them until their time came
+        harness = build_harness("hotstuff", n=16)
+        for i in range(200):
+            harness.submit(f"tx-{i}")
+        engine = harness.engine
+        for step in range(1, 11):
+            harness.run(until=0.05 * step)
+            live = sum(1 for entry in engine._queue
+                       if entry[1] not in engine._cancelled)
+            assert len(engine._queue) <= 2 * live + 64, (
+                engine.now, len(engine._queue), live)
+        assert len(harness.decisions) > 16 * 50
 
     def test_leader_rotation(self):
         harness = run_harness(n=4, until=0.1)

@@ -174,6 +174,24 @@ def test_message_level_bytes_match_golden(protocol, scenario, golden):
     assert _digest(harness) == golden[f"{protocol}/{scenario}"]
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_continued_run_does_not_restart_the_replicas(protocol):
+    """``harness.run(t1); harness.run(t2)`` is one run to t2: replicas
+    start on the first call only, so the second continues where the
+    engine stopped, exactly as ``harness.engine.run(t2)`` does."""
+    until = _horizon(protocol)
+    digests = []
+    for resume in ("harness", "engine"):
+        harness = build_harness(protocol, n=_size(protocol))
+        for i in range(PROTOCOLS[protocol].payloads):
+            harness.submit(f"tx-{i}")
+        harness.run(until=until / 2)
+        (harness if resume == "harness" else harness.engine).run(until=until)
+        assert harness.messages_routed
+        digests.append(_digest(harness))
+    assert digests[0] == digests[1]
+
+
 if __name__ == "__main__":
     digests = {f"{protocol}/{scenario}": _digest(run(protocol))
                for protocol in PROTOCOLS for scenario, run in SCENARIOS.items()}

@@ -44,7 +44,7 @@ class TestRaftElection:
     def test_followers_adopt_leader_term(self):
         harness = raft_harness()
         leader = elect_and_get_leader(harness)
-        harness.engine.run(until=harness.engine.now + 3.0)
+        harness.run(until=harness.engine.now + 3.0)
         for replica in harness.replicas:
             assert replica.term == leader.term
 
@@ -55,7 +55,7 @@ class TestRaftReplication:
         leader = elect_and_get_leader(harness)
         for i in range(5):
             assert leader.propose(f"v{i}")
-        harness.engine.run(until=harness.engine.now + 5.0)
+        harness.run(until=harness.engine.now + 5.0)
         harness.check_agreement()
         for replica in harness.replicas:
             assert replica.commit_index == 5
@@ -74,7 +74,7 @@ class TestRaftReplication:
         leader = elect_and_get_leader(harness)
         for i in range(8):
             leader.propose(f"v{i}")
-        harness.engine.run(until=harness.engine.now + 5.0)
+        harness.run(until=harness.engine.now + 5.0)
         chain = harness.committed_chain(leader.node_id)
         assert [v for _, v in chain] == [f"v{i}" for i in range(8)]
 
@@ -82,13 +82,13 @@ class TestRaftReplication:
         harness = raft_harness()
         leader = elect_and_get_leader(harness)
         leader.propose("before-crash")
-        harness.engine.run(until=harness.engine.now + 3.0)
+        harness.run(until=harness.engine.now + 3.0)
         harness.crash(leader.node_id)
         new_leader = elect_and_get_leader(harness,
                                           until=harness.engine.now + 20.0)
         assert new_leader.node_id != leader.node_id
         assert new_leader.propose("after-crash")
-        harness.engine.run(until=harness.engine.now + 5.0)
+        harness.run(until=harness.engine.now + 5.0)
         harness.check_agreement()
         survivors = [r for r in harness.replicas
                      if r.node_id not in harness.crashed]
@@ -106,7 +106,7 @@ class TestCrashFaultInjection:
         harness.run(until=2.0)
         before = len([d for d in harness.decisions if d.node != 0])
         harness.crash(0)  # f = 1 for n = 4
-        harness.engine.run(until=30.0)
+        harness.run(until=30.0)
         harness.check_agreement()
         after = len([d for d in harness.decisions if d.node != 0])
         assert after > before  # progress continues without node 0
@@ -119,7 +119,7 @@ class TestCrashFaultInjection:
         harness.crash(0)
         harness.crash(1)  # 2 > f = 1: no quorum of 3 among 2 survivors
         marker = len(harness.decisions)
-        harness.engine.run(until=30.0)
+        harness.run(until=30.0)
         live = [d for d in harness.decisions[marker:]
                 if d.node not in harness.crashed]
         # allow in-flight decisions from the pre-crash pipeline
@@ -137,7 +137,7 @@ class TestCrashFaultInjection:
         next_height = survivor.height
         proposer = survivor.proposer_of(next_height + 1, 0)
         harness.crash(proposer)
-        harness.engine.run(until=40.0)
+        harness.run(until=40.0)
         harness.check_agreement()
         heights_after = [d.height for d in harness.decisions
                          if d.node not in harness.crashed]
@@ -148,7 +148,7 @@ class TestCrashFaultInjection:
         leader = elect_and_get_leader(harness)
         harness.crash(leader.node_id)
         routed_before = harness.messages_routed
-        harness.engine.run(until=harness.engine.now + 5.0)
+        harness.run(until=harness.engine.now + 5.0)
         # messages are still *attempted* but none are delivered to/from it;
         # no decision is recorded by the crashed node after the crash
         crash_decisions = [d for d in harness.decisions
@@ -168,7 +168,7 @@ class TestRaftVsIBFTLatency:
         leader = elect_and_get_leader(raft, until=20.0)
         start = raft.engine.now
         leader.propose("probe")
-        raft.engine.run(until=start + 30.0)
+        raft.run(until=start + 30.0)
         raft_latency = min(
             (d.time - start for d in raft.decisions
              if d.value == "probe"), default=None)

@@ -262,16 +262,23 @@ def test_result_bytes_match_golden(chain, scenario, golden):
 @pytest.mark.parametrize("hashseed", ["1", "12345"])
 def test_bytes_do_not_depend_on_the_hash_seed(hashseed, golden):
     """docs/ARCHITECTURE.md says ``PYTHONHASHSEED`` does not matter. The
-    fee market and its retries keep dict- and set-shaped state, so a run
-    under another hash seed is where an iteration-order leak would show."""
+    fee market and its retries keep dict- and set-shaped state, and so do
+    the message-level replicas (string-keyed votes) and the event
+    calendar (the cancelled set), so a run under another hash seed is
+    where an iteration-order leak would show."""
     root = Path(__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]))
     code = ("from tests.core.test_result_golden import _digest, _fees;"
-            " print(_digest(_fees('ethereum')))")
+            " from tests.consensus import test_message_golden as message;"
+            " print(_digest(_fees('ethereum')));"
+            " print(message._digest(message._faulted('ibft')))")
     run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == golden["ethereum/fees"]
+    message_golden = json.loads(
+        (root / "tests" / "consensus" / "message_golden.json").read_text())
+    assert run.stdout.split() == [golden["ethereum/fees"],
+                                  message_golden["ibft/faults"]]
 
 
 def test_dos_scenario_retries():

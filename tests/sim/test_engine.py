@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+from functools import partial
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Tuple
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
+from repro.sim import engine as engine_module
 from repro.sim.engine import Engine, PeriodicTask
 
 
@@ -73,6 +81,18 @@ class TestCancellation:
         handle.cancel()
         engine.run()
         assert seen == ["b"]
+
+    def test_dead_entries_are_compacted_and_order_holds(self, engine):
+        seen = []
+        handles = [engine.schedule_at(float(i % 7), lambda i=i: seen.append(i))
+                   for i in range(1000)]
+        for handle in handles[:900]:
+            handle.cancel()
+        # compaction ran whenever the dead outnumbered 64 and half the heap
+        assert len(engine._queue) <= 2 * 100 + engine_module.COMPACT_MIN
+        engine.run()
+        assert seen == sorted(range(900, 1000), key=lambda i: (i % 7, i))
+        assert engine.events_executed == 100
 
 
 class TestRun:
@@ -233,3 +253,128 @@ class TestScheduleBatch:
         engine.run()
         assert engine.events_executed == 0
         assert engine.now == 0.0
+
+
+class ListCalendar:
+    """The calendar's contract by linear scan: the earliest (time,
+    insertion) pending entry runs next; a cancelled one is simply gone."""
+
+    def __init__(self) -> None:
+        self.pending: Dict[int, Tuple[float, Callable[[], None]]] = {}
+        self.now = 0.0
+        self.sequence = 0
+        self.events_executed = 0
+
+    def schedule_at(self, time: float, callback: Callable[[], None]):
+        self.pending[self.sequence] = (time, callback)
+        self.sequence += 1
+        return SimpleNamespace(
+            cancel=partial(self.pending.pop, self.sequence - 1, None))
+
+    def schedule_after(self, delay: float, callback: Callable[[], None]):
+        return self.schedule_at(self.now + delay, callback)
+
+    def schedule_batch(self, items) -> None:
+        for time, callback in items:
+            self.schedule_at(time, callback)
+
+    def run(self, until: Optional[float] = None,
+            max_events: Optional[int] = None) -> None:
+        executed = 0
+        while self.pending:
+            sequence = min(self.pending,
+                           key=lambda s: (self.pending[s][0], s))
+            time, callback = self.pending[sequence]
+            if until is not None and time > until:
+                break
+            if max_events is not None and executed >= max_events:
+                break
+            del self.pending[sequence]
+            self.now = time
+            self.events_executed += 1
+            executed += 1
+            callback()
+        if until is not None and self.now < until:
+            self.now = until
+
+
+class Script:
+    """Drives one calendar through steps; an event's callback logs itself
+    and then performs the action the script assigns to its id."""
+
+    def __init__(self, calendar, actions: List[Tuple]) -> None:
+        self.calendar = calendar
+        self.actions = actions
+        # one per event id; None for a batched event, which has no handle
+        self.handles: List[Optional[Any]] = []
+        self.log: List[Tuple[int, float]] = []
+
+    def apply(self, step: Tuple) -> None:
+        calendar, kind, handles = self.calendar, step[0], self.handles
+        if kind == "at":
+            handles.append(calendar.schedule_at(
+                calendar.now + step[1], partial(self.fire, len(handles))))
+        elif kind == "after":
+            handles.append(calendar.schedule_after(
+                step[1], partial(self.fire, len(handles))))
+        elif kind == "batch":
+            first = len(handles)
+            handles.extend([None] * len(step[1]))
+            calendar.schedule_batch(
+                [(calendar.now + delay, partial(self.fire, first + i))
+                 for i, delay in enumerate(step[1])])
+        elif kind == "cancel" and handles:
+            handle = handles[step[1] % len(handles)]
+            if handle is not None:
+                handle.cancel()
+
+    def fire(self, event_id: int) -> None:
+        self.log.append((event_id, self.calendar.now))
+        self.apply(self.actions[event_id % len(self.actions)])
+
+    def observe(self) -> Tuple:
+        return (list(self.log), self.calendar.now,
+                self.calendar.events_executed)
+
+
+DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])
+SCHEDULING = st.one_of(
+    st.tuples(st.just("at"), DELAYS),
+    st.tuples(st.just("after"), DELAYS),
+    st.tuples(st.just("batch"), st.lists(DELAYS, max_size=4)))
+CANCEL = st.tuples(st.just("cancel"), st.integers(0, 200))
+ACTION = st.one_of(st.just(("none",)), SCHEDULING, CANCEL)
+RUN = st.one_of(
+    st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.3, 1.0, 4.0])),
+    st.tuples(st.just("run_max"), st.integers(0, 6)))
+
+
+class TestAgainstAReference:
+    """Any interleaving of scheduling, cancelling (from outside and from
+    inside callbacks, of fired, pending and cancelled events) and partial
+    runs executes exactly what a linear-scan calendar executes."""
+
+    @pytest.mark.parametrize("compact_min", [engine_module.COMPACT_MIN, 0])
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(st.one_of(SCHEDULING, CANCEL, RUN), max_size=60),
+           actions=st.lists(ACTION, min_size=1, max_size=12))
+    def test_engine_matches_the_list_scan_calendar(self, compact_min,
+                                                   steps, actions):
+        engine, reference = Script(Engine(), actions), Script(
+            ListCalendar(), actions)
+        with mock.patch.object(engine_module, "COMPACT_MIN", compact_min):
+            for step in steps + [("drain",)]:
+                for script in (engine, reference):
+                    calendar = script.calendar
+                    # actions that reschedule themselves at delay 0 never
+                    # leave the instant: a horizon alone can loop forever
+                    if step[0] == "run_until":
+                        calendar.run(until=calendar.now + step[1],
+                                     max_events=500)
+                    elif step[0] == "run_max":
+                        calendar.run(max_events=step[1])
+                    elif step[0] == "drain":
+                        calendar.run(max_events=500)
+                    else:
+                        script.apply(step)
+                assert engine.observe() == reference.observe()
