@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -27,9 +28,9 @@ _SUMMARY_CLOSE = ', "transactions": ['
 _DOCUMENT_CLOSE = "]}"
 _DECODER = json.JSONDecoder()
 
-#: records encoded per ``json.dumps`` call in :meth:`BenchmarkResult.to_json`
-#: — bounds the row dicts and encoder pieces alive at once (~1 MB of JSON)
-#: while keeping the per-call overhead invisible
+#: rows joined per ``str.join`` call in :meth:`BenchmarkResult.to_json` —
+#: bounds the row strings alive at once (~1 MB of JSON) while keeping the
+#: per-call overhead invisible
 ENCODE_CHUNK = 4096
 
 
@@ -77,6 +78,37 @@ class TransactionRecord(NamedTuple):
             tx.uid, tx.kind.tag, tx.contract, tx.function, client,
             tx.submitted_at, None if aborted else tx.committed_at,
             aborted, tx.abort_reason, tx.retries)
+
+
+#: a record's fields after ``uid``: its *tail*, in document order
+_TAIL_FIELDS = TransactionRecord._fields[1:]
+#: one row of the transaction list, from ``(uid, tail text)``
+_ROW = '{"uid": %d, %s}'.__mod__
+_uid = itemgetter(0)
+_tail = itemgetter(slice(1, None))
+_submitted_at = itemgetter(5)
+_committed_at = itemgetter(6)
+
+
+class _TailTexts(dict):
+    """``(tail, type(submitted_at), type(committed_at))`` -> the tail's JSON.
+
+    The text is what ``json.dumps`` writes for the tail's nine fields
+    inside a row object. The key carries the timestamp types because
+    ``5 == 5.0`` while the two encode as ``5`` and ``5.0``. A tail holding
+    a float zero is never stored, because ``-0.0 == 0.0`` while the two
+    encode apart; such a row is encoded on its own. The other fields
+    encode by value at their declared types. One instance lives for one
+    :meth:`BenchmarkResult.to_json` call, because ``records`` is a public
+    list that callers may edit between calls.
+    """
+
+    def __missing__(self, key: tuple) -> str:
+        row = dict(zip(_TAIL_FIELDS, key[0]))
+        text = json.dumps(row)[1:-1]
+        if 0.0 not in (row["submitted_at"], row["committed_at"]):
+            self[key] = text
+        return text
 
 
 @dataclass
@@ -371,19 +403,25 @@ class BenchmarkResult:
     def to_json(self) -> str:
         """The run's JSON file: ``{"summary": ..., "transactions": [...]}``.
 
-        Encoded as ``json.dumps`` of the whole payload would encode it,
-        but :data:`ENCODE_CHUNK` records at a time, so the row dicts of a
-        large run never all exist at once.
+        Byte-for-byte what ``json.dumps`` of the whole payload writes. A
+        row is its uid plus the text of its other nine fields, its tail.
+        Every transaction that entered in the same tick and committed in
+        the same block shares a tail, so each distinct tail is encoded once
+        per call (:class:`_TailTexts`) and :data:`ENCODE_CHUNK` rows at a
+        time are joined from those texts.
         """
-        fields = TransactionRecord._fields
         records = self.records
+        tail_text = _TailTexts().__getitem__
         parts = [_SUMMARY_OPEN, json.dumps(self.summary()), _SUMMARY_CLOSE]
         for start in range(0, len(records), ENCODE_CHUNK):
+            chunk = records[start:start + ENCODE_CHUNK]
+            keys = zip(map(_tail, chunk),
+                       map(type, map(_submitted_at, chunk)),
+                       map(type, map(_committed_at, chunk)))
             if start:
                 parts.append(", ")
-            parts.append(json.dumps(
-                [dict(zip(fields, record))
-                 for record in records[start:start + ENCODE_CHUNK]])[1:-1])
+            parts.append(", ".join(
+                map(_ROW, zip(map(_uid, chunk), map(tail_text, keys)))))
         parts.append(_DOCUMENT_CLOSE)
         return "".join(parts)
 

@@ -5,7 +5,11 @@ oracle here is the obvious whole-payload ``json.dumps``. For arbitrary
 records — non-ASCII client names, ``None`` contract/function/reason,
 int-valued, tiny and huge timestamps — and for record counts on either
 side of a chunk boundary, the bytes must be equal and must parse back to
-equal records and an equal summary. ``summary_from_json`` finds the
+equal records and an equal summary. The encoder writes each distinct
+record tail (every field but ``uid``) once per call, so records drawn from
+a few shared tails exercise its hits, and pinned rows whose timestamps
+compare equal but encode differently (``5`` / ``5.0``, ``0.0`` / ``-0.0``)
+must each keep their own text. ``summary_from_json`` finds the
 summary by position, so whatever text the summary's own keys hold, it
 must return what a full parse returns.
 """
@@ -101,6 +105,86 @@ def test_summary_reader_is_not_fooled_by_the_summary_text(stats, reasons,
     assert set(reasons) <= set(summary["aborts"])
     assert summary["chain_stats"] == stats
     assert json.dumps(summary) == json.dumps(json.loads(text)["summary"])
+
+
+def retyped(value):
+    """An equal timestamp of the other numeric type (``5`` <-> ``5.0``)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and float(value) == value:
+        return float(value)
+    return value
+
+
+@st.composite
+def shared_tails(draw):
+    """Records drawn from a few tails, each reused across many uids.
+
+    The pool may also hold the first tail's twin: equal timestamps of the
+    other numeric type, which compare equal but encode differently.
+    """
+    pool = draw(st.lists(records, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        first = pool[0]
+        pool.append(first._replace(
+            submitted_at=retyped(first.submitted_at),
+            committed_at=retyped(first.committed_at)))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=17))
+    uids = draw(st.lists(st.integers(min_value=0, max_value=2**63),
+                         min_size=len(picks), max_size=len(picks)))
+    return [pick._replace(uid=uid) for pick, uid in zip(picks, uids)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(recs=shared_tails())
+def test_reused_tails_encode_like_the_oracle(recs):
+    # up to 17 rows over at most 4 tails: hits inside and across chunks
+    with mock.patch.object(results_module, "ENCODE_CHUNK", 4):
+        assert_encodes_like_the_oracle(make_result(recs))
+
+
+def test_equal_timestamps_of_another_type_or_sign_keep_their_text():
+    row = TransactionRecord(0, "transfer", None, None, "c", 5, 7, False,
+                            None)
+    twins = [row,
+             row._replace(uid=1, submitted_at=5.0),
+             row._replace(uid=2, committed_at=7.0),
+             row._replace(uid=3, submitted_at=5.0, committed_at=7.0),
+             row._replace(uid=4),
+             row._replace(uid=5, submitted_at=0.0, committed_at=-0.0),
+             row._replace(uid=6, submitted_at=-0.0, committed_at=0.0),
+             row._replace(uid=7, submitted_at=0.0, committed_at=0.0)]
+    result = make_result(twins)
+    assert_encodes_like_the_oracle(result)
+    # repr tells 5 from 5.0 and -0.0 from 0.0, which == does not
+    rows = json.loads(result.to_json())["transactions"]
+    assert [(repr(r["submitted_at"]), repr(r["committed_at"]))
+            for r in rows] == [
+        ("5", "7"), ("5.0", "7"), ("5", "7.0"), ("5.0", "7.0"), ("5", "7"),
+        ("0.0", "-0.0"), ("-0.0", "0.0"), ("0.0", "0.0")]
+
+
+@pytest.mark.parametrize("name, value", [("abort_reason", "evicted"),
+                                         ("committed_at", 9.5)])
+def test_each_call_encodes_its_own_tails(name, value):
+    # the tail texts live for one call: an edited record is re-encoded,
+    # and a second call encodes every distinct tail again
+    recs = [TransactionRecord(uid, "transfer", None, None, "c", 1.0, 2.0,
+                              False, None) for uid in range(10)]
+    result = make_result(recs)
+    first = result.to_json()
+    assert first == oracle(result)
+    result.records[0] = result.records[0]._replace(**{name: value})
+    expected = oracle(result)
+    with mock.patch.object(results_module.json, "dumps",
+                           wraps=json.dumps) as dumps:
+        second = result.to_json()
+    assert second == expected != first
+    # the summary, then the edited tail and the shared one, each once
+    encoded = [args[0] for args, _ in dumps.call_args_list]
+    assert len(encoded) == 3
+    assert [tail[name] for tail in encoded[1:]] == [value,
+                                                    getattr(recs[1], name)]
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
