@@ -1057,7 +1057,7 @@ class BlockchainNetwork:
         now = self.engine.now
         block = Block(
             height=self.ledger.height + 1,
-            parent_hash=self.ledger.head.block_hash,
+            parent=self.ledger.head,
             proposer=proposer,
             transactions=list(batch),
             timestamp=now,
@@ -1082,28 +1082,35 @@ class BlockchainNetwork:
             final_time = self.ledger.final_at(height)
             if final_time is None:
                 continue
-            for tx in self.ledger.block_at(height).transactions:
-                self._mark_committed(tx, final_time)
+            self._commit_block(self.ledger.block_at(height), final_time)
         self._committed_height = max(self._committed_height, final_height)
 
-    def _mark_committed(self, tx: Transaction, final_time: float) -> None:
-        # sealed into a finalized block — success or execution failure, the
-        # transaction has left the consensus pipeline and paid off its debt
-        self._pipeline_exits += 1
-        receipt = self.receipts.get(tx.uid)
-        if receipt is not None and not receipt.ok:
-            # the transaction is in a block but its execution failed — the
-            # client sees an error ("budget exceeded", revert, out-of-gas),
-            # not a commit (§6.4 / experiment E2)
-            self._record_drop(tx, receipt.status.value)
-            return
-        observation = self._observation_delay()
-        tx.committed_at = final_time + observation
-        if self.tracer is not None:
-            self.tracer.tx_committed(tx, final_time, tx.committed_at)
-        self.committed.append(tx)
-        for listener in self._commit_listeners:
-            listener(tx)
+    def _commit_block(self, block: Block, final_time: float) -> None:
+        """Commit a final block's transactions, in block order."""
+        txs = block.transactions
+        # sealed into a finalized block — success or execution failure,
+        # every transaction has left the consensus pipeline and paid off
+        # its debt
+        self._pipeline_exits += len(txs)
+        committed_at = final_time + self._observation_delay()
+        receipts = self.receipts
+        tracer = self.tracer
+        listeners = self._commit_listeners
+        commit = self.committed.append
+        for tx in txs:
+            receipt = receipts.get(tx.uid)
+            if receipt is not None and not receipt.ok:
+                # the transaction is in a block but its execution failed —
+                # the client sees an error ("budget exceeded", revert,
+                # out-of-gas), not a commit (§6.4 / experiment E2)
+                self._record_drop(tx, receipt.status.value)
+                continue
+            tx.committed_at = committed_at
+            if tracer is not None:
+                tracer.tx_committed(tx, final_time, committed_at)
+            commit(tx)
+            for listener in listeners:
+                listener(tx)
 
     def _observation_delay(self) -> float:
         """Client-side commit detection delay (§5.2 per-chain APIs)."""

@@ -37,7 +37,8 @@ class Ledger:
         if block.height != head.height + 1:
             raise ChainError(
                 f"expected height {head.height + 1}, got {block.height}")
-        if block.parent_hash != head.block_hash:
+        # by identity: stricter than comparing hashes, and hashes nothing
+        if block.parent is not head:
             raise ChainError("block does not extend the current head")
         self._blocks.append(block)
         self._decided_at.append(decided_at)

@@ -3,11 +3,14 @@
 ``block_hash_golden.json`` holds the ledger height and head block hash
 of a small native-transfer run on each of the six chains and of one
 DApp run, and ``tx_hash`` / ``signing_payload()`` of ten hand-built
-transactions. The head hash chains every block's parent hash, Merkle
-root and state root, so one value pins ``crypto.hashing.digest``,
-``merkle_root`` and ``Transaction.tx_hash`` across the whole run;
+transactions. The head hash chains every block's parent hash and Merkle
+root, so one value pins ``crypto.hashing.digest``, ``merkle_root`` and
+``Transaction.tx_hash`` across the whole run;
 ``tests/core/result_golden.json`` cannot, because no hash reaches the
-result document.
+result document. A block is hashed when its hash is read, and on every
+chain but Solana (whose clients read the head each tick) nothing reads
+one during the run: reading the head after the run is what hashes the
+chain, each block once, oldest first.
 
 Regenerate (only when a behaviour change is intended) with::
 

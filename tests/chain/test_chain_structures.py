@@ -69,13 +69,15 @@ class TestBlocks:
         assert len(g) == 0
 
     def test_block_hash_changes_with_content(self):
-        a = Block(1, "p", "n", [transfer("a", "b")], timestamp=1.0)
-        b = Block(1, "p", "n", [transfer("a", "b")], timestamp=1.0)
+        g = genesis_block()
+        a = Block(1, g, "n", [transfer("a", "b")], timestamp=1.0)
+        b = Block(1, g, "n", [transfer("a", "b")], timestamp=1.0)
         assert a.block_hash != b.block_hash  # different tx uids
+        assert a.parent_hash == b.parent_hash == g.block_hash
 
     def test_block_size_includes_transactions(self):
         txs = [transfer("a", "b") for _ in range(3)]
-        block = Block(1, "p", "n", txs)
+        block = Block(1, genesis_block(), "n", txs)
         assert block.size == 512 + sum(t.size for t in txs)
 
 
@@ -121,7 +123,7 @@ class TestLedger:
     def _block(self, ledger, txs=()):
         return Block(
             height=ledger.height + 1,
-            parent_hash=ledger.head.block_hash,
+            parent=ledger.head,
             proposer="n",
             transactions=list(txs))
 
@@ -134,15 +136,26 @@ class TestLedger:
 
     def test_append_wrong_height_rejected(self):
         ledger = Ledger()
-        bad = Block(5, ledger.head.block_hash, "n")
+        bad = Block(5, ledger.head, "n")
         with pytest.raises(ChainError):
             ledger.append(bad, decided_at=1.0)
 
     def test_append_wrong_parent_rejected(self):
         ledger = Ledger()
-        bad = Block(1, "not-the-head", "n")
+        ledger.append(self._block(ledger), decided_at=1.0)
+        bad = Block(2, ledger.block_at(0), "n")
         with pytest.raises(ChainError):
-            ledger.append(bad, decided_at=1.0)
+            ledger.append(bad, decided_at=2.0)
+
+    def test_append_equal_hash_copy_of_head_rejected(self):
+        # the parent is checked by identity: a second genesis hashes the
+        # same as the ledger's own, and is still not the head
+        ledger = Ledger()
+        copy = genesis_block()
+        assert copy.block_hash == ledger.head.block_hash
+        with pytest.raises(ChainError):
+            ledger.append(Block(1, copy, "n"), decided_at=1.0)
+        assert ledger.height == 0
 
     def test_immediate_finality_without_confirmations(self):
         ledger = Ledger(confirmation_depth=0)

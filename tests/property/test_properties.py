@@ -139,7 +139,7 @@ class TestLedgerProperties:
         time = 0.0
         for count in tx_counts:
             time += 1.0
-            block = Block(ledger.height + 1, ledger.head.block_hash, "n",
+            block = Block(ledger.height + 1, ledger.head, "n",
                           [transfer("a", "b") for _ in range(count)])
             ledger.append(block, decided_at=time)
         final_heights = [h for h in range(1, ledger.height + 1)
