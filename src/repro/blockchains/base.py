@@ -883,8 +883,8 @@ class BlockchainNetwork:
         * ``state``      ledger/state growth per committed transaction.
 
         The validator set replicates the same data, so the levels are
-        identical per node; jittered per-node capacity margins stagger
-        when each crosses its own high-water mark.
+        identical per node and built once per round; jittered per-node
+        capacity margins stagger when each crosses its own high-water mark.
         """
         overload = self.overload
         if overload.response == "none":
@@ -893,26 +893,28 @@ class BlockchainNetwork:
         pending = (len(self.mempool) + self.admission.queue_depth) / factor
         debt = max(0, self._admission_processed - self._pipeline_exits) / factor
         settled = self._pipeline_exits / factor
-        pool_bytes = int(pending * overload.pool_tx_bytes)
-        consensus_bytes = int(debt * overload.consensus_tx_bytes)
-        state_bytes = int(settled * overload.state_tx_bytes)
+        levels = (("mempool", int(pending * overload.pool_tx_bytes)),
+                  ("consensus", int(debt * overload.consensus_tx_bytes)),
+                  ("state", int(settled * overload.state_tx_bytes)))
+        watch_faults = self.injector is not None
         pressure = 0.0
+        high = False
         for index, machine in enumerate(self.machines):
             ledger = machine.memory
-            if self._node_available(index):
+            if watch_faults and not self._node_available(index):
                 # a crashed node's footprint freezes where it died
-                ledger.set_level("mempool", pool_bytes)
-                ledger.set_level("consensus", consensus_bytes)
-                ledger.set_level("state", state_bytes)
-            pressure = max(pressure, ledger.pressure)
+                pressure = max(pressure, ledger.pressure)
+            else:
+                pressure = max(pressure, ledger.set_levels(levels))
+            high = high or ledger.high
         self.memory_pressure = pressure
         self.peak_memory_pressure = max(self.peak_memory_pressure, pressure)
         if overload.response == "oom_crash":
             self._respond_oom_crash(now)
         elif overload.response == "commit_stall":
-            self._respond_commit_stall(now)
+            self._respond_commit_stall(now, high)
         elif overload.response == "shed_load":
-            self._respond_shed_load(now)
+            self._respond_shed_load(now, high)
 
     def _overload_event(self, now: float, kind: str, **extra: Any) -> None:
         event: Dict[str, Any] = {
@@ -937,9 +939,8 @@ class BlockchainNetwork:
                 now, "oom_crash", node=machine.name,
                 pressure=round(machine.memory.pressure, 3))
 
-    def _respond_commit_stall(self, now: float) -> None:
+    def _respond_commit_stall(self, now: float, high: bool) -> None:
         """Diem-style: consensus stops committing under memory pressure."""
-        high = any(m.memory.state == "high" for m in self.machines)
         if high and not self._overload_stalled:
             self._overload_stalled = True
             self._overload_event(now, "commit_stall")
@@ -947,9 +948,8 @@ class BlockchainNetwork:
             self._overload_stalled = False
             self._overload_event(now, "commit_resumed")
 
-    def _respond_shed_load(self, now: float) -> None:
+    def _respond_shed_load(self, now: float, high: bool) -> None:
         """Survivor-style: shed excess load at the door, keep committing."""
-        high = any(m.memory.state == "high" for m in self.machines)
         if high and not self._shedding:
             self._shedding = True
             target = max(1, int(self.reference_block_txs()

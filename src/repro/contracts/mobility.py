@@ -22,6 +22,12 @@ vectorised with numpy; see DESIGN.md performance substitutions). The total
 execution cost — roughly ``DRIVER_COUNT x DISTANCE_ITERATION_GAS`` compute
 units — exceeds every hard VM budget (AVM, MoveVM, eBPF) while remaining
 executable on the budget-free geth EVM, reproducing Fig. 5.
+
+The gas is the simulated validator's cost and every call pays it; the
+host's cost is the scan. A contract remembers its last customer and that
+customer's match against its own frozen positions, so a call from the
+same position (the Uber trace sends every request from one) charges the
+loop and reuses the answer. Any other stored positions are scanned.
 """
 
 from __future__ import annotations
@@ -57,10 +63,22 @@ def _driver_positions(count: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray
     return xs, ys
 
 
+def _nearest_driver(xs: np.ndarray, ys: np.ndarray, customer_x: int,
+                    customer_y: int) -> tuple[int, int]:
+    """(index, distance) of the closest driver; the lowest index wins a tie."""
+    dx = xs - customer_x
+    dy = ys - customer_y
+    distances = np.sqrt(dx * dx + dy * dy).astype(int)
+    index = int(np.argmin(distances))
+    return index, int(distances[index])
+
+
 def make_uber_contract(driver_count: int = DRIVER_COUNT) -> Contract:
     """Build the ContractUber contract."""
     contract = Contract("ContractUber")
     xs, ys = _driver_positions(driver_count)
+    # one entry: the last customer scanned against xs/ys, and its match
+    memo: list = [None, None]
 
     @contract.constructor
     def init(ctx: ExecutionContext) -> None:
@@ -100,11 +118,14 @@ def make_uber_contract(driver_count: int = DRIVER_COUNT) -> Contract:
             driver_ys = ctx.load("ys")
 
             def scan_effect() -> tuple[int, int]:
-                dx = driver_xs - customer_x
-                dy = driver_ys - customer_y
-                distances = np.sqrt(dx * dx + dy * dy).astype(int)
-                index = int(np.argmin(distances))
-                return index, int(distances[index])
+                if driver_xs is not xs or driver_ys is not ys:
+                    return _nearest_driver(driver_xs, driver_ys,
+                                           customer_x, customer_y)
+                customer = (customer_x, customer_y)
+                if memo[0] != customer:
+                    memo[:] = customer, _nearest_driver(
+                        xs, ys, customer_x, customer_y)
+                return memo[1]
 
             best_driver, best_distance = ctx.bulk_loop(
                 driver_count, DISTANCE_ITERATION_GAS, scan_effect)

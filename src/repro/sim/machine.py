@@ -18,7 +18,7 @@ the NASDAQ peak, Diem ceasing to commit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.units import GIB
@@ -61,9 +61,10 @@ class MemoryLedger:
     """Categorised memory accounting for one machine, with hysteresis.
 
     Consumers set the resident bytes of named categories (``mempool``,
-    ``consensus``, ``state``, ...) with :meth:`set_level`, as the blockchain
-    runtimes do each production round. :attr:`pressure` is total usage
-    over capacity; :attr:`state` is ``"ok"`` until pressure crosses
+    ``consensus``, ``state``, ...) with :meth:`set_levels`, as the
+    blockchain runtimes do each production round. :attr:`total` is kept as
+    a field, moved by each category's change. :attr:`pressure` is total
+    usage over capacity; :attr:`state` is ``"ok"`` until pressure crosses
     ``high_water`` and returns to ``"ok"`` only below ``low_water`` — the
     hysteresis keeps overload responses from flapping at the threshold.
     """
@@ -80,23 +81,46 @@ class MemoryLedger:
         self.high_water = high_water
         self.low_water = low_water
         self._categories: Dict[str, int] = {}
-        self._high = False
+        #: resident bytes over all categories
+        self.total = 0
+        #: past the high-water mark and not yet back below low water
+        self.high = False
         self.peak_pressure = 0.0
         self.high_water_crossings = 0
 
     def set_level(self, category: str, nbytes: int) -> None:
         """Set *category*'s resident bytes to an absolute level."""
-        if nbytes < 0:
-            raise SimulationError(f"negative level {nbytes} ({category})")
-        self._categories[category] = nbytes
-        self._update_state()
+        self.set_levels(((category, nbytes),))
+
+    def set_levels(self, pairs: Sequence[Tuple[str, int]]) -> float:
+        """Set each ``(category, bytes)`` in order; return the pressure.
+
+        Equal to one :meth:`set_level` per pair: peak pressure and the
+        water marks are evaluated after every category, not once at the
+        end. A negative level anywhere raises before anything changes.
+        """
+        for category, nbytes in pairs:
+            if nbytes < 0:
+                raise SimulationError(f"negative level {nbytes} ({category})")
+        categories = self._categories
+        capacity = self.capacity
+        total = self.total
+        for category, nbytes in pairs:
+            total += nbytes - categories.get(category, 0)
+            categories[category] = nbytes
+            pressure = total / capacity
+            if pressure > self.peak_pressure:
+                self.peak_pressure = pressure
+            if not self.high and pressure >= self.high_water:
+                self.high = True
+                self.high_water_crossings += 1
+            elif self.high and pressure < self.low_water:
+                self.high = False
+        self.total = total
+        return total / capacity
 
     def level(self, category: str) -> int:
         return self._categories.get(category, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self._categories.values())
 
     @property
     def pressure(self) -> float:
@@ -106,16 +130,7 @@ class MemoryLedger:
     @property
     def state(self) -> str:
         """``"high"`` once past the high-water mark, until below low water."""
-        return "high" if self._high else "ok"
-
-    def _update_state(self) -> None:
-        pressure = self.pressure
-        self.peak_pressure = max(self.peak_pressure, pressure)
-        if not self._high and pressure >= self.high_water:
-            self._high = True
-            self.high_water_crossings += 1
-        elif self._high and pressure < self.low_water:
-            self._high = False
+        return "high" if self.high else "ok"
 
     def breakdown(self) -> Dict[str, int]:
         """Resident bytes per category (non-zero categories only)."""

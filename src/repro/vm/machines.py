@@ -7,10 +7,10 @@ Hard budgets are expressed in the abstract compute units of
 * every chain executes the Exchange, Gaming, Web-service and Video DApps
   (the Gaming ``update`` is the heaviest at roughly 1.1e5 units: 10 players
   x 2 coordinates, each a load + store + arithmetic);
-* the Mobility DApp's 10,000-iteration distance loop costs roughly 3e6
-  units, which must exceed the AVM, MoveVM and eBPF budgets ("budget
-  exceeded") while the geth EVM, having *no* hard per-transaction budget,
-  executes it;
+* the Mobility DApp's 10,000-iteration distance loop costs roughly 1.2e6
+  units (1,230,624 per call), which must exceed the AVM (500k), eBPF
+  (600k) and MoveVM (1M) budgets ("budget exceeded") while the geth EVM,
+  having *no* hard per-transaction budget, executes it;
 * the AVM additionally limits state to 128-byte key-value pairs (and 64
   global pairs), which is what rejects the video sharing DApp on Algorand
   at deployment time (§5.2).

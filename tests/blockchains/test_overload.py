@@ -31,6 +31,7 @@ from repro.core.spec import (
 )
 from repro.sim.deployment import DeploymentConfig, TESTNET
 from repro.sim.engine import Engine
+from repro.sim.faults import FaultInjector
 from repro.sim.machine import InstanceType
 
 #: 64 MiB of RAM: tiny enough that a few hundred transactions of charged
@@ -185,6 +186,70 @@ class TestShedLoad:
         engine.run(until=30.0)
         assert victim.aborted
         assert net.drop_reasons.get("shed_load") == 1
+
+
+#: overload_events of the crash runs below, recorded before a node's
+#: levels became one set_levels call per round
+PINNED_EVENTS = {
+    "commit_stall": [
+        {"at": 0.88, "kind": "commit_stall", "chain": "quorum",
+         "pressure": 1.19}],
+    "shed_load": [
+        {"at": 0.88, "kind": "shed_start", "chain": "quorum",
+         "pressure": 1.19, "pool_target": 300},
+        {"at": 4.88, "kind": "shed_stop", "chain": "quorum",
+         "pressure": 0.208},
+        {"at": 5.68, "kind": "shed_start", "chain": "quorum",
+         "pressure": 1.2, "pool_target": 300},
+        {"at": 8.88, "kind": "shed_stop", "chain": "quorum",
+         "pressure": 0.216},
+        {"at": 9.68, "kind": "shed_start", "chain": "quorum",
+         "pressure": 1.208, "pool_target": 300}],
+}
+
+
+class TestCrashedNodeFreezes:
+    """A crashed node's footprint stays where it died; live nodes move.
+
+    Node 1 crashes at 10.5 s, while every node is past high water, and
+    stays down. Its frozen ledger is still high, so the commit stall never
+    resumes and shedding never stops after the crash.
+    """
+
+    CATEGORIES = ("mempool", "consensus", "state")
+
+    def _run(self, response):
+        engine, net = make_net(response=response,
+                               consensus_tx_bytes=256 * 1024,
+                               shed_pool_blocks=0.25)
+        injector = FaultInjector()
+        net.attach_faults(injector)
+        at_crash = {}
+
+        def crash():
+            injector.crash(1)
+            at_crash.update(self._levels(net, 1))
+
+        engine.schedule_at(10.5, crash)
+        net.active_until = 60.0
+        for t in range(40):
+            engine.schedule_at(float(t), lambda: flood(net, 300))
+        engine.run(until=80.0)
+        return net, at_crash
+
+    def _levels(self, net, index):
+        ledger = net.machines[index].memory
+        return {name: ledger.level(name) for name in self.CATEGORIES}
+
+    @pytest.mark.parametrize("response", ["commit_stall", "shed_load"])
+    def test_levels_freeze_at_the_crash(self, response):
+        net, at_crash = self._run(response)
+        assert at_crash and any(at_crash.values())
+        assert self._levels(net, 1) == at_crash
+        assert net.machines[1].memory.state == "high"
+        for live in (0, 2, 3):
+            assert self._levels(net, live) != at_crash
+        assert net.overload_events == PINNED_EVENTS[response]
 
 
 class TestDeterminism:

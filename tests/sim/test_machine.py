@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.obs.metrics import MetricsRegistry
@@ -144,3 +146,122 @@ class TestMemoryLedger:
         with pytest.raises(ConfigurationError):
             Machine(engine, Endpoint("m", "ohio"), C5_XLARGE,
                     memory_margin=0.0)
+
+    def test_a_batch_evaluates_the_marks_after_each_category(self):
+        # up past high water and back under low water inside one call:
+        # the crossing and the peak count, as three set_level calls would
+        ledger = MemoryLedger(100, high_water=0.9, low_water=0.75)
+        ledger.set_levels((("mempool", 60), ("consensus", 40),
+                           ("mempool", 0)))
+        assert ledger.high_water_crossings == 1
+        assert ledger.peak_pressure == pytest.approx(1.0)
+        assert ledger.state == "ok"
+        assert ledger.total == 40
+
+
+CATEGORIES = ("mempool", "consensus", "state")
+
+
+class ReferenceLedger:
+    """The ledger before its total became a field: re-sum per category."""
+
+    def __init__(self, capacity, high_water, low_water):
+        self.capacity = capacity
+        self.high_water = high_water
+        self.low_water = low_water
+        self.levels = {}
+        self.high = False
+        self.peak_pressure = 0.0
+        self.high_water_crossings = 0
+
+    def set_levels(self, pairs):
+        if any(nbytes < 0 for _, nbytes in pairs):
+            raise SimulationError("negative level")
+        for category, nbytes in pairs:
+            self.levels[category] = nbytes
+            pressure = self.pressure
+            self.peak_pressure = max(self.peak_pressure, pressure)
+            if not self.high and pressure >= self.high_water:
+                self.high = True
+                self.high_water_crossings += 1
+            elif self.high and pressure < self.low_water:
+                self.high = False
+
+    def level(self, category):
+        return self.levels.get(category, 0)
+
+    @property
+    def total(self):
+        return sum(self.levels.values())
+
+    @property
+    def pressure(self):
+        return self.total / self.capacity
+
+    @property
+    def state(self):
+        return "high" if self.high else "ok"
+
+
+def observed(ledger):
+    return (ledger.total, ledger.pressure, ledger.peak_pressure,
+            ledger.state, ledger.high_water_crossings,
+            [ledger.level(category) for category in CATEGORIES])
+
+
+def call(ledger, method, argument):
+    if method == "set_level":
+        return ledger.set_level(*argument)
+    return ledger.set_levels(argument)
+
+
+@st.composite
+def ledger_runs(draw):
+    """A capacity, water marks and calls whose levels straddle both marks.
+
+    Each category's level is drawn up to the whole capacity, so the three
+    together range from empty to 3x overcommit and cross the marks both
+    ways; a level is occasionally negative, anywhere in a batch.
+    """
+    capacity = draw(st.integers(1, 1000))
+    low_water = draw(st.floats(0.05, 1.0))
+    high_water = draw(st.floats(low_water, 1.0))
+    negative = st.sampled_from([False] * 19 + [True])
+    level = negative.flatmap(lambda it_is: st.integers(-3, -1) if it_is
+                             else st.integers(0, capacity))
+    pair = st.tuples(st.sampled_from(CATEGORIES), level)
+    step = st.one_of(
+        st.tuples(st.just("set_level"), pair),
+        st.tuples(st.just("set_levels"),
+                  st.lists(pair, min_size=1, max_size=5)))
+    calls = draw(st.lists(step, min_size=4, max_size=30))
+    return capacity, high_water, low_water, calls
+
+
+class TestMemoryLedgerAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @example((100, 0.9, 0.75, [
+        ("set_levels", [("mempool", 50), ("consensus", 45), ("state", -1)]),
+        ("set_levels", [("mempool", 50), ("consensus", 45)]),
+        ("set_level", ("consensus", 10)),
+        ("set_levels", [("state", 95), ("state", 0), ("mempool", -2)]),
+        ("set_levels", [("state", 95), ("state", 0)]),
+    ]))
+    @given(ledger_runs())
+    def test_every_call_matches_a_resum_after_each_category(self, run):
+        capacity, high_water, low_water, calls = run
+        ledger = MemoryLedger(capacity, high_water, low_water)
+        reference = ReferenceLedger(capacity, high_water, low_water)
+        for method, argument in calls:
+            pairs = [argument] if method == "set_level" else argument
+            if any(nbytes < 0 for _, nbytes in pairs):
+                before = observed(ledger)
+                with pytest.raises(SimulationError):
+                    call(ledger, method, argument)
+                assert observed(ledger) == before
+                continue
+            returned = call(ledger, method, argument)
+            if method == "set_levels":
+                assert returned == ledger.pressure
+            reference.set_levels(pairs)
+            assert observed(ledger) == observed(reference)
