@@ -40,7 +40,7 @@ from repro.chain.admission import AdmissionController, AdmissionPolicy
 from repro.chain.block import Block
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool, MempoolPolicy
-from repro.chain.receipt import Receipt
+from repro.chain.receipt import ExecStatus, Receipt
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.common.errors import (
@@ -358,7 +358,11 @@ class BlockchainNetwork:
         #: while set, the chain keeps its block cadence through idle gaps
         #: instead of stopping and paying a restart delay per burst
         self.active_until: Optional[float] = None
-        self.receipts: Dict[int, Receipt] = {}
+        #: uid -> execution status of each transaction whose execution
+        #: failed, from its block's execution until that block commits
+        #: (the entry becomes its drop reason) or is requeued (re-execution
+        #: decides again); a successful execution leaves no entry
+        self._failed: Dict[int, str] = {}
         self.committed: List[Transaction] = []
         self.dropped: List[Transaction] = []
         #: drops of submissions nobody built (see :meth:`admission_room`):
@@ -381,7 +385,8 @@ class BlockchainNetwork:
         chain_metrics.gauge("memory_pressure",
                             supplier=lambda: self.memory_pressure)
         self._committed_height = 0
-        self._commit_listeners: List[Callable[[Transaction], None]] = []
+        self._commit_listeners: List[
+            Callable[[List[Transaction]], None]] = []
         self._drop_listeners: List[Callable[[Transaction], None]] = []
         # fault injection + client retries
         self.injector: Optional[FaultInjector] = None
@@ -675,13 +680,16 @@ class BlockchainNetwork:
                 processed += 1
                 if attempt > 1:
                     retried_ok += 1
-                accepted += 1
                 if tracer is not None:
                     if status == "queued":
                         tracer.tx_queued(tx, now)
                     else:
                         tracer.tx_admitted(tx, now)
-                self._ensure_production()
+                if not accepted:
+                    # nothing in the loop stops production again, so the
+                    # first acceptance is the only call that can start it
+                    self._ensure_production()
+                accepted += 1
                 continue
             will_retry = schedule_retry(tx, attempt)
             if tracer is not None:
@@ -784,7 +792,11 @@ class BlockchainNetwork:
         """Submission attempts recorded for *tx* (1 = no retries)."""
         return 0 if tx.submitted_at is None else tx.retries + 1
 
-    def on_commit(self, listener: Callable[[Transaction], None]) -> None:
+    def on_commit(self, listener: Callable[[List[Transaction]], None]
+                  ) -> None:
+        """Observe commits: *listener* is called once per final block that
+        commits any transaction, with those transactions in block order
+        (see :meth:`_commit_block`)."""
         self._commit_listeners.append(listener)
 
     def on_drop(self, listener: Callable[[Transaction], None]) -> None:
@@ -1032,7 +1044,10 @@ class BlockchainNetwork:
             self._blocks_failed.inc()
             if self.tracer is not None and bid >= 0:
                 self.tracer.block_requeued(bid, self.engine.now)
+            failed = self._failed
             for tx in batch:
+                # re-execution decides the transaction's fate again
+                failed.pop(tx.uid, None)
                 self.mempool.try_add(tx)
         delay = self.model.next_block_delay(self._last_round_latency)
         self.engine.schedule_after(delay, self._produce_block,
@@ -1040,15 +1055,26 @@ class BlockchainNetwork:
 
     def _execute_batch(self, batch: Sequence[Transaction]
                        ) -> Tuple[List[Receipt], float]:
+        """Execute *batch* in order: its receipts (read by
+        :meth:`_append_block`, then let go) and the CPU seconds it cost.
+        Only a failed execution leaves a trace beyond the block: its
+        status, in :attr:`_failed`."""
         height = self.ledger.height + 1
         receipts: List[Receipt] = []
+        keep = receipts.append
         cpu = 0.0
         verify = self.params.signature_scheme.verify_cost
+        execute = self.vm.execute
+        state = self.state
+        gas_per_cpu_second = self.vm.gas_per_cpu_second
+        failed = self._failed
+        success = ExecStatus.SUCCESS
         for tx in batch:
-            receipt = self.vm.execute(self.state, tx, block_height=height)
-            receipts.append(receipt)
-            self.receipts[tx.uid] = receipt
-            cpu += self.vm.cpu_cost(receipt.gas_used) + verify
+            receipt = execute(state, tx, block_height=height)
+            keep(receipt)
+            if receipt.status is not success:
+                failed[tx.uid] = receipt.status.value
+            cpu += receipt.gas_used / gas_per_cpu_second + verify
         return receipts, cpu
 
     def _append_block(self, batch: Sequence[Transaction],
@@ -1086,31 +1112,36 @@ class BlockchainNetwork:
         self._committed_height = max(self._committed_height, final_height)
 
     def _commit_block(self, block: Block, final_time: float) -> None:
-        """Commit a final block's transactions, in block order."""
+        """Commit a final block's transactions, in block order, then hand
+        the committed ones to each commit listener in one call."""
         txs = block.transactions
         # sealed into a finalized block — success or execution failure,
         # every transaction has left the consensus pipeline and paid off
         # its debt
         self._pipeline_exits += len(txs)
         committed_at = final_time + self._observation_delay()
-        receipts = self.receipts
+        failed = self._failed
         tracer = self.tracer
-        listeners = self._commit_listeners
-        commit = self.committed.append
+        committed: List[Transaction] = []
+        commit = committed.append
         for tx in txs:
-            receipt = receipts.get(tx.uid)
-            if receipt is not None and not receipt.ok:
-                # the transaction is in a block but its execution failed —
-                # the client sees an error ("budget exceeded", revert,
-                # out-of-gas), not a commit (§6.4 / experiment E2)
-                self._record_drop(tx, receipt.status.value)
-                continue
+            if failed:
+                status = failed.pop(tx.uid, None)
+                if status is not None:
+                    # the transaction is in a block but its execution
+                    # failed — the client sees an error ("budget
+                    # exceeded", revert, out-of-gas), not a commit
+                    # (§6.4 / experiment E2)
+                    self._record_drop(tx, status)
+                    continue
             tx.committed_at = committed_at
             if tracer is not None:
                 tracer.tx_committed(tx, final_time, committed_at)
             commit(tx)
-            for listener in listeners:
-                listener(tx)
+        if committed:
+            self.committed.extend(committed)
+            for listener in self._commit_listeners:
+                listener(committed)
 
     def _observation_delay(self) -> float:
         """Client-side commit detection delay (§5.2 per-chain APIs)."""

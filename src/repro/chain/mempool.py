@@ -291,7 +291,8 @@ class Mempool:
                 self._pool.values(),
                 key=lambda t: (-(t.fee_per_gas + t.tip), t.uid))
         else:
-            candidates = list(self._pool.values())
+            # FIFO: nothing leaves the pool until the selection is made
+            candidates = self._pool.values()
         batch: List[Transaction] = []
         gas_total = 0
         byte_total = 0
@@ -303,16 +304,20 @@ class Mempool:
                     break
                 # a single oversized transaction still fits alone so block
                 # production cannot deadlock on it
-            if (max_bytes is not None and byte_total + tx.size > max_bytes
+            size = tx.size
+            if (max_bytes is not None and byte_total + size > max_bytes
                     and batch):
                 break
             batch.append(tx)
             gas_total += tx.gas_limit
-            byte_total += tx.size
+            byte_total += size
+        pool = self._pool
+        per_sender = self._per_sender
         for tx in batch:
-            del self._pool[tx.uid]
-            self._per_sender[tx.sender] -= 1
-            self._resident_bytes.add(-tx.size)
+            del pool[tx.uid]
+            per_sender[tx.sender] -= 1
+        # the batch's sizes sum to byte_total: one gauge move per pop
+        self._resident_bytes.add(-byte_total)
         return batch
 
     def remove(self, tx: Transaction) -> bool:

@@ -7,9 +7,9 @@ DApps of the paper emit events on success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 
 class ExecStatus(Enum):
@@ -31,9 +31,14 @@ class Event:
     payload: Tuple[Any, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
-    """Result of executing one transaction."""
+    """Result of executing one transaction.
+
+    A chain keeps a block's receipts only until the block is appended
+    (its gas total and fee charges read them); what outlives that is the
+    status of a failed execution, until the block commits or is requeued.
+    """
 
     tx_uid: int
     status: ExecStatus
@@ -41,7 +46,7 @@ class Receipt:
     block_height: Optional[int] = None
     return_value: Any = None
     error: Optional[str] = None
-    events: List[Event] = field(default_factory=list)
+    events: Sequence[Event] = ()
 
     @property
     def ok(self) -> bool:

@@ -45,12 +45,19 @@ class WorldState:
     def credit(self, address: str, amount: int) -> None:
         self._balances[address] = self._balances.get(address, 0) + amount
 
-    def debit(self, address: str, amount: int) -> bool:
-        """Debit if funds suffice; return False otherwise."""
-        balance = self._balances.get(address, 0)
+    def transfer(self, sender: str, recipient: str, amount: int) -> bool:
+        """A native transfer's state change in one call: bump *sender*'s
+        nonce, then move *amount* to *recipient* if funds suffice; return
+        False otherwise, with only the nonce bumped. A transfer to oneself
+        leaves the balance as it was."""
+        nonces = self._nonces
+        nonces[sender] = nonces.get(sender, 0) + 1
+        balances = self._balances
+        balance = balances.get(sender, 0)
         if balance < amount:
             return False
-        self._balances[address] = balance - amount
+        balances[sender] = balance - amount
+        balances[recipient] = balances.get(recipient, 0) + amount
         return True
 
     # -- nonces --------------------------------------------------------------------

@@ -53,7 +53,8 @@ class LivenessWatchdog:
 
     # -- signals ---------------------------------------------------------------
 
-    def _on_commit(self, tx: Any) -> None:
+    def _on_commit(self, txs: List[Any]) -> None:
+        # one call per final block: only the instant matters here
         self._last_progress = self.engine.now
         if self._stalled:
             self._stalled = False

@@ -25,7 +25,7 @@ pure function of the current fee floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.chain.transaction import Transaction, transfer
 from repro.common.errors import SpecError
@@ -219,12 +219,14 @@ class DoSAdversary:
         reservation = self._reservations.pop(tx.uid, 0)
         self._reserved -= reservation
 
-    def _on_commit(self, tx: Transaction) -> None:
-        if tx.sender in self._sender_set:
-            self._committed.inc()
-            # the final charge is in the market's spend ledger now; the
-            # worst-case reservation returns to the budget
-            self._release(tx)
+    def _on_commit(self, txs: List[Transaction]) -> None:
+        senders = self._sender_set
+        for tx in txs:
+            if tx.sender in senders:
+                self._committed.inc()
+                # the final charge is in the market's spend ledger now;
+                # the worst-case reservation returns to the budget
+                self._release(tx)
 
     def _on_drop(self, tx: Transaction) -> None:
         # a dropped attack transaction (shed, expired, evicted with

@@ -5,9 +5,9 @@ pair (Table 4: geth EVM + Solidity, AVM + PyTeal, MoveVM + Move, eBPF +
 Solidity-compiled) and executes transactions against a :class:`WorldState`,
 producing :class:`Receipt` objects.
 
-The VM also maps consumed gas to simulated CPU seconds so contract-heavy
-workloads load the validator machines (the universality experiment's CPU
-intensity, §6.4).
+The VM's ``gas_per_cpu_second`` maps consumed gas to simulated CPU seconds
+(the chain divides a receipt's gas by it) so contract-heavy workloads load
+the validator machines (the universality experiment's CPU intensity, §6.4).
 """
 
 from __future__ import annotations
@@ -104,25 +104,27 @@ class VirtualMachine:
                            block_height=block_height,
                            error=f"bad sequence {tx.sequence},"
                                  f" expected {state.nonce(tx.sender)}")
-        state.bump_nonce(tx.sender)
         if tx.kind is TxKind.TRANSFER:
             return self._execute_transfer(state, tx, block_height)
+        state.bump_nonce(tx.sender)
         return self._execute_invoke(state, tx, block_height)
 
     def _execute_transfer(self, state: WorldState, tx: Transaction,
                           block_height: int) -> Receipt:
         gas = self.schedule.base_tx
         if gas > tx.gas_limit:
+            state.bump_nonce(tx.sender)
             return Receipt(tx.uid, ExecStatus.OUT_OF_GAS, gas_used=tx.gas_limit,
                            block_height=block_height, error="intrinsic gas")
         if tx.recipient is None:
+            state.bump_nonce(tx.sender)
             return Receipt(tx.uid, ExecStatus.INVALID, gas_used=gas,
                            block_height=block_height, error="no recipient")
-        if not state.debit(tx.sender, tx.amount):
+        # nonce, debit and credit in one call
+        if not state.transfer(tx.sender, tx.recipient, tx.amount):
             return Receipt(tx.uid, ExecStatus.REVERTED, gas_used=gas,
                            block_height=block_height,
                            error="insufficient balance")
-        state.credit(tx.recipient, tx.amount)
         return Receipt(tx.uid, ExecStatus.SUCCESS, gas_used=gas,
                        block_height=block_height)
 
@@ -167,12 +169,6 @@ class VirtualMachine:
                        gas_used=intrinsic + meter.used,
                        block_height=block_height, return_value=value,
                        events=ctx.events)
-
-    # -- cost model --------------------------------------------------------------------
-
-    def cpu_cost(self, gas_used: int) -> float:
-        """CPU seconds a validator spends executing *gas_used* units."""
-        return gas_used / self.gas_per_cpu_second
 
     def probe_gas(self, state: WorldState, tx: Transaction) -> Tuple[ExecStatus, int]:
         """Dry-run a transaction on a copy-free probe.

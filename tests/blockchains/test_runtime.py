@@ -140,6 +140,25 @@ class TestSubmissionAndBlocks:
         assert bad.abort_reason == "reverted"
         assert bad not in net.committed
 
+    def test_block_cpu_scales_with_gas(self):
+        # a block costs each receipt's gas over the VM's rate plus one
+        # signature verification per transaction
+        engine, net = make_net(chain="diem")
+        net.deploy_contract(make_counter_contract())
+        a, b = net.accounts.addresses()[:2]
+        batch = [transfer(a, b, 1, gas_limit=21_000),
+                 invoke(a, "Counter", "add", gas_limit=10**6),
+                 invoke(a, "Counter", "no_such_function", gas_limit=10**6)]
+        receipts, cpu = net._execute_batch(batch)
+        expected = 0.0
+        for receipt in receipts:
+            expected += (receipt.gas_used / net.vm.gas_per_cpu_second
+                         + net.params.signature_scheme.verify_cost)
+        assert cpu == expected      # the same float order, exactly
+        assert [r.tx_uid for r in receipts] == [tx.uid for tx in batch]
+        # only the failed execution leaves a trace beyond the block
+        assert net._failed == {batch[2].uid: "reverted"}
+
 
 class TestConfirmationDepthAndExpiry:
     def test_solana_commits_after_30_confirmations(self):

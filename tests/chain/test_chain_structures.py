@@ -86,14 +86,17 @@ class TestWorldState:
         state = WorldState()
         state.credit("a", 100)
         assert state.balance("a") == 100
-        assert state.debit("a", 60)
-        assert state.balance("a") == 40
+        assert state.transfer("a", "b", 60)
+        assert (state.balance("a"), state.balance("b")) == (40, 60)
+        assert state.nonce("a") == 1 and state.nonce("b") == 0
 
     def test_debit_insufficient_fails(self):
         state = WorldState()
         state.credit("a", 10)
-        assert not state.debit("a", 11)
-        assert state.balance("a") == 10
+        assert not state.transfer("a", "b", 11)
+        assert (state.balance("a"), state.balance("b")) == (10, 0)
+        # the nonce is bumped first, whatever the balance says
+        assert state.nonce("a") == 1
 
     def test_nonces(self):
         state = WorldState()

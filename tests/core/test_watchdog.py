@@ -28,8 +28,9 @@ class StubNetwork:
         return self
 
     def commit(self):
+        # like BlockchainNetwork: one call per final block, with a list
         for listener in self._listeners:
-            listener(object())
+            listener([object()])
 
     def arrive(self, at, pending=1):
         self.last_arrival_at = at

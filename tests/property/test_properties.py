@@ -161,8 +161,7 @@ class TestStateProperties:
             state.credit(account, 1000)
         total_before = sum(state.balance(x) for x in "abc")
         for src, dst, amount in moves:
-            if state.debit(src, amount):
-                state.credit(dst, amount)
+            state.transfer(src, dst, amount)
         assert sum(state.balance(x) for x in "abc") == total_before
         assert all(state.balance(x) >= 0 for x in "abc")
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.chain.receipt import ExecStatus
 from repro.chain.state import ContractStorage, WorldState
-from repro.chain.transaction import invoke, transfer
+from repro.chain.transaction import Transaction, TxKind, invoke, transfer
 from repro.common.errors import (
     BudgetExceededError,
     ContractError,
@@ -235,13 +235,29 @@ class TestVirtualMachine:
         bad = vm.execute(state, transfer("a", "b", sequence=5))
         assert bad.status is ExecStatus.INVALID
 
-    def test_cpu_cost_scales_with_gas(self):
-        vm = move_vm()
-        assert vm.cpu_cost(1_000_000) == pytest.approx(
-            10 * vm.cpu_cost(100_000))
-
     def test_geth_is_the_fast_vm(self):
-        assert geth_evm().cpu_cost(10**6) < move_vm().cpu_cost(10**6)
+        assert geth_evm().gas_per_cpu_second > move_vm().gas_per_cpu_second
+
+    def test_transfer_to_self_keeps_the_balance_and_bumps_the_nonce(self):
+        vm = geth_evm()
+        state = WorldState()
+        state.credit("a", 100)
+        assert vm.execute(state, transfer("a", "a", amount=40)).ok
+        assert (state.balance("a"), state.nonce("a")) == (100, 1)
+
+    @pytest.mark.parametrize("fields, status", [
+        ({"recipient": "b", "amount": 500}, ExecStatus.REVERTED),
+        ({"recipient": "b", "gas_limit": 20_000}, ExecStatus.OUT_OF_GAS),
+        ({"recipient": None}, ExecStatus.INVALID),
+    ], ids=["unfunded", "intrinsic-gas", "no-recipient"])
+    def test_failed_transfer_still_bumps_the_nonce(self, fields, status):
+        vm = geth_evm()
+        state = WorldState()
+        state.credit("a", 100)
+        tx = Transaction("a", TxKind.TRANSFER, **fields)
+        assert vm.execute(state, tx).status is status
+        assert (state.balance("a"), state.balance("b"), state.nonce("a")) \
+            == (100, 0, 1)
 
     def test_probe_gas_does_not_mutate_state(self):
         vm = geth_evm()
