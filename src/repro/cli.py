@@ -53,6 +53,7 @@ from repro.analysis.summary import (
     transactions_to_csv,
 )
 from repro.blockchains.registry import CHAIN_NAMES, characteristics_table
+from repro.common.errors import ConfigurationError
 from repro.core.primary import Primary
 from repro.core.results import BenchmarkResult
 from repro.core.population import ARRIVAL_KINDS
@@ -423,7 +424,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands.add_parser("workloads", help="list the built-in workloads")
 
     args = parser.parse_args(argv)
+    try:
+        return _run_command(args)
+    except ConfigurationError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
+
+def _run_command(args: argparse.Namespace) -> int:
     if args.command == "run":
         result = run_benchmark(args.chain, args.configuration,
                                args.workload.read_text(),

@@ -54,11 +54,25 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import yaml
 
 from repro.common.errors import SpecError
+from repro.common.reader import (
+    as_written,
+    builder_for,
+    coerce,
+    construct,
+    each,
+    fail,
+    mapping,
+    read,
+    read_keys,
+    read_kwargs,
+    untag,
+)
 from repro.core.population import PopulationSpec
 from repro.econ.fees import FeeSpec
 from repro.sim.byzantine import (
@@ -147,8 +161,8 @@ class InvokeSpec:
 
     @staticmethod
     def from_call(from_accounts: AccountSample, contract: ContractSample,
-                  call: str) -> "InvokeSpec":
-        name, args = parse_function_call(call)
+                  function: str) -> "InvokeSpec":
+        name, args = parse_function_call(function)
         return InvokeSpec(from_accounts, contract, name, args)
 
 
@@ -254,36 +268,17 @@ class WorkloadGroup:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A complete benchmark configuration.
+    """A complete benchmark configuration, a field per top-level section
+    (docs/ARCHITECTURE.md, "Workload spec sections", lists every key).
 
-    ``faults`` is an optional schedule of timed fault events (node crashes
-    and recoveries, partitions, region outages, link degradation) applied
-    to the chain's validators while the workload runs — see
-    :mod:`repro.sim.faults` for the event vocabulary and the YAML syntax.
-
-    ``byzantine`` is an optional schedule of adversarial misbehaviour
-    windows (equivocation, vote withholding, delay/reorder, leader
-    censorship) declared per validator — see :mod:`repro.sim.byzantine`.
-    It composes with ``faults``: both sections may appear in one spec.
-
-    ``deadline`` is an optional cap on total simulated seconds (load plus
-    drain): a run that would outlive it is cut short and marked ``failed``
-    — the guard against overloaded chains that never drain.
-
-    ``fees`` activates the chain's fee market (dialect and overrides —
-    see :class:`repro.econ.fees.FeeSpec`); ``adversary`` adds a
-    budget-constrained DoS attacker bidding for blockspace on top of it
-    (see :class:`repro.sim.dos.AdversarySpec`; an adversary without a
-    ``fees`` section gets the chain's default fee market). Both are None
-    when their sections are absent, and a None stays entirely out of the
-    pipeline — benign runs are byte-identical to a spec class without
-    these fields.
-
-    ``population`` replaces the explicit client list with an aggregate
-    population (:class:`repro.core.population.PopulationSpec`): a user
-    count with a per-user rate profile, simulated as arrival processes
-    plus a tracked cohort. It is mutually exclusive with ``workloads`` —
-    a population already determines how many users exist.
+    ``faults`` (:mod:`repro.sim.faults`) and ``byzantine``
+    (:mod:`repro.sim.byzantine`) are timed schedules that compose.
+    ``deadline`` caps the simulated seconds (load plus drain); a run cut
+    short by it is marked ``failed``. ``fees`` and ``adversary`` (which
+    brings the chain's default fee market when ``fees`` is absent) are
+    None when absent, and a None stays out of the pipeline, so benign runs
+    are byte-identical. ``population`` replaces ``workloads`` with an
+    aggregate of users; the two are mutually exclusive.
     """
 
     workloads: Tuple[WorkloadGroup, ...] = ()
@@ -304,6 +299,10 @@ class WorkloadSpec:
             raise SpecError("a workload spec needs at least one workload")
         if self.deadline is not None and self.deadline <= 0:
             raise SpecError(f"deadline must be positive: {self.deadline}")
+        if self.fees is not None and not self.fees.enabled:
+            # `enabled: false` is the spec without a fees section, which
+            # keeps the run byte-identical to one that never had it
+            object.__setattr__(self, "fees", None)
         # validate eagerly so a bad schedule fails at parse time
         FaultSchedule(self.faults)
         ByzantineSchedule(self.byzantine)
@@ -391,73 +390,67 @@ class _SpecLoader(yaml.SafeLoader):
     """SafeLoader plus the DIABLO custom tags."""
 
 
-def _location(loader: yaml.Loader, node: yaml.Node) -> LocationSample:
-    return LocationSample(tuple(loader.construct_sequence(node)))
+def _tagged(loader: yaml.Loader, kind: str,
+            node: yaml.Node) -> Dict[str, Any]:
+    """A ``!kind`` node as a mapping holding the tag under ``__kind__`` (a
+    sequence's items under ``patterns``), read where it is used."""
+    if isinstance(node, yaml.SequenceNode):
+        return {"__kind__": kind, "patterns": loader.construct_sequence(node)}
+    return {"__kind__": kind, **loader.construct_mapping(node, deep=True)}
 
 
-def _endpoint(loader: yaml.Loader, node: yaml.Node) -> EndpointSample:
-    return EndpointSample(tuple(loader.construct_sequence(node)))
+_SpecLoader.add_multi_constructor("!", _tagged)
 
 
-def _account(loader: yaml.Loader, node: yaml.Node) -> AccountSample:
-    mapping = loader.construct_mapping(node)
-    return AccountSample(int(mapping["number"]))
+def _sample(kind: str, cls: type):
+    """Builder of a sample: ``{sample: !<kind> ...}``, the bare tag, or a
+    sample built in code."""
+    def build(raw: Any, path: str) -> Any:
+        if isinstance(raw, dict) and "__kind__" not in raw:
+            raw = read_keys(raw, path, {"sample": as_written}, {})["sample"]
+            path = f"{path}.sample"
+        if isinstance(raw, cls):
+            return raw
+        return read(cls, untag(raw, path, {kind: cls})[1], path)
+    return build
 
 
-def _contract(loader: yaml.Loader, node: yaml.Node) -> ContractSample:
-    mapping = loader.construct_mapping(node)
-    return ContractSample(str(mapping["name"]))
+def _interaction(raw: Any, path: str) -> Interaction:
+    cls, fields = untag(raw, path, {"invoke": InvokeSpec,
+                                    "transfer": TransferSpec})
+    kwargs = read_kwargs(
+        cls, fields, path, alias={"from_accounts": "from"}, omit=("args",),
+        build={"from_accounts": _sample("account", AccountSample),
+               "contract": _sample("contract", ContractSample)})
+    factory = InvokeSpec.from_call if cls is InvokeSpec else cls
+    return construct(factory, path, **kwargs)
 
 
-def _invoke(loader: yaml.Loader, node: yaml.Node) -> Dict[str, Any]:
-    mapping = loader.construct_mapping(node, deep=True)
-    mapping["__kind__"] = "invoke"
-    return mapping
+def _load(raw: Any, path: str) -> LoadSchedule:
+    """A ``{time: rate}`` schedule."""
+    number = builder_for("float")
+    points = {coerce(number, t, f"{path}.{t}"):
+              coerce(number, r, f"{path}.{t}")
+              for t, r in mapping(raw, path).items()}
+    return construct(LoadSchedule.from_mapping, path, points)
 
 
-def _transfer(loader: yaml.Loader, node: yaml.Node) -> Dict[str, Any]:
-    mapping = loader.construct_mapping(node, deep=True)
-    mapping["__kind__"] = "transfer"
-    return mapping
+_CLIENT = partial(
+    read, ClientSpec, alias={"behaviors": "behavior"},
+    build={"location": _sample("location", LocationSample),
+           "view": _sample("endpoint", EndpointSample),
+           "behaviors": each(partial(read, Behavior, build={
+               "interaction": _interaction, "load": _load}))})
 
 
-_SpecLoader.add_constructor("!location", _location)
-_SpecLoader.add_constructor("!endpoint", _endpoint)
-_SpecLoader.add_constructor("!account", _account)
-_SpecLoader.add_constructor("!contract", _contract)
-_SpecLoader.add_constructor("!invoke", _invoke)
-_SpecLoader.add_constructor("!transfer", _transfer)
+def _group(raw: Any, path: str) -> WorkloadGroup:
+    """A workload group; ``number`` defaults to one client."""
+    return read(WorkloadGroup, {"number": 1, **mapping(raw, path)}, path,
+                build={"client": _CLIENT})
 
 
-def _resolve_sample(value: Any, expected: type, what: str) -> Any:
-    """Unwrap a `{sample: <tag>}` binding or accept the sample directly."""
-    if isinstance(value, dict) and "sample" in value:
-        value = value["sample"]
-    if not isinstance(value, expected):
-        raise SpecError(f"{what}: expected {expected.__name__},"
-                        f" got {type(value).__name__}")
-    return value
-
-
-def _build_interaction(raw: Any) -> Interaction:
-    if not isinstance(raw, dict) or "__kind__" not in raw:
-        raise SpecError(f"behavior interaction must be !invoke or !transfer,"
-                        f" got {raw!r}")
-    kind = raw["__kind__"]
-    accounts = _resolve_sample(raw.get("from"), AccountSample, "from")
-    if kind == "transfer":
-        return TransferSpec(accounts, int(raw.get("amount", 1)))
-    contract = _resolve_sample(raw.get("contract"), ContractSample, "contract")
-    return InvokeSpec.from_call(accounts, contract, str(raw["function"]))
-
-
-_POPULATION_KEYS = frozenset({
-    "users", "cohort", "interaction", "load", "rate_per_user", "duration",
-    "arrival", "burst_factor", "burst_fraction", "burst_length",
-    "location", "view"})
-
-
-def population_from_dict(raw: Any) -> PopulationSpec:
+def population_from_dict(raw: Any, path: str = "population"
+                         ) -> PopulationSpec:
     """Build a PopulationSpec from a parsed ``population:`` section.
 
     The rate profile comes either from an explicit per-user ``load``
@@ -465,111 +458,37 @@ def population_from_dict(raw: Any) -> PopulationSpec:
     ``rate_per_user`` + ``duration`` constant-rate shorthand — exactly
     one of the two.
     """
-    if not isinstance(raw, dict):
-        raise SpecError("'population' must be a mapping")
-    unknown = set(raw) - _POPULATION_KEYS
-    if unknown:
-        raise SpecError(
-            f"unknown population keys: {', '.join(sorted(unknown))}")
-    if "users" not in raw:
-        raise SpecError("'population' needs a 'users' count")
-    if "interaction" not in raw:
-        raise SpecError("'population' needs an 'interaction'"
-                        " (!transfer or !invoke)")
-    interaction = _build_interaction(raw["interaction"])
-    has_load = "load" in raw
-    has_shorthand = "rate_per_user" in raw or "duration" in raw
-    if has_load and has_shorthand:
-        raise SpecError("'population' takes either a 'load' schedule or"
-                        " 'rate_per_user' + 'duration', not both")
-    if has_load:
-        load = LoadSchedule.from_mapping(raw["load"])
-    elif "rate_per_user" in raw and "duration" in raw:
-        load = LoadSchedule.constant(float(raw["rate_per_user"]),
-                                     float(raw["duration"]))
-    else:
-        raise SpecError("'population' needs a per-user rate profile:"
-                        " a 'load' schedule, or 'rate_per_user' and"
-                        " 'duration' together")
-    kwargs: Dict[str, Any] = {}
-    if raw.get("cohort") is not None:
-        kwargs["cohort"] = int(raw["cohort"])
-    if "arrival" in raw:
-        kwargs["arrival"] = str(raw["arrival"])
-    for key in ("burst_factor", "burst_fraction", "burst_length"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    for key in ("location", "view"):
-        if key in raw:
-            kwargs[key] = str(raw[key])
-    return PopulationSpec(users=int(raw["users"]), interaction=interaction,
-                          load=load, **kwargs)
+    kwargs = read_kwargs(PopulationSpec, raw, path, omit=("load",),
+                         build={"interaction": _interaction},
+                         extra={"load": _load, "rate_per_user": "float",
+                                "duration": "float"})
+    shorthand = [kwargs.pop(key) for key in ("rate_per_user", "duration")
+                 if key in kwargs]
+    if len(shorthand) != (0 if "load" in kwargs else 2):
+        fail(path, "needs one per-user rate profile: a 'load' schedule, or"
+             " 'rate_per_user' and 'duration' together, not both")
+    if shorthand:
+        kwargs["load"] = LoadSchedule.constant(*shorthand)
+    return construct(PopulationSpec, path, **kwargs)
 
 
 def spec_from_dict(document: Dict[str, Any]) -> WorkloadSpec:
-    """Build a WorkloadSpec from a parsed configuration document."""
-    if not isinstance(document, dict):
-        raise SpecError("configuration needs a top-level 'workloads' list")
-    raw_population = document.get("population")
-    population = (population_from_dict(raw_population)
-                  if raw_population is not None else None)
-    raw_groups = document.get("workloads")
-    if raw_groups is None:
-        if population is None:
-            raise SpecError(
-                "configuration needs a top-level 'workloads' list")
-        raw_groups = ()
-    groups: List[WorkloadGroup] = []
-    for raw_group in raw_groups:
-        raw_client = raw_group["client"]
-        location = _resolve_sample(raw_client.get("location"),
-                                   LocationSample, "client.location")
-        view = _resolve_sample(raw_client.get("view"),
-                               EndpointSample, "client.view")
-        behaviors = []
-        for raw_behavior in raw_client["behavior"]:
-            interaction = _build_interaction(raw_behavior["interaction"])
-            load = LoadSchedule.from_mapping(raw_behavior["load"])
-            behaviors.append(Behavior(interaction, load))
-        groups.append(WorkloadGroup(
-            number=int(raw_group.get("number", 1)),
-            client=ClientSpec(location, view, tuple(behaviors))))
-    raw_faults = document.get("faults", ())
-    if raw_faults and not isinstance(raw_faults, (list, tuple)):
-        raise SpecError("'faults' must be a list of fault events")
-    faults = events_from_dicts(raw_faults) if raw_faults else ()
-    raw_byzantine = document.get("byzantine", ())
-    if raw_byzantine and not isinstance(raw_byzantine, (list, tuple)):
-        raise SpecError("'byzantine' must be a list of byzantine events")
-    byzantine = (byzantine_events_from_dicts(raw_byzantine)
-                 if raw_byzantine else ())
-    raw_deadline = document.get("deadline")
-    if raw_deadline is not None:
-        try:
-            raw_deadline = float(raw_deadline)
-        except (TypeError, ValueError):
-            raise SpecError(
-                f"'deadline' must be a number, got {raw_deadline!r}") from None
-    raw_fees = document.get("fees")
-    fees = FeeSpec.from_dict(raw_fees) if raw_fees is not None else None
-    if fees is not None and not fees.enabled:
-        # `enabled: false` normalizes to the same spec as an absent
-        # section, preserving the byte-identity contract
-        fees = None
-    raw_adversary = document.get("adversary")
-    adversary = (AdversarySpec.from_dict(raw_adversary)
-                 if raw_adversary is not None else None)
-    return WorkloadSpec(tuple(groups), faults=faults, byzantine=byzantine,
-                        deadline=raw_deadline, fees=fees, adversary=adversary,
-                        population=population)
+    """Build a WorkloadSpec from a parsed configuration document (whose
+    ``let:`` list only holds the YAML anchors the sections refer to)."""
+    kwargs = read_kwargs(WorkloadSpec, document, "", extra={"let": as_written},
+                         build={"workloads": each(_group),
+                                "faults": events_from_dicts,
+                                "byzantine": byzantine_events_from_dicts,
+                                "fees": FeeSpec.from_dict,
+                                "adversary": partial(read, AdversarySpec),
+                                "population": population_from_dict})
+    kwargs.pop("let", None)
+    return construct(WorkloadSpec, "", **kwargs)
 
 
 def load_spec(text: str) -> WorkloadSpec:
     """Parse a YAML benchmark configuration into a WorkloadSpec."""
-    document = yaml.load(text, Loader=_SpecLoader)
-    if document is None:
-        raise SpecError("empty specification document")
-    return spec_from_dict(document)
+    return spec_from_dict(yaml.load(text, Loader=_SpecLoader))
 
 
 def simple_spec(interaction: Interaction, load: LoadSchedule,

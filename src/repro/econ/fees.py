@@ -22,10 +22,11 @@ is integer so fee trajectories are byte-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SpecError
+from repro.common.reader import read
 from repro.vm.gas import eip1559_base_fee_update
 
 DIALECTS = ("eip1559", "auction", "flat")
@@ -125,15 +126,8 @@ class FeeSpec:
                 f" expected one of {DIALECTS}")
 
     @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "FeeSpec":
-        if not isinstance(raw, dict):
-            raise SpecError(f"'fees' must be a mapping, got {type(raw).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise SpecError(
-                f"unknown key(s) in fees section: {', '.join(unknown)}")
-        return cls(**raw)
+    def from_dict(cls, raw: Any, path: str = "fees") -> "FeeSpec":
+        return read(cls, raw, path)
 
     def applied_to(self, policy: Optional[FeePolicy]) -> FeePolicy:
         """The chain policy with this spec's overrides layered on top."""

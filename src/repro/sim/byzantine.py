@@ -39,6 +39,7 @@ from typing import (
 )
 
 from repro.common.errors import SpecError
+from repro.common.reader import read_events
 from repro.common.rng import RngFactory
 
 #: marker appended to forked leaf values; honest protocols treat payloads
@@ -172,58 +173,16 @@ def byzantine_event_summary(event: ByzantineEvent) -> Dict[str, Any]:
 
 
 def byzantine_events_from_dicts(
-        raw: Sequence[Dict[str, Any]]) -> Tuple[ByzantineEvent, ...]:
-    """Parse the ``byzantine:`` section of a workload spec.
-
-    Each entry is a mapping with ``start``, ``stop`` and ``kind``::
-
-        byzantine:
-          - { start: 10, stop: 30, kind: equivocate, node: 0 }
-          - { start: 10, stop: 30, kind: silence, nodes: [1, 2] }
-          - { start: 5,  stop: 20, kind: delay_reorder, node: 3,
-              min_delay: 0.1, max_delay: 0.4 }
-          - { start: 0,  stop: 15, kind: censor_leader, node: 1 }
-
-    Every kind accepts either ``node: k`` or ``nodes: [...]`` and
-    expands to one event per node. Malformed entries raise
-    :class:`~repro.common.errors.SpecError` at parse time.
+        raw: Sequence[Dict[str, Any]],
+        path: str = "byzantine") -> Tuple[ByzantineEvent, ...]:
+    """Parse the ``byzantine:`` section of a workload spec: a list of
+    ``{start, stop, kind, node}`` windows, one key set per kind
+    (docs/ARCHITECTURE.md, "Workload spec sections"), for example
+    ``{start: 10, stop: 30, kind: silence, nodes: [1, 2]}``: every kind
+    takes ``node: k`` or ``nodes: [...]``, one event per node.
     """
-    events: List[ByzantineEvent] = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise SpecError(f"byzantine entry must be a mapping: {entry!r}")
-        try:
-            start = float(entry["start"])
-            stop = float(entry["stop"])
-            kind = str(entry["kind"])
-        except (KeyError, TypeError, ValueError):
-            raise SpecError(
-                "byzantine entry needs 'start', 'stop' and 'kind':"
-                f" {entry!r}") from None
-        nodes = entry.get("nodes", entry.get("node"))
-        if nodes is None:
-            raise SpecError(f"{kind} event needs 'node' or 'nodes'")
-        if not isinstance(nodes, (list, tuple)):
-            nodes = [nodes]
-        for node in nodes:
-            if not isinstance(node, int) or isinstance(node, bool):
-                raise SpecError(
-                    f"byzantine node must be a replica index: {node!r}"
-                    f" in {entry!r}")
-            if kind == "equivocate":
-                events.append(Equivocate(start, stop, node))
-            elif kind == "silence":
-                events.append(Silence(start, stop, node))
-            elif kind == "delay_reorder":
-                events.append(DelayReorder(
-                    start, stop, node,
-                    min_delay=float(entry.get("min_delay", 0.05)),
-                    max_delay=float(entry.get("max_delay", 0.5))))
-            elif kind == "censor_leader":
-                events.append(CensorLeader(start, stop, node))
-            else:
-                raise SpecError(f"unknown byzantine kind {kind!r}")
-    return tuple(events)
+    return read_events(raw, path,
+                       {kind: cls for cls, kind in _BYZ_KINDS.items()})
 
 
 # -- the schedule ------------------------------------------------------------

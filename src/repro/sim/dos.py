@@ -24,7 +24,7 @@ pure function of the current fee floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.chain.transaction import Transaction, transfer
@@ -43,18 +43,8 @@ WAR_CHEST = 10 ** 12
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    """The workload's ``adversary:`` section.
-
-    ``budget``          total fee units the attacker may spend (>= 1)
-    ``rate``            attack transactions per second, unscaled TPS
-    ``start`` / ``stop`` attack window in benchmark seconds (stop ``None``
-                        = the whole run)
-    ``bid_multiplier``  how far above the honest fee suggestion each
-                        attack transaction bids
-    ``senders``         distinct attacker accounts (spreads per-sender
-                        mempool quotas, as a real attacker would)
-    ``gas_limit``       gas attached to each attack transfer
-    """
+    """The workload's ``adversary:`` section (its keys' meanings are in
+    docs/ARCHITECTURE.md, "Workload spec sections")."""
 
     budget: int = 1_000_000
     rate: float = 1_000.0
@@ -81,18 +71,6 @@ class AdversarySpec:
             raise SpecError("adversary.senders must be >= 1")
         if self.gas_limit < 21_000:
             raise SpecError("adversary.gas_limit must be >= 21000")
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "AdversarySpec":
-        if not isinstance(raw, dict):
-            raise SpecError(
-                f"'adversary' must be a mapping, got {type(raw).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise SpecError(
-                f"unknown key(s) in adversary section: {', '.join(unknown)}")
-        return cls(**raw)
 
 
 class DoSAdversary:

@@ -34,6 +34,7 @@ from typing import (
 )
 
 from repro.common.errors import SimulationError, SpecError
+from repro.common.reader import each, read_events
 from repro.sim.engine import Engine
 
 NodeKey = Hashable
@@ -162,57 +163,26 @@ def event_summary(event: FaultEvent) -> Dict[str, Any]:
     return summary
 
 
-def events_from_dicts(raw: Sequence[Dict[str, Any]]) -> Tuple[FaultEvent, ...]:
-    """Parse the ``faults:`` section of a workload spec.
+def _node_key(value: Any, path: str) -> NodeKey:
+    if isinstance(value, str) or (isinstance(value, int)
+                                  and not isinstance(value, bool)):
+        return value
+    raise TypeError(f"expected a node index or name, got {value!r}")
 
-    Each entry is a mapping with ``at`` (seconds) and ``kind``::
 
-        faults:
-          - { at: 30, kind: crash, nodes: [0, 1, 2] }
-          - { at: 60, kind: recover, nodes: [0, 1, 2] }
-          - { at: 30, kind: partition, groups: [[0, 1], [2, 3]] }
-          - { at: 60, kind: heal }
-          - { at: 10, kind: region_outage, region: tokyo, duration: 20 }
-          - { at: 5,  kind: link_degrade, src: ohio, dst: tokyo,
-              extra_latency: 0.2, drop_rate: 0.1 }
-
-    ``crash``/``recover`` accept either ``node: k`` or ``nodes: [...]`` and
-    expand to one event per node.
+def events_from_dicts(raw: Sequence[Dict[str, Any]],
+                      path: str = "faults") -> Tuple[FaultEvent, ...]:
+    """Parse the ``faults:`` section of a workload spec: a list of
+    ``{at: <seconds>, kind: <kind>, ...}`` mappings, one key set per kind
+    (docs/ARCHITECTURE.md, "Workload spec sections"), for example
+    ``{at: 30, kind: crash, nodes: [0, 1]}``: ``crash`` and ``recover``
+    take ``node: k`` or ``nodes: [...]``, one event per node.
     """
-    events: List[FaultEvent] = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise SimulationError(f"fault entry must be a mapping: {entry!r}")
-        try:
-            at = float(entry["at"])
-            kind = str(entry["kind"])
-        except (KeyError, TypeError, ValueError):
-            raise SimulationError(
-                f"fault entry needs 'at' and 'kind': {entry!r}") from None
-        if kind in ("crash", "recover"):
-            nodes = entry.get("nodes", entry.get("node"))
-            if nodes is None:
-                raise SimulationError(f"{kind} fault needs 'node' or 'nodes'")
-            if not isinstance(nodes, (list, tuple)):
-                nodes = [nodes]
-            cls = NodeCrash if kind == "crash" else NodeRecover
-            events.extend(cls(at, node) for node in nodes)
-        elif kind == "partition":
-            groups = tuple(tuple(group) for group in entry["groups"])
-            events.append(Partition(at, groups))
-        elif kind == "heal":
-            events.append(Heal(at))
-        elif kind == "region_outage":
-            events.append(RegionOutage(at, str(entry["region"]),
-                                       float(entry["duration"])))
-        elif kind == "link_degrade":
-            events.append(LinkDegrade(
-                at, entry["src"], entry["dst"],
-                extra_latency=float(entry.get("extra_latency", 0.0)),
-                drop_rate=float(entry.get("drop_rate", 0.0))))
-        else:
-            raise SimulationError(f"unknown fault kind {kind!r}")
-    return tuple(events)
+    return read_events(
+        raw, path, {kind: cls for cls, kind in _EVENT_KINDS.items()},
+        alias={"time": "at"},
+        build={"node": _node_key, "src": _node_key, "dst": _node_key,
+               "groups": each(each(_node_key))})
 
 
 # -- the schedule ------------------------------------------------------------

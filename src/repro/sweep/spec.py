@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import yaml
@@ -53,6 +54,13 @@ import yaml
 from repro.blockchains.base import default_scale
 from repro.blockchains.registry import CHAIN_NAMES
 from repro.common.errors import SpecError
+from repro.common.reader import (
+    builder_for,
+    construct,
+    read,
+    read_keys,
+    read_kwargs,
+)
 from repro.core.primary import DEFAULT_DRAIN
 from repro.core.watchdog import DEFAULT_WINDOW
 from repro.obs import ObservabilityOptions
@@ -212,60 +220,19 @@ class SweepSpec:
         return f"{'x'.join(str(d) for d in dims)} = {total} cells"
 
 
-def _string_tuple(document: Dict[str, Any], key: str,
-                  required: bool = True,
-                  default: Tuple = ()) -> Tuple:
-    value = document.get(key)
-    if value is None:
-        if required:
-            raise SpecError(f"sweep needs a '{key}' list")
-        return default
-    if isinstance(value, (str, int, float)):
-        value = [value]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise SpecError(f"sweep '{key}' must be a non-empty list")
-    return tuple(value)
+def _matrix(raw: Any, path: str) -> Dict[str, Any]:
+    """The ``sweep:`` mapping, read as SweepSpec keyword arguments."""
+    names = builder_for("Tuple[str, ...]")
+    return read_kwargs(SweepSpec, raw, path, omit=("options",),
+                       build={"configurations": names, "workloads": names})
 
 
 def sweep_from_dict(document: Dict[str, Any]) -> SweepSpec:
     """Build a SweepSpec from a parsed sweep document."""
-    if not isinstance(document, dict) or "sweep" not in document:
-        raise SpecError("a sweep specification needs a top-level"
-                        " 'sweep' mapping")
-    matrix = document["sweep"]
-    if not isinstance(matrix, dict):
-        raise SpecError("'sweep' must be a mapping")
-    unknown = set(matrix) - {"chains", "configurations", "workloads",
-                             "seeds", "scales", "populations"}
-    if unknown:
-        raise SpecError(f"unknown sweep keys: {', '.join(sorted(unknown))}")
-    raw_options = document.get("options", {})
-    if not isinstance(raw_options, dict):
-        raise SpecError("'options' must be a mapping")
-    known_options = {"accounts", "clients", "drain", "max_sim_seconds",
-                     "watchdog_window", "cohort", "rate_per_user"}
-    unknown = set(raw_options) - known_options
-    if unknown:
-        raise SpecError(f"unknown option keys: {', '.join(sorted(unknown))}")
-    try:
-        options = CellOptions(**raw_options)
-    except TypeError as exc:
-        raise SpecError(f"bad sweep options: {exc}") from None
-    seeds = tuple(int(s) for s in _string_tuple(
-        matrix, "seeds", required=False, default=(0,)))
-    scales = tuple(None if s is None else float(s) for s in _string_tuple(
-        matrix, "scales", required=False, default=(None,)))
-    populations = tuple(None if p is None else int(p) for p in _string_tuple(
-        matrix, "populations", required=False, default=(None,)))
-    return SweepSpec(
-        chains=tuple(str(c) for c in _string_tuple(matrix, "chains")),
-        configurations=tuple(str(c) for c in _string_tuple(
-            matrix, "configurations")),
-        workloads=tuple(str(w) for w in _string_tuple(matrix, "workloads")),
-        seeds=seeds,
-        scales=scales,
-        populations=populations,
-        options=options)
+    options = partial(read, CellOptions, omit=("observe",))
+    parts = read_keys(document, "", {"sweep": _matrix}, {"options": options})
+    return construct(SweepSpec, "sweep", **parts["sweep"],
+                     options=parts.get("options", CellOptions()))
 
 
 def load_sweep(text: str) -> SweepSpec:
@@ -276,7 +243,4 @@ def load_sweep(text: str) -> SweepSpec:
     parsed document — whitespace, comments, key order — do not invalidate
     cached cells.
     """
-    document = yaml.safe_load(text)
-    if document is None:
-        raise SpecError("empty sweep specification")
-    return sweep_from_dict(document)
+    return sweep_from_dict(yaml.safe_load(text))

@@ -76,3 +76,27 @@ class TestCompression:
         capsys.readouterr()
         assert main(["csv", str(gz)]) == 0
         assert "submitted_at" in capsys.readouterr().out
+
+
+class TestSpecErrors:
+    """A malformed spec is one ``repro: error:`` line and exit status 2."""
+
+    def test_run_reports_the_key_path(self, tmp_path, capsys):
+        spec = tmp_path / "bad.yaml"
+        spec.write_text("workloads:\n  - number: 1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--chain", "quorum", "--scale", "0.05", str(spec)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: workloads[0].client: missing required key\n")
+
+    def test_sweep_reports_the_key_path(self, tmp_path, capsys):
+        spec = tmp_path / "bad-sweep.yaml"
+        spec.write_text("sweep:\n  chains: [quorum]\n"
+                        "  configurations: [testnet]\n"
+                        "  workloads: [native-100]\n  seeds: [one]\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--no-cache", str(spec)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: sweep.seeds[0]: expected an integer, got 'one'\n")

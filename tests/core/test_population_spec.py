@@ -111,7 +111,7 @@ class TestPopulationYaml:
         assert spec.account_population() == 100
 
     def test_unknown_population_keys_rejected(self):
-        with pytest.raises(SpecError, match="unknown population keys"):
+        with pytest.raises(SpecError, match="population.clients: unknown key"):
             population_from_dict({"users": 10, "interaction": {},
                                   "rate_per_user": 0.1, "duration": 10,
                                   "clients": 5})
@@ -133,7 +133,7 @@ class TestPopulationYaml:
             population_from_dict(raw)
 
     def test_workloads_still_required_without_population(self):
-        with pytest.raises(SpecError, match="top-level 'workloads' list"):
+        with pytest.raises(SpecError, match="at least one workload"):
             load_spec("deadline: 10\n")
 
     def test_population_alongside_workloads_rejected_at_parse(self):

@@ -195,3 +195,132 @@ workloads:
         sample = EndpointSample(("quorum-node-.*",))
         assert sample.matches("quorum-node-3")
         assert not sample.matches("diem-node-3")
+
+
+_GROUP = """
+workloads:
+  - number: 1
+    client:
+      location: { sample: !location [ ".*" ] }
+      view: { sample: !endpoint [ ".*" ] }
+      behavior:
+        - interaction: !transfer
+            from: { sample: !account { number: 10 } }
+          load: { 0: 10, 10: 0 }
+"""
+
+_POPULATION = """
+population:
+  users: 1000
+  rate_per_user: 0.01
+  duration: 10
+  interaction: !transfer
+    from: { sample: !account { number: 10 } }
+"""
+
+_SWEEP = """
+sweep:
+  chains: [quorum]
+  configurations: [testnet]
+  workloads: [native-100]
+"""
+
+#: (malformed document, the key path its SpecError must start with)
+PROBES = [
+    ("workloads:\n  - number: 1\n", "workloads[0].client"),
+    (_GROUP.replace("          load: { 0: 10, 10: 0 }\n", ""),
+     "workloads[0].client.behavior[0].load"),
+    (_GROUP.replace("      behavior:", "      behaviour:"),
+     "workloads[0].client.behaviour"),
+    (_GROUP.replace("number: 1", "number: two"), "workloads[0].number"),
+    (_GROUP.replace("!transfer", "!transfr"),
+     "workloads[0].client.behavior[0].interaction"),
+    (_GROUP.replace("{ number: 10 }", "{ numbr: 10 }"),
+     "workloads[0].client.behavior[0].interaction.from.sample.numbr"),
+    (_GROUP.replace("{ 0: 10, 10: 0 }", "{ 0: fast, 10: 0 }"),
+     "workloads[0].client.behavior[0].load.0"),
+    (_GROUP.replace("!location [ \".*\" ]", "!location [ 5 ]"),
+     "workloads[0].client.location.sample.patterns[0]"),
+    (_GROUP + "fault:\n  - { at: 5, kind: heal }\n", "fault"),
+    (_GROUP + "faults:\n  - { at: 5, kind: partition }\n",
+     "faults[0].groups"),
+    (_GROUP + "faults:\n  - { at: 5, kind: link_degrade, src: a, dst: b,"
+     " extra_latncy: 0.2 }\n", "faults[0].extra_latncy"),
+    (_GROUP + "faults:\n  - { kind: crash, node: 0 }\n", "faults[0].at"),
+    (_GROUP + "faults:\n  - { at: 5, kind: meteor }\n", "faults[0].kind"),
+    (_GROUP + "faults:\n  - { at: 5, kind: crash, nodes: [0, [1]] }\n",
+     "faults[0].nodes[1]"),
+    (_GROUP + "byzantine:\n  - { start: 0, stop: 5, kind: delay_reorder,"
+     " node: 0, max_dlay: 0.3 }\n", "byzantine[0].max_dlay"),
+    (_GROUP + "byzantine:\n  - { start: 0, stop: 5, kind: silence,"
+     " node: validator-0 }\n", "byzantine[0].node"),
+    (_GROUP + "fees: { fee_bump: high }\n", "fees.fee_bump"),
+    (_GROUP + "fees: { enabled: 'no' }\n", "fees.enabled"),
+    (_GROUP + "adversary: { budget: lots }\n", "adversary.budget"),
+    (_GROUP + "deadline: soon\n", "deadline"),
+    (_POPULATION.replace("users: 1000", "users: 2.7"), "population.users"),
+    (_POPULATION + "  cohort: 1.5\n", "population.cohort"),
+    (_SWEEP + "  seeds: [one]\n", "sweep.seeds[0]"),
+    (_SWEEP + "optoins:\n  accounts: 5\n", "optoins"),
+    (_SWEEP + "options:\n  accounts: 5.5\n", "options.accounts"),
+]
+
+
+@pytest.mark.parametrize("text, path", PROBES,
+                         ids=[path for _, path in PROBES])
+def test_a_malformed_spec_is_a_spec_error_naming_its_key(text, path):
+    from repro.sweep import load_sweep
+
+    load = load_sweep if text.lstrip().startswith("sweep:") else load_spec
+    with pytest.raises(SpecError) as excinfo:
+        load(text)
+    assert str(excinfo.value).startswith(f"{path}: "), str(excinfo.value)
+
+
+class TestSectionReading:
+    def test_fees_disabled_is_no_fees_section(self):
+        spec = load_spec(_GROUP + "fees: { enabled: false, base_fee: 5 }\n")
+        assert spec.fees is None
+        assert spec == load_spec(_GROUP)
+
+    def test_node_and_nodes_together_rejected(self):
+        with pytest.raises(SpecError, match=r"^faults\[0\]\.nodes: give"):
+            load_spec(_GROUP + "faults:\n  - { at: 5, kind: crash, node: 0,"
+                      " nodes: [1] }\n")
+
+    def test_an_event_check_fails_at_its_entry(self):
+        with pytest.raises(SpecError, match=r"^faults\[0\]: a partition"
+                           " needs at least two groups"):
+            load_spec(_GROUP + "faults:\n  - { at: 5, kind: partition,"
+                      " groups: [[0, 1]] }\n")
+
+    def test_a_section_check_names_its_key_once(self):
+        with pytest.raises(SpecError,
+                           match=r"^population\.users must be positive"):
+            load_spec(_POPULATION.replace("users: 1000", "users: 0"))
+
+    def test_a_bare_sample_tag_is_a_sample(self):
+        spec = load_spec(_GROUP.replace(
+            "{ sample: !account { number: 10 } }", "!account { number: 7 }"))
+        assert spec.account_population() == 7
+
+    @pytest.mark.parametrize("text, path", [
+        ("workloads:\n  - number: 1\n    client: ~\n", "workloads[0].client"),
+        (_GROUP.split("      behavior:")[0] + "      behavior: ~\n",
+         "workloads[0].client.behavior"),
+        (_GROUP.replace("load: { 0: 10, 10: 0 }", "load: ~"),
+         "workloads[0].client.behavior[0].load"),
+        (_GROUP.replace("!transfer", "~").replace(
+            "            from: { sample: !account { number: 10 } }\n", ""),
+         "workloads[0].client.behavior[0].interaction"),
+    ])
+    def test_a_null_section_fails_at_its_path(self, text, path):
+        with pytest.raises(SpecError) as excinfo:
+            load_spec(text)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_an_empty_list_fails_at_its_path(self):
+        with pytest.raises(SpecError, match=r"^workloads\[0\]\.client\."
+                           r"behavior: expected a non-empty list"):
+            load_spec(_GROUP.split("      behavior:")[0]
+                      + "      behavior: []\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,6 +102,22 @@ class TestDeterministicArrivalsExact:
         # carry accumulators truncate at most one transaction per lane
         assert abs(connector.aggregate_emitted - expected_aggregate) <= 1.0
         assert abs(connector.cohort_emitted - expected_cohort) <= 1.0
+
+    @pytest.mark.xfail(strict=True, reason="the tick loop advances by"
+                       " t += tick, which drifts and fires one tick too"
+                       " many; ROADMAP item 2(a)")
+    @pytest.mark.parametrize("users, rate, duration, tick", [
+        (496, 0.03125, 1.0, 0.1),       # emits 17 against 15.47
+        (139, 0.03125, 2.0, 1 / 3),     # emits 10 against 8.63
+    ])
+    def test_the_tick_grid_is_exact(self, users, rate, duration, tick):
+        spec = PopulationSpec(users=users, interaction=INTERACTION,
+                              load=LoadSchedule.constant(rate, duration),
+                              cohort=1, arrival="deterministic")
+        connector = run_population_secondary(spec, tick, scale=1.0)
+        expected = tick_grid_total(rate, spec.aggregate_users, duration,
+                                   tick, 1.0)
+        assert abs(connector.aggregate_emitted - expected) <= 1.0
 
 
 class TestPoissonArrivalsMean:

@@ -59,22 +59,22 @@ class TestFailFast:
             byzantine_events_from_dicts(["equivocate"])
 
     def test_missing_keys(self):
-        with pytest.raises(SpecError, match="'start', 'stop' and 'kind'"):
+        with pytest.raises(SpecError, match="start: missing required key"):
             byzantine_events_from_dicts([{"kind": "silence", "node": 0}])
 
     def test_unknown_kind(self):
-        with pytest.raises(SpecError, match="unknown byzantine kind"):
+        with pytest.raises(SpecError, match="kind: unknown kind"):
             byzantine_events_from_dicts([
                 {"start": 0, "stop": 5, "kind": "bribe", "node": 0}])
 
     def test_node_must_be_index(self):
-        with pytest.raises(SpecError, match="replica index"):
+        with pytest.raises(SpecError, match="node: expected an integer"):
             byzantine_events_from_dicts([
                 {"start": 0, "stop": 5, "kind": "silence",
                  "node": "validator-0"}])
 
     def test_missing_node(self):
-        with pytest.raises(SpecError, match="'node' or 'nodes'"):
+        with pytest.raises(SpecError, match="node: missing required key"):
             byzantine_events_from_dicts([
                 {"start": 0, "stop": 5, "kind": "silence"}])
 

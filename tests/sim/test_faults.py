@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.common.errors import SimulationError, SpecError
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.faults import (
@@ -49,13 +49,13 @@ class TestScheduleParsing:
             Partition, Heal, RegionOutage, LinkDegrade]
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SpecError):
             events_from_dicts([{"at": 1, "kind": "meteor-strike"}])
 
     def test_missing_fields_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SpecError):
             events_from_dicts([{"kind": "crash", "node": 0}])
-        with pytest.raises(SimulationError):
+        with pytest.raises(SpecError):
             events_from_dicts([{"at": 1, "kind": "crash"}])
 
     def test_schedule_sorts_events_by_time(self):

@@ -53,7 +53,7 @@ class TestParsing:
             load_sweep("")
 
     def test_missing_sweep_key_rejected(self):
-        with pytest.raises(SpecError, match="top-level"):
+        with pytest.raises(SpecError, match="chains: unknown key"):
             load_sweep("chains: [quorum]")
 
     def test_unknown_chain_rejected(self):
@@ -75,11 +75,11 @@ class TestParsing:
                        "  workloads: [no-such-trace]\n")
 
     def test_unknown_sweep_key_rejected(self):
-        with pytest.raises(SpecError, match="unknown sweep keys"):
+        with pytest.raises(SpecError, match="sweep.chans: unknown key"):
             load_sweep(MINIMAL + "  chans: [quorum]\n")
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(SpecError, match="unknown option"):
+        with pytest.raises(SpecError, match="options.acounts: unknown key"):
             load_sweep(MINIMAL + "options:\n  acounts: 5\n")
 
     def test_negative_scale_rejected(self):
