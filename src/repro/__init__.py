@@ -20,20 +20,14 @@ Quickstart::
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
+
+Every package init but :mod:`repro.sweep`'s imports nothing: a name is
+imported from its home module the first time it is read
+(:func:`lazy_package`), so a run loads only the modules it uses.
 """
 
-from repro.blockchains.base import ExperimentScale
-from repro.core.population import PopulationSpec
-from repro.core.primary import Primary
-from repro.core.results import BenchmarkResult
-from repro.core.runner import (
-    run_benchmark,
-    run_matrix,
-    run_population,
-    run_trace,
-)
-from repro.core.spec import LoadSchedule, WorkloadSpec, load_spec
-from repro.sweep import ResultCache, SweepSpec, load_sweep, run_sweep
+import importlib
+from typing import Any, Callable, Dict, List, MutableMapping, Sequence, Tuple
 
 __version__ = "1.0.0"
 
@@ -55,3 +49,45 @@ __all__ = [
     "run_sweep",
     "run_trace",
 ]
+
+
+def lazy_package(namespace: MutableMapping[str, Any],
+                 homes: Dict[str, Sequence[str]]
+                 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package whose
+    public names live in its modules.
+
+    *namespace* is the package's ``globals()`` and *homes* maps each
+    module to the names it exports. A name is imported from its home the
+    first time it is read and then kept in *namespace*, so the package
+    init itself imports nothing.
+    """
+    home = {name: module for module, names in homes.items()
+            for name in names}
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        if name not in home:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(
+            importlib.import_module(home[name]), name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*namespace, *home})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.blockchains.base": ("ExperimentScale",),
+    "repro.core.population": ("PopulationSpec",),
+    "repro.core.primary": ("Primary",),
+    "repro.core.results": ("BenchmarkResult",),
+    "repro.core.runner": ("run_benchmark", "run_matrix", "run_population",
+                          "run_trace"),
+    "repro.core.spec": ("LoadSchedule", "WorkloadSpec", "load_spec"),
+    # the sweep package loads whole: a sweep is specified to be run
+    "repro.sweep": ("ResultCache", "SweepSpec", "load_sweep", "run_sweep"),
+})

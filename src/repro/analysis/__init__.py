@@ -1,17 +1,6 @@
 """Result analysis: CSV export, comparison tables, time series, CDFs."""
 
-from repro.analysis.summary import (
-    binding_subsystem,
-    cdf_points,
-    comparison_table,
-    dos_report,
-    economic_impact,
-    format_table,
-    knee_table,
-    population_report,
-    throughput_timeseries,
-    transactions_to_csv,
-)
+from repro import lazy_package
 
 __all__ = [
     "binding_subsystem",
@@ -25,3 +14,11 @@ __all__ = [
     "throughput_timeseries",
     "transactions_to_csv",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.analysis.summary": (
+        "binding_subsystem", "cdf_points", "comparison_table", "dos_report",
+        "economic_impact", "format_table", "knee_table", "population_report",
+        "throughput_timeseries", "transactions_to_csv",
+    ),
+})

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.results import BenchmarkResult
+if TYPE_CHECKING:
+    from repro.core.results import BenchmarkResult
 
 #: metric names computed from the result object rather than read out of
 #: ``summary()`` (tail latencies are analysis-side: adding them to the

@@ -1,12 +1,6 @@
 """The six simulated blockchains and their shared runtime."""
 
-from repro.blockchains.base import (
-    BlockchainNetwork,
-    ChainParams,
-    ExperimentScale,
-    SubmissionResult,
-    default_scale,
-)
+from repro import lazy_package
 
 __all__ = [
     "BlockchainNetwork",
@@ -15,3 +9,10 @@ __all__ = [
     "SubmissionResult",
     "default_scale",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.blockchains.base": (
+        "BlockchainNetwork", "ChainParams", "ExperimentScale",
+        "SubmissionResult", "default_scale",
+    ),
+})

@@ -19,12 +19,17 @@ exceeded") and make the video sharing DApp unimplementable (§5.2).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.chain.mempool import MempoolPolicy
-from repro.consensus.models import CommitteePerf, WanProfile
+from repro.consensus.models import CommitteePerf
 from repro.crypto.signing import ED25519
 from repro.blockchains.base import ChainParams, OverloadPolicy
 from repro.econ.fees import FeePolicy
-from repro.sim.deployment import DeploymentConfig
+
+if TYPE_CHECKING:
+    from repro.consensus.models import WanProfile
+    from repro.sim.deployment import DeploymentConfig
 
 BLOCK_GAS_LIMIT = 75_600_000  # = 3,600 transfers per block
 MEMPOOL_CAPACITY = 7_700

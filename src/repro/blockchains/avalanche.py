@@ -17,12 +17,17 @@ in :mod:`repro.crypto.signing` and exercised by an ablation benchmark.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.chain.mempool import MempoolPolicy
-from repro.consensus.models import DAGPerf, WanProfile
+from repro.consensus.models import DAGPerf
 from repro.crypto.signing import ECDSA
 from repro.blockchains.base import ChainParams, OverloadPolicy
 from repro.econ.fees import FeePolicy
-from repro.sim.deployment import DeploymentConfig
+
+if TYPE_CHECKING:
+    from repro.consensus.models import WanProfile
+    from repro.sim.deployment import DeploymentConfig
 
 BLOCK_GAS_LIMIT = 8_000_000   # §5.2
 BLOCK_PERIOD = 1.9            # §5.2

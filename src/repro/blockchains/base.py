@@ -33,16 +33,24 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.chain.account import AccountFactoryLimits, AccountRegistry
 from repro.chain.admission import AdmissionController, AdmissionPolicy
 from repro.chain.block import Block
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool, MempoolPolicy
-from repro.chain.receipt import ExecStatus, Receipt
+from repro.chain.receipt import ExecStatus
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction
 from repro.common.errors import (
     BackpressureError,
     ConfigurationError,
@@ -51,24 +59,27 @@ from repro.common.errors import (
     NodeOverloadedError,
 )
 from repro.common.rng import RngFactory
-from repro.consensus.models import (
-    BlockAttempt,
-    ConsensusPerfModel,
-    WanProfile,
-)
-from repro.crypto.signing import ECDSA, SignatureScheme
-from repro.econ.fees import FeePolicy, FeeSpec, build_fee_model
-from repro.econ.market import FeeMarket
-from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.trace import LifecycleTracer
-from repro.sim.deployment import DeploymentConfig
-from repro.sim.engine import Engine
-from repro.sim.faults import FaultInjector
+from repro.consensus.models import BlockAttempt, WanProfile
+from repro.crypto.signing import ECDSA
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.machine import Machine
-from repro.sim.network import Endpoint
-from repro.vm.base import VirtualMachine
 from repro.vm.machines import VM_FACTORIES
-from repro.vm.program import Contract
+
+if TYPE_CHECKING:  # a feature's module is imported where it is attached
+    from repro.chain.receipt import Receipt
+    from repro.chain.transaction import Transaction
+    from repro.consensus.models import ConsensusPerfModel
+    from repro.crypto.signing import SignatureScheme
+    from repro.econ.fees import FeePolicy, FeeSpec
+    from repro.econ.market import FeeMarket
+    from repro.obs.metrics import Counter
+    from repro.obs.trace import LifecycleTracer
+    from repro.sim.deployment import DeploymentConfig
+    from repro.sim.engine import Engine
+    from repro.sim.faults import FaultInjector
+    from repro.sim.network import Endpoint
+    from repro.vm.base import VirtualMachine
+    from repro.vm.program import Contract
 
 
 def default_scale() -> float:
@@ -518,6 +529,9 @@ class BlockchainNetwork:
         Never called for workloads without a ``fees:`` section, so benign
         runs stay byte-identical.
         """
+        from repro.econ.fees import build_fee_model
+        from repro.econ.market import FeeMarket
+
         policy = spec.applied_to(self.params.fee_policy)
         model = build_fee_model(policy, self._fee_gas_target(policy))
         self.fee_market = FeeMarket(model, self.metrics.namespace("fees"))
@@ -945,6 +959,7 @@ class BlockchainNetwork:
             if self.injector is None:
                 # overload can crash nodes even without a fault schedule:
                 # the simulation drives the injector itself
+                from repro.sim.faults import FaultInjector
                 self.attach_faults(FaultInjector())
             self.injector.crash(index)
             self._overload_event(

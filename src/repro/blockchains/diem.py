@@ -17,13 +17,18 @@ keeps it alive (unlike Quorum).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.chain.account import AccountFactoryLimits
 from repro.chain.mempool import MempoolPolicy
-from repro.consensus.models import LeaderBFTPerf, WanProfile
+from repro.consensus.models import LeaderBFTPerf
 from repro.crypto.signing import ED25519
 from repro.blockchains.base import ChainParams, OverloadPolicy
 from repro.econ.fees import FeePolicy
-from repro.sim.deployment import DeploymentConfig
+
+if TYPE_CHECKING:
+    from repro.consensus.models import WanProfile
+    from repro.sim.deployment import DeploymentConfig
 
 BLOCK_TX_LIMIT = 700
 MEMPOOL_CAPACITY = 12_000

@@ -15,12 +15,17 @@ Microsoft burst, and manages ~0.1 % of a 10 kTPS constant load (§6.3).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.chain.mempool import MempoolPolicy
-from repro.consensus.models import CliquePerf, WanProfile
+from repro.consensus.models import CliquePerf
 from repro.crypto.signing import ECDSA
 from repro.blockchains.base import ChainParams, OverloadPolicy
 from repro.econ.fees import FeePolicy
-from repro.sim.deployment import DeploymentConfig
+
+if TYPE_CHECKING:
+    from repro.consensus.models import WanProfile
+    from repro.sim.deployment import DeploymentConfig
 
 BLOCK_PERIOD = 5.0
 BLOCK_GAS_LIMIT = 3_000_000

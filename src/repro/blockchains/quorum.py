@@ -16,12 +16,17 @@ community configuration (Fig. 3) and the Fig. 4 collapse.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.chain.mempool import MempoolPolicy
-from repro.consensus.models import LeaderBFTPerf, WanProfile
+from repro.consensus.models import LeaderBFTPerf
 from repro.crypto.signing import ECDSA
 from repro.blockchains.base import ChainParams, OverloadPolicy
 from repro.econ.fees import FeePolicy
-from repro.sim.deployment import DeploymentConfig
+
+if TYPE_CHECKING:
+    from repro.consensus.models import WanProfile
+    from repro.sim.deployment import DeploymentConfig
 
 # Quorum genesis files for benchmarking use very large block gas limits;
 # what binds in practice is geth's block building + IBFT round time.

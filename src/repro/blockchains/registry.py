@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.blockchains import (
     algorand,
@@ -12,14 +12,13 @@ from repro.blockchains import (
     quorum,
     solana,
 )
-from repro.blockchains.base import (
-    BlockchainNetwork,
-    ChainParams,
-    ExperimentScale,
-)
+from repro.blockchains.base import BlockchainNetwork, ChainParams
 from repro.common.errors import ConfigurationError
 from repro.sim.deployment import DeploymentConfig, get_configuration
 from repro.sim.engine import Engine
+
+if TYPE_CHECKING:
+    from repro.blockchains.base import ExperimentScale
 
 ParamsFactory = Callable[[DeploymentConfig], ChainParams]
 

@@ -19,12 +19,17 @@ received"; transactions stuck in the pool longer than that expire.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.chain.mempool import MempoolPolicy
-from repro.consensus.models import PoHPerf, WanProfile
+from repro.consensus.models import PoHPerf
 from repro.crypto.signing import ED25519
 from repro.blockchains.base import ChainParams, OverloadPolicy
 from repro.econ.fees import FeePolicy
-from repro.sim.deployment import DeploymentConfig
+
+if TYPE_CHECKING:
+    from repro.consensus.models import WanProfile
+    from repro.sim.deployment import DeploymentConfig
 
 SLOT_DURATION = 0.4
 CONFIRMATIONS = 30           # §5.2, [24]

@@ -1,22 +1,6 @@
 """Blockchain data structures: transactions, blocks, mempool, state, ledger."""
 
-from repro.chain.account import (
-    Account,
-    AccountFactoryLimits,
-    AccountRegistry,
-    DEFAULT_INITIAL_BALANCE,
-)
-from repro.chain.block import Block, GENESIS_PARENT, genesis_block
-from repro.chain.ledger import Ledger
-from repro.chain.mempool import Mempool, MempoolPolicy
-from repro.chain.receipt import Event, ExecStatus, Receipt
-from repro.chain.state import ContractStorage, WorldState
-from repro.chain.transaction import (
-    Transaction,
-    TxKind,
-    invoke,
-    transfer,
-)
+from repro import lazy_package
 
 __all__ = [
     "Account",
@@ -39,3 +23,16 @@ __all__ = [
     "invoke",
     "transfer",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.chain.account": (
+        "Account", "AccountFactoryLimits", "AccountRegistry",
+        "DEFAULT_INITIAL_BALANCE",
+    ),
+    "repro.chain.block": ("Block", "GENESIS_PARENT", "genesis_block"),
+    "repro.chain.ledger": ("Ledger",),
+    "repro.chain.mempool": ("Mempool", "MempoolPolicy"),
+    "repro.chain.receipt": ("Event", "ExecStatus", "Receipt"),
+    "repro.chain.state": ("ContractStorage", "WorldState"),
+    "repro.chain.transaction": ("Transaction", "TxKind", "invoke", "transfer"),
+})

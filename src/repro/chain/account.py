@@ -10,10 +10,13 @@ cap through :class:`AccountFactoryLimits`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.common.errors import DeploymentError, UnknownAccountError
-from repro.crypto.signing import ECDSA, SignatureScheme, keypair
+from repro.crypto.signing import ECDSA, keypair
+
+if TYPE_CHECKING:
+    from repro.crypto.signing import SignatureScheme
 
 DEFAULT_INITIAL_BALANCE = 10**18
 

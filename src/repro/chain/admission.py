@@ -23,10 +23,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
-from repro.chain.mempool import Mempool
-from repro.chain.transaction import Transaction
 from repro.common.errors import (
     ConfigurationError,
     MempoolFullError,
@@ -34,7 +32,12 @@ from repro.common.errors import (
     SenderQuotaError,
     UnderpricedError,
 )
-from repro.obs.metrics import MetricsNamespace, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.chain.mempool import Mempool
+    from repro.chain.transaction import Transaction
+    from repro.obs.metrics import MetricsNamespace
 
 
 @dataclass(frozen=True)

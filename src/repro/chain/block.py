@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.chain.transaction import Transaction
 from repro.crypto.hashing import digest, merkle_root
+
+if TYPE_CHECKING:
+    from repro.chain.transaction import Transaction
 
 
 @dataclass(eq=False)

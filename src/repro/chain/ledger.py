@@ -9,10 +9,13 @@ depth, and exposes the polling queries the DIABLO secondaries use.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ChainError
-from repro.chain.block import Block, genesis_block
+from repro.chain.block import genesis_block
+
+if TYPE_CHECKING:
+    from repro.chain.block import Block
 
 
 class Ledger:

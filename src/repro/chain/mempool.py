@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.common.errors import (
     MempoolBytesError,
@@ -30,8 +30,11 @@ from repro.common.errors import (
     SenderQuotaError,
     UnderpricedError,
 )
-from repro.chain.transaction import Transaction
-from repro.obs.metrics import Counter, MetricsNamespace, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.chain.transaction import Transaction
+    from repro.obs.metrics import Counter, MetricsNamespace
 
 #: Canonical drop-reason tags recorded by the pool.
 DROP_CAPACITY = "capacity"

@@ -1,26 +1,6 @@
 """Shared utilities: errors, units, deterministic RNG streams and ids."""
 
-from repro.common.errors import (
-    BudgetExceededError,
-    ChainError,
-    ConfigurationError,
-    ContractError,
-    DeploymentError,
-    InvalidTransactionError,
-    MempoolFullError,
-    NetworkError,
-    OutOfGasError,
-    ReproError,
-    SenderQuotaError,
-    SimulationError,
-    SpecError,
-    StateLimitError,
-    UnderpricedError,
-    UnknownAccountError,
-    VMError,
-)
-from repro.common.ids import short_hash
-from repro.common.rng import RngFactory, derive_seed
+from repro import lazy_package
 
 __all__ = [
     "BudgetExceededError",
@@ -44,3 +24,15 @@ __all__ = [
     "derive_seed",
     "short_hash",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.common.errors": (
+        "BudgetExceededError", "ChainError", "ConfigurationError",
+        "ContractError", "DeploymentError", "InvalidTransactionError",
+        "MempoolFullError", "NetworkError", "OutOfGasError", "ReproError",
+        "SenderQuotaError", "SimulationError", "SpecError", "StateLimitError",
+        "UnderpricedError", "UnknownAccountError", "VMError",
+    ),
+    "repro.common.ids": ("short_hash",),
+    "repro.common.rng": ("RngFactory", "derive_seed"),
+})

@@ -1,30 +1,6 @@
 """Consensus protocols: message-level implementations and analytic models."""
 
-from repro.consensus.algorand import AlgorandReplica, sortition
-from repro.consensus.auditor import SafetyAuditor
-from repro.consensus.avalanche import SnowballReplica
-from repro.consensus.base import (
-    ConsensusHarness,
-    Decision,
-    Message,
-    Replica,
-)
-from repro.consensus.clique import CliqueReplica
-from repro.consensus.hotstuff import HotStuffReplica, QuorumCertificate
-from repro.consensus.ibft import IBFTReplica
-from repro.consensus.models import (
-    BlockAttempt,
-    CliquePerf,
-    CommitteePerf,
-    ConsensusPerfModel,
-    DAGPerf,
-    DecisionOutcome,
-    LeaderBFTPerf,
-    PoHPerf,
-    WanProfile,
-)
-from repro.consensus.raft import RaftReplica
-from repro.consensus.towerbft import TowerReplica
+from repro import lazy_package
 
 __all__ = [
     "AlgorandReplica",
@@ -51,3 +27,21 @@ __all__ = [
     "WanProfile",
     "sortition",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.consensus.algorand": ("AlgorandReplica", "sortition"),
+    "repro.consensus.auditor": ("SafetyAuditor",),
+    "repro.consensus.avalanche": ("SnowballReplica",),
+    "repro.consensus.base": (
+        "ConsensusHarness", "Decision", "Message", "Replica",
+    ),
+    "repro.consensus.clique": ("CliqueReplica",),
+    "repro.consensus.hotstuff": ("HotStuffReplica", "QuorumCertificate"),
+    "repro.consensus.ibft": ("IBFTReplica",),
+    "repro.consensus.models": (
+        "BlockAttempt", "CliquePerf", "CommitteePerf", "ConsensusPerfModel",
+        "DAGPerf", "DecisionOutcome", "LeaderBFTPerf", "PoHPerf", "WanProfile",
+    ),
+    "repro.consensus.raft": ("RaftReplica",),
+    "repro.consensus.towerbft": ("TowerReplica",),
+})

@@ -18,14 +18,28 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.errors import SimulationError
 from repro.common.rng import RngFactory
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector
-from repro.sim.network import Endpoint, Network, spread_endpoints
+from repro.sim.network import Network, spread_endpoints
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import Counter
+    from repro.sim.network import Endpoint
 
 VOTE_MESSAGE_SIZE = 200  # bytes: digest + signature + metadata
 

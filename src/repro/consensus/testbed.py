@@ -13,17 +13,25 @@ and a split initial preference to exercise metastability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.common.errors import SpecError
+# every protocol is imported here, not when its harness is built:
+# perfbench's traced pass wraps the Replica subclasses that exist when it
+# installs, before a workload builds its harness, and CI pins that pass
+# at one Replica.on_message span per delivery
 from repro.consensus.algorand import AlgorandReplica
 from repro.consensus.avalanche import SnowballReplica
-from repro.consensus.base import ConsensusHarness, Replica
+from repro.consensus.base import ConsensusHarness
 from repro.consensus.clique import CliqueReplica
 from repro.consensus.hotstuff import HotStuffReplica
 from repro.consensus.ibft import IBFTReplica
 from repro.consensus.raft import RaftReplica
 from repro.consensus.towerbft import TowerReplica
+
+if TYPE_CHECKING:
+    from repro.consensus.auditor import SafetyAuditor
+    from repro.consensus.base import Replica
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ def run_audited(protocol: str, schedule,
                 seed: Optional[int] = None,
                 until: Optional[float] = None,
                 tracer: Optional[object] = None
-                ) -> Tuple[ConsensusHarness, "SafetyAuditor"]:
+                ) -> Tuple[ConsensusHarness, SafetyAuditor]:
     """Run *protocol* under *schedule* with a :class:`SafetyAuditor`.
 
     Returns the finished harness and its auditor; callers read

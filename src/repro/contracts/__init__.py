@@ -1,23 +1,6 @@
 """The five DIABLO DApp contracts (paper §3, Table 2)."""
 
-from repro.contracts.exchange import STOCKS, make_exchange_contract
-from repro.contracts.gaming import MAP_SIZE, PLAYER_COUNT, make_dota_contract
-from repro.contracts.mobility import (
-    DISTANCE_ITERATION_GAS,
-    DRIVER_COUNT,
-    GRID_SIZE,
-    make_uber_contract,
-)
-from repro.contracts.videoshare import VIDEO_RECORD_SIZE, make_youtube_contract
-from repro.contracts.webservice import make_counter_contract
-
-CONTRACT_FACTORIES = {
-    "exchange": make_exchange_contract,
-    "dota": make_dota_contract,
-    "counter": make_counter_contract,
-    "uber": make_uber_contract,
-    "youtube": make_youtube_contract,
-}
+from repro import lazy_package
 
 __all__ = [
     "CONTRACT_FACTORIES",
@@ -34,3 +17,15 @@ __all__ = [
     "make_uber_contract",
     "make_youtube_contract",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.contracts.exchange": ("STOCKS", "make_exchange_contract"),
+    "repro.contracts.gaming": ("MAP_SIZE", "PLAYER_COUNT",
+                               "make_dota_contract"),
+    "repro.contracts.mobility": ("DISTANCE_ITERATION_GAS", "DRIVER_COUNT",
+                                 "GRID_SIZE", "make_uber_contract"),
+    "repro.contracts.registry": ("CONTRACT_FACTORIES",),
+    "repro.contracts.videoshare": ("VIDEO_RECORD_SIZE",
+                                   "make_youtube_contract"),
+    "repro.contracts.webservice": ("make_counter_contract",),
+})

@@ -10,7 +10,12 @@ greater than 0", then emits a corresponding event.
 from __future__ import annotations
 
 
-from repro.vm.program import Contract, ExecutionContext
+from typing import TYPE_CHECKING
+
+from repro.vm.program import Contract
+
+if TYPE_CHECKING:
+    from repro.vm.program import ExecutionContext
 
 STOCKS = ("google", "apple", "facebook", "amazon", "microsoft")
 

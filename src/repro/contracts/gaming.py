@@ -13,9 +13,12 @@ accommodates (the paper shows all six chains executing this DApp, §6.1).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from repro.vm.program import Contract, ExecutionContext
+from repro.vm.program import Contract
+
+if TYPE_CHECKING:
+    from repro.vm.program import ExecutionContext
 
 MAP_SIZE = 250
 PLAYER_COUNT = 10

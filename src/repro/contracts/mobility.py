@@ -34,7 +34,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vm.program import Contract, ExecutionContext
+from typing import TYPE_CHECKING
+
+from repro.vm.program import Contract
+
+if TYPE_CHECKING:
+    from repro.vm.program import ExecutionContext
 
 GRID_SIZE = 10_000
 DRIVER_COUNT = 10_000

@@ -13,7 +13,12 @@ with 128 bytes per key-value pair" (§5.2) — the store() below raises
 
 from __future__ import annotations
 
-from repro.vm.program import Contract, ExecutionContext
+from typing import TYPE_CHECKING
+
+from repro.vm.program import Contract
+
+if TYPE_CHECKING:
+    from repro.vm.program import ExecutionContext
 
 # Size of the video metadata record each upload persists. Anything over the
 # AVM's 128-byte entry limit reproduces the paper's TEAL failure.

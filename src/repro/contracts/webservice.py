@@ -7,7 +7,12 @@ workload is highly contended."
 
 from __future__ import annotations
 
-from repro.vm.program import Contract, ExecutionContext
+from typing import TYPE_CHECKING
+
+from repro.vm.program import Contract
+
+if TYPE_CHECKING:
+    from repro.vm.program import ExecutionContext
 
 
 def make_counter_contract() -> Contract:

@@ -1,31 +1,6 @@
 """DIABLO core: workload spec, Primary/Secondary, results, runner."""
 
-from repro.core.interface import (
-    BlockchainConnector,
-    Client,
-    SimConnector,
-)
-from repro.core.primary import Primary
-from repro.core.results import BenchmarkResult, TransactionRecord
-from repro.core.runner import run_benchmark, run_matrix, run_trace
-from repro.core.secondary import Secondary
-from repro.core.spec import (
-    AccountSample,
-    Behavior,
-    ClientSpec,
-    ContractSample,
-    EndpointSample,
-    InvokeSpec,
-    LoadSchedule,
-    LocationSample,
-    TransferSpec,
-    WorkloadGroup,
-    WorkloadSpec,
-    load_spec,
-    parse_function_call,
-    simple_spec,
-    spec_from_dict,
-)
+from repro import lazy_package
 
 __all__ = [
     "AccountSample",
@@ -54,3 +29,17 @@ __all__ = [
     "simple_spec",
     "spec_from_dict",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.core.interface": ("BlockchainConnector", "Client", "SimConnector"),
+    "repro.core.primary": ("Primary",),
+    "repro.core.results": ("BenchmarkResult", "TransactionRecord"),
+    "repro.core.runner": ("run_benchmark", "run_matrix", "run_trace"),
+    "repro.core.secondary": ("Secondary",),
+    "repro.core.spec": (
+        "AccountSample", "Behavior", "ClientSpec", "ContractSample",
+        "EndpointSample", "InvokeSpec", "LoadSchedule", "LocationSample",
+        "TransferSpec", "WorkloadGroup", "WorkloadSpec", "load_spec",
+        "parse_function_call", "simple_spec", "spec_from_dict",
+    ),
+})

@@ -20,20 +20,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
-from repro.blockchains.base import BlockchainNetwork
-from repro.chain.account import Account
 from repro.chain.transaction import Transaction, TxKind, skip_tx_uids
 from repro.common.errors import ConfigurationError, SpecError
-from repro.contracts import CONTRACT_FACTORIES
+from repro.contracts.registry import CONTRACT_FACTORIES
 from repro.core.spec import (
     AccountSample,
     ContractSample,
-    Interaction,
     InvokeSpec,
     TransferSpec,
 )
+
+if TYPE_CHECKING:
+    from repro.blockchains.base import BlockchainNetwork
+    from repro.chain.account import Account
+    from repro.core.spec import Interaction
 
 TRANSFER_GAS_LIMIT = 21_000
 DEFAULT_INVOKE_GAS_LIMIT = 5_000_000

@@ -38,10 +38,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.common.errors import SpecError
-from repro.common.rng import BlockSampler, RngFactory
+from repro.common.rng import BlockSampler
 
 if TYPE_CHECKING:  # imported lazily at runtime (spec.py imports us)
     from repro.chain.transaction import Transaction
+    from repro.common.rng import RngFactory
     from repro.core.results import TransactionRecord
     from repro.core.spec import Interaction, LoadSchedule
 

@@ -11,33 +11,33 @@ into a :class:`BenchmarkResult` (the JSON output of the real tool).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.blockchains.base import (
     BlockchainNetwork,
-    ChainParams,
     ExperimentScale,
     default_scale,
 )
 from repro.blockchains.registry import build_network
 from repro.common.errors import ConfigurationError
-from repro.core.interface import Client, SimConnector
+from repro.core.interface import SimConnector
 from repro.core.population import AggregateArrivals, population_block
 from repro.core.results import BenchmarkResult, TransactionRecord
 from repro.core.secondary import Secondary
-from repro.core.spec import ContractSample, WorkloadSpec
+from repro.core.spec import ContractSample
 from repro.core.watchdog import DEFAULT_WINDOW, LivenessWatchdog
-from repro.econ.fees import FeeSpec
-from repro.obs import (
-    EngineProfiler,
-    LifecycleTracer,
-    MetricsSampler,
-    ObservabilityOptions,
-)
-from repro.sim.deployment import DeploymentConfig, get_configuration
-from repro.sim.dos import DoSAdversary
+from repro.sim.deployment import get_configuration
 from repro.sim.engine import Engine
-from repro.sim.faults import FaultInjector
+
+if TYPE_CHECKING:  # a feature's module is imported where it is attached
+    from repro.blockchains.base import ChainParams
+    from repro.core.interface import Client
+    from repro.core.spec import WorkloadSpec
+    from repro.obs.metrics import MetricsSampler, ObservabilityOptions
+    from repro.obs.profiler import EngineProfiler
+    from repro.obs.trace import LifecycleTracer
+    from repro.sim.deployment import DeploymentConfig
+    from repro.sim.dos import DoSAdversary
 
 DEFAULT_DRAIN = 240.0
 #: granularity of the drain loop — how often the Primary re-checks the
@@ -94,9 +94,11 @@ class Primary:
         self._sampler: Optional[MetricsSampler] = None
         if observe is not None:
             if observe.trace:
+                from repro.obs.trace import LifecycleTracer
                 self.tracer = LifecycleTracer(chain=chain)
                 self.network.attach_tracer(self.tracer)
             if observe.profile:
+                from repro.obs.profiler import EngineProfiler
                 self.profiler = EngineProfiler()
                 self.engine.profiler = self.profiler
 
@@ -194,19 +196,27 @@ class Primary:
             self.network.rng.child("population"))
         host.assign_aggregate(process, population.interaction)
 
-    def _validate_schedules(self, schedule, byzantine) -> None:
-        """Fail fast on fault/byzantine events naming unknown targets.
+    def _attach_schedules(self, spec: WorkloadSpec) -> None:
+        """Attach the spec's fault and byzantine schedules, failing fast
+        on an event that names an unknown target.
 
         Node keys the deployment answers for: endpoint indices, endpoint
         names and region tags (the injector is key-agnostic, so a spec
         may use any of them). Raises ``SpecError`` before anything runs.
         """
         endpoints = self.network.endpoints
-        nodes = (set(range(len(endpoints)))
-                 | {ep.name for ep in endpoints})
-        regions = set(self.deployment.regions)
-        schedule.validate(nodes | regions, regions)
-        byzantine.validate(len(endpoints))
+        if spec.faults:
+            from repro.sim.faults import FaultInjector
+            nodes = (set(range(len(endpoints)))
+                     | {ep.name for ep in endpoints})
+            regions = set(self.deployment.regions)
+            schedule = spec.fault_schedule()
+            schedule.validate(nodes | regions, regions)
+            self.network.attach_faults(FaultInjector(schedule))
+        if spec.byzantine:
+            byzantine = spec.byzantine_schedule()
+            byzantine.validate(len(endpoints))
+            self.network.attach_byzantine(byzantine)
 
     # -- the run ------------------------------------------------------------------------
 
@@ -234,21 +244,17 @@ class Primary:
         self._build_secondaries(spec)
         self._dispatch(spec)
         self._attach_population(spec)
-        schedule = spec.fault_schedule()
-        byzantine = spec.byzantine_schedule()
-        self._validate_schedules(schedule, byzantine)
-        if len(schedule):
-            self.network.attach_faults(FaultInjector(schedule))
-        if len(byzantine):
-            self.network.attach_byzantine(byzantine)
+        self._attach_schedules(spec)
         fees = spec.fees
         if fees is None and spec.adversary is not None:
             # an adversary needs a fee market to bid into; a bare
             # `adversary:` section gets the chain's default dialect
+            from repro.econ.fees import FeeSpec
             fees = FeeSpec()
         if fees is not None:
             self.network.attach_fees(fees)
         if spec.adversary is not None:
+            from repro.sim.dos import DoSAdversary
             self.adversary = DoSAdversary(
                 self.network, spec.adversary, duration)
             self.adversary.start()
@@ -256,6 +262,7 @@ class Primary:
         watchdog = LivenessWatchdog(self.engine, self.network,
                                     window=watchdog_window)
         if self.observe is not None and self.observe.sample_period > 0:
+            from repro.obs.metrics import MetricsSampler
             self._sampler = MetricsSampler(self.engine, self.network.metrics,
                                            period=self.observe.sample_period)
         for secondary in self.secondaries:
@@ -301,13 +308,15 @@ class Primary:
                    duration: float, status: str = "ok",
                    liveness_events: Optional[List[Dict]] = None
                    ) -> BenchmarkResult:
-        schedule = spec.fault_schedule()
         # byzantine windows merge into the fault-event record, so the
         # degradation metrics (fault_window, commit ratios, recovery
         # time) cover adversarial runs without a second code path
-        fault_events = sorted(
-            schedule.summaries() + spec.byzantine_schedule().summaries(),
-            key=lambda e: e["at"])
+        fault_events = []
+        if spec.faults:
+            fault_events += spec.fault_schedule().summaries()
+        if spec.byzantine:
+            fault_events += spec.byzantine_schedule().summaries()
+        fault_events.sort(key=lambda e: e["at"])
         result = BenchmarkResult(
             chain=self.chain_name,
             configuration=self.deployment.name,

@@ -14,11 +14,12 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.chain.transaction import Transaction
+if TYPE_CHECKING:
+    from repro.chain.transaction import Transaction
 
 
 #: how :meth:`BenchmarkResult.to_json` opens and closes the summary value:

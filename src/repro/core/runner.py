@@ -10,14 +10,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
 
 from repro.core.primary import DEFAULT_DRAIN, Primary
-from repro.core.results import BenchmarkResult
-from repro.core.spec import WorkloadSpec, load_spec
+from repro.core.spec import load_spec
 from repro.core.watchdog import DEFAULT_WINDOW
-from repro.obs import ObservabilityOptions
-from repro.sim.deployment import DeploymentConfig
 
 if TYPE_CHECKING:
-    from repro.sweep import ResultCache
+    from repro.core.results import BenchmarkResult
+    from repro.core.spec import WorkloadSpec
+    from repro.obs.metrics import ObservabilityOptions
+    from repro.sim.deployment import DeploymentConfig
+    from repro.sweep.cache import ResultCache
     from repro.workloads.traces import Trace
 
 
@@ -118,7 +119,8 @@ def run_matrix(chains: Iterable[str],
     watchdog-failed cells return their ``failed`` result like any other.
     """
     # imported here: repro.sweep imports this module for run_trace
-    from repro.sweep import CellOptions, SweepSpec, run_sweep
+    from repro.sweep.runner import run_sweep
+    from repro.sweep.spec import CellOptions, SweepSpec
 
     spec = SweepSpec(
         chains=tuple(chains),

@@ -28,14 +28,17 @@ cost of a tick then follows what is admitted, not what is offered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from repro.blockchains.base import ExperimentScale
-from repro.chain.transaction import Transaction
-from repro.core.interface import BlockchainConnector, Client
-from repro.core.population import AggregateArrivals
-from repro.core.spec import Behavior, Interaction
-from repro.sim.engine import Engine
+from repro.core.interface import Client
+
+if TYPE_CHECKING:
+    from repro.blockchains.base import ExperimentScale
+    from repro.chain.transaction import Transaction
+    from repro.core.interface import BlockchainConnector
+    from repro.core.population import AggregateArrivals
+    from repro.core.spec import Behavior, Interaction
+    from repro.sim.engine import Engine
 
 DEFAULT_TICK = 0.1
 

@@ -55,9 +55,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple, Union
-
-import yaml
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import SpecError
 from repro.common.reader import (
@@ -75,13 +73,11 @@ from repro.common.reader import (
 )
 from repro.core.population import PopulationSpec
 from repro.econ.fees import FeeSpec
-from repro.sim.byzantine import (
-    ByzantineEvent,
-    ByzantineSchedule,
-    byzantine_events_from_dicts,
-)
-from repro.sim.dos import AdversarySpec
-from repro.sim.faults import FaultEvent, FaultSchedule, events_from_dicts
+
+if TYPE_CHECKING:  # a section's module is imported when a spec has it
+    from repro.sim.byzantine import ByzantineEvent, ByzantineSchedule
+    from repro.sim.dos import AdversarySpec
+    from repro.sim.faults import FaultEvent, FaultSchedule
 
 # -- samples (the `let:` bindings) --------------------------------------------
 
@@ -137,6 +133,8 @@ def parse_function_call(call: str) -> Tuple[str, Tuple[Any, ...]]:
 
     Arguments are YAML scalars (ints, floats, strings).
     """
+    import yaml
+
     match = _CALL_RE.match(call)
     if match is None:
         raise SpecError(f"cannot parse function call {call!r}")
@@ -272,7 +270,8 @@ class WorkloadSpec:
     (docs/ARCHITECTURE.md, "Workload spec sections", lists every key).
 
     ``faults`` (:mod:`repro.sim.faults`) and ``byzantine``
-    (:mod:`repro.sim.byzantine`) are timed schedules that compose.
+    (:mod:`repro.sim.byzantine`) are timed events that compose; each
+    non-empty one is validated and built into its schedule once, here.
     ``deadline`` caps the simulated seconds (load plus drain); a run cut
     short by it is marked ``failed``. ``fees`` and ``adversary`` (which
     brings the chain's default fee market when ``fees`` is absent) are
@@ -303,17 +302,31 @@ class WorkloadSpec:
             # `enabled: false` is the spec without a fees section, which
             # keeps the run byte-identical to one that never had it
             object.__setattr__(self, "fees", None)
-        # validate eagerly so a bad schedule fails at parse time
-        FaultSchedule(self.faults)
-        ByzantineSchedule(self.byzantine)
+        # built here, so a bad event fails at parse time
+        object.__setattr__(self, "_fault_schedule", None)
+        object.__setattr__(self, "_byzantine_schedule", None)
+        if self.faults:
+            from repro.sim.faults import FaultSchedule
+            object.__setattr__(self, "_fault_schedule", construct(
+                FaultSchedule, "faults", self.faults))
+        if self.byzantine:
+            from repro.sim.byzantine import ByzantineSchedule
+            object.__setattr__(self, "_byzantine_schedule", construct(
+                ByzantineSchedule, "byzantine", self.byzantine))
 
     def fault_schedule(self) -> FaultSchedule:
         """The fault events as a validated, time-ordered schedule."""
-        return FaultSchedule(self.faults)
+        if self._fault_schedule is None:
+            from repro.sim.faults import FaultSchedule
+            return FaultSchedule()
+        return self._fault_schedule
 
     def byzantine_schedule(self) -> ByzantineSchedule:
         """The byzantine events as a validated, time-ordered schedule."""
-        return ByzantineSchedule(self.byzantine)
+        if self._byzantine_schedule is None:
+            from repro.sim.byzantine import ByzantineSchedule
+            return ByzantineSchedule()
+        return self._byzantine_schedule
 
     def client_groups(self) -> Tuple[WorkloadGroup, ...]:
         """The workload groups the Primary dispatches clients from.
@@ -386,20 +399,25 @@ class WorkloadSpec:
 # -- YAML loading -----------------------------------------------------------------------
 
 
-class _SpecLoader(yaml.SafeLoader):
-    """SafeLoader plus the DIABLO custom tags."""
+def spec_document(text: str) -> Any:
+    """*text* parsed as YAML, each ``!kind`` node a mapping holding the tag
+    under ``__kind__`` (a sequence's items under ``patterns``), read
+    where it is used."""
+    import yaml
 
+    class Loader(yaml.SafeLoader):
+        """SafeLoader plus the DIABLO custom tags."""
 
-def _tagged(loader: yaml.Loader, kind: str,
-            node: yaml.Node) -> Dict[str, Any]:
-    """A ``!kind`` node as a mapping holding the tag under ``__kind__`` (a
-    sequence's items under ``patterns``), read where it is used."""
-    if isinstance(node, yaml.SequenceNode):
-        return {"__kind__": kind, "patterns": loader.construct_sequence(node)}
-    return {"__kind__": kind, **loader.construct_mapping(node, deep=True)}
+    def tagged(loader: yaml.Loader, kind: str,
+               node: yaml.Node) -> Dict[str, Any]:
+        if isinstance(node, yaml.SequenceNode):
+            return {"__kind__": kind,
+                    "patterns": loader.construct_sequence(node)}
+        return {"__kind__": kind,
+                **loader.construct_mapping(node, deep=True)}
 
-
-_SpecLoader.add_multi_constructor("!", _tagged)
+    Loader.add_multi_constructor("!", tagged)
+    return yaml.load(text, Loader=Loader)
 
 
 def _sample(kind: str, cls: type):
@@ -472,15 +490,30 @@ def population_from_dict(raw: Any, path: str = "population"
     return construct(PopulationSpec, path, **kwargs)
 
 
+def _faults(raw: Any, path: str) -> Tuple[FaultEvent, ...]:
+    from repro.sim.faults import events_from_dicts
+    return events_from_dicts(raw, path)
+
+
+def _byzantine(raw: Any, path: str) -> Tuple[ByzantineEvent, ...]:
+    from repro.sim.byzantine import byzantine_events_from_dicts
+    return byzantine_events_from_dicts(raw, path)
+
+
+def _adversary(raw: Any, path: str) -> AdversarySpec:
+    from repro.sim.dos import AdversarySpec
+    return read(AdversarySpec, raw, path)
+
+
 def spec_from_dict(document: Dict[str, Any]) -> WorkloadSpec:
     """Build a WorkloadSpec from a parsed configuration document (whose
     ``let:`` list only holds the YAML anchors the sections refer to)."""
     kwargs = read_kwargs(WorkloadSpec, document, "", extra={"let": as_written},
                          build={"workloads": each(_group),
-                                "faults": events_from_dicts,
-                                "byzantine": byzantine_events_from_dicts,
+                                "faults": _faults,
+                                "byzantine": _byzantine,
                                 "fees": FeeSpec.from_dict,
-                                "adversary": partial(read, AdversarySpec),
+                                "adversary": _adversary,
                                 "population": population_from_dict})
     kwargs.pop("let", None)
     return construct(WorkloadSpec, "", **kwargs)
@@ -488,7 +521,7 @@ def spec_from_dict(document: Dict[str, Any]) -> WorkloadSpec:
 
 def load_spec(text: str) -> WorkloadSpec:
     """Parse a YAML benchmark configuration into a WorkloadSpec."""
-    return spec_from_dict(yaml.load(text, Loader=_SpecLoader))
+    return spec_from_dict(spec_document(text))
 
 
 def simple_spec(interaction: Interaction, load: LoadSchedule,

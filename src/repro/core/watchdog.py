@@ -14,10 +14,13 @@ detected stall (stop draining early, mark the run ``failed``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from repro.common.errors import ConfigurationError
-from repro.sim.engine import Engine, PeriodicTask
+from repro.sim.engine import PeriodicTask
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Engine
 
 DEFAULT_WINDOW = 30.0
 DEFAULT_CHECK_INTERVAL = 5.0

@@ -1,14 +1,6 @@
 """Simulated cryptography: deterministic hashing and cost-modeled signing."""
 
-from repro.crypto.hashing import digest, merkle_root
-from repro.crypto.signing import (
-    ECDSA,
-    ED25519,
-    RSA4096,
-    SCHEMES,
-    SignatureScheme,
-    keypair,
-)
+from repro import lazy_package
 
 __all__ = [
     "ECDSA",
@@ -20,3 +12,10 @@ __all__ = [
     "keypair",
     "merkle_root",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.crypto.hashing": ("digest", "merkle_root"),
+    "repro.crypto.signing": (
+        "ECDSA", "ED25519", "RSA4096", "SCHEMES", "SignatureScheme", "keypair",
+    ),
+})

@@ -13,17 +13,7 @@ constructs a market and the benign pipeline is byte-identical to a tree
 without this package.
 """
 
-from repro.econ.fees import (
-    DIALECTS,
-    AuctionFeeModel,
-    Eip1559FeeModel,
-    FeeModel,
-    FeePolicy,
-    FeeSpec,
-    FlatFeeModel,
-    build_fee_model,
-)
-from repro.econ.market import FeeMarket
+from repro import lazy_package
 
 __all__ = [
     "DIALECTS",
@@ -36,3 +26,11 @@ __all__ = [
     "FlatFeeModel",
     "build_fee_model",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.econ.fees": (
+        "AuctionFeeModel", "DIALECTS", "Eip1559FeeModel", "FeeModel",
+        "FeePolicy", "FeeSpec", "FlatFeeModel", "build_fee_model",
+    ),
+    "repro.econ.market": ("FeeMarket",),
+})

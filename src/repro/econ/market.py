@@ -11,9 +11,10 @@ samples and ``BenchmarkResult.economics``.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Tuple
 
-from repro.econ.fees import FeeModel
+if TYPE_CHECKING:
+    from repro.econ.fees import FeeModel
 
 HONEST = "honest"
 

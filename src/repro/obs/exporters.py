@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import EngineProfiler
-from repro.obs.trace import LifecycleTracer, TX_PHASES
+from repro.obs.trace import TX_PHASES
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profiler import EngineProfiler
+    from repro.obs.trace import LifecycleTracer
 
 PathLike = Union[str, Path]
 

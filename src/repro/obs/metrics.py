@@ -21,6 +21,7 @@ module is the same layer for the reproduction — see also
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -295,3 +296,25 @@ class MetricsSampler:
 
     def stop(self) -> None:
         self._task.stop()
+
+
+@dataclass(frozen=True)
+class ObservabilityOptions:
+    """What to observe during a run (all observation, zero perturbation).
+
+    ``trace``          attach a :class:`~repro.obs.trace.LifecycleTracer`
+                       to the chain
+    ``profile``        attach an :class:`~repro.obs.profiler.EngineProfiler`
+                       to the engine (the one consumer of wall-clock time)
+    ``sample_period``  sim-clock seconds between metrics snapshots;
+                       ``0`` disables the sampler (no timeseries rows)
+    """
+
+    trace: bool = True
+    profile: bool = False
+    sample_period: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.sample_period < 0:
+            raise ConfigurationError(
+                f"sample_period cannot be negative: {self.sample_period}")

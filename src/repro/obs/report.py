@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.obs.profiler import EngineProfiler
-from repro.obs.trace import LifecycleTracer, TX_PHASES
+from repro.obs.trace import TX_PHASES
+
+if TYPE_CHECKING:
+    from repro.obs.profiler import EngineProfiler
+    from repro.obs.trace import LifecycleTracer
 
 
 def format_table(rows: List[Dict[str, Any]]) -> str:

@@ -1,43 +1,6 @@
 """Discrete-event simulation substrate: engine, network and machines."""
 
-from repro.sim.byzantine import (
-    ByzantineAdversary,
-    ByzantineSchedule,
-    CensorLeader,
-    DelayReorder,
-    Equivocate,
-    Silence,
-    byzantine_events_from_dicts,
-)
-from repro.sim.engine import Engine, EventHandle, PeriodicTask
-from repro.sim.faults import (
-    FaultInjector,
-    FaultSchedule,
-    Heal,
-    LinkDegrade,
-    NodeCrash,
-    NodeRecover,
-    Partition,
-    RegionOutage,
-)
-from repro.sim.machine import (
-    C5_2XLARGE,
-    C5_9XLARGE,
-    C5_XLARGE,
-    INSTANCE_TYPES,
-    InstanceType,
-    Machine,
-)
-from repro.sim.network import (
-    REGIONS,
-    Endpoint,
-    Network,
-    bandwidth_between,
-    bandwidth_matrix,
-    rtt_between,
-    rtt_matrix,
-    spread_endpoints,
-)
+from repro import lazy_package
 
 __all__ = [
     "ByzantineAdversary",
@@ -73,3 +36,23 @@ __all__ = [
     "rtt_matrix",
     "spread_endpoints",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.sim.byzantine": (
+        "ByzantineAdversary", "ByzantineSchedule", "CensorLeader",
+        "DelayReorder", "Equivocate", "Silence", "byzantine_events_from_dicts",
+    ),
+    "repro.sim.engine": ("Engine", "EventHandle", "PeriodicTask"),
+    "repro.sim.faults": (
+        "FaultInjector", "FaultSchedule", "Heal", "LinkDegrade", "NodeCrash",
+        "NodeRecover", "Partition", "RegionOutage",
+    ),
+    "repro.sim.machine": (
+        "C5_2XLARGE", "C5_9XLARGE", "C5_XLARGE", "INSTANCE_TYPES",
+        "InstanceType", "Machine",
+    ),
+    "repro.sim.network": (
+        "Endpoint", "Network", "REGIONS", "bandwidth_between",
+        "bandwidth_matrix", "rtt_between", "rtt_matrix", "spread_endpoints",
+    ),
+})

@@ -8,11 +8,15 @@ geo-distributed regions in five continents" (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.sim.machine import C5_2XLARGE, C5_9XLARGE, C5_XLARGE, InstanceType
-from repro.sim.network import REGIONS, Endpoint, spread_endpoints
+from repro.sim.machine import C5_2XLARGE, C5_9XLARGE, C5_XLARGE
+from repro.sim.network import REGIONS, spread_endpoints
+
+if TYPE_CHECKING:
+    from repro.sim.machine import InstanceType
+    from repro.sim.network import Endpoint
 
 
 @dataclass(frozen=True)

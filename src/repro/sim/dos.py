@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.chain.transaction import Transaction, transfer
+from repro.chain.transaction import transfer
 from repro.common.errors import SpecError
 
 if TYPE_CHECKING:
     from repro.blockchains.base import BlockchainNetwork
+    from repro.chain.transaction import Transaction
 
 #: emission granularity, matching the Secondary load generators
 TICK = 0.1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -35,7 +36,9 @@ from typing import (
 
 from repro.common.errors import SimulationError, SpecError
 from repro.common.reader import each, read_events
-from repro.sim.engine import Engine
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Engine
 
 NodeKey = Hashable
 

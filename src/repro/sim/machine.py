@@ -18,13 +18,16 @@ the NASDAQ peak, Diem ceasing to commit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.units import GIB
-from repro.obs.metrics import MetricsNamespace, MetricsRegistry
-from repro.sim.engine import Engine
-from repro.sim.network import Endpoint
+from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsNamespace
+    from repro.sim.engine import Engine
+    from repro.sim.network import Endpoint
 
 
 @dataclass(frozen=True)

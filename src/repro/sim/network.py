@@ -21,10 +21,11 @@ import numpy as np
 from repro.common.errors import NetworkError
 from repro.common.rng import BlockSampler, RngFactory
 from repro.common.units import gbps, mbps, ms
-from repro.obs.metrics import MetricsNamespace, MetricsRegistry
-from repro.sim.engine import Engine
+from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsNamespace
+    from repro.sim.engine import Engine
     from repro.sim.faults import FaultInjector
 
 REGIONS: Tuple[str, ...] = (

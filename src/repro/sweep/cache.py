@@ -34,10 +34,11 @@ import os
 import tempfile
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
-from repro.core.spec import WorkloadSpec
-from repro.sweep.spec import SweepCell
+if TYPE_CHECKING:
+    from repro.core.spec import WorkloadSpec
+    from repro.sweep.spec import SweepCell
 
 #: cache format version; bump to orphan every existing entry
 CACHE_VERSION = 3

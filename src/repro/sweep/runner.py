@@ -27,13 +27,16 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.results import BenchmarkResult
 from repro.core.runner import run_benchmark, run_trace
-from repro.obs import MetricsRegistry
-from repro.sweep.cache import ResultCache, cell_key, cell_key_fields
-from repro.sweep.spec import SweepCell, SweepSpec
+from repro.obs.metrics import MetricsRegistry
+from repro.sweep.cache import cell_key, cell_key_fields
+
+if TYPE_CHECKING:
+    from repro.sweep.cache import ResultCache
+    from repro.sweep.spec import SweepCell, SweepSpec
 
 #: progress-event kinds, in lifecycle order
 EVENT_KINDS = ("queued", "running", "done", "failed")

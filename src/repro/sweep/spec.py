@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import yaml
 
@@ -63,10 +63,13 @@ from repro.common.reader import (
 )
 from repro.core.primary import DEFAULT_DRAIN
 from repro.core.watchdog import DEFAULT_WINDOW
-from repro.obs import ObservabilityOptions
-from repro.sim.deployment import CONFIGURATIONS, DeploymentConfig, get_configuration
-from repro.workloads import workload_registry
-from repro.workloads.traces import Trace
+from repro.sim.deployment import CONFIGURATIONS, get_configuration
+from repro.workloads.registry import workload_registry
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import ObservabilityOptions
+    from repro.sim.deployment import DeploymentConfig
+    from repro.workloads.traces import Trace
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,6 @@
 """Gas-metered virtual machines and the portable contract framework."""
 
-from repro.vm.base import (
-    DEFAULT_GAS_PER_CPU_SECOND,
-    DeployedContract,
-    VirtualMachine,
-)
-from repro.vm.gas import DEFAULT_SCHEDULE, GasMeter, GasSchedule
-from repro.vm.machines import (
-    AVM_CAPS,
-    EBPF_CAPS,
-    GETH_EVM_CAPS,
-    MOVE_VM_CAPS,
-    VM_FACTORIES,
-    avm,
-    ebpf_vm,
-    geth_evm,
-    move_vm,
-)
-from repro.vm.program import Contract, ExecutionContext, VMCapabilities
+from repro import lazy_package
 
 __all__ = [
     "AVM_CAPS",
@@ -39,3 +22,15 @@ __all__ = [
     "geth_evm",
     "move_vm",
 ]
+
+__getattr__, __dir__ = lazy_package(globals(), {
+    "repro.vm.base": (
+        "DEFAULT_GAS_PER_CPU_SECOND", "DeployedContract", "VirtualMachine",
+    ),
+    "repro.vm.gas": ("DEFAULT_SCHEDULE", "GasMeter", "GasSchedule"),
+    "repro.vm.machines": (
+        "AVM_CAPS", "EBPF_CAPS", "GETH_EVM_CAPS", "MOVE_VM_CAPS",
+        "VM_FACTORIES", "avm", "ebpf_vm", "geth_evm", "move_vm",
+    ),
+    "repro.vm.program": ("Contract", "ExecutionContext", "VMCapabilities"),
+})

@@ -13,7 +13,7 @@ the validator machines (the universality experiment's CPU intensity, §6.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.common.errors import (
     BudgetExceededError,
@@ -23,9 +23,14 @@ from repro.common.errors import (
 )
 from repro.chain.receipt import ExecStatus, Receipt
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction, TxKind
-from repro.vm.gas import DEFAULT_SCHEDULE, GasMeter, GasSchedule
-from repro.vm.program import Contract, ExecutionContext, VMCapabilities
+from repro.chain.transaction import TxKind
+from repro.vm.gas import DEFAULT_SCHEDULE, GasMeter
+from repro.vm.program import ExecutionContext
+
+if TYPE_CHECKING:
+    from repro.chain.transaction import Transaction
+    from repro.vm.gas import GasSchedule
+    from repro.vm.program import Contract, VMCapabilities
 
 # Gas units one c5-class core executes per second. Calibrated so a plain
 # transfer (21k gas) costs ~0.4 ms of CPU, i.e. a few thousand TPS per core,

@@ -19,7 +19,7 @@ iterations (DESIGN.md §2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,8 +28,10 @@ from repro.common.errors import (
     StateLimitError,
 )
 from repro.chain.receipt import Event
-from repro.chain.state import ContractStorage
-from repro.vm.gas import GasMeter
+
+if TYPE_CHECKING:
+    from repro.chain.state import ContractStorage
+    from repro.vm.gas import GasMeter
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ substitution table).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +27,10 @@ from repro.core.spec import (
     WorkloadSpec,
     simple_spec,
 )
-from repro.econ.fees import FeeSpec
-from repro.sim.dos import AdversarySpec
+
+if TYPE_CHECKING:
+    from repro.econ.fees import FeeSpec
+    from repro.sim.dos import AdversarySpec
 
 DEFAULT_ACCOUNTS = 2_000
 

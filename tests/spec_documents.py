@@ -27,7 +27,7 @@ from repro.core.spec import (
     TransferSpec,
     WorkloadGroup,
     WorkloadSpec,
-    _SpecLoader,
+    spec_document,
     spec_from_dict,
 )
 from repro.econ.fees import FeeSpec
@@ -73,10 +73,6 @@ def spelled(path: Tuple[Any, ...]) -> str:
     return text
 
 
-def load_workload_tree(text: str) -> Any:
-    return yaml.load(text, Loader=_SpecLoader)
-
-
 DUAL = Document("""
 let:
   - &acc { sample: !account { number: 100 } }
@@ -114,7 +110,7 @@ fees: { enabled: true, dialect: eip1559, base_fee: 5, fee_bump: 1.5,
         fee_bump_cap: 4.0, retry_attempts: 3 }
 adversary: { budget: 1000000, rate: 100.0, start: 5.0, stop: 25.0,
              bid_multiplier: 2.0, senders: 4, gas_limit: 21000 }
-""", spec_from_dict, load_workload_tree, WorkloadSpec(
+""", spec_from_dict, spec_document, WorkloadSpec(
     workloads=(WorkloadGroup(2, ClientSpec(
         LocationSample((".*",)), EndpointSample((".*",)), (
             Behavior(TransferSpec(AccountSample(100), 3),
@@ -151,7 +147,7 @@ population:
   view: ".*"
   interaction: !transfer
     from: { sample: !account { number: 100 } }
-""", spec_from_dict, load_workload_tree, WorkloadSpec(
+""", spec_from_dict, spec_document, WorkloadSpec(
     population=PopulationSpec(
         users=50_000, interaction=TransferSpec(AccountSample(100)),
         load=LoadSchedule.constant(0.001, 60.0), cohort=500,
@@ -167,7 +163,7 @@ population:
     contract: { sample: !contract { name: dota } }
     function: "update(1, 1)"
 deadline: 300.0
-""", spec_from_dict, load_workload_tree, WorkloadSpec(
+""", spec_from_dict, spec_document, WorkloadSpec(
     deadline=300.0,
     population=PopulationSpec(
         users=2_000,

@@ -4,6 +4,8 @@ The table lists the layers bottom to top. A module may import, at module
 level, from its own row and from the rows above it; an import that
 points down the table fails here. Imports inside a function and under
 ``if TYPE_CHECKING:`` are the documented escapes and are not checked.
+The module map's import rule puts a name that only annotations use under
+``if TYPE_CHECKING:``, which is checked here too.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Set
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -78,3 +80,38 @@ def test_no_module_level_import_points_up_the_table():
             if ranks[parts[1]] > own and (module, parts[1]) not in ALLOWED:
                 upward.append(f"{module} imports {name}")
     assert not upward, "\n".join(upward)
+
+
+def annotation_only_names(tree: ast.Module) -> Set[str]:
+    """Names the module reads in annotations and nowhere else."""
+    annotations = set()
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "returns", None),
+                           getattr(node, "annotation", None)):
+            if annotation is not None:
+                annotations.update(ast.walk(annotation))
+    read = {True: set(), False: set()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read[node in annotations].add(node.id)
+    return read[True] - read[False]
+
+
+def test_an_annotation_only_import_waits_for_type_checking():
+    """Under ``from __future__ import annotations`` an annotation is never
+    evaluated, so a name only annotations read needs no import at run
+    time."""
+    runtime_imports = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        if "from __future__ import annotations" not in ast.unparse(tree):
+            continue
+        only = annotation_only_names(tree)
+        for node in tree.body:
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("repro.")):
+                runtime_imports += [
+                    f"{path.relative_to(PACKAGE)}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name) in only]
+    assert not runtime_imports, "\n".join(runtime_imports)
