@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.common.rng import RngFactory
 from repro.consensus.base import Message, Replica
+from repro.crypto.hashing import digest
 
 BLOCK_BASE_SIZE = 600
 WIGGLE_MAX = 0.5  # geth: rand(signers/2+1) * 500ms
@@ -50,7 +51,7 @@ class CliqueReplica(Replica):
         self.blocks: Dict[str, CliqueBlock] = {"genesis": genesis}
         self.head: CliqueBlock = genesis
         self._decided_up_to = 0
-        self._recently_sealed: Dict[int, int] = {}  # sealer -> last height
+        self._last_sealed: Optional[int] = None  # height of its last seal
         self._slot_timer = None  # single pending seal attempt
 
     # -- helpers --------------------------------------------------------------
@@ -60,10 +61,8 @@ class CliqueReplica(Replica):
 
     def _can_seal(self, height: int) -> bool:
         # a sealer must wait n//2 + 1 blocks between its own seals
-        last = self._recently_sealed.get(self.node_id)
-        if last is None:
-            return True
-        return height - last > self.n // 2
+        return (self._last_sealed is None
+                or height - self._last_sealed > self.n // 2)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -106,14 +105,16 @@ class CliqueReplica(Replica):
             return
         value = self.next_payload()
         block = CliqueBlock(
-            block_id=f"c{height}s{self.node_id}({self.head.block_id})",
+            # the header digest: ids are equal exactly when height, sealer
+            # and parent are
+            block_id=digest(height, self.node_id, self.head.block_id),
             height=height,
             parent_id=self.head.block_id,
             sealer=self.node_id,
             difficulty=2 if in_turn else 1,
             value=value,
             total_difficulty=self.head.total_difficulty + (2 if in_turn else 1))
-        self._recently_sealed[self.node_id] = height
+        self._last_sealed = height
         self.count("blocks_sealed")
         self.blocks[block.block_id] = block
         self._adopt(block)
@@ -131,8 +132,6 @@ class CliqueReplica(Replica):
             # orphan: keep it; the parent may arrive later (rare in tests)
             self.blocks[block.block_id] = block
             return
-        self._recently_sealed[block.sealer] = max(
-            self._recently_sealed.get(block.sealer, 0), block.height)
         self.blocks[block.block_id] = block
         self._adopt(block)
         self._schedule_slot()

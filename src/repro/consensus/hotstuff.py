@@ -7,8 +7,9 @@ blocks with consecutive views. A pacemaker with exponential timeouts rotates
 leaders when views stall.
 
 The implementation favours clarity over micro-optimisation — it is the
-correctness reference the analytic Diem model is validated against, and it
-runs in tests at n = 4..16.
+correctness reference the analytic Diem model is validated against. A
+block id is a fixed-size header digest and vote tables keep only views the
+pacemaker can read, so memory grows linearly with the chain.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.consensus.base import Message, Replica
+from repro.crypto.hashing import digest
 
 PROPOSAL_BASE_SIZE = 600
 
@@ -45,8 +47,14 @@ class HSBlock:
     value: object = None
 
 
-def _block_id(view: int, parent_id: str, value: object) -> str:
-    return f"b{view}({parent_id})"
+def _block_id(view: int, parent_id: str) -> str:
+    """The digest of a block's header ``(view, parent_id)``.
+
+    Two ids are equal exactly when their views and parents are, so a
+    leader's duplicate proposals for one ``(view, parent)`` are one block,
+    and an adversary's marked id is a distinct parent like any other.
+    """
+    return digest(view, parent_id)
 
 
 class HotStuffReplica(Replica):
@@ -63,7 +71,8 @@ class HotStuffReplica(Replica):
         self.high_qc = QuorumCertificate.genesis()
         self.locked_qc = QuorumCertificate.genesis()
         self.last_committed_height = 0
-        self.voted_views: Set[int] = set()
+        # views >= view - 1 (new-views >= view): older ones are never read,
+        # so their messages are ignored and _enter_view drops their entries
         self._votes: Dict[int, Set[int]] = {}        # view -> voters
         self._vote_block: Dict[int, str] = {}        # view -> block voted
         self._new_views: Dict[int, Set[int]] = {}    # view -> senders
@@ -124,7 +133,7 @@ class HotStuffReplica(Replica):
             return
         value = self.next_payload()
         block = HSBlock(
-            block_id=_block_id(self.view, parent.block_id, value),
+            block_id=_block_id(self.view, parent.block_id),
             view=self.view,
             height=parent.height + 1,
             parent_id=parent.block_id,
@@ -145,11 +154,11 @@ class HotStuffReplica(Replica):
         self.blocks.setdefault(block.block_id, block)
         self._update_high_qc(block.justify)
         self._try_commit(block)
-        if block.view < self.view or block.view in self.voted_views:
+        # a replica votes at most once per view: voting enters view + 1
+        if block.view < self.view:
             return
         if not self._safe_to_vote(block):
             return
-        self.voted_views.add(block.view)
         self._enter_view(block.view + 1)
         vote = Message("vote", self.node_id,
                        {"view": block.view, "block_id": block.block_id})
@@ -169,7 +178,7 @@ class HotStuffReplica(Replica):
     def _on_vote(self, message: Message) -> None:
         view = message.payload["view"]
         block_id = message.payload["block_id"]
-        if self.leader_of(view + 1) != self.node_id:
+        if self.leader_of(view + 1) != self.node_id or view < self.view - 1:
             return
         voters = self._votes.setdefault(view, set())
         voters.add(message.sender)
@@ -194,7 +203,7 @@ class HotStuffReplica(Replica):
     def _on_new_view(self, message: Message) -> None:
         view = message.payload["view"]
         self._update_high_qc(message.payload["high_qc"])
-        if self.leader_of(view) != self.node_id:
+        if self.leader_of(view) != self.node_id or view < self.view:
             return
         senders = self._new_views.setdefault(view, set())
         senders.add(message.sender)
@@ -207,6 +216,10 @@ class HotStuffReplica(Replica):
         self.view = view
         self._timeouts_fired = 0
         self._arm_timer()
+        for stale in [v for v in self._votes if v < view - 1]:
+            del self._votes[stale], self._vote_block[stale]
+        for stale in [v for v in self._new_views if v < view]:
+            del self._new_views[stale]
         # a leader that already holds quorum votes for view-1 proposes now
         votes = self._votes.get(view - 1, set())
         if (self.leader_of(view) == self.node_id

@@ -46,7 +46,8 @@ class IBFTReplica(Replica):
         self.proposal_delay = proposal_delay
         self.height = 1
         self.round = 0
-        self.decided_values: Dict[int, object] = {}
+        # heights >= self.height only: a passed height is never read, so its
+        # messages are ignored and _enter_height drops its entries
         self._prepares: Dict[Tuple[int, int, str], Set[int]] = {}
         self._commits: Dict[Tuple[int, int, str], Set[int]] = {}
         self._round_changes: Dict[Tuple[int, int], Set[int]] = {}
@@ -94,11 +95,18 @@ class IBFTReplica(Replica):
             decided.setdefault(decision.height, decision.value)
         height = self.height
         while height in decided:
-            self.decided_values[height] = decided[height]
             self.decide(height, decided[height])
             height += 1
+        self._enter_height(height)
+
+    def _enter_height(self, height: int) -> None:
         self.height = height
         self.round = 0
+        for votes in (self._prepares, self._commits, self._round_changes):
+            for key in [key for key in votes if key[0] < height]:
+                del votes[key]
+        for sent in (self._sent_prepare, self._sent_commit):
+            sent.difference_update([key for key in sent if key[0] < height])
         self._start_round()
 
     def _start_round(self) -> None:
@@ -115,8 +123,6 @@ class IBFTReplica(Replica):
 
     def _maybe_propose(self, height: int, round_: int) -> None:
         if (height, round_) != (self.height, self.round):
-            return
-        if height in self.decided_values:
             return
         value = self.next_payload()
         proposal = IBFTProposal(height, round_, value,
@@ -150,6 +156,8 @@ class IBFTReplica(Replica):
         height = message.payload["height"]
         round_ = message.payload["round"]
         digest = message.payload["digest"]
+        if height < self.height:
+            return
         voters = self._prepares.setdefault((height, round_, digest), set())
         voters.add(message.sender)
         if (height, round_) != (self.height, self.round):
@@ -166,20 +174,19 @@ class IBFTReplica(Replica):
         height = message.payload["height"]
         round_ = message.payload["round"]
         digest = message.payload["digest"]
+        if height < self.height:
+            return
         voters = self._commits.setdefault((height, round_, digest), set())
         voters.add(message.sender)
-        if height != self.height or height in self.decided_values:
+        if height != self.height:
             return
         if (len(voters) >= self.quorum and self._proposal is not None
                 and self._proposal.digest == digest):
             self._decide(self._proposal)
 
     def _decide(self, proposal: IBFTProposal) -> None:
-        self.decided_values[proposal.height] = proposal.value
         self.decide(proposal.height, proposal.value)
-        self.height += 1
-        self.round = 0
-        self._start_round()
+        self._enter_height(proposal.height + 1)
 
     # -- round changes ------------------------------------------------------------------
 
@@ -195,6 +202,8 @@ class IBFTReplica(Replica):
     def _on_round_change(self, message: Message) -> None:
         height = message.payload["height"]
         round_ = message.payload["round"]
+        if height < self.height:
+            return
         voters = self._round_changes.setdefault((height, round_), set())
         voters.add(message.sender)
         if height != self.height or round_ <= self.round:
