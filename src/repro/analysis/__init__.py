@@ -6,7 +6,6 @@ __all__ = [
     "binding_subsystem",
     "cdf_points",
     "comparison_table",
-    "dos_report",
     "economic_impact",
     "format_table",
     "knee_table",
@@ -17,7 +16,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_package(globals(), {
     "repro.analysis.summary": (
-        "binding_subsystem", "cdf_points", "comparison_table", "dos_report",
+        "binding_subsystem", "cdf_points", "comparison_table",
         "economic_impact", "format_table", "knee_table", "population_report",
         "throughput_timeseries", "transactions_to_csv",
     ),

@@ -224,46 +224,6 @@ def economic_impact(baseline: BenchmarkResult,
     }
 
 
-def dos_report(baseline: BenchmarkResult,
-               attacked: BenchmarkResult) -> str:
-    """Economic-DoS report for one chain (text, for bench stdout)."""
-    info = economic_impact(baseline, attacked)
-    adversary = attacked.economics.get("adversary", {})
-    if not adversary:
-        return "(no adversary ran)"
-
-    def seconds(value: object) -> str:
-        return f"{value:.2f}s" if isinstance(value, float) else "n/a"
-
-    budget = adversary.get("budget", 0)
-    spend = info["attacker_spend"]
-    lines = [
-        f"fee dialect           {info['dialect']}",
-        f"attacker budget       {budget:,} fee units",
-        f"attacker spend        {spend:,} fee units"
-        + (f" ({spend / budget:.0%} of budget)" if budget else ""),
-        f"honest p50 latency    {seconds(info['baseline_p50_s'])}"
-        f" -> {seconds(info['attacked_p50_s'])}"
-        f" (+{seconds(info['delay_added_s'])})",
-        f"honest commit ratio   {info['baseline_commit_ratio']:.2%}"
-        f" -> {info['attacked_commit_ratio']:.2%}",
-    ]
-    cost = info["cost_per_delay_s"]
-    lines.append("cost to delay 1s      "
-                 + (f"{cost:,.0f} fee units" if cost is not None
-                    else "attack added no delay"))
-    exhausted = info["exhausted_at_s"]
-    if exhausted is not None:
-        lines.append(f"budget exhausted      t={exhausted:.1f}s"
-                     " (attack fizzled early)")
-    lines.append(
-        f"attack transactions   {adversary.get('submitted', 0)} submitted,"
-        f" {adversary.get('committed', 0)} committed,"
-        f" {adversary.get('dropped', 0)} dropped,"
-        f" {adversary.get('skipped_budget', 0)} skipped (budget)")
-    return "\n".join(lines)
-
-
 def binding_subsystem(result: BenchmarkResult) -> str:
     """Which subsystem binds at saturation, read from the run's stats.
 

@@ -11,6 +11,9 @@ workload is the same YAML dialect::
     python -m repro run --chain quorum --configuration testnet \
         --output results.json workload.yaml
 
+    python -m repro run --chain solana --configuration testnet \
+        --scale 0.05 examples/specs/overload.yaml
+
     python -m repro suite --chain solana --configuration consortium \
         --workload fifa
 
@@ -23,10 +26,12 @@ workload is the same YAML dialect::
 
     python -m repro sweep experiments.yaml --workers 4
 
-``run`` executes a YAML workload specification; ``suite`` runs one of the
-built-in DApp/synthetic traces; ``population`` simulates an aggregate
-client population (millions of users as batched arrival processes plus a
-tracked cohort — see docs/SCALE.md); ``sweep`` executes a whole
+``run`` executes a YAML workload specification (the robustness scenarios,
+crash-and-recover, overload and economic DoS, are the spec files under
+``examples/specs/``); ``suite`` runs one of the built-in DApp/synthetic
+traces; ``population`` simulates an aggregate client population
+(millions of users as batched arrival processes plus a tracked cohort —
+see docs/SCALE.md); ``sweep`` executes a whole
 experiment matrix (chains × configurations × workloads × seeds × scales
 × populations) over a worker pool with result caching; ``csv`` converts
 a results JSON file to
@@ -49,7 +54,6 @@ from repro.common.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.core.results import BenchmarkResult
-    from repro.core.spec import WorkloadSpec
 
 #: default on-disk result cache for ``python -m repro sweep``
 DEFAULT_CACHE_DIR = "~/.cache/repro/sweeps"
@@ -72,7 +76,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument("--chain", required=True, choices=CHAIN_NAMES)
     _add_chain_setup(parser)
-    parser.add_argument("--accounts", type=int, default=2_000)
     parser.add_argument("--output", type=Path, default=None,
                         help="write the full results JSON here")
     parser.add_argument("--compress", action="store_true",
@@ -89,6 +92,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _emit(result: BenchmarkResult, output: Optional[Path],
           stat: bool, compress: bool = False) -> None:
+    """Write the results JSON, print the summary, then narrate each
+    fault, overload or population section the result carries."""
+    from repro.analysis.summary import (
+        degradation_report,
+        overload_report,
+        population_report,
+    )
+
     if output is not None:
         if compress:
             import gzip
@@ -102,19 +113,11 @@ def _emit(result: BenchmarkResult, output: Optional[Path],
             print(f"wrote {output}", file=sys.stderr)
     if stat or output is None:
         print(json.dumps(result.summary(), indent=2))
-
-
-def _transfer_spec(args: argparse.Namespace, runtime: float,
-                   **sections: object) -> WorkloadSpec:
-    """One client transferring at ``--rate`` for *runtime* seconds."""
-    from repro.core.spec import (
-        AccountSample,
-        LoadSchedule,
-        TransferSpec,
-        simple_spec,
-    )
-    return simple_spec(TransferSpec(AccountSample(args.accounts)),
-                       LoadSchedule.constant(args.rate, runtime), **sections)
+    for section, report in (("fault_events", degradation_report),
+                            ("overload_events", overload_report),
+                            ("population", population_report)):
+        if getattr(result, section):
+            print(report(result))
 
 
 # -- run / suite / population -------------------------------------------------
@@ -143,6 +146,7 @@ def _add_suite(parser: argparse.ArgumentParser) -> None:
     from repro.workloads.registry import workload_registry
 
     _add_common(parser)
+    parser.add_argument("--accounts", type=int, default=2_000)
     parser.add_argument("--workload", required=True,
                         choices=sorted(workload_registry()))
 
@@ -165,6 +169,7 @@ def _add_population(parser: argparse.ArgumentParser) -> None:
     from repro.core.population import ARRIVAL_KINDS
 
     _add_common(parser)
+    parser.add_argument("--accounts", type=int, default=2_000)
     parser.add_argument("--users", required=True, type=int,
                         help="simulated population size")
     parser.add_argument("--rate-per-user", type=float, default=0.001,
@@ -182,7 +187,6 @@ def _add_population(parser: argparse.ArgumentParser) -> None:
 
 
 def _population(args: argparse.Namespace) -> int:
-    from repro.analysis.summary import population_report
     from repro.core.runner import run_population
 
     result = run_population(args.chain, args.configuration,
@@ -196,7 +200,6 @@ def _population(args: argparse.Namespace) -> int:
                             max_sim_seconds=args.max_sim_seconds,
                             watchdog_window=args.watchdog_window)
     _emit(result, args.output, args.stat, args.compress)
-    print(population_report(result))
     return 0
 
 
@@ -301,126 +304,6 @@ def _csv(args: argparse.Namespace) -> int:
 
 
 # -- robustness demos ---------------------------------------------------------
-
-
-def _add_faults(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser)
-    parser.add_argument("--crash-at", type=float, default=30.0,
-                        help="when the validators fail (seconds)")
-    parser.add_argument("--recover-at", type=float, default=60.0,
-                        help="when they rejoin (seconds)")
-    parser.add_argument("--rate", type=float, default=200.0,
-                        help="offered load in TPS")
-    parser.add_argument("--runtime", type=float, default=90.0,
-                        help="workload duration (seconds)")
-
-
-def _faults(args: argparse.Namespace) -> int:
-    from repro.analysis.summary import degradation_report
-    from repro.core.runner import run_benchmark
-    from repro.sim.deployment import get_configuration
-    from repro.sim.faults import events_from_dicts
-
-    config = get_configuration(args.configuration)
-    # f+1 crashed validators deny the n-f commit quorum: the chain
-    # stalls until they recover (the availability-dip demonstration)
-    victims = list(range((config.node_count - 1) // 3 + 1))
-    faults = events_from_dicts([
-        {"at": args.crash_at, "kind": "crash", "nodes": victims},
-        {"at": args.recover_at, "kind": "recover", "nodes": victims},
-    ])
-    result = run_benchmark(args.chain, args.configuration,
-                           _transfer_spec(args, args.runtime, faults=faults),
-                           workload_name="crash-and-recover",
-                           scale=args.scale, seed=args.seed,
-                           max_sim_seconds=args.max_sim_seconds,
-                           watchdog_window=args.watchdog_window)
-    _emit(result, args.output, args.stat, args.compress)
-    print(degradation_report(result))
-    return 0
-
-
-def _add_overload(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser)
-    parser.add_argument("--rate", type=float, default=10_000.0,
-                        help="offered load in TPS (§6.3 uses a constant"
-                        " 10,000 TPS)")
-    parser.add_argument("--runtime", type=float, default=90.0,
-                        help="workload duration (seconds)")
-    parser.add_argument("--drain", type=float, default=120.0,
-                        help="post-load drain budget (seconds)")
-
-
-def _overload(args: argparse.Namespace) -> int:
-    from repro.analysis.summary import overload_report
-    from repro.core.runner import run_benchmark
-
-    result = run_benchmark(args.chain, args.configuration,
-                           _transfer_spec(args, args.runtime),
-                           workload_name="overload",
-                           scale=args.scale, seed=args.seed,
-                           drain=args.drain,
-                           max_sim_seconds=args.max_sim_seconds,
-                           watchdog_window=args.watchdog_window)
-    _emit(result, args.output, args.stat, args.compress)
-    print(overload_report(result))
-    return 0
-
-
-def _add_dos(parser: argparse.ArgumentParser) -> None:
-    from repro.blockchains.registry import CHAIN_NAMES
-
-    parser.add_argument("dos_chain", metavar="chain", choices=CHAIN_NAMES)
-    _add_chain_setup(parser)
-    parser.add_argument("--accounts", type=int, default=2_000)
-    parser.add_argument("--rate", type=float, default=200.0,
-                        help="honest offered load in TPS")
-    parser.add_argument("--runtime", type=float, default=60.0,
-                        help="workload duration (seconds)")
-    parser.add_argument("--budget", type=int, default=50_000_000,
-                        help="attacker fee budget (fee units)")
-    parser.add_argument("--attack-rate", type=float, default=2_000.0,
-                        help="attack transactions per second")
-    parser.add_argument("--bid-multiplier", type=float, default=3.0,
-                        help="attack bid over the honest fee suggestion")
-    parser.add_argument("--fee-bump", type=float, default=1.25,
-                        help="honest clients multiply their price by this"
-                        " on each retry")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write the attacked run's results JSON here")
-
-
-def _dos(args: argparse.Namespace) -> int:
-    from repro.analysis.summary import dos_report
-    from repro.core.primary import Primary
-    from repro.econ.fees import FeeSpec
-    from repro.sim.dos import AdversarySpec
-
-    fees = FeeSpec(fee_bump=args.fee_bump)
-    adversary = AdversarySpec(budget=args.budget,
-                              rate=args.attack_rate,
-                              bid_multiplier=args.bid_multiplier)
-
-    def dos_run(with_adversary: bool) -> BenchmarkResult:
-        spec = _transfer_spec(
-            args, args.runtime, fees=fees,
-            adversary=adversary if with_adversary else None)
-        primary = Primary(args.dos_chain, args.configuration,
-                          scale=args.scale, seed=args.seed)
-        return primary.run(spec, workload_name="dos")
-
-    print(f"baseline: {args.dos_chain} at {args.rate:g} TPS honest"
-          f" load, fee market on, no attack", file=sys.stderr)
-    baseline = dos_run(with_adversary=False)
-    print(f"attack:   +{args.attack_rate:g} TPS adversary, budget"
-          f" {args.budget:,}, bidding x{args.bid_multiplier:g}",
-          file=sys.stderr)
-    attacked = dos_run(with_adversary=True)
-    if args.output is not None:
-        args.output.write_text(attacked.to_json())
-        print(f"wrote {args.output}", file=sys.stderr)
-    print(dos_report(baseline, attacked))
-    return 0
 
 
 def _add_byzantine(parser: argparse.ArgumentParser) -> None:
@@ -542,6 +425,12 @@ def _add_trace(parser: argparse.ArgumentParser) -> None:
 
 def _trace(args: argparse.Namespace) -> int:
     from repro.core.primary import Primary
+    from repro.core.spec import (
+        AccountSample,
+        LoadSchedule,
+        TransferSpec,
+        simple_spec,
+    )
     from repro.obs.exporters import (
         write_chrome_trace,
         write_prometheus,
@@ -554,8 +443,9 @@ def _trace(args: argparse.Namespace) -> int:
                                    sample_period=args.sample_period)
     primary = Primary(args.trace_chain, args.configuration,
                       scale=args.scale, seed=args.seed, observe=observe)
-    result = primary.run(_transfer_spec(args, args.duration),
-                         workload_name="trace")
+    spec = simple_spec(TransferSpec(AccountSample(args.accounts)),
+                       LoadSchedule.constant(args.rate, args.duration))
+    result = primary.run(spec, workload_name="trace")
     print(trace_report(primary.tracer, primary.profiler, top=args.top))
     if args.chrome_trace is not None:
         write_chrome_trace(primary.tracer, args.chrome_trace,
@@ -601,7 +491,8 @@ Handler = Callable[[argparse.Namespace], int]
 #: use, so a command loads only its own stack, and ``--help`` none.
 COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None],
                           Handler]] = {
-    "run": ("run a YAML workload specification", _add_run, _run),
+    "run": ("run a YAML workload specification (the robustness scenarios"
+            " are the ones under examples/specs/)", _add_run, _run),
     "suite": ("run a built-in workload trace", _add_suite, _suite),
     "population": (
         "simulate an aggregate client population: millions of users as"
@@ -614,18 +505,6 @@ COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None],
         " unchanged cells from the result cache", _add_sweep, _sweep),
     "csv": ("convert a results JSON file to per-transaction CSV",
             _add_csv, _csv),
-    "faults": (
-        "crash-and-recover robustness demo with a fault schedule (crashes"
-        " f+1 validators, then recovers them)", _add_faults, _faults),
-    "overload": (
-        "crash-under-load robustness demo: sustained saturation exhausts"
-        " node memory (§6.3) — Solana-model validators OOM-crash,"
-        " Diem-model consensus stalls, survivors shed load",
-        _add_overload, _overload),
-    "dos": (
-        "economic DoS demo: a budget-constrained adversary bids for"
-        " blockspace against honest traffic; reports what delaying honest"
-        " transactions cost in fee units", _add_dos, _dos),
     "byzantine": (
         "Byzantine adversary demo: runs the chain's message-level"
         " consensus protocol with adversarial replicas under a"

@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
+
+WORKLOAD = """
+workloads:
+  - number: 1
+    client:
+      location: { sample: !location [ ".*" ] }
+      view: { sample: !endpoint [ ".*" ] }
+      behavior:
+        - interaction: !transfer
+            from: { sample: !account { number: 10 } }
+          load: { 0: 50, 5: 0 }
+"""
 
 
 class TestCli:
@@ -34,17 +49,7 @@ class TestCli:
 
     def test_run_yaml_and_csv_roundtrip(self, tmp_path, capsys):
         workload = tmp_path / "w.yaml"
-        workload.write_text("""
-workloads:
-  - number: 1
-    client:
-      location: { sample: !location [ ".*" ] }
-      view: { sample: !endpoint [ ".*" ] }
-      behavior:
-        - interaction: !transfer
-            from: { sample: !account { number: 10 } }
-          load: { 0: 50, 5: 0 }
-""")
+        workload.write_text(WORKLOAD)
         output = tmp_path / "results.json"
         assert main(["run", "--chain", "solana",
                      "--configuration", "testnet",
@@ -57,6 +62,23 @@ workloads:
         csv_text = capsys.readouterr().out
         assert csv_text.startswith("submitted_at,latency_s,committed")
         assert len(csv_text.splitlines()) > 10
+
+    def test_run_takes_no_accounts_flag(self, tmp_path, capsys):
+        """The spec names its own account sample."""
+        workload = tmp_path / "w.yaml"
+        workload.write_text(WORKLOAD)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--chain", "quorum", "--accounts", "10",
+                  str(workload)])
+        assert excinfo.value.code == 2
+        assert "--accounts" in capsys.readouterr().err
+
+    def test_a_faulted_run_narrates_after_its_summary(self, capsys):
+        assert main(["run", "--chain", "quorum", "--scale", "0.05",
+                     str(SPECS / "crash-and-recover.yaml")]) == 0
+        summary, report = capsys.readouterr().out.split("fault window", 1)
+        assert len(json.loads(summary)["fault_events"]) == 8
+        assert "time to recover" in report
 
     def test_unknown_chain_rejected(self):
         with pytest.raises(SystemExit):

@@ -7,7 +7,8 @@ invocation, and asserts its subcommand still exists and its ``--help``
 exits 0 — so a renamed or removed subcommand fails CI with the name of
 the file that still quotes it. The same files quote ``perfbench/run.py``,
 the repo's one performance harness, and every flag they give it must be
-one its ``--help`` lists.
+one its ``--help`` lists. The scenario specs they quote
+(``examples/specs/*.yaml``) must exist and load.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.spec import load_spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -34,6 +36,7 @@ _COMMAND_RE = re.compile(r"python -m repro\s+([a-z][a-z0-9-]*)")
 #: a quoted perfbench invocation, up to the end of its line or code span
 _PERFBENCH_RE = re.compile(r"perfbench/run\.py([^\n`#]*)")
 _FLAG_RE = re.compile(r"--[a-z][a-z-]*")
+_SPEC_RE = re.compile(r"examples/specs/[\w.-]+\.yaml")
 
 
 def quoted_subcommands() -> list:
@@ -77,3 +80,26 @@ def test_quoted_perfbench_flags_exist():
                      if flag not in listed)
     assert not unknown, (
         f"flags perfbench/run.py --help does not list: {unknown}")
+
+
+def quoted_specs() -> list:
+    """Each (doc file, scenario spec path) pair found in the docs."""
+    return sorted({(path.name, match.group(0))
+                   for path in DOC_FILES
+                   for match in _SPEC_RE.finditer(path.read_text())})
+
+
+def test_docs_quote_every_scenario_spec():
+    """Guard the guard: each scenario spec is quoted somewhere."""
+    quoted = {spec for _, spec in quoted_specs()}
+    assert {"examples/specs/crash-and-recover.yaml",
+            "examples/specs/overload.yaml",
+            "examples/specs/dos.yaml"} <= quoted
+
+
+@pytest.mark.parametrize("doc,spec", quoted_specs(),
+                         ids=lambda value: str(value))
+def test_quoted_spec_loads(doc, spec):
+    path = REPO_ROOT / spec
+    assert path.is_file(), f"{doc} quotes {spec}, which does not exist"
+    load_spec(path.read_text())

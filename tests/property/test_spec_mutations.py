@@ -62,10 +62,18 @@ def _mutated(document: Document, path: Path, change) -> Any:
     return _outcome(document, tree)
 
 
-def _replacements(value: Any) -> List[Any]:
-    """Values of another type than *value*'s (None is checked apart)."""
+#: the keys of a fault event that name nodes
+_NODE_KEYS = {"node", "nodes", "src", "dst", "groups"}
+
+
+def _replacements(value: Any, path: Path) -> List[Any]:
+    """Values of another type than *value*'s (None is checked apart). A
+    fault's node key is an index or a name, so neither replaces it."""
     if isinstance(value, bool):
         return ["x", [1], 0.5, 1]
+    if (path[0] == "faults" and _NODE_KEYS.intersection(path)
+            and isinstance(value, (int, str))):
+        return [[1], True, 0.5]
     if isinstance(value, int):
         return ["x", [1], True, 0.5]
     if isinstance(value, float):
@@ -126,7 +134,7 @@ def test_a_retyped_scalar_fails_at_its_path(name):
     wrong = []
     checked = 0
     for path, value in _keys(document.tree()):
-        for replacement in _replacements(value):
+        for replacement in _replacements(value, path):
             def retype(parent, key, replacement=replacement):
                 parent[key] = replacement
 
@@ -137,7 +145,7 @@ def test_a_retyped_scalar_fails_at_its_path(name):
                 wrong.append(f"{spelled(path)} = {replacement!r}"
                              f" -> {outcome!r}")
         if value is None or isinstance(path[-1], int) or not _replacements(
-                value):
+                value, path):
             continue
         nulled = _mutated(document, path,
                           lambda parent, key: parent.__setitem__(key, None))

@@ -4,12 +4,15 @@ Each document comes with the spec it parses to, built by hand from the
 section dataclasses. The spec tests mutate these documents; the docs test
 probes each section of them for the keys the reader accepts. Float keys
 are written with a decimal point and int keys without one, so a value's
-YAML type is its key's type; fault node keys are names (a node key is an
-index or a name).
+YAML type is its key's type; a fault node key is an index or a name.
+
+The scenario specs under ``examples/specs/`` are documents too, read from
+their files, so the specs users run are held to the same reader.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any, Callable, Dict, NamedTuple, Tuple
 
 import yaml
@@ -27,6 +30,7 @@ from repro.core.spec import (
     TransferSpec,
     WorkloadGroup,
     WorkloadSpec,
+    simple_spec,
     spec_document,
     spec_from_dict,
 )
@@ -195,9 +199,35 @@ options:
                         max_sim_seconds=900.0, watchdog_window=20.0,
                         cohort=100, rate_per_user=0.002)))
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "examples" / "specs"
+
+
+def _scenario(name: str, rate: float, duration: float,
+              **sections: Any) -> Document:
+    """``examples/specs/<name>.yaml``: one client transferring from 2 000
+    accounts at *rate* for *duration*, plus *sections*."""
+    return Document(
+        (SCENARIOS / f"{name}.yaml").read_text(), spec_from_dict,
+        spec_document,
+        simple_spec(TransferSpec(AccountSample(2_000)),
+                    LoadSchedule.constant(rate, duration), **sections))
+
+
+#: f+1 of a 10-node configuration
+_VICTIMS = range(4)
+
 DOCUMENTS: Dict[str, Document] = {
     "dual": DUAL,
     "population-rate": POPULATION_RATE,
     "population-load": POPULATION_LOAD,
     "sweep": SWEEP,
+    "crash-and-recover": _scenario(
+        "crash-and-recover", 200.0, 90.0,
+        faults=(*(NodeCrash(30.0, node) for node in _VICTIMS),
+                *(NodeRecover(60.0, node) for node in _VICTIMS))),
+    "overload": _scenario("overload", 10_000.0, 90.0),
+    "dos": _scenario("dos", 200.0, 60.0, fees=FeeSpec(),
+                     adversary=AdversarySpec(budget=200_000_000,
+                                             rate=2_000.0,
+                                             bid_multiplier=3.0)),
 }
