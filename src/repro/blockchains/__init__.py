@@ -6,13 +6,12 @@ __all__ = [
     "BlockchainNetwork",
     "ChainParams",
     "ExperimentScale",
-    "SubmissionResult",
     "default_scale",
 ]
 
 __getattr__, __dir__ = lazy_package(globals(), {
     "repro.blockchains.base": (
         "BlockchainNetwork", "ChainParams", "ExperimentScale",
-        "SubmissionResult", "default_scale",
+        "default_scale",
     ),
 })

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING
 from repro.chain.mempool import MempoolPolicy
 from repro.consensus.models import CommitteePerf
 from repro.crypto.signing import ED25519
-from repro.blockchains.base import ChainParams, OverloadPolicy
+from repro.blockchains.base import ChainParams
+from repro.blockchains.overload import OverloadPolicy
 from repro.econ.fees import FeePolicy
 
 if TYPE_CHECKING:

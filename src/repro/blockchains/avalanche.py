@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING
 from repro.chain.mempool import MempoolPolicy
 from repro.consensus.models import DAGPerf
 from repro.crypto.signing import ECDSA
-from repro.blockchains.base import ChainParams, OverloadPolicy
+from repro.blockchains.base import ChainParams
+from repro.blockchains.overload import OverloadPolicy
 from repro.econ.fees import FeePolicy
 
 if TYPE_CHECKING:

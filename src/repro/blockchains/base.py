@@ -1,4 +1,4 @@
-"""The simulated blockchain runtime.
+"""The simulated blockchain runtime: the chain core.
 
 A :class:`BlockchainNetwork` assembles, for one chain in one deployment
 configuration, everything the paper's evaluation exercises:
@@ -8,17 +8,16 @@ configuration, everything the paper's evaluation exercises:
   Diem's 100-transactions-per-signer quota, Solana's 120-second recent
   block hash window — modeled as pool expiry — Ethereum/Avalanche fee
   dynamics);
-* the chain's virtual machine executing every transaction of every block
-  (real receipts, real gas, real budget failures);
+* the chain's virtual machine executing every transaction of every block;
 * an analytic consensus performance model (:mod:`repro.consensus.models`)
   driving block cadence, decision latency and overload behaviour;
 * a ledger applying the chain's confirmation depth (Solana: 30);
-* the client-visible commit-detection path (web-socket streaming vs block
-  polling vs blocking calls, §5.2).
+* the client-visible commit-detection path (§5.2).
 
-Transactions carry their DIABLO submit/commit timestamps, so a benchmark
-run produces exactly the per-transaction records the paper's Primary
-aggregates.
+A feature a run may lack is an attribute that is None without it: the
+overload responses (:mod:`repro.blockchains.overload`), client retries
+(:mod:`repro.blockchains.retry`), the fee market, faults, a byzantine
+schedule and the lifecycle tracer.
 
 Scaling: an :class:`ExperimentScale` of ``s`` shrinks offered rates and all
 rate-like capacities (block payload caps, mempool bounds) by ``s`` while
@@ -30,7 +29,6 @@ full scale.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -44,6 +42,7 @@ from typing import (
     Tuple,
 )
 
+from repro.blockchains.overload import OverloadPolicy, OverloadResponse
 from repro.chain.account import AccountFactoryLimits, AccountRegistry
 from repro.chain.admission import AdmissionController, AdmissionPolicy
 from repro.chain.block import Block
@@ -66,6 +65,7 @@ from repro.sim.machine import Machine
 from repro.vm.machines import VM_FACTORIES
 
 if TYPE_CHECKING:  # a feature's module is imported where it is attached
+    from repro.blockchains.retry import ClientRetries, RetryPolicy
     from repro.chain.receipt import Receipt
     from repro.chain.transaction import Transaction
     from repro.consensus.models import ConsensusPerfModel
@@ -118,127 +118,6 @@ class ExperimentScale:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Client-side retry/timeout/backoff behaviour (§5.2 client loops).
-
-    Mirrors what the paper's real client implementations do under stress:
-    Algorand clients poll and retry rejected submissions; Solana clients
-    refresh the recent block hash and resubmit when a transaction falls out
-    of the 120-second recency window. Backoff is exponential with
-    multiplicative jitter drawn from the experiment's seeded RNG, so retry
-    traffic is reproducible and never synchronises into a storm.
-
-    ``max_attempts``        total submission attempts per transaction (>= 1)
-    ``base_delay``          backoff before the first retry, seconds
-    ``multiplier``          exponential growth factor per attempt
-    ``max_delay``           backoff ceiling, seconds
-    ``jitter``              +/- fraction of the delay randomised away
-    ``resubmit_on_expiry``  re-sign and resubmit pool-expired transactions
-    ``fee_bump``            price multiplier applied per resubmission (1.0
-                            resends the identical payload — the default).
-                            Without a bump, retries re-enter a congested
-                            fee-ordered pool at the tail and starve; geth
-                            requires a >= 10% bump to even replace a tx.
-    ``fee_bump_cap``        ceiling on the cumulative bump, as a multiple
-                            of the transaction's original price
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.5
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.1
-    resubmit_on_expiry: bool = True
-    fee_bump: float = 1.0
-    fee_bump_cap: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.fee_bump < 1.0:
-            raise ConfigurationError(
-                f"fee_bump must be >= 1.0, got {self.fee_bump}")
-        if self.fee_bump_cap < 1.0:
-            raise ConfigurationError(
-                f"fee_bump_cap must be >= 1.0, got {self.fee_bump_cap}")
-        if self.base_delay < 0 or self.max_delay < self.base_delay:
-            raise ConfigurationError(
-                f"need 0 <= base_delay <= max_delay, got"
-                f" {self.base_delay}/{self.max_delay}")
-        if self.multiplier < 1:
-            raise ConfigurationError(
-                f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0 <= self.jitter < 1:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1), got {self.jitter}")
-
-    def backoff(self, attempt: int, rng) -> float:
-        """Delay before submission attempt ``attempt + 1`` (attempt >= 1)."""
-        delay = min(self.max_delay,
-                    self.base_delay * self.multiplier ** (attempt - 1))
-        if self.jitter > 0:
-            delay *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
-        return max(0.0, delay)
-
-
-@dataclass(frozen=True)
-class OverloadPolicy:
-    """How a chain's nodes respond to resource exhaustion (§6 under load).
-
-    Each node's memory ledger is charged three ways, all in unscaled units
-    so the model is invariant under the experiment scale transform:
-
-    * ``pool_tx_bytes`` resident bytes per pending pool transaction;
-    * ``consensus_tx_bytes`` *undecayed* backlog per transaction that
-      entered the full admission path but never left through a block —
-      retry churn, gossip dedup sets, unpruned forks/votes, pool
-      bookkeeping. This is the term that grows without bound under
-      sustained saturation (the §6.3 collapse mechanism);
-    * ``state_tx_bytes`` ledger/state growth per transaction sealed into a
-      block.
-
-    ``response`` is what happens once pressure crosses ``high_water``:
-
-    * ``"oom_crash"``   the node fail-stops (Solana validators during the
-                        NASDAQ peak, §6); per-node ``oom_jitter`` staggers
-                        the crashes;
-    * ``"commit_stall"`` the node stops proposing/committing but stays up
-                        (Diem ceasing to commit, §6);
-    * ``"shed_load"``   admission sheds submissions beyond a small pool
-                        target until pressure drops below ``low_water``
-                        (the chains that survive sustained overload);
-    * ``"none"``        resource exhaustion is not modeled.
-    """
-
-    response: str = "none"
-    high_water: float = 0.9
-    low_water: float = 0.75
-    pool_tx_bytes: int = 4 * 1024
-    consensus_tx_bytes: int = 8 * 1024
-    state_tx_bytes: int = 512
-    oom_jitter: float = 0.05
-    shed_pool_blocks: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.response not in ("oom_crash", "commit_stall", "shed_load",
-                                 "none"):
-            raise ConfigurationError(f"bad overload response {self.response!r}")
-        if not 0 < self.low_water <= self.high_water <= 1.0:
-            raise ConfigurationError(
-                f"need 0 < low_water <= high_water <= 1,"
-                f" got {self.low_water}/{self.high_water}")
-        if min(self.pool_tx_bytes, self.consensus_tx_bytes,
-               self.state_tx_bytes) < 0:
-            raise ConfigurationError("per-transaction bytes cannot be negative")
-        if not 0 <= self.oom_jitter < 0.5:
-            raise ConfigurationError(
-                f"oom_jitter must be in [0, 0.5), got {self.oom_jitter}")
-        if self.shed_pool_blocks <= 0:
-            raise ConfigurationError("shed_pool_blocks must be positive")
-
-
-@dataclass(frozen=True)
 class ChainParams:
     """Everything configurable about one blockchain (Table 4 + §5.2)."""
 
@@ -274,14 +153,6 @@ class ChainParams:
             raise ConfigurationError(f"{self.name}: perf_model is required")
 
 
-@dataclass(slots=True)
-class SubmissionResult:
-    """Outcome of handing one transaction to a node."""
-
-    accepted: bool
-    will_retry: bool = False   # rejected now, but a client retry is scheduled
-
-
 class BlockchainNetwork:
     """One chain deployed in one configuration, running on the engine."""
 
@@ -289,21 +160,13 @@ class BlockchainNetwork:
                  engine: Engine, scale: Optional[ExperimentScale] = None,
                  seed: int = 0) -> None:
         self.params = params
-        self.deployment = deployment
         self.engine = engine
         self.scale = scale or ExperimentScale(default_scale())
         self.rng = RngFactory(seed).child("chain", params.name)
         self.endpoints: List[Endpoint] = deployment.endpoints(
             prefix=f"{params.name}-node")
-        # per-node memory headroom jitter staggers OOM crashes over time as
-        # pressure rises (validators do not all die at the same instant)
-        if params.overload.response == "oom_crash" and params.overload.oom_jitter:
-            margin_rng = self.rng.stream("overload", "oom-margin")
-            margins = [1.0 + params.overload.oom_jitter
-                       * (2.0 * float(margin_rng.random()) - 1.0)
-                       for _ in self.endpoints]
-        else:
-            margins = [1.0] * len(self.endpoints)
+        margins = params.overload.memory_margins(self.rng,
+                                                 len(self.endpoints))
         #: experiment-wide metrics registry: the pool, admission front door,
         #: validator machines and the chain's own counters all register here
         #: so one sampler pass sees the whole chain under dotted names
@@ -312,8 +175,8 @@ class BlockchainNetwork:
             Machine(engine, ep, deployment.instance_type, memory_margin=margin,
                     metrics=self.metrics.namespace(f"machine.{ep.name}"))
             for ep, margin in zip(self.endpoints, margins)]
-        self.profile = WanProfile([ep.region for ep in self.endpoints])
-        self.model = params.perf_model(self.profile)
+        self.model = params.perf_model(
+            WanProfile([ep.region for ep in self.endpoints]))
         self.vm: VirtualMachine = VM_FACTORIES[params.vm_name]()
         self.state = WorldState()
         self.ledger = Ledger(confirmation_depth=params.confirmation_depth)
@@ -331,18 +194,12 @@ class BlockchainNetwork:
         self.admission = AdmissionController(
             self.mempool, admission,
             metrics=self.metrics.namespace("admission"))
-        # resource-exhaustion model (§6 crash-under-load)
-        self.overload = params.overload
-        for machine in self.machines:
-            machine.memory.high_water = self.overload.high_water
-            machine.memory.low_water = self.overload.low_water
-        self.memory_pressure = 0.0
-        self.peak_memory_pressure = 0.0
-        self.overload_events: List[Dict[str, Any]] = []
-        self._overload_stalled = False
-        self._shedding = False
-        self._admission_processed = 0   # arrivals through the full path
-        self._pipeline_exits = 0        # transactions sealed into blocks
+        #: the §6 resource-exhaustion model; None when the chain has none
+        self.overload: Optional[OverloadResponse] = None
+        if params.overload.response != "none":
+            self.overload = OverloadResponse(self, params.overload)
+        self.admission_processed = 0   # arrivals through the full path
+        self.pipeline_exits = 0        # transactions sealed into blocks
         self.last_arrival_at: Optional[float] = None
         self.accounts = AccountRegistry(params.signature_scheme,
                                         params.account_limits,
@@ -381,8 +238,7 @@ class BlockchainNetwork:
         self.dropped_unbuilt = 0
         # chain-level counters live in the shared registry (legacy attribute
         # names remain available as read-only properties below)
-        chain_metrics = self.metrics.namespace("chain")
-        self._chain_metrics = chain_metrics
+        self._chain_metrics = chain_metrics = self.metrics.namespace("chain")
         # per-reason drop counters, registered on a reason's first drop
         self._drop_counters: Dict[str, Counter] = {}
         self._blocks_failed = chain_metrics.counter("blocks_failed")
@@ -393,13 +249,12 @@ class BlockchainNetwork:
         chain_metrics.gauge(
             "dropped_total",
             supplier=lambda: len(self.dropped) + self.dropped_unbuilt)
-        chain_metrics.gauge("memory_pressure",
-                            supplier=lambda: self.memory_pressure)
+        chain_metrics.gauge("memory_pressure", supplier=lambda: (
+            0.0 if self.overload is None else self.overload.memory_pressure))
         self._committed_height = 0
         self._commit_listeners: List[
             Callable[[List[Transaction]], None]] = []
         self._drop_listeners: List[Callable[[Transaction], None]] = []
-        # fault injection + client retries
         self.injector: Optional[FaultInjector] = None
         #: byzantine adversary schedule (repro.sim.byzantine); None = benign
         self.byzantine_schedule: Optional[Any] = None
@@ -408,23 +263,17 @@ class BlockchainNetwork:
             "byzantine_stalled_blocks")
         # production rounds skipped: no live quorum
         self._stalled_rounds = chain_metrics.counter("stalled_rounds")
-        # retry-policy override installed by :meth:`attach_fees`
-        # (fee-bumping); None defers to the chain params live, so code
-        # adjusting ``self.params`` after construction still takes effect
-        self._retry_policy_override: Optional[RetryPolicy] = None
         #: live fee market; None (the default) keeps every fee code path
         #: inert — attach one with :meth:`attach_fees`
         self.fee_market: Optional[FeeMarket] = None
-        # original (fee_per_gas, tip) per retried tx, anchoring the
-        # fee-bump cap across resubmissions
-        self._fee_anchors: Dict[int, Tuple[int, int]] = {}
-        #: senders whose retries keep their original price (the DoS
-        #: adversary bids for itself; bumping would break its budget
-        #: reservations)
-        self.fee_bump_exempt: frozenset = frozenset()
-        self._retry_rng = self.rng.stream("client", "retry-jitter")
         self._retries_scheduled = chain_metrics.counter("retries_scheduled")
         self._retries_succeeded = chain_metrics.counter("retries_succeeded")
+        #: client retries; None (one shot per submission) unless the chain
+        #: carries a retry policy or :meth:`attach_fees` installs one
+        self.retries: Optional[ClientRetries] = None
+        if params.retry_policy is not None:
+            from repro.blockchains.retry import ClientRetries
+            self.retries = ClientRetries(self, params.retry_policy)
         #: lifecycle tracer; None = tracing fully off (the default), every
         #: hook site is guarded so the untraced path does no extra work
         self.tracer: Optional[LifecycleTracer] = None
@@ -439,10 +288,6 @@ class BlockchainNetwork:
     @property
     def blocks_failed(self) -> int:
         return self._blocks_failed.value
-
-    @property
-    def view_changes_total(self) -> int:
-        return self._view_changes.value
 
     @property
     def stalled_rounds(self) -> int:
@@ -499,17 +344,6 @@ class BlockchainNetwork:
 
     # -- fee market ---------------------------------------------------------------
 
-    @property
-    def retry_policy(self) -> Optional[RetryPolicy]:
-        """Effective client retry policy.
-
-        The chain's own (read live off ``params``) unless
-        :meth:`attach_fees` upgraded it with fee-bumping.
-        """
-        if self._retry_policy_override is not None:
-            return self._retry_policy_override
-        return self.params.retry_policy
-
     def _fee_gas_target(self, policy: FeePolicy) -> int:
         """Per-block gas target (scaled units) for the base-fee controller."""
         if self._gas_cap is not None:
@@ -529,6 +363,7 @@ class BlockchainNetwork:
         Never called for workloads without a ``fees:`` section, so benign
         runs stay byte-identical.
         """
+        from repro.blockchains.retry import ClientRetries, RetryPolicy
         from repro.econ.fees import build_fee_model
         from repro.econ.market import FeeMarket
 
@@ -537,41 +372,24 @@ class BlockchainNetwork:
         self.fee_market = FeeMarket(model, self.metrics.namespace("fees"))
         self.mempool.pricer = model
         self.mempool.on_evict = self._on_fee_evicted
-        retry = self.retry_policy if self.retry_policy is not None else RetryPolicy()
-        updates: Dict[str, Any] = {
-            "fee_bump": spec.fee_bump, "fee_bump_cap": spec.fee_bump_cap}
-        if spec.retry_attempts is not None:
-            updates["max_attempts"] = spec.retry_attempts
-        self._retry_policy_override = replace(retry, **updates)
+        retry = RetryPolicy() if self.retries is None else self.retries.policy
+        self.retries = ClientRetries(self, retry.with_fees(spec))
 
     def _on_fee_evicted(self, tx: Transaction) -> None:
-        """An underpriced resident was priced out of the pool under pressure.
-
-        Routed through the client retry path: the owner re-bids with a
-        fee bump after backoff, exactly like any other rejection; with
-        retries exhausted the eviction becomes a client-visible drop.
-        """
-        if not self._schedule_retry(tx, max(1, self.attempts_for(tx))):
+        """An underpriced resident was priced out of the pool: its owner
+        re-bids like after any other rejection, and with its attempts
+        exhausted the eviction becomes a client-visible drop."""
+        if not self.retries.after_eviction(tx):
             self._record_drop(tx, "fee_evicted")
 
-    def _node_available(self, index: int) -> bool:
-        if self.injector is None:
-            return True
-        return self.injector.node_available(
-            index, self.endpoints[index].region)
-
-    def _commit_quorum(self) -> int:
-        """Live, connected validators needed to commit: n - f."""
-        n = len(self.endpoints)
-        return n - (n - 1) // 3
-
     def _quorum_available(self) -> bool:
+        """Whether n - f live, connected validators can commit."""
         if self.injector is None:
             return True
+        n = len(self.endpoints)
         largest = self.injector.largest_side_available(
-            list(range(len(self.endpoints))),
-            [ep.region for ep in self.endpoints])
-        return largest >= self._commit_quorum()
+            list(range(n)), [ep.region for ep in self.endpoints])
+        return largest >= n - (n - 1) // 3
 
     # -- setup ---------------------------------------------------------------------
 
@@ -624,12 +442,12 @@ class BlockchainNetwork:
         pass the rest as ``turned_away``.
 
         None means unknown, and the caller builds everything: either a
-        tracer, a retry policy or a drop listener would look at a rejected
+        tracer, client retries or a drop listener would look at a rejected
         transaction, or the pool's answer depends on the transactions
         (see :meth:`AdmissionController.room`; a fee market installs both
-        a pricer and a retry policy).
+        a pricer and client retries).
         """
-        if (self.tracer is not None or self.retry_policy is not None
+        if (self.tracer is not None or self.retries is not None
                 or self._drop_listeners):
             return None
         return self.admission.room(count)
@@ -647,8 +465,8 @@ class BlockchainNetwork:
         Each transaction reaches the proposer's pool one gossip hop later;
         admission control applies the chain's mempool policy — including
         the backpressure front door (load shedding, admission queue). With
-        a :class:`RetryPolicy` configured, a rejected submission schedules
-        a backed-off client retry instead of dropping immediately; the
+        :attr:`retries` in force, a rejected submission schedules a
+        backed-off client retry instead of dropping immediately; the
         transaction only counts as dropped once its attempts are exhausted.
 
         The batch is recorded as one arrival and its counter increments
@@ -662,7 +480,7 @@ class BlockchainNetwork:
             return 0
         now = self.engine.now
         admission_submit = self.admission.submit
-        schedule_retry = self._schedule_retry
+        retries = self.retries
         record_drop = self._record_drop
         tracer = self.tracer
         self._arrivals.append((now, count))
@@ -705,7 +523,7 @@ class BlockchainNetwork:
                     self._ensure_production()
                 accepted += 1
                 continue
-            will_retry = schedule_retry(tx, attempt)
+            will_retry = retries is not None and retries.schedule(tx, attempt)
             if tracer is not None:
                 tracer.tx_rejected(tx, now, reason, will_retry)
             if not will_retry:
@@ -718,18 +536,10 @@ class BlockchainNetwork:
                 reason = MempoolFullError.__name__
             self.dropped_unbuilt += turned_away
             self._drop_counter(reason).inc(turned_away)
-        self._admission_processed += processed
+        self.admission_processed += processed
         if retried_ok:
             self._retries_succeeded.inc(retried_ok)
         return accepted
-
-    def submit(self, tx: Transaction) -> SubmissionResult:
-        """:meth:`submit_batch` of one, for a caller that decides per
-        transaction (the DoS adversary releases a reservation between
-        submissions). A rejection either schedules a retry or records a
-        drop, so the drop mark tells the two apart."""
-        accepted = self.submit_batch((tx,)) == 1
-        return SubmissionResult(accepted, not accepted and not tx.aborted)
 
     def _record_drop(self, tx: Transaction, reason: str) -> None:
         """Single point where a transaction becomes a client-visible drop.
@@ -754,58 +564,6 @@ class BlockchainNetwork:
                 self._chain_metrics.counter(f"drops.{reason}"))
         return counter
 
-    # -- client retries -----------------------------------------------------------
-
-    def _schedule_retry(self, tx: Transaction, attempt: int) -> bool:
-        """Back off and resubmit *tx* if the retry policy allows another try."""
-        policy = self.retry_policy
-        if policy is None or attempt >= policy.max_attempts:
-            return False
-        delay = policy.backoff(attempt, self._retry_rng)
-        self._retries_scheduled.inc()
-        self.engine.schedule_after(delay, lambda: self._retry(tx),
-                                   label=f"{self.params.name}-retry")
-        return True
-
-    def _retry(self, tx: Transaction) -> None:
-        if tx.aborted or tx.committed_at is not None or tx in self.mempool:
-            return
-        if self.fee_market is not None:
-            self._bump_fee(tx)
-        if self.params.tx_expiry is not None:
-            # a resubmitting client re-reads the chain head first, exactly
-            # the Solana recent-blockhash refresh loop (§5.2)
-            tx.recent_block_hash = self.ledger.head.block_hash
-        self.submit_batch((tx,))
-
-    def _bump_fee(self, tx: Transaction) -> None:
-        """Raise *tx*'s bid before resubmission, within the cumulative cap.
-
-        The cap anchors to the transaction's *original* price, so repeated
-        retries converge to ``original * fee_bump_cap`` instead of growing
-        without bound.
-        """
-        policy = self.retry_policy
-        if policy is None or policy.fee_bump <= 1.0:
-            return
-        if tx.sender in self.fee_bump_exempt:
-            return
-        anchor = self._fee_anchors.setdefault(tx.uid, (tx.fee_per_gas, tx.tip))
-        cap_fee = max(anchor[0],
-                      int(math.ceil(anchor[0] * policy.fee_bump_cap)))
-        cap_tip = max(anchor[1],
-                      int(math.ceil(max(anchor[1], 1) * policy.fee_bump_cap)))
-        tx.fee_per_gas = min(cap_fee, max(
-            tx.fee_per_gas + 1,
-            int(math.ceil(tx.fee_per_gas * policy.fee_bump))))
-        tx.tip = min(cap_tip, max(
-            tx.tip + 1,
-            int(math.ceil(max(tx.tip, 1) * policy.fee_bump))))
-
-    def attempts_for(self, tx: Transaction) -> int:
-        """Submission attempts recorded for *tx* (1 = no retries)."""
-        return 0 if tx.submitted_at is None else tx.retries + 1
-
     def on_commit(self, listener: Callable[[List[Transaction]], None]
                   ) -> None:
         """Observe commits: *listener* is called once per final block that
@@ -819,25 +577,28 @@ class BlockchainNetwork:
 
     # -- block production --------------------------------------------------------------------
 
-    def start(self) -> None:
-        """Begin block production (idle chains still produce empty slots
-        only when transactions arrive — empty blocks carry no information
-        for the benchmark and would triple the event count)."""
-        self._ensure_production()
-
     def _ensure_production(self) -> None:
+        """Begin block production unless it runs: an idle chain produces
+        only once a transaction arrives, since empty blocks carry no
+        information for the benchmark and would triple the event count."""
         if self._producing:
             return
         self._producing = True
-        delay = self.model.next_block_delay(self._last_round_latency)
-        self.engine.schedule_after(delay + self.params.gossip_hop,
-                                   self._produce_block,
-                                   label=f"{self.params.name}-block")
+        self._next_round("block", self.params.gossip_hop)
+
+    def _next_round(self, label: str, extra: float = 0.0) -> None:
+        """Schedule the next production round one block delay (plus
+        *extra*) from now."""
+        self.engine.schedule_after(
+            self.model.next_block_delay(self._last_round_latency) + extra,
+            self._produce_block, label=f"{self.params.name}-{label}")
 
     def _produce_block(self) -> None:
         now = self.engine.now
         self._expire_pool(now)
-        self._update_memory(now)
+        overload = self.overload
+        if overload is not None:
+            overload.update(now)
         self.admission.drain()
         if not self._quorum_available():
             # the fault schedule took out too many validators (or split
@@ -845,17 +606,13 @@ class BlockchainNetwork:
             # so the chain stalls — the §6.3/§6.5 availability dip.
             # Transactions keep queueing (or expiring) in the mempool.
             self._stalled_rounds.inc()
-            self.engine.schedule_after(
-                self.model.next_block_delay(self._last_round_latency),
-                self._produce_block, label=f"{self.params.name}-stalled")
+            self._next_round("stalled")
             return
-        if self._overload_stalled:
+        if overload is not None and overload.stalled:
             # commit stall: consensus is thrashing under memory pressure
             # and stops making progress (Diem under constant 10 kTPS, §6.3)
             self._stalled_rounds.inc()
-            self.engine.schedule_after(
-                self.model.next_block_delay(self._last_round_latency),
-                self._produce_block, label=f"{self.params.name}-memstall")
+            self._next_round("memstall")
             return
         backlog = len(self.mempool)
         if backlog == 0:
@@ -866,12 +623,10 @@ class BlockchainNetwork:
                 # chains with a confirmation depth keep sealing empty blocks
                 # (Solana's PoH clock ticks regardless of load) — without
                 # them, the last transactions would never reach finality
-                self._seal_block([], backlog=0)
+                self._seal_block([], backlog_unscaled=0)
                 return
             if self.active_until is not None and now < self.active_until:
-                self.engine.schedule_after(
-                    self.model.next_block_delay(self._last_round_latency),
-                    self._produce_block, label=f"{self.params.name}-idle")
+                self._next_round("idle")
             else:
                 self._producing = False
             return
@@ -885,109 +640,9 @@ class BlockchainNetwork:
         batch = self.mempool.pop_batch(max_count=tx_cap, max_gas=gas_cap,
                                        max_bytes=self._bytes_cap)
         if not batch:
-            self.engine.schedule_after(
-                self.model.next_block_delay(self._last_round_latency),
-                self._produce_block, label=f"{self.params.name}-retry")
+            self._next_round("retry")
             return
-        self._seal_block(batch, backlog)
-
-    # -- resource-exhaustion model (§6 crash-under-load) ---------------------------
-
-    def _update_memory(self, now: float) -> None:
-        """Re-price every node's memory footprint; fire overload responses.
-
-        Three categories, in unscaled units so behaviour is invariant under
-        ``REPRO_SCALE``:
-
-        * ``mempool``    resident pool plus admission queue, priced at the
-                         wire-plus-index cost per pending transaction;
-        * ``consensus``  undecayed backlog debt — every arrival that paid
-                         the full admission path (including pool
-                         rejections, whose churn artifacts linger in
-                         consensus buffers) minus every transaction sealed
-                         into a block;
-        * ``state``      ledger/state growth per committed transaction.
-
-        The validator set replicates the same data, so the levels are
-        identical per node and built once per round; jittered per-node
-        capacity margins stagger when each crosses its own high-water mark.
-        """
-        overload = self.overload
-        if overload.response == "none":
-            return
-        factor = self.scale.factor
-        pending = (len(self.mempool) + self.admission.queue_depth) / factor
-        debt = max(0, self._admission_processed - self._pipeline_exits) / factor
-        settled = self._pipeline_exits / factor
-        levels = (("mempool", int(pending * overload.pool_tx_bytes)),
-                  ("consensus", int(debt * overload.consensus_tx_bytes)),
-                  ("state", int(settled * overload.state_tx_bytes)))
-        watch_faults = self.injector is not None
-        pressure = 0.0
-        high = False
-        for index, machine in enumerate(self.machines):
-            ledger = machine.memory
-            if watch_faults and not self._node_available(index):
-                # a crashed node's footprint freezes where it died
-                pressure = max(pressure, ledger.pressure)
-            else:
-                pressure = max(pressure, ledger.set_levels(levels))
-            high = high or ledger.high
-        self.memory_pressure = pressure
-        self.peak_memory_pressure = max(self.peak_memory_pressure, pressure)
-        if overload.response == "oom_crash":
-            self._respond_oom_crash(now)
-        elif overload.response == "commit_stall":
-            self._respond_commit_stall(now, high)
-        elif overload.response == "shed_load":
-            self._respond_shed_load(now, high)
-
-    def _overload_event(self, now: float, kind: str, **extra: Any) -> None:
-        event: Dict[str, Any] = {
-            "at": round(now, 3), "kind": kind, "chain": self.params.name,
-            "pressure": round(self.memory_pressure, 3)}
-        event.update(extra)
-        self.overload_events.append(event)
-
-    def _respond_oom_crash(self, now: float) -> None:
-        """Solana-style: validators past their high-water mark OOM-crash."""
-        for index, machine in enumerate(self.machines):
-            if machine.memory.state != "high":
-                continue
-            if not self._node_available(index):
-                continue
-            if self.injector is None:
-                # overload can crash nodes even without a fault schedule:
-                # the simulation drives the injector itself
-                from repro.sim.faults import FaultInjector
-                self.attach_faults(FaultInjector())
-            self.injector.crash(index)
-            self._overload_event(
-                now, "oom_crash", node=machine.name,
-                pressure=round(machine.memory.pressure, 3))
-
-    def _respond_commit_stall(self, now: float, high: bool) -> None:
-        """Diem-style: consensus stops committing under memory pressure."""
-        if high and not self._overload_stalled:
-            self._overload_stalled = True
-            self._overload_event(now, "commit_stall")
-        elif not high and self._overload_stalled:
-            self._overload_stalled = False
-            self._overload_event(now, "commit_resumed")
-
-    def _respond_shed_load(self, now: float, high: bool) -> None:
-        """Survivor-style: shed excess load at the door, keep committing."""
-        if high and not self._shedding:
-            self._shedding = True
-            target = max(1, int(self.reference_block_txs()
-                                * self.overload.shed_pool_blocks
-                                * self.scale.factor))
-            self.admission.set_shedding(True, target)
-            self._overload_event(now, "shed_start", pool_target=target)
-        elif not high and self._shedding:
-            self._shedding = False
-            self.admission.set_shedding(False)
-            self._overload_event(now, "shed_stop")
+        self._seal_block(batch, backlog_unscaled)
 
     def _next_leader(self) -> Tuple[int, int]:
         """(leader index, crashed leaders skipped) for the next block.
@@ -996,28 +651,29 @@ class BlockchainNetwork:
         taken down; every skip costs a view change (the protocol had to
         time out on the dead proposer before rotating past it).
         """
+        injector = self.injector
         n = len(self.endpoints)
         skipped = 0
         for _ in range(n):
             index = self._leader_cursor % n
             self._leader_cursor += 1
-            if self._node_available(index):
+            if injector is None or injector.node_available(
+                    index, self.endpoints[index].region):
                 return index, skipped
             skipped += 1
         # _quorum_available gates production, so a live node exists; keep
         # the last index as a fallback for direct (unguarded) callers
         return index, skipped
 
-    def _seal_block(self, batch: Sequence[Transaction], backlog: int) -> None:
-        backlog_unscaled = int(backlog / self.scale.factor)
+    def _seal_block(self, batch: Sequence[Transaction],
+                    backlog_unscaled: int) -> None:
         leader_index, skipped = self._next_leader()
         leader = self.endpoints[leader_index]
         # execute the block on the leader's machine
         receipts, exec_cpu = self._execute_batch(batch)
-        machine = self.machines[leader_index]
         exec_time = (self.scale.inflate_cpu(exec_cpu)
                      / max(1.0, self.params.exec_parallelism))
-        machine.execute(self.scale.inflate_cpu(exec_cpu))
+        self.machines[leader_index].execute(self.scale.inflate_cpu(exec_cpu))
         payload_bytes = sum(self.scale.inflate_bytes(tx.size) for tx in batch)
         attempt = BlockAttempt(
             tx_count=len(batch),
@@ -1064,9 +720,7 @@ class BlockchainNetwork:
                 # re-execution decides the transaction's fate again
                 failed.pop(tx.uid, None)
                 self.mempool.try_add(tx)
-        delay = self.model.next_block_delay(self._last_round_latency)
-        self.engine.schedule_after(delay, self._produce_block,
-                                   label=f"{self.params.name}-block")
+        self._next_round("block")
 
     def _execute_batch(self, batch: Sequence[Transaction]
                        ) -> Tuple[List[Receipt], float]:
@@ -1105,12 +759,7 @@ class BlockchainNetwork:
             gas_used=sum(r.gas_used for r in receipts))
         self.ledger.append(block, decided_at=now)
         if self.fee_market is not None:
-            # sealed transactions pay their effective price whether or not
-            # execution succeeded (failed executions still burn gas), and
-            # the block's usage moves the base fee for the next block
-            for tx, receipt in zip(batch, receipts):
-                self.fee_market.charge(tx, receipt.gas_used)
-            self.fee_market.on_block(block.gas_used)
+            self.fee_market.settle_block(batch, receipts, block.gas_used)
         if self.tracer is not None and bid >= 0:
             self.tracer.block_appended(bid, now)
         self._finalize_ready()
@@ -1133,7 +782,7 @@ class BlockchainNetwork:
         # sealed into a finalized block — success or execution failure,
         # every transaction has left the consensus pipeline and paid off
         # its debt
-        self._pipeline_exits += len(txs)
+        self.pipeline_exits += len(txs)
         committed_at = final_time + self._observation_delay()
         failed = self._failed
         tracer = self.tracer
@@ -1171,25 +820,21 @@ class BlockchainNetwork:
     def _expire_pool(self, now: float) -> None:
         if self.params.tx_expiry is None:
             return
-        policy = self.retry_policy
+        retries = self.retries
         for tx in self.mempool.drop_expired(now, self.params.tx_expiry):
-            if (policy is not None and policy.resubmit_on_expiry
-                    and self._schedule_retry(
-                        tx, max(1, self.attempts_for(tx)))):
-                continue
-            self._record_drop(tx, "expired")
+            if retries is None or not retries.after_expiry(tx):
+                self._record_drop(tx, "expired")
 
     # -- results ----------------------------------------------------------------------------------
 
     def stats(self) -> Dict[str, float]:
-        committed = len(self.committed)
         stats: Dict[str, float] = {
             "height": self.ledger.height,
-            "committed": committed,
+            "committed": len(self.committed),
             "dropped": len(self.dropped) + self.dropped_unbuilt,
             "pending": len(self.mempool),
             "blocks_failed": self.blocks_failed,
-            "view_changes": self.view_changes_total,
+            "view_changes": self._view_changes.value,
         }
         for reason, count in sorted(self.drop_reasons.items()):
             stats[f"dropped_{reason}"] = count
@@ -1197,10 +842,9 @@ class BlockchainNetwork:
             stats[f"mempool_{key}"] = value
         for key, value in self.admission.stats().items():
             stats[f"admission_{key}"] = value
-        if self.overload.response != "none":
-            stats["memory_pressure_peak"] = round(self.peak_memory_pressure, 4)
-            stats["overload_events"] = len(self.overload_events)
-        if self.retry_policy is not None:
+        if self.overload is not None:
+            stats.update(self.overload.stats())
+        if self.retries is not None:
             stats["retries_scheduled"] = self.retries_scheduled
             stats["retries_succeeded"] = self.retries_succeeded
         if self.fee_market is not None:

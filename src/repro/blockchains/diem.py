@@ -23,7 +23,8 @@ from repro.chain.account import AccountFactoryLimits
 from repro.chain.mempool import MempoolPolicy
 from repro.consensus.models import LeaderBFTPerf
 from repro.crypto.signing import ED25519
-from repro.blockchains.base import ChainParams, OverloadPolicy
+from repro.blockchains.base import ChainParams
+from repro.blockchains.overload import OverloadPolicy
 from repro.econ.fees import FeePolicy
 
 if TYPE_CHECKING:

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING
 from repro.chain.mempool import MempoolPolicy
 from repro.consensus.models import LeaderBFTPerf
 from repro.crypto.signing import ECDSA
-from repro.blockchains.base import ChainParams, OverloadPolicy
+from repro.blockchains.base import ChainParams
+from repro.blockchains.overload import OverloadPolicy
 from repro.econ.fees import FeePolicy
 
 if TYPE_CHECKING:

@@ -201,7 +201,7 @@ class SimConnector(BlockchainConnector):
         signers = self._signers
         signer_for = self._signer_for
         market = network.fee_market
-        suggest = market.suggest if market is not None else None
+        suggest = market.model.suggest if market is not None else None
         expiry = network.params.tx_expiry is not None
         head_hash = network.ledger.head.block_hash if expiry else None
         txs: List[Transaction] = []

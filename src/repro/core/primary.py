@@ -294,9 +294,10 @@ class Primary:
                 "kind": "deadline_hit",
                 "deadline": deadline})
         status = watchdog.finalize()
+        overload = self.network.overload
         if deadline_hit:
             status = "failed"
-        elif status == "ok" and self.network.overload_events:
+        elif status == "ok" and overload is not None and overload.events:
             # the chain survived, but only by shedding/crashing its way
             # through overload — not a clean run
             status = "degraded"
@@ -317,6 +318,7 @@ class Primary:
         if spec.byzantine:
             fault_events += spec.byzantine_schedule().summaries()
         fault_events.sort(key=lambda e: e["at"])
+        overload = self.network.overload
         result = BenchmarkResult(
             chain=self.chain_name,
             configuration=self.deployment.name,
@@ -327,7 +329,7 @@ class Primary:
             fault_events=fault_events,
             status=status,
             liveness_events=list(liveness_events or []),
-            overload_events=list(self.network.overload_events))
+            overload_events=[] if overload is None else list(overload.events))
         # aggregate-lane txs never become records (they carry no client
         # identity); they are counted here and in the population block.
         # Only that lane leaves submissions unbuilt, so the network's

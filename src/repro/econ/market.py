@@ -11,7 +11,7 @@ samples and ``BenchmarkResult.economics``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Sequence
 
 if TYPE_CHECKING:
     from repro.econ.fees import FeeModel
@@ -49,27 +49,6 @@ class FeeMarket:
             self._spend[label] = counter
         return counter
 
-    # -- model passthrough -----------------------------------------------------------
-
-    @property
-    def dialect(self) -> str:
-        return self.model.dialect
-
-    def floor(self) -> int:
-        return self.model.floor()
-
-    def effective_price(self, tx: Any) -> int:
-        return self.model.effective_price(tx)
-
-    def suggest(self) -> Tuple[int, int]:
-        return self.model.suggest()
-
-    def attack_bid(self, multiplier: float) -> Tuple[int, int]:
-        return self.model.attack_bid(multiplier)
-
-    def on_block(self, gas_used: int) -> None:
-        self.model.on_block(gas_used)
-
     # -- charging --------------------------------------------------------------------
 
     def charge(self, tx: Any, gas_used: int) -> int:
@@ -80,6 +59,14 @@ class FeeMarket:
         self._paid_per_gas.observe(self.model.effective_price(tx))
         self._spend_counter(self.label_for(tx.sender)).inc(fee)
         return fee
+
+    def settle_block(self, txs: Sequence[Any], receipts: Sequence[Any],
+                     gas_used: int) -> None:
+        """Charge a block's sealed transactions, failed executions too
+        (they still burn gas); its *gas_used* moves the next base fee."""
+        for tx, receipt in zip(txs, receipts):
+            self.charge(tx, receipt.gas_used)
+        self.model.on_block(gas_used)
 
     def spend(self, label: str) -> int:
         counter = self._spend.get(label)

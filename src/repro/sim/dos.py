@@ -110,10 +110,9 @@ class DoSAdversary:
         """Fund the attacker accounts and schedule the attack window."""
         for address in self._senders:
             self.network.state.credit(address, WAR_CHEST)
+        # labelled senders price their own bids (client retries bump only
+        # honest ones), so each reservation stays an exact worst case
         self.network.fee_market.track(self._senders, "attacker")
-        # the adversary prices its own bids; exempting it from the honest
-        # fee-bump keeps each reservation an exact worst case
-        self.network.fee_bump_exempt = self._sender_set
         self.network.on_commit(self._on_commit)
         self.network.on_drop(self._on_drop)
         self.network.engine.schedule_after(
@@ -160,8 +159,8 @@ class DoSAdversary:
         return max(0, self.spec.budget - self.spend() - self._reserved)
 
     def _fire(self) -> None:
-        market = self.network.fee_market
-        fee_per_gas, tip = market.attack_bid(self.spec.bid_multiplier)
+        fee_per_gas, tip = self.network.fee_market.model.attack_bid(
+            self.spec.bid_multiplier)
         reservation = self._worst_case_fee(fee_per_gas, tip)
         if reservation > self._budget_left():
             # throttled: in-flight reservations (or spend) leave no room
@@ -185,10 +184,9 @@ class DoSAdversary:
         self._reserved += reservation
         self._reservations[tx.uid] = reservation
         self._submitted.inc()
-        result = self.network.submit(tx)
-        if result.accepted:
+        if self.network.submit_batch((tx,)):
             self._accepted.inc()
-        elif not result.will_retry:
+        elif tx.aborted:
             # rejected outright with no retry coming: this transaction can
             # never be charged, so its reservation returns to the budget
             self._rejected.inc()

@@ -50,7 +50,7 @@ def test_final_blocks_conserve_their_transactions(chain):
         in_final += len(ledger.block_at(height))
     failure_drops = sum(1 for tx in network.dropped
                         if tx.abort_reason in FAILED)
-    assert network._pipeline_exits == in_final > 0
+    assert network.pipeline_exits == in_final > 0
     assert (committed, failed) == (len(network.committed), failure_drops)
     assert committed + failed == in_final
     if chain in BUDGET_ABORTS:

@@ -13,12 +13,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.blockchains.base import (
-    BlockchainNetwork,
-    ExperimentScale,
-    OverloadPolicy,
-    RetryPolicy,
-)
+from repro.blockchains.base import BlockchainNetwork, ExperimentScale
+from repro.blockchains.overload import OverloadPolicy
+from repro.blockchains.retry import RetryPolicy
 from repro.blockchains.registry import chain_params
 from repro.chain.transaction import transfer
 from repro.common.errors import ConfigurationError
@@ -41,8 +38,9 @@ TINY = DeploymentConfig("testnet", 4,
                         ("ohio",))
 
 
-def make_net(base="quorum", seed=1, deployment=TINY, **overload_kwargs):
-    params = replace(chain_params(base, deployment),
+def make_net(base="quorum", seed=1, deployment=TINY, retry_policy=None,
+             **overload_kwargs):
+    params = replace(chain_params(base, deployment), retry_policy=retry_policy,
                      overload=OverloadPolicy(**overload_kwargs))
     engine = Engine()
     net = BlockchainNetwork(params, deployment, engine,
@@ -54,7 +52,7 @@ def make_net(base="quorum", seed=1, deployment=TINY, **overload_kwargs):
 def flood(net, count):
     accts = net.accounts.addresses()
     for i in range(count):
-        net.submit(transfer(accts[i % 100], accts[(i + 1) % 100]))
+        net.submit_batch((transfer(accts[i % 100], accts[(i + 1) % 100]),))
 
 
 class TestPolicyValidation:
@@ -77,17 +75,20 @@ class TestPolicyValidation:
 class TestMemoryAccounting:
     def test_no_response_means_no_accounting(self):
         engine, net = make_net(response="none")
+        assert net.overload is None
         flood(net, 500)
         engine.run(until=10.0)
-        assert net.peak_memory_pressure == 0.0
-        assert net.overload_events == []
+        assert net.metrics.value("chain.memory_pressure") == 0.0
+        assert all(machine.memory.total == 0 for machine in net.machines)
+        assert net.stats().keys().isdisjoint(
+            {"memory_pressure_peak", "overload_events"})
 
     def test_pressure_rises_under_flood(self):
         engine, net = make_net(response="commit_stall",
                                consensus_tx_bytes=64 * 1024)
         flood(net, 200)
         engine.run(until=5.0)
-        assert net.peak_memory_pressure > 0.0
+        assert net.overload.peak_memory_pressure > 0.0
         ledger = net.machines[0].memory
         assert ledger.peak_pressure > 0.0
         # once every transaction sealed into a block, the debt is paid off
@@ -111,7 +112,7 @@ class TestOomCrash:
         net.active_until = 60.0
         flood(net, 2000)
         engine.run(until=60.0)
-        crashes = [e for e in net.overload_events
+        crashes = [e for e in net.overload.events
                    if e["kind"] == "oom_crash"]
         assert crashes, "no validator OOM-crashed under the flood"
         assert net.injector is not None
@@ -140,7 +141,7 @@ class TestCommitStall:
         net.active_until = 60.0
         flood(net, 2000)
         engine.run(until=60.0)
-        stalls = [e for e in net.overload_events
+        stalls = [e for e in net.overload.events
                   if e["kind"] == "commit_stall"]
         assert len(stalls) == 1
         committed_at_stall = len(net.committed)
@@ -162,7 +163,7 @@ class TestShedLoad:
         for t in range(120):
             engine.schedule_at(float(t), lambda: flood(net, 400))
         engine.run(until=130.0)
-        shed_starts = [e for e in net.overload_events
+        shed_starts = [e for e in net.overload.events
                        if e["kind"] == "shed_start"]
         assert shed_starts, "admission never started shedding"
         assert net.admission.shed_rejections > 0
@@ -172,17 +173,15 @@ class TestShedLoad:
         assert committed_at_shed > 0, "shedding chain stopped committing"
 
     def test_shed_rejections_are_retried_then_dropped(self):
-        engine, net = make_net(response="shed_load")
-        net.params = replace(
-            net.params,
+        engine, net = make_net(
+            response="shed_load",
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.5,
                                      jitter=0.0, resubmit_on_expiry=False))
         net.admission.set_shedding(True, pool_target=0)
         accts = net.accounts.addresses()
         victim = transfer(accts[0], accts[1])
-        result = net.submit(victim)
-        assert not result.accepted
-        assert result.will_retry
+        assert net.submit_batch((victim,)) == 0
+        assert not victim.aborted       # a retry is coming
         engine.run(until=30.0)
         assert victim.aborted
         assert net.drop_reasons.get("shed_load") == 1
@@ -249,7 +248,7 @@ class TestCrashedNodeFreezes:
         assert net.machines[1].memory.state == "high"
         for live in (0, 2, 3):
             assert self._levels(net, live) != at_crash
-        assert net.overload_events == PINNED_EVENTS[response]
+        assert net.overload.events == PINNED_EVENTS[response]
 
 
 class TestDeterminism:
@@ -261,7 +260,7 @@ class TestDeterminism:
         net.active_until = 60.0
         flood(net, 2000)
         engine.run(until=60.0)
-        return net.overload_events
+        return net.overload.events
 
     def test_same_seed_same_crash_schedule(self):
         assert self._events(7) == self._events(7)

@@ -143,7 +143,7 @@ def test_a_requeued_failure_that_succeeds_on_re_execution_commits():
         return receipts, cpu
 
     net._execute_batch = spy
-    net.submit(tx)
+    net.submit_batch((tx,))
     while net.blocks_failed == 0:
         assert step(engine)
     # the first execution failed, consensus denied the block: the

@@ -6,16 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.blockchains.base import (
-    BlockchainNetwork,
-    ExperimentScale,
-    RetryPolicy,
-)
+from repro.blockchains.base import BlockchainNetwork, ExperimentScale
+from repro.blockchains.retry import RetryPolicy, attempts_for
 from repro.blockchains.registry import chain_params
 from repro.chain.mempool import MempoolPolicy
 from repro.chain.transaction import transfer
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngFactory
+from repro.econ.fees import FeeSpec
 from repro.sim.deployment import TESTNET
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector, FaultSchedule
@@ -92,16 +90,15 @@ class TestRetryOnRejection:
             capacity=2)
         accts = net.accounts.addresses()
         txs = [transfer(accts[i], accts[i + 1]) for i in range(3)]
-        results = [net.submit(tx) for tx in txs]
-        assert [r.accepted for r in results] == [True, True, False]
-        assert results[2].will_retry
+        assert [net.submit_batch((tx,)) for tx in txs] == [1, 1, 0]
+        assert not txs[2].aborted       # a retry is coming
         assert net.retries_scheduled == 1
         # block production drains the pool; the retry then succeeds
         net.active_until = 30.0
         engine.run(until=60.0)
         assert net.retries_succeeded == 1
         assert txs[2] in net.committed
-        assert txs[2].retries == net.attempts_for(txs[2]) - 1
+        assert txs[2].retries == attempts_for(txs[2]) - 1
         assert 1 <= txs[2].retries < 3
 
     def test_attempts_are_bounded(self):
@@ -113,22 +110,22 @@ class TestRetryOnRejection:
             capacity=1)
         net.attach_faults(FaultInjector(quorum_stall_schedule(None)))
         accts = net.accounts.addresses()
-        assert net.submit(transfer(accts[0], accts[1])).accepted
+        assert net.submit_batch((transfer(accts[0], accts[1]),)) == 1
         victim = transfer(accts[2], accts[3])
-        assert not net.submit(victim).accepted
+        assert net.submit_batch((victim,)) == 0
         engine.run(until=120.0)
-        assert net.attempts_for(victim) == 3
+        assert attempts_for(victim) == 3
         assert victim.aborted
         assert victim in net.dropped
         assert net.drop_reasons.get("MempoolFullError") == 1
 
     def test_no_retry_without_policy(self):
         engine, net = make_net(retry_policy=None, capacity=1)
+        assert net.retries is None
         accts = net.accounts.addresses()
-        net.submit(transfer(accts[0], accts[1]))
+        net.submit_batch((transfer(accts[0], accts[1]),))
         rejected = transfer(accts[2], accts[3])
-        result = net.submit(rejected)
-        assert not result.accepted and not result.will_retry
+        assert net.submit_batch((rejected,)) == 0
         assert rejected.aborted
         assert net.retries_scheduled == 0
 
@@ -144,7 +141,7 @@ class TestExpiryResubmission:
         net.attach_faults(FaultInjector(quorum_stall_schedule(20.0)))
         accts = net.accounts.addresses()
         tx = transfer(accts[0], accts[1])
-        assert net.submit(tx).accepted
+        assert net.submit_batch((tx,)) == 1
         net.active_until = 40.0
         engine.run(until=90.0)
         assert tx.retries >= 1
@@ -162,7 +159,7 @@ class TestExpiryResubmission:
         net.attach_faults(FaultInjector(quorum_stall_schedule(None)))
         accts = net.accounts.addresses()
         tx = transfer(accts[0], accts[1])
-        net.submit(tx)
+        net.submit_batch((tx,))
         net.active_until = 40.0
         engine.run(until=60.0)
         assert tx.aborted and tx.abort_reason == "expired"
@@ -193,3 +190,35 @@ class TestNoRetryStorm:
         assert again.retries_scheduled == net.retries_scheduled
         assert again.retries_succeeded == net.retries_succeeded
         assert len(again.committed) == len(net.committed)
+
+
+class TestWhereRetriesComeFrom:
+    def test_fees_install_the_fee_bumping_policy(self):
+        _, net = make_net()
+        assert net.retries is None
+        net.attach_fees(FeeSpec(fee_bump=1.5, fee_bump_cap=4.0,
+                                retry_attempts=5))
+        assert net.retries.policy == RetryPolicy(
+            max_attempts=5, fee_bump=1.5, fee_bump_cap=4.0)
+
+    def test_fees_keep_the_chains_own_policy_otherwise(self):
+        own = RetryPolicy(max_attempts=7, base_delay=2.0, jitter=0.0)
+        _, net = make_net(retry_policy=own)
+        assert net.retries.policy == own
+        net.attach_fees(FeeSpec())
+        assert net.retries.policy == replace(own, fee_bump=1.25,
+                                             fee_bump_cap=10.0)
+
+    def test_only_honest_senders_bump_their_fee(self):
+        engine, net = make_net(capacity=1)
+        net.attach_fees(FeeSpec(fee_bump=2.0))
+        net.fee_market.track(["mallory"], "attacker")
+        accts = net.accounts.addresses()
+        blocker = transfer(accts[0], accts[1], fee_per_gas=1_000, tip=1_000)
+        honest = transfer(accts[2], accts[3], fee_per_gas=10, tip=1)
+        evil = transfer("mallory", accts[3], fee_per_gas=10, tip=1)
+        net.attach_faults(FaultInjector(quorum_stall_schedule(None)))
+        assert net.submit_batch((blocker, honest, evil)) == 1
+        engine.run(until=1.5)       # one backed-off resubmission each
+        assert (honest.fee_per_gas, honest.tip) == (20, 2)
+        assert (evil.fee_per_gas, evil.tip) == (10, 1)

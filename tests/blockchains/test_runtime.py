@@ -109,7 +109,7 @@ class TestSubmissionAndBlocks:
         engine, net = make_net()
         a, b = net.accounts.addresses()[:2]
         before_b = net.state.balance(b)
-        net.submit(transfer(a, b, amount=7, gas_limit=21_000))
+        net.submit_batch((transfer(a, b, amount=7, gas_limit=21_000),))
         engine.run(until=30.0)
         assert net.state.balance(b) == before_b + 7
 
@@ -120,7 +120,7 @@ class TestSubmissionAndBlocks:
         accepted, rejected = 0, 0
         for _ in range(30):
             tx = transfer(a, b, 1, gas_limit=21_000)
-            if net.submit(tx).accepted:
+            if net.submit_batch((tx,)):
                 accepted += 1
             else:
                 rejected += 1
@@ -134,7 +134,7 @@ class TestSubmissionAndBlocks:
         net.deploy_contract(make_counter_contract())
         a = net.accounts.addresses()[0]
         bad = invoke(a, "Counter", "no_such_function", gas_limit=10**6)
-        net.submit(bad)
+        net.submit_batch((bad,))
         engine.run(until=60.0)
         assert bad.aborted
         assert bad.abort_reason == "reverted"
@@ -167,8 +167,7 @@ class TestConfirmationDepthAndExpiry:
         assert net.params.confirmation_depth == 30
         a, b = net.accounts.addresses()[:2]
         tx = transfer(a, b, 1, gas_limit=21_000)
-        net.submit(tx)
-        net.start()
+        net.submit_batch((tx,))
         engine.run(until=120.0)
         assert tx.committed_at is not None
         # 30 slots of 0.4 s must elapse after inclusion
@@ -178,7 +177,7 @@ class TestConfirmationDepthAndExpiry:
         engine, net = make_net(chain="quorum")
         a, b = net.accounts.addresses()[:2]
         tx = transfer(a, b, 1, gas_limit=21_000)
-        net.submit(tx)
+        net.submit_batch((tx,))
         engine.run(until=60.0)
         assert tx.committed_at is not None
         assert tx.committed_at - tx.submitted_at < 5.0
@@ -205,7 +204,7 @@ class TestConfirmationDepthAndExpiry:
         a, b = net.accounts.addresses()[:2]
         txs = [transfer(a, b, 1, gas_limit=21_000) for _ in range(20_000)]
         for tx in txs:
-            net.submit(tx)
+            net.submit_batch((tx,))
         engine.run(until=400.0)
         expired = [tx for tx in txs if tx.abort_reason == "expired"]
         assert expired, "expected stale transactions to expire"
@@ -245,6 +244,6 @@ class TestStats:
         engine, net = make_net(scale=0.1)
         a, b = net.accounts.addresses()[:2]
         for _ in range(50):
-            net.submit(transfer(a, b, 1, gas_limit=21_000))
+            net.submit_batch((transfer(a, b, 1, gas_limit=21_000),))
         # 50 scaled submissions in <=1 s window -> >= 500 unscaled TPS
         assert net.arrival_rate() >= 450

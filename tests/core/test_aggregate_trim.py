@@ -15,11 +15,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro.blockchains.base import (
-    BlockchainNetwork,
-    ExperimentScale,
-    RetryPolicy,
-)
+from repro.blockchains.base import BlockchainNetwork, ExperimentScale
+from repro.blockchains.retry import RetryPolicy
 from repro.blockchains.registry import chain_params
 from repro.chain.mempool import MempoolPolicy
 from repro.chain.transaction import Transaction, reset_tx_counter
@@ -199,12 +196,12 @@ def test_a_tick_turned_away_whole_still_counts(shedding):
     if shedding:
         assert network.drop_reasons == {"shed_load": COUNT}
         assert stats["admission_shed_rejections"] == COUNT
-        assert network._admission_processed == CAPACITY
+        assert network.admission_processed == CAPACITY
         assert "drop_capacity" not in network.mempool.stats()
     else:
         assert network.drop_reasons == {"MempoolFullError": COUNT}
         assert stats["mempool_drop_capacity"] == COUNT
-        assert network._admission_processed == CAPACITY + COUNT
+        assert network.admission_processed == CAPACITY + COUNT
     # the unbuilt consumed their uids, ring positions and sequences
     after = connector.encode(interaction, None, 1.0)
     assert after.uid == CAPACITY + COUNT

@@ -25,11 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blockchains.base import (
-    BlockchainNetwork,
-    ExperimentScale,
-    RetryPolicy,
-)
+from repro.blockchains.base import BlockchainNetwork, ExperimentScale
+from repro.blockchains.retry import RetryPolicy
 from repro.blockchains.registry import build_network, chain_params
 from repro.chain.mempool import MempoolPolicy
 from repro.chain.transaction import reset_tx_counter, transfer
@@ -294,13 +291,11 @@ class TestSingleFormsAreTheBatchOfOne:
         net = BlockchainNetwork(params, TESTNET, Engine(),
                                 scale=ExperimentScale(1.0), seed=1)
         admitted, rejected = transfer("a", "b"), transfer("c", "d")
-        result = net.submit(admitted)
-        assert (result.accepted, result.will_retry) == (True, False)
+        assert net.submit_batch((admitted,)) == 1
         assert not admitted.aborted and admitted in net.mempool
-        result = net.submit(rejected)
-        assert (result.accepted, result.will_retry) == outcome
+        accepted = net.submit_batch((rejected,)) == 1
         # a rejection is a scheduled retry or a recorded drop, never both
-        dropped = not result.will_retry
-        assert rejected.aborted is dropped
+        dropped = rejected.aborted
+        assert (accepted, not accepted and not dropped) == outcome
         assert net.drop_reasons.get("MempoolFullError", 0) == int(dropped)
-        assert net.retries_scheduled == int(result.will_retry)
+        assert net.retries_scheduled == int(not accepted and not dropped)

@@ -16,7 +16,7 @@ from typing import Iterable, List
 
 import pytest
 
-from repro.blockchains.base import RetryPolicy
+from repro.blockchains.retry import RetryPolicy
 from repro.blockchains.registry import chain_params
 from repro.chain.mempool import MempoolPolicy
 from repro.chain.transaction import Transaction
@@ -159,9 +159,9 @@ def test_ethereum_fee_bump_raises_the_price_under_the_signature():
                        fees=FeeSpec(fee_bump=1.25))
     primary = run("ethereum", spec, params=small_pool("ethereum"))
     network = primary.network
+    anchors = network.retries._fee_anchors
     bumped = [tx for tx in sent(primary)
-              if tx.uid in network._fee_anchors
-              and tx.fee_per_gas > network._fee_anchors[tx.uid][0]]
+              if tx.uid in anchors and tx.fee_per_gas > anchors[tx.uid][0]]
     assert bumped, "the scenario must bump a fee"
     assert_signed(primary, network.committed)
     assert_signed(primary, bumped)

@@ -26,10 +26,12 @@ MESSAGE_LEVEL = ("repro.consensus.base", "repro.consensus.testbed",
                  "repro.consensus.avalanche", "repro.consensus.clique",
                  "repro.consensus.hotstuff", "repro.consensus.ibft",
                  "repro.consensus.raft", "repro.consensus.towerbft")
-#: what a chain run without faults, fees, an adversary or a tracer skips
+#: what a chain run without faults, fees, an adversary, client retries or
+#: a tracer skips
 PLAIN_RUN_SKIPS = ("yaml", "multiprocessing", "repro.sweep",
                    *MESSAGE_LEVEL, "repro.sim.faults", "repro.sim.byzantine",
-                   "repro.sim.dos", "repro.econ.market", "repro.obs.trace",
+                   "repro.sim.dos", "repro.econ.market",
+                   "repro.blockchains.retry", "repro.obs.trace",
                    "repro.obs.report", "repro.obs.exporters",
                    "repro.obs.profiler")
 
