@@ -33,7 +33,7 @@ from typing import (
 from repro.common.errors import SimulationError
 from repro.common.rng import RngFactory
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, collector_paused
 from repro.sim.faults import FaultInjector
 from repro.sim.network import Network, spread_endpoints
 
@@ -391,6 +391,7 @@ class ConsensusHarness:
 
     # -- execution --------------------------------------------------------------------
 
+    @collector_paused()
     def run(self, until: float) -> None:
         """Run to *until*; replicas start on the first call only."""
         if not self._started:

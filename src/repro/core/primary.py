@@ -27,7 +27,7 @@ from repro.core.secondary import Secondary
 from repro.core.spec import ContractSample
 from repro.core.watchdog import DEFAULT_WINDOW, LivenessWatchdog
 from repro.sim.deployment import get_configuration
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, collector_paused
 
 if TYPE_CHECKING:  # a feature's module is imported where it is attached
     from repro.blockchains.base import ChainParams
@@ -220,6 +220,7 @@ class Primary:
 
     # -- the run ------------------------------------------------------------------------
 
+    @collector_paused()
     def run(self, spec: WorkloadSpec, workload_name: str = "workload",
             drain: float = DEFAULT_DRAIN,
             max_sim_seconds: Optional[float] = None,
@@ -233,6 +234,9 @@ class Primary:
         the result ``failed``. ``max_sim_seconds`` (or the spec's
         ``deadline``) additionally caps total simulated time — the guard
         against runaway experiments.
+
+        The cyclic collector is paused for the whole run, records
+        included (:func:`~repro.sim.engine.collector_paused`).
         """
         from repro.chain.transaction import reset_tx_counter
         reset_tx_counter()

@@ -10,6 +10,7 @@ committed transactions, per-second time series and latency CDFs.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -28,11 +29,6 @@ _SUMMARY_OPEN = '{"summary": '
 _SUMMARY_CLOSE = ', "transactions": ['
 _DOCUMENT_CLOSE = "]}"
 _DECODER = json.JSONDecoder()
-
-#: rows joined per ``str.join`` call in :meth:`BenchmarkResult.to_json` —
-#: bounds the row strings alive at once (~1 MB of JSON) while keeping the
-#: per-call overhead invisible
-ENCODE_CHUNK = 4096
 
 
 class TransactionRecord(NamedTuple):
@@ -83,8 +79,10 @@ class TransactionRecord(NamedTuple):
 
 #: a record's fields after ``uid``: its *tail*, in document order
 _TAIL_FIELDS = TransactionRecord._fields[1:]
-#: one row of the transaction list, from ``(uid, tail text)``
-_ROW = '{"uid": %d, %s}'.__mod__
+#: what opens a row, up to its uid's digits
+_ROW_OPEN = '{"uid": '
+#: what lies between one row's close and the next row's uid
+_ROW_JOIN = ", " + _ROW_OPEN
 _uid = itemgetter(0)
 _tail = itemgetter(slice(1, None))
 _submitted_at = itemgetter(5)
@@ -92,21 +90,23 @@ _committed_at = itemgetter(6)
 
 
 class _TailTexts(dict):
-    """``(tail, type(submitted_at), type(committed_at))`` -> the tail's JSON.
+    """``(tail, type(submitted_at), type(committed_at))`` -> its row text.
 
-    The text is what ``json.dumps`` writes for the tail's nine fields
-    inside a row object. The key carries the timestamp types because
-    ``5 == 5.0`` while the two encode as ``5`` and ``5.0``. A tail holding
-    a float zero is never stored, because ``-0.0 == 0.0`` while the two
-    encode apart; such a row is encoded on its own. The other fields
-    encode by value at their declared types. One instance lives for one
+    The text is what ``json.dumps`` writes after a row's uid, from the
+    tail's nine fields through the row's close, followed by
+    :data:`_ROW_JOIN`: everything up to the next row's uid. The key
+    carries the timestamp types because ``5 == 5.0`` while the two encode
+    as ``5`` and ``5.0``. A tail holding a float zero is never stored,
+    because ``-0.0 == 0.0`` while the two encode apart; such a row is
+    encoded on its own. The other fields encode by value at their
+    declared types. One instance lives for one
     :meth:`BenchmarkResult.to_json` call, because ``records`` is a public
     list that callers may edit between calls.
     """
 
     def __missing__(self, key: tuple) -> str:
         row = dict(zip(_TAIL_FIELDS, key[0]))
-        text = json.dumps(row)[1:-1]
+        text = ", " + json.dumps(row)[1:] + _ROW_JOIN
         if 0.0 not in (row["submitted_at"], row["committed_at"]):
             self[key] = text
         return text
@@ -407,23 +407,24 @@ class BenchmarkResult:
         Byte-for-byte what ``json.dumps`` of the whole payload writes. A
         row is its uid plus the text of its other nine fields, its tail.
         Every transaction that entered in the same tick and committed in
-        the same block shares a tail, so each distinct tail is encoded once
-        per call (:class:`_TailTexts`) and :data:`ENCODE_CHUNK` rows at a
-        time are joined from those texts.
+        the same block shares a tail, so each distinct tail's text, up to
+        the next row's uid, is encoded once per call (:class:`_TailTexts`),
+        and the document is one join of two pieces per row: the uid's
+        digits and that text. The returned string is the only full copy
+        of the rows.
         """
         records = self.records
-        tail_text = _TailTexts().__getitem__
-        parts = [_SUMMARY_OPEN, json.dumps(self.summary()), _SUMMARY_CLOSE]
-        for start in range(0, len(records), ENCODE_CHUNK):
-            chunk = records[start:start + ENCODE_CHUNK]
-            keys = zip(map(_tail, chunk),
-                       map(type, map(_submitted_at, chunk)),
-                       map(type, map(_committed_at, chunk)))
-            if start:
-                parts.append(", ")
-            parts.append(", ".join(
-                map(_ROW, zip(map(_uid, chunk), map(tail_text, keys)))))
-        parts.append(_DOCUMENT_CLOSE)
+        head = _SUMMARY_OPEN + json.dumps(self.summary()) + _SUMMARY_CLOSE
+        if not records:
+            return head + _DOCUMENT_CLOSE
+        keys = zip(map(_tail, records),
+                   map(type, map(_submitted_at, records)),
+                   map(type, map(_committed_at, records)))
+        parts = [head + _ROW_OPEN]
+        parts += itertools.chain.from_iterable(zip(
+            map(str, map(_uid, records)), map(_TailTexts().__getitem__, keys)))
+        # the last row closes the document instead of opening another row
+        parts[-1] = parts[-1][:-len(_ROW_JOIN)] + _DOCUMENT_CLOSE
         return "".join(parts)
 
     @staticmethod

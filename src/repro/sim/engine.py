@@ -20,16 +20,47 @@ head, and once cancelled entries outnumber both :data:`COMPACT_MIN` and
 half the heap (a pacemaker re-arms its timer every view) the heap is
 rebuilt in place from its live entries. The next event is always the
 least live ``(time, sequence)``, so neither step can reorder anything.
+
+A run keeps objects alive per submitted transaction, which CPython's
+cyclic collector would re-walk over and over while finding almost no
+cycles, so the run's entry points pause it (:func:`collector_paused`).
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import (Any, Callable, Iterable, Iterator, List, Optional, Set,
+                    Tuple)
 
 from repro.common.errors import SimulationError
 
 EventCallback = Callable[[], None]
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic collector; restore the caller's state after.
+
+    Re-entrant: a nested use finds the collector already off and leaves it
+    off, so only the outermost use turns it back on, and only if it was on
+    when that use began. The state is restored on an exception too.
+    Turning it back on, it collects the young generations once, so what
+    the paused stretch left alive is walked once and moves to the oldest
+    generation; left to the thresholds, the same objects would be walked
+    by a young collection and soon after by the middle one. Usable as a
+    decorator.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+            gc.collect(1)
+
 
 #: cancelled entries the heap may hold before compaction is considered
 COMPACT_MIN = 64

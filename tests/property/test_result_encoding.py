@@ -1,22 +1,24 @@
-"""Property tests: the chunked result encoder against a one-shot oracle.
+"""Property tests: the one-join result encoder against a one-shot oracle.
 
-``BenchmarkResult.to_json`` encodes the records a chunk at a time; the
-oracle here is the obvious whole-payload ``json.dumps``. For arbitrary
+``BenchmarkResult.to_json`` joins the document from two pieces per row;
+the oracle here is the obvious whole-payload ``json.dumps``. For arbitrary
 records — non-ASCII client names, ``None`` contract/function/reason,
-int-valued, tiny and huge timestamps — and for record counts on either
-side of a chunk boundary, the bytes must be equal and must parse back to
-equal records and an equal summary. The encoder writes each distinct
-record tail (every field but ``uid``) once per call, so records drawn from
-a few shared tails exercise its hits, and pinned rows whose timestamps
-compare equal but encode differently (``5`` / ``5.0``, ``0.0`` / ``-0.0``)
-must each keep their own text. ``summary_from_json`` finds the
-summary by position, so whatever text the summary's own keys hold, it
-must return what a full parse returns.
+int-valued, tiny and huge timestamps — the bytes must be equal and must
+parse back to equal records and an equal summary. The encoder writes each
+distinct record tail (every field but ``uid``) once per call, so records
+drawn from a few shared tails exercise its hits, and pinned rows whose
+timestamps compare equal but encode differently (``5`` / ``5.0``,
+``0.0`` / ``-0.0``) must each keep their own text. ``summary_from_json``
+finds the summary by position, so whatever text the summary's own keys
+hold, it must return what a full parse returns. The returned document is
+the only full copy of the rows the encoder makes, which a ``tracemalloc``
+peak checks.
 """
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -78,9 +80,8 @@ def assert_encodes_like_the_oracle(result: BenchmarkResult) -> None:
 @given(recs=st.lists(records, max_size=13),
        duration=st.sampled_from([0.0, 10.0, 1e6]))
 def test_chunked_encoding_equals_one_shot_encoding(recs, duration):
-    # chunks of 4: zero records, one short chunk, exact multiples, a tail
-    with mock.patch.object(results_module, "ENCODE_CHUNK", 4):
-        assert_encodes_like_the_oracle(make_result(recs, duration))
+    # zero, one and many records: the first and last rows are joined apart
+    assert_encodes_like_the_oracle(make_result(recs, duration))
 
 
 #: the document's own delimiters, as text inside the summary
@@ -138,9 +139,8 @@ def shared_tails(draw):
 @settings(max_examples=150, deadline=None)
 @given(recs=shared_tails())
 def test_reused_tails_encode_like_the_oracle(recs):
-    # up to 17 rows over at most 4 tails: hits inside and across chunks
-    with mock.patch.object(results_module, "ENCODE_CHUNK", 4):
-        assert_encodes_like_the_oracle(make_result(recs))
+    # up to 17 rows over at most 4 tails: hits, including on the last row
+    assert_encodes_like_the_oracle(make_result(recs))
 
 
 def test_equal_timestamps_of_another_type_or_sign_keep_their_text():
@@ -187,15 +187,38 @@ def test_each_call_encodes_its_own_tails(name, value):
                                                     getattr(recs[1], name)]
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("chunks", [1, 2])
-def test_the_real_chunk_boundary(chunks, offset):
-    count = chunks * results_module.ENCODE_CHUNK + offset
-    recs = [TransactionRecord(i, "transfer", None, None, "clïent-0",
-                              i * 0.001, None if i % 3 else i * 0.002,
-                              i % 5 == 0, "evicted" if i % 5 == 0 else None)
-            for i in range(count)]
+def test_ten_thousand_rows_of_shared_zero_and_twin_tails():
+    # shared tails, rows holding a float zero (never memoized), and 5 / 5.0
+    # twins that compare equal, interleaved over one long document
+    recs = []
+    for i in range(10_000):
+        submitted = (5, 5.0, 0.0, -0.0, i * 0.001)[i % 5]
+        committed = (None, 7, 7.0, 0.0, i * 0.002)[i % 7 % 5]
+        recs.append(TransactionRecord(
+            i * 7919, ("transfer", "invoke")[i % 2], None,
+            "checkDistance" if i % 3 else None, f"clïent-{i % 4}",
+            submitted, committed, i % 11 == 0,
+            "evicted" if i % 11 == 0 else None, i % 3))
     assert_encodes_like_the_oracle(make_result(recs))
+
+
+def test_the_document_is_the_only_full_copy_of_the_rows():
+    # rows as a run writes them: one client per 100-tx tick, one block per
+    # 500 tx, so tails repeat. A second copy of the rows (chunk strings, a
+    # list of row strings) would peak at twice the document or more.
+    recs = [TransactionRecord(i, "transfer", None, None,
+                              f"client-{i // 100 % 8}", i // 100 * 0.1,
+                              i // 500 * 0.5 + 1.5, False, None)
+            for i in range(20_000)]
+    result = make_result(recs)
+    result.to_json()                       # warm the summary's code paths
+    tracemalloc.start()
+    try:
+        text = result.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * len(text), peak / len(text)
 
 
 @given(record=records)
