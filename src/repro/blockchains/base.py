@@ -172,7 +172,7 @@ class BlockchainNetwork:
         #: so one sampler pass sees the whole chain under dotted names
         self.metrics = MetricsRegistry()
         self.machines: List[Machine] = [
-            Machine(engine, ep, deployment.instance_type, memory_margin=margin,
+            Machine(ep, deployment.instance_type, memory_margin=margin,
                     metrics=self.metrics.namespace(f"machine.{ep.name}"))
             for ep, margin in zip(self.endpoints, margins)]
         self.model = params.perf_model(
@@ -682,14 +682,12 @@ class BlockchainNetwork:
             backlog=backlog_unscaled,
             leader_region=leader.region,
             arrival_rate=self.arrival_rate())
-        if self.byzantine_schedule is not None:
-            self.model.set_byzantine_fraction(
-                self.byzantine_schedule.active_fraction(
-                    self.engine.now, len(self.endpoints)))
         outcome = self.model.decide(attempt)
         if self.byzantine_schedule is not None:
             was_committed = outcome.committed
-            outcome = self.model.apply_byzantine(outcome)
+            outcome = self.model.apply_byzantine(
+                outcome, self.byzantine_schedule.active_fraction(
+                    self.engine.now, len(self.endpoints)))
             if was_committed and not outcome.committed:
                 self._byzantine_stalled_blocks.inc()
                 if self.tracer is not None:

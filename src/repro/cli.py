@@ -15,7 +15,7 @@ workload is the same YAML dialect::
         --scale 0.05 examples/specs/overload.yaml
 
     python -m repro suite --chain solana --configuration consortium \
-        --workload fifa
+        --workload dapp-web
 
     python -m repro population --chain ethereum --users 1000000 \
         --rate-per-user 0.001 --duration 120

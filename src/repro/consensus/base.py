@@ -320,7 +320,7 @@ class ConsensusHarness:
                 auditor.observe_message(sender, target, outgoing)
             if sender != target:
                 if faulty:
-                    link_latency, fault_drop = self._link_faults(
+                    link_latency, fault_drop = injector.link_faults(
                         sender, target, sender_region, target_region)
                     extra_latency += link_latency
                     if (fault_drop > 0
@@ -345,18 +345,6 @@ class ConsensusHarness:
             # every variant of a message keeps its size
             self.network.broadcast(endpoints[sender], deliveries,
                                    message.size, network_label)
-
-    def _link_faults(self, sender: int, target: int,
-                     sender_region: str, target_region: str
-                     ) -> Tuple[float, float]:
-        """LinkDegrade state for a replica pair, by id and by region."""
-        extra, drop = self.injector.link_state(sender, target)
-        if sender_region != target_region:
-            region_extra, region_drop = self.injector.link_state(
-                sender_region, target_region)
-            extra += region_extra
-            drop = 1.0 - (1.0 - drop) * (1.0 - region_drop)
-        return extra, drop
 
     def stats(self) -> Dict[str, int]:
         """Routing statistics, fault losses accounted separately."""

@@ -165,48 +165,44 @@ class ConsensusPerfModel:
 
     def __init__(self, profile: WanProfile) -> None:
         self.profile = profile
-        # declared adversarial fraction, driven per block by the runtime
-        # from its ByzantineSchedule (repro.sim.byzantine); zero = benign
-        self.byzantine_fraction = 0.0
         self._byz_view_change_acc = 0.0
 
     # -- byzantine degradation ---------------------------------------------------
-
-    def set_byzantine_fraction(self, fraction: float) -> None:
-        """Declare the adversarial validator fraction for upcoming blocks."""
-        self.byzantine_fraction = max(0.0, float(fraction))
 
     def _byzantine_round_penalty(self) -> float:
         """Seconds one adversary-induced timeout/extra round costs."""
         return 4.0 * self.profile.rtt_quantile(0.9) + 1.0
 
-    def apply_byzantine(self, outcome: DecisionOutcome) -> DecisionOutcome:
-        """Degrade a benign decision for the declared Byzantine fraction.
+    def apply_byzantine(self, outcome: DecisionOutcome,
+                        fraction: float) -> DecisionOutcome:
+        """Degrade a benign decision for an adversarial validator
+        *fraction* (the runtime samples it per block from its
+        ``ByzantineSchedule``; zero is benign).
 
         Below the tolerance threshold, quorum formation waits on honest
-        replicas only — the vote phase stretches by ``1/(1 - b/tolerance)``
-        (capped) — and adversarial leader slots surface as extra view
-        changes at a deterministic rate of *b* per block. At or beyond the
+        replicas only — the vote phase stretches by
+        ``1/(1 - fraction/tolerance)`` (capped) — and adversarial leader
+        slots surface as extra view changes at a deterministic rate of
+        *fraction* per block. At or beyond the
         threshold the honest quorum cannot form at all: the attempt burns
         a timeout round and fails, leaving the block for a retry once the
         adversary stops.
         """
-        b = self.byzantine_fraction
-        if b <= 0.0:
+        if fraction <= 0.0:
             return outcome
         penalty = self._byzantine_round_penalty()
-        if b >= self.byzantine_tolerance:
+        if fraction >= self.byzantine_tolerance:
             return DecisionOutcome(
                 penalty, committed=False,
                 view_changes=outcome.view_changes + 1,
                 breakdown={"byzantine": penalty})
-        stretch = min(8.0, 1.0 / (1.0 - b / self.byzantine_tolerance))
+        stretch = min(8.0, 1.0 / (1.0 - fraction / self.byzantine_tolerance))
         breakdown = dict(outcome.breakdown or {})
         vote_part = breakdown.get("vote", outcome.latency)
         extra = vote_part * (stretch - 1.0)
-        # b of the leader slots belong to the adversary: accumulate them
-        # into whole wasted rounds deterministically
-        self._byz_view_change_acc += b
+        # *fraction* of the leader slots belong to the adversary:
+        # accumulate them into whole wasted rounds deterministically
+        self._byz_view_change_acc += fraction
         extra_view_changes = int(self._byz_view_change_acc)
         self._byz_view_change_acc -= extra_view_changes
         extra += extra_view_changes * penalty

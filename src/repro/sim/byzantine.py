@@ -219,13 +219,6 @@ class ByzantineSchedule:
         """Sorted ids of every replica the schedule corrupts at any time."""
         return tuple(sorted({event.node for event in self.events}))
 
-    def window(self) -> Optional[Tuple[float, float]]:
-        """(first window open, last window close) — the attack interval."""
-        if not self.events:
-            return None
-        return (min(e.start for e in self.events),
-                max(e.stop for e in self.events))
-
     def active_nodes(self, now: float) -> Set[int]:
         """Replicas misbehaving at virtual time *now*."""
         return {e.node for e in self.events if e.start <= now < e.stop}

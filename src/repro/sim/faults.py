@@ -8,10 +8,14 @@ timed events — node crashes and recoveries, network partitions and heals,
 whole-region outages, per-link degradation — and a :class:`FaultInjector`
 applies them at their scheduled virtual times.
 
-The injector is deliberately agnostic about what a "node" is: consensus
-harnesses key nodes by replica index, blockchain runtimes by endpoint index,
-and the network layer by endpoint name or region. All queries accept any
-hashable key, so one injector can serve every layer of one experiment.
+The injector only answers questions; the callers apply the answers. At
+message level, ``ConsensusHarness.route`` drops a message to or from a
+crashed or unreachable replica and delays or loses it on a degraded link
+(:meth:`FaultInjector.link_faults`). At chain level, the chain core stops
+production without a live quorum, skips unavailable leaders, and the
+overload response crashes a validator out of memory through the same
+injector. Nodes are keyed by replica or endpoint index, and links and
+partitions may also name regions; all queries accept any hashable key.
 
 Link degradation is undirected: degrading (a, b) also degrades (b, a), and
 re-degrading a link with zero extra latency and zero drop rate restores it.
@@ -217,39 +221,9 @@ class FaultSchedule:
         return FaultSchedule(events_from_dicts(raw))
 
     def summaries(self) -> List[Dict[str, Any]]:
+        """One :func:`event_summary` per event; a result's fault window
+        (``BenchmarkResult.fault_window``) is computed from these."""
         return [event_summary(event) for event in self.events]
-
-    def fault_window(self) -> Optional[Tuple[float, float]]:
-        """(first disruption, last repair) — the degraded interval.
-
-        The window opens at the first *disruptive* event — crash,
-        partition, region outage, or a link_degrade that actually
-        degrades — and closes at the latest recovery/heal time (region
-        outages close at ``time + duration``). Schedules that never
-        repair close at their last event time. A schedule containing
-        only repairs (recover/heal/zero-zero link restores) never
-        degraded anything and has **no** window (``None``) — it is not
-        an instantaneous disruption at its first event's time.
-        """
-        start: Optional[float] = None
-        end = 0.0
-        for event in self.events:
-            if isinstance(event, (NodeRecover, Heal)):
-                end = max(end, event.time)
-                continue
-            if isinstance(event, LinkDegrade) and (
-                    event.extra_latency <= 0 and event.drop_rate <= 0):
-                end = max(end, event.time)  # a link restore is a repair
-                continue
-            if start is None:
-                start = event.time
-            if isinstance(event, RegionOutage):
-                end = max(end, event.time + event.duration)
-            else:
-                end = max(end, event.time)
-        if start is None:
-            return None
-        return start, max(start, end)
 
     def validate(self, nodes: Iterable[NodeKey],
                  regions: Iterable[str] = ()) -> None:
@@ -301,11 +275,10 @@ class _LinkState:
 class FaultInjector:
     """Applies a :class:`FaultSchedule` and answers reachability queries.
 
-    One injector serves all layers of one experiment: the network consults
-    it on every send, consensus harnesses on every route, and the analytic
-    blockchain runtimes when sealing blocks. Layers may also drive it
-    manually (``crash``/``recover``/``partition``/...), which is how the
-    pre-existing ad-hoc crash tests are expressed now.
+    A consensus harness consults it on every route while a fault is in
+    force; the chain core consults it for its quorum and leader checks,
+    and the overload response crashes validators through it. Callers may
+    also drive it manually (``crash``/``recover``/``partition``/...).
     """
 
     def __init__(self, schedule: Optional[FaultSchedule] = None) -> None:
@@ -404,10 +377,6 @@ class FaultInjector:
     # -- queries ------------------------------------------------------------------
 
     @property
-    def partitioned(self) -> bool:
-        return self._groups is not None
-
-    @property
     def fault_free(self) -> bool:
         """No fault of any kind is in force right now.
 
@@ -476,6 +445,21 @@ class FaultInjector:
             return 0.0, 0.0
         return state.extra_latency, state.drop_rate
 
+    def link_faults(self, a: NodeKey, b: NodeKey,
+                    a_region: str, b_region: str) -> Tuple[float, float]:
+        """(extra latency, drop rate) of a message from *a* to *b*.
+
+        The pair's own link and, across regions, the link between their
+        regions both apply: the latencies add and the losses are
+        independent, so the drop rate is ``1 - (1 - p) * (1 - q)``.
+        """
+        extra, drop = self.link_state(a, b)
+        if a_region != b_region:
+            region_extra, region_drop = self.link_state(a_region, b_region)
+            extra += region_extra
+            drop = 1.0 - (1.0 - drop) * (1.0 - region_drop)
+        return extra, drop
+
     def largest_side_available(self, nodes: Sequence[NodeKey],
                                regions: Optional[Sequence[Optional[str]]] = None
                                ) -> int:
@@ -500,12 +484,3 @@ class FaultInjector:
                 side = (side, region_side)
             by_side[side] = by_side.get(side, 0) + 1
         return max(by_side.values(), default=0)
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "events_applied": len(self.events_applied),
-            "crashed": sorted(self.crashed, key=repr),
-            "partitioned": self.partitioned,
-            "regions_down": sorted(self._regions_down),
-            "links_degraded": len(self._links),
-        }

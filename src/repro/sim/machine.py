@@ -1,11 +1,11 @@
 """Simulated machines (AWS c5 instance types from §5.1).
 
-A :class:`Machine` models a virtual machine with a number of vCPUs and an
-amount of memory. CPU work is modeled as a processor-sharing queue: callers
-submit jobs measured in CPU-seconds and the machine tells them when the work
-completes given its parallelism. This is what makes the datacenter
-configuration (36 vCPUs) execute signature checks and contract code faster
-than the testnet configuration (4 vCPUs), reproducing the §6.2 effects.
+A :class:`Machine` is a virtual machine in a region with an instance type
+(vCPU count and memory). It counts the CPU-seconds of the blocks its node
+executes (``cpu_seconds``, ``jobs_executed``) for the metrics sampler and
+the Prometheus dump; it does not queue that work or delay anything by it.
+The vCPU count reaches a run only through Solana's per-vCPU block budget
+(``block_gas_per_vcpu``).
 
 Memory is tracked by a per-machine :class:`MemoryLedger` with named
 categories (mempool bytes, undecayed consensus backlog, ledger/state
@@ -18,7 +18,7 @@ the NASDAQ peak, Diem ceasing to commit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.units import GIB
@@ -26,23 +26,16 @@ from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsNamespace
-    from repro.sim.engine import Engine
     from repro.sim.network import Endpoint
 
 
 @dataclass(frozen=True)
 class InstanceType:
-    """An AWS instance type: name, vCPU count and memory in bytes.
-
-    ``speed_factor`` captures per-core speed relative to the c5 baseline
-    (all c5 sizes share the same cores, so it is 1.0 for all of them, but
-    the knob exists for what-if experiments).
-    """
+    """An AWS instance type: name, vCPU count and memory in bytes."""
 
     name: str
     vcpus: int
     memory: int
-    speed_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.vcpus <= 0:
@@ -142,26 +135,17 @@ class MemoryLedger:
 
 
 class Machine:
-    """A machine running in a region, executing CPU jobs.
+    """A machine running in a region: its memory ledger and CPU counters."""
 
-    CPU execution uses a simple M/G/k-style approximation: the machine keeps
-    a per-core "busy until" horizon; each job is assigned the earliest-free
-    core. This preserves ordering effects (a 4-vCPU node saturates at lower
-    request rates than a 36-vCPU node) while staying O(1) per job.
-    """
-
-    def __init__(self, engine: Engine, endpoint: Endpoint,
-                 instance_type: InstanceType,
+    def __init__(self, endpoint: Endpoint, instance_type: InstanceType,
                  memory_margin: float = 1.0,
                  metrics: Optional[MetricsNamespace] = None) -> None:
         """*memory_margin* scales the usable RAM (per-node OOM jitter)."""
         if memory_margin <= 0:
             raise ConfigurationError(
                 f"memory_margin must be positive: {memory_margin}")
-        self.engine = engine
         self.endpoint = endpoint
         self.instance_type = instance_type
-        self._core_free_at = [0.0] * instance_type.vcpus
         self.memory = MemoryLedger(
             max(1, int(instance_type.memory * memory_margin)))
         # pass a unique per-machine namespace (e.g. machine.<name>) when
@@ -184,30 +168,9 @@ class Machine:
 
     # -- CPU ----------------------------------------------------------------------
 
-    def execute(self, cpu_seconds: float,
-                on_done: Optional[Callable[[], None]] = None,
-                label: str = "") -> float:
-        """Run a job costing *cpu_seconds*; return its completion time.
-
-        The job runs on the earliest-available core; the completion callback
-        (if any) fires at the completion time.
-        """
+    def execute(self, cpu_seconds: float) -> None:
+        """Count one job of *cpu_seconds* of CPU work."""
         if cpu_seconds < 0:
             raise SimulationError(f"negative cpu time {cpu_seconds}")
-        now = self.engine.now
-        scaled = cpu_seconds / self.instance_type.speed_factor
-        core = min(range(len(self._core_free_at)),
-                   key=self._core_free_at.__getitem__)
-        start = max(now, self._core_free_at[core])
-        finish = start + scaled
-        self._core_free_at[core] = finish
-        self._cpu_seconds.inc(scaled)
+        self._cpu_seconds.inc(cpu_seconds)
         self._jobs.inc()
-        if on_done is not None:
-            self.engine.schedule_at(finish, on_done,
-                                    label=label or f"{self.name}-cpu-done")
-        return finish
-
-    def backlog(self) -> float:
-        """Seconds until all currently queued CPU work drains."""
-        return max(0.0, max(self._core_free_at) - self.engine.now)

@@ -26,7 +26,6 @@ from repro.obs.metrics import MetricsRegistry
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsNamespace
     from repro.sim.engine import Engine
-    from repro.sim.faults import FaultInjector
 
 REGIONS: Tuple[str, ...] = (
     "cape-town",
@@ -238,42 +237,34 @@ class Network:
         queueing-on-pipe + size/bandwidth(A,B) + RTT(A,B)/2 + jitter
 
     Jitter is lognormal with a 5 % coefficient of variation, seeded from the
-    experiment seed so runs are reproducible.
+    experiment seed so runs are reproducible. The network applies no
+    faults: a message that reaches it is delivered, because its caller
+    (``ConsensusHarness.route``) has already dropped or delayed it.
     """
 
     def __init__(self, engine: Engine, rng_factory: Optional[RngFactory] = None,
                  jitter_cv: float = 0.05, model_bandwidth: bool = True,
                  metrics: Optional[MetricsNamespace] = None) -> None:
         self.engine = engine
-        factory = rng_factory or RngFactory(0)
-        self._rng = factory.stream("network", "jitter")
-        self._fault_rng = factory.stream("network", "fault-drops")
-        self._jitter_cv = jitter_cv
-        # block-drawn samplers over the two named streams (byte-identical
-        # to scalar draws — see BlockSampler); each stream is owned by
-        # exactly one sampler, so draw order matches the scalar path
+        # block-drawn jitter (byte-identical to scalar draws — see
+        # BlockSampler); the sampler owns the stream, so draw order
+        # matches the scalar path
+        self._jitter_sampler: Optional[BlockSampler] = None
         if jitter_cv > 0:
+            factory = rng_factory or RngFactory(0)
             self._jitter_sampler = BlockSampler(
-                self._rng, "lognormal", -jitter_cv * jitter_cv / 2, jitter_cv)
-        else:
-            self._jitter_sampler = None
-        self._fault_sampler = BlockSampler(self._fault_rng, "random")
+                factory.stream("network", "jitter"), "lognormal",
+                -jitter_cv * jitter_cv / 2, jitter_cv)
         self._model_bandwidth = model_bandwidth
         self._index = _region_index()
         # hot-path views: exact Python floats, no numpy scalar boxing
         self._half_rtt = _HALF_RTT
         self._bandwidth = _BANDWIDTH
         self._pipes: Dict[Tuple[int, int], _LinkPipe] = {}
-        self.injector: Optional["FaultInjector"] = None
         self._metrics = (metrics if metrics is not None
                          else MetricsRegistry().namespace("network"))
         self._messages_sent = self._metrics.counter("messages_sent")
         self._bytes_sent = self._metrics.counter("bytes_sent")
-        # unreachable: crash/partition/outage
-        self._messages_blocked = self._metrics.counter("messages_blocked")
-        # lost to LinkDegrade drop rates
-        self._messages_fault_dropped = self._metrics.counter(
-            "messages_fault_dropped")
 
     # -- registry views ---------------------------------------------------------
 
@@ -281,40 +272,29 @@ class Network:
     def messages_sent(self) -> int:
         return self._messages_sent.value
 
-    def attach_faults(self, injector: "FaultInjector") -> None:
-        """Consult *injector* on every send (reachability + degradation)."""
-        self.injector = injector
-
     # -- sending ---------------------------------------------------------------
 
     def send(self, src: Endpoint, dst: Endpoint, size: int,
              on_delivery: Callable[[], None], label: str = "") -> float:
-        """Schedule delivery of a message; return the delivery time.
-
-        With a fault injector attached, messages over unreachable links
-        (crashed endpoint, partition, region outage) are silently blocked
-        and ``inf`` is returned; degraded links add latency and may drop
-        the message with their configured probability.
-        """
+        """Schedule delivery of a message; return the delivery time."""
         return self.broadcast(src, ((dst, on_delivery),), size, label)[0]
 
     def broadcast(self, src: Endpoint,
                   deliveries: Iterable[Tuple[Endpoint, Callable[[], None]]],
                   size: int, label: str = "") -> List[float]:
         """Send one *size*-byte message to each ``(destination, on_delivery)``
-        pair; return the delivery times in that order (``inf`` = lost).
+        pair; return the delivery times in that order.
 
         The outcome is that of one :meth:`send` per pair, in order: every
-        message passes the injector, reserves its pipe and draws its
-        jitter in turn, so the RNG streams and the pipes end up where the
-        one-by-one path leaves them. What depends only on the region pair
+        message reserves its pipe and draws its jitter in turn, so the
+        jitter stream and the pipes end up where the one-by-one path
+        leaves them. What depends only on the region pair
         (propagation, transfer time, the pipe) is looked up once per
         destination region, the sent counters move once, and the
         calendar takes the fan-out as one :meth:`Engine.schedule_batch`.
         """
         if size < 0:
             raise NetworkError(f"negative message size {size}")
-        injector = self.injector
         now = self.engine.now
         src_region = src.region
         jitter_sampler = self._jitter_sampler
@@ -323,18 +303,6 @@ class Network:
         batch: List[Tuple[float, Callable[[], None]]] = []
         for dst, on_delivery in deliveries:
             dst_region = dst.region
-            fault_latency = 0.0
-            if injector is not None:
-                if not injector.reachable(src.name, dst.name,
-                                          src_region, dst_region):
-                    self._messages_blocked.inc()
-                    times.append(float("inf"))
-                    continue
-                fault_latency, drop = self._link_faults(src, dst)
-                if drop > 0 and self._fault_sampler.next() < drop:
-                    self._messages_fault_dropped.inc()
-                    times.append(float("inf"))
-                    continue
             link = links.get(dst_region)
             if link is None:
                 link = links[dst_region] = self._link(
@@ -360,8 +328,7 @@ class Network:
                 factor = jitter_sampler.next()
                 if factor > 1.0:
                     jitter = propagation * (factor - 1.0)
-            arrival = now + (queueing + transfer + propagation
-                             + jitter + fault_latency)
+            arrival = now + (queueing + transfer + propagation + jitter)
             batch.append((arrival, on_delivery))
             times.append(arrival)
         self._messages_sent.inc(len(batch))
@@ -380,16 +347,6 @@ class Network:
             if pipe is None:
                 pipe = self._pipes[(i, j)] = _LinkPipe()
         return self._half_rtt[i][j], size / self._bandwidth[i][j], pipe
-
-    def _link_faults(self, src: Endpoint, dst: Endpoint) -> Tuple[float, float]:
-        """Combined degradation for a link, by endpoint name and by region."""
-        extra, drop = self.injector.link_state(src.name, dst.name)
-        if src.region != dst.region:
-            region_extra, region_drop = self.injector.link_state(
-                src.region, dst.region)
-            extra += region_extra
-            drop = 1.0 - (1.0 - drop) * (1.0 - region_drop)
-        return extra, drop
 
 
 def spread_endpoints(count: int, regions: Iterable[str] = REGIONS,

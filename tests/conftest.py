@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any, Callable, Optional, Tuple
+
 import pytest
 
 from repro.blockchains.base import ExperimentScale
@@ -33,3 +35,18 @@ def tokyo() -> Endpoint:
 def small_scale() -> ExperimentScale:
     """A small scale factor for fast end-to-end tests."""
     return ExperimentScale(0.05)
+
+
+@pytest.fixture
+def fault_window() -> Callable[[Any], Optional[Tuple[float, float]]]:
+    """The window a run's result reports for a fault or byzantine
+    schedule: ``BenchmarkResult.fault_window``, the one definition, over
+    the schedule's event summaries."""
+    from repro.core.results import BenchmarkResult
+
+    def window(schedule: Any) -> Optional[Tuple[float, float]]:
+        return BenchmarkResult(
+            chain="quorum", configuration="testnet", workload_name="w",
+            duration=90.0, scale=1.0,
+            fault_events=schedule.summaries()).fault_window()
+    return window

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus.base import ConsensusHarness
+from repro.consensus.base import ConsensusHarness, Message, Replica
 from repro.consensus.hotstuff import HotStuffReplica
 from repro.consensus.ibft import IBFTReplica
 from repro.sim.faults import FaultInjector, FaultSchedule
@@ -141,8 +141,7 @@ class TestManualDriving:
         harness.recover(3)
         assert 3 not in harness.crashed
 
-    def test_injector_shared_with_network_layer(self):
-        # one injector can serve the harness and a Network simultaneously
+    def test_the_harness_runs_the_injector_it_is_given(self):
         schedule = FaultSchedule.from_dicts([
             {"at": 0.5, "kind": "crash", "node": 0},
         ])
@@ -150,7 +149,86 @@ class TestManualDriving:
         harness = ConsensusHarness(
             [HotStuffReplica(base_timeout=0.25) for _ in range(4)],
             seed=1, injector=injector)
-        harness.network.attach_faults(injector)
         harness.run(until=3.0)
+        assert harness.injector is injector
         assert injector.is_crashed(0)
         assert harness.stats()["dropped_by_crash"] > 0
+
+
+class Recorder(Replica):
+    """A replica that only notes when each message reaches it."""
+
+    def __init__(self):
+        super().__init__()
+        self.arrivals = []
+
+    def on_message(self, message):
+        self.arrivals.append(self.now)
+
+
+class TestRouteFaults:
+    """Faults as ``ConsensusHarness.route`` applies them, one message at a
+    time. Replicas 0 and 2 are in ohio, 1 and 3 in tokyo."""
+
+    def harness(self):
+        injector = FaultInjector()
+        harness = ConsensusHarness([Recorder() for _ in range(4)],
+                                   regions=("ohio", "tokyo"), seed=1,
+                                   injector=injector)
+        return harness, injector
+
+    def delay(self, harness, sender, target):
+        """Seconds one message takes from *sender* to *target*; None when
+        it is lost."""
+        arrivals = harness.replicas[target].arrivals
+        seen, start = len(arrivals), harness.engine.now
+        harness.route(sender, (target,), Message("ping", sender))
+        harness.run(until=start + 5.0)
+        return arrivals[seen] - start if len(arrivals) > seen else None
+
+    def test_without_faults_every_message_arrives(self):
+        harness, _ = self.harness()
+        for sender, target in ((0, 1), (1, 0), (0, 2), (3, 1)):
+            assert self.delay(harness, sender, target) is not None
+        stats = harness.stats()
+        assert stats["dropped_by_crash"] == stats["dropped_by_fault"] == 0
+
+    def test_crashed_replica_receives_nothing(self):
+        harness, injector = self.harness()
+        injector.crash(1)
+        assert self.delay(harness, 0, 1) is None
+        assert harness.stats()["dropped_by_crash"] == 1
+
+    def test_partition_blocks_cross_group_messages_until_healed(self):
+        harness, injector = self.harness()
+        injector.partition([[0], [1]])
+        assert self.delay(harness, 0, 1) is None
+        assert harness.stats()["dropped_by_fault"] == 1
+        injector.heal()
+        assert self.delay(harness, 0, 1) is not None
+
+    def test_region_partition_applies_to_replicas(self):
+        harness, injector = self.harness()
+        injector.partition([["ohio"], ["tokyo"]])
+        assert self.delay(harness, 0, 1) is None
+        assert self.delay(harness, 3, 2) is None
+        assert self.delay(harness, 0, 2) is not None
+        assert harness.stats()["dropped_by_fault"] == 2
+
+    def test_link_latency_delays_the_message(self):
+        harness, injector = self.harness()
+        base = self.delay(harness, 0, 2)
+        injector.degrade_link(0, 2, extra_latency=0.75, drop_rate=0.0)
+        degraded = self.delay(harness, 2, 0)
+        assert degraded == pytest.approx(base + 0.75, abs=1e-3)
+        assert harness.stats()["dropped_by_fault"] == 0
+
+    def test_region_link_with_drop_rate_one_loses_every_message(self):
+        harness, injector = self.harness()
+        injector.degrade_link("ohio", "tokyo", extra_latency=0.0,
+                              drop_rate=1.0)
+        for sender, target in ((0, 1), (1, 0), (2, 3), (3, 0)):
+            assert self.delay(harness, sender, target) is None
+        assert harness.stats()["dropped_by_fault"] == 4
+        # the region link is between regions: ohio to ohio is untouched
+        assert self.delay(harness, 0, 2) is not None

@@ -45,12 +45,12 @@ byzantine:
 
 
 class TestSpecParsing:
-    def test_yaml_byzantine_section_parses(self):
+    def test_yaml_byzantine_section_parses(self, fault_window):
         spec = load_spec(BYZANTINE_YAML)
         schedule = spec.byzantine_schedule()
         assert len(schedule) == 3
         assert schedule.nodes() == (0, 1, 2)
-        assert schedule.window() == (5.0, 12.0)
+        assert fault_window(schedule) == (5.0, 12.0)
 
     def test_spec_without_section_has_empty_schedule(self):
         spec = load_spec(BYZANTINE_YAML.split("byzantine:")[0])
@@ -146,31 +146,26 @@ class TestPerfModelHook:
 
     def test_zero_fraction_is_identity(self):
         model = self.model(LeaderBFTPerf)
-        model.set_byzantine_fraction(0.0)
         outcome = self.outcome(model)
-        assert model.apply_byzantine(outcome) is outcome
+        assert model.apply_byzantine(outcome, 0.0) is outcome
 
     def test_sub_tolerance_stretches_latency(self):
         model = self.model(LeaderBFTPerf)
         base = self.outcome(model)
-        model.set_byzantine_fraction(0.25)
-        stretched = model.apply_byzantine(self.outcome(model))
+        stretched = model.apply_byzantine(self.outcome(model), 0.25)
         assert stretched.committed
         assert stretched.latency > base.latency
         assert "byzantine" in stretched.breakdown
 
     def test_at_tolerance_denies_commit(self):
         model = self.model(LeaderBFTPerf)
-        model.set_byzantine_fraction(1.0 / 3.0)
-        denied = model.apply_byzantine(self.outcome(model))
+        denied = model.apply_byzantine(self.outcome(model), 1.0 / 3.0)
         assert not denied.committed
         assert denied.view_changes >= 1
 
     def test_clique_tolerates_up_to_half(self):
         model = self.model(CliquePerf)
-        model.set_byzantine_fraction(0.4)
-        outcome = model.apply_byzantine(self.outcome(model))
+        outcome = model.apply_byzantine(self.outcome(model), 0.4)
         assert outcome.committed
-        model.set_byzantine_fraction(0.5)
-        denied = model.apply_byzantine(self.outcome(model))
+        denied = model.apply_byzantine(self.outcome(model), 0.5)
         assert not denied.committed

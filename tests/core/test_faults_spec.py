@@ -41,19 +41,19 @@ faults:
 
 
 class TestSpecParsing:
-    def test_yaml_faults_section_parses(self):
+    def test_yaml_faults_section_parses(self, fault_window):
         spec = load_spec(FAULTED_YAML)
         assert len(spec.faults) == 8
         schedule = spec.fault_schedule()
-        assert schedule.fault_window() == (30.0, 60.0)
+        assert fault_window(schedule) == (30.0, 60.0)
         kinds = [type(e) for e in schedule]
         assert kinds[:4] == [NodeCrash] * 4
         assert kinds[4:] == [NodeRecover] * 4
 
-    def test_spec_without_faults_has_empty_schedule(self):
+    def test_spec_without_faults_has_empty_schedule(self, fault_window):
         spec = load_spec(FAULTED_YAML.split("faults:")[0])
         assert spec.faults == ()
-        assert spec.fault_schedule().fault_window() is None
+        assert fault_window(spec.fault_schedule()) is None
 
     def test_bad_faults_section_rejected(self):
         with pytest.raises(SpecError):

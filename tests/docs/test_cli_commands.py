@@ -1,11 +1,15 @@
 """Every ``python -m repro ...`` command quoted in the docs must parse.
 
 Documentation drifts when CLI flags change under it (it happened to
-EXPERIMENTS.md once already). This test walks README.md, EXPERIMENTS.md
-and everything under docs/, extracts each quoted ``python -m repro``
-invocation, and asserts its subcommand still exists and its ``--help``
-exits 0 — so a renamed or removed subcommand fails CI with the name of
-the file that still quotes it. The same files quote ``perfbench/run.py``,
+EXPERIMENTS.md once already). This test walks README.md, EXPERIMENTS.md,
+everything under docs/ and ``repro/cli.py``'s module docstring, extracts
+each quoted ``python -m repro`` invocation, and asserts its subcommand
+still exists and its ``--help`` exits 0 — so a renamed or removed
+subcommand fails CI with the name of the file that still quotes it. A
+command written out on its own line whose words are all literal (no
+``<placeholder>`` or ``$variable``) must parse whole: its argument list
+goes through ``main`` with every handler stubbed, so a flag or choice
+that no longer exists fails too. The same files quote ``perfbench/run.py``,
 the repo's one performance harness, and every flag they give it must be
 one its ``--help`` lists. The scenario specs they quote
 (``examples/specs/*.yaml``) must exist and load.
@@ -16,12 +20,14 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.core.spec import load_spec
 
@@ -37,14 +43,42 @@ _COMMAND_RE = re.compile(r"python -m repro\s+([a-z][a-z0-9-]*)")
 _PERFBENCH_RE = re.compile(r"perfbench/run\.py([^\n`#]*)")
 _FLAG_RE = re.compile(r"--[a-z][a-z-]*")
 _SPEC_RE = re.compile(r"examples/specs/[\w.-]+\.yaml")
+#: a command on its own line, after any ``$ `` prompt or ``VAR=value``
+_LINE_RE = re.compile(
+    r"^\s*(?:\$ )?(?:[A-Z_]+=\S+ )*python3? -m repro\b(.*)$")
+
+
+def documents() -> list:
+    """(name, text) of each doc file, and of ``cli.py``'s docstring."""
+    return ([(path.name, path.read_text()) for path in DOC_FILES]
+            + [("cli.py", cli.__doc__)])
 
 
 def quoted_subcommands() -> list:
     """Each (doc file, subcommand) pair found in the documentation."""
     found = []
-    for path in DOC_FILES:
-        for match in _COMMAND_RE.finditer(path.read_text()):
-            found.append((path.name, match.group(1)))
+    for name, text in documents():
+        for match in _COMMAND_RE.finditer(text):
+            found.append((name, match.group(1)))
+    return sorted(set(found))
+
+
+def literal_commands() -> list:
+    """Each (doc file, argument list) of a command quoted on its own line
+    whose words are all literal: ``\\`` continuations joined, a trailing
+    ``# comment`` and any shell redirection or pipe dropped."""
+    found = []
+    for name, text in documents():
+        for line in text.replace("\\\n", " ").splitlines():
+            match = _LINE_RE.match(line)
+            if match is None:
+                continue
+            words = shlex.split(match.group(1), comments=True)
+            end = next((i for i, word in enumerate(words)
+                        if word[0] in ">|&;"), len(words))
+            words = tuple(words[:end])
+            if not any("<" in word or "$" in word for word in words):
+                found.append((name, words))
     return sorted(set(found))
 
 
@@ -65,6 +99,31 @@ def test_quoted_command_parses(doc, command):
         f"{doc} quotes 'python -m repro {command}' but"
         f" '--help' exited {excinfo.value.code}")
     assert command in stdout.getvalue()
+
+
+def test_docs_quote_literal_commands():
+    """Guard the guard: whole commands are found in the docs and in
+    ``cli.py``'s docstring."""
+    sources = {name for name, _ in literal_commands()}
+    assert {"README.md", "cli.py"} <= sources
+
+
+@pytest.mark.parametrize("doc,words", literal_commands(),
+                         ids=lambda value: value if isinstance(value, str)
+                         else " ".join(value))
+def test_literal_command_parses_whole(doc, words, monkeypatch):
+    monkeypatch.setattr(cli, "COMMANDS", {
+        name: (help_text, add_arguments, lambda args: 0)
+        for name, (help_text, add_arguments, _) in cli.COMMANDS.items()})
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = main(list(words))
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, (
+        f"{doc} quotes 'python -m repro {' '.join(words)}', which does not"
+        f" parse: {stderr.getvalue().strip().splitlines()[-1]}")
 
 
 def test_quoted_perfbench_flags_exist():
@@ -94,7 +153,8 @@ def test_docs_quote_every_scenario_spec():
     quoted = {spec for _, spec in quoted_specs()}
     assert {"examples/specs/crash-and-recover.yaml",
             "examples/specs/overload.yaml",
-            "examples/specs/dos.yaml"} <= quoted
+            "examples/specs/dos.yaml",
+            "examples/specs/byzantine.yaml"} <= quoted
 
 
 @pytest.mark.parametrize("doc,spec", quoted_specs(),

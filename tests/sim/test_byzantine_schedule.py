@@ -114,9 +114,9 @@ class TestScheduleQueries:
             Equivocate(start=2.0, stop=8.0, node=0),
             Silence(start=4.0, stop=10.0, node=2)))
 
-    def test_window_spans_all_events(self):
-        assert self.schedule().window() == (2.0, 10.0)
-        assert ByzantineSchedule().window() is None
+    def test_window_spans_all_events(self, fault_window):
+        assert fault_window(self.schedule()) == (2.0, 10.0)
+        assert fault_window(ByzantineSchedule()) is None
 
     def test_nodes(self):
         assert self.schedule().nodes() == (0, 2)

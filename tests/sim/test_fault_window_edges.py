@@ -1,5 +1,9 @@
 """The fault_window repair/disruption classification edge cases.
 
+``BenchmarkResult.fault_window`` is the one fault-window definition: a
+run's window is computed from its recorded event summaries, so a
+schedule's window is that of ``schedule.summaries()``.
+
 A schedule (or result event log) containing only *repairs* — recoveries,
 heals, link restores — never degraded anything: its window must be
 ``None``, not a zero-length disruption at the first repair's timestamp.
@@ -23,47 +27,47 @@ def result_with(fault_events):
 
 
 class TestScheduleWindow:
-    def test_recover_only_schedule_has_no_window(self):
+    def test_recover_only_schedule_has_no_window(self, fault_window):
         schedule = FaultSchedule.from_dicts([
             {"at": 60, "kind": "recover", "nodes": [0, 1]}])
-        assert schedule.fault_window() is None
+        assert fault_window(schedule) is None
 
-    def test_heal_only_schedule_has_no_window(self):
+    def test_heal_only_schedule_has_no_window(self, fault_window):
         schedule = FaultSchedule.from_dicts([{"at": 45, "kind": "heal"}])
-        assert schedule.fault_window() is None
+        assert fault_window(schedule) is None
 
-    def test_link_restore_only_is_a_repair(self):
+    def test_link_restore_only_is_a_repair(self, fault_window):
         schedule = FaultSchedule.from_dicts([
             {"at": 30, "kind": "link_degrade", "src": 0, "dst": 1,
              "extra_latency": 0, "drop_rate": 0}])
-        assert schedule.fault_window() is None
+        assert fault_window(schedule) is None
 
-    def test_crash_then_recover_spans_both(self):
+    def test_crash_then_recover_spans_both(self, fault_window):
         schedule = FaultSchedule.from_dicts([
             {"at": 30, "kind": "crash", "node": 0},
             {"at": 60, "kind": "recover", "node": 0}])
-        assert schedule.fault_window() == (30.0, 60.0)
+        assert fault_window(schedule) == (30.0, 60.0)
 
-    def test_early_recover_does_not_open_the_window(self):
+    def test_early_recover_does_not_open_the_window(self, fault_window):
         # a recovery *before* the first disruption is a leftover repair;
         # the window must open at the crash, not the recovery
         schedule = FaultSchedule.from_dicts([
             {"at": 10, "kind": "recover", "node": 1},
             {"at": 30, "kind": "crash", "node": 0},
             {"at": 60, "kind": "recover", "node": 0}])
-        assert schedule.fault_window() == (30.0, 60.0)
+        assert fault_window(schedule) == (30.0, 60.0)
 
-    def test_region_outage_closes_at_duration_end(self):
+    def test_region_outage_closes_at_duration_end(self, fault_window):
         schedule = FaultSchedule.from_dicts([
             {"at": 10, "kind": "region_outage", "region": "tokyo",
              "duration": 20}])
-        assert schedule.fault_window() == (10.0, 30.0)
+        assert fault_window(schedule) == (10.0, 30.0)
 
-    def test_degrading_link_opens_the_window(self):
+    def test_degrading_link_opens_the_window(self, fault_window):
         schedule = FaultSchedule.from_dicts([
             {"at": 5, "kind": "link_degrade", "src": 0, "dst": 1,
              "extra_latency": 0.2, "drop_rate": 0.0}])
-        assert schedule.fault_window() == (5.0, 5.0)
+        assert fault_window(schedule) == (5.0, 5.0)
 
 
 class TestScheduleValidation:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import SimulationError, SpecError
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.faults import (
     FaultInjector,
@@ -19,7 +18,6 @@ from repro.sim.faults import (
     event_summary,
     events_from_dicts,
 )
-from repro.sim.network import Endpoint, Network
 
 
 class TestScheduleParsing:
@@ -82,16 +80,16 @@ class TestScheduleParsing:
         with pytest.raises(SimulationError):
             LinkDegrade(0.0, "a", "b", drop_rate=1.5)
 
-    def test_fault_window_covers_outage_duration(self):
+    def test_fault_window_covers_outage_duration(self, fault_window):
         schedule = FaultSchedule.from_dicts([
             {"at": 10, "kind": "region_outage", "region": "tokyo",
              "duration": 45},
             {"at": 20, "kind": "crash", "node": 0},
         ])
-        assert schedule.fault_window() == (10.0, 55.0)
+        assert fault_window(schedule) == (10.0, 55.0)
 
-    def test_empty_schedule_has_no_window(self):
-        assert FaultSchedule().fault_window() is None
+    def test_empty_schedule_has_no_window(self, fault_window):
+        assert fault_window(FaultSchedule()) is None
 
     def test_summaries_are_json_friendly(self):
         summary = event_summary(LinkDegrade(3.0, "a", "b", 0.2, 0.1))
@@ -134,6 +132,27 @@ class TestInjectorTransitions:
         assert injector.link_state("b", "a") == (0.5, 0.25)
         injector.degrade_link("a", "b", 0.0, 0.0)
         assert injector.link_state("a", "b") == (0.0, 0.0)
+
+    def test_link_faults_add_the_latencies_of_both_links(self):
+        injector = FaultInjector()
+        injector.degrade_link(0, 1, 0.25, 0.0)
+        injector.degrade_link("tokyo", "ohio", 0.5, 0.0)
+        assert injector.link_faults(1, 0, "ohio", "tokyo") == (0.75, 0.0)
+
+    def test_link_faults_compose_the_drop_rates_as_independent_losses(self):
+        injector = FaultInjector()
+        injector.degrade_link(0, 1, 0.0, 0.5)
+        injector.degrade_link("ohio", "tokyo", 0.0, 0.2)
+        extra, drop = injector.link_faults(0, 1, "ohio", "tokyo")
+        assert extra == 0.0
+        assert drop == pytest.approx(1 - (1 - 0.5) * (1 - 0.2))
+
+    def test_link_faults_of_a_same_region_pair_ignore_the_region_link(self):
+        injector = FaultInjector()
+        injector.degrade_link(0, 1, 0.1, 0.3)
+        injector.degrade_link("ohio", "ohio", 5.0, 1.0)
+        assert injector.link_faults(0, 1, "ohio", "ohio") == (0.1, 0.3)
+        assert injector.link_faults(0, 2, "ohio", "ohio") == (0.0, 0.0)
 
     def test_largest_side_available(self):
         injector = FaultInjector()
@@ -190,61 +209,3 @@ class TestScheduleOnEngine:
         injector.register(engine)
         engine.run(until=10.0)
         assert len(injector.events_applied) == 1
-
-
-class TestNetworkIntegration:
-    def _network(self):
-        engine = Engine()
-        self.registry = MetricsRegistry()
-        network = Network(engine, jitter_cv=0.0,
-                          metrics=self.registry.namespace("network"))
-        injector = FaultInjector()
-        network.attach_faults(injector)
-        a = Endpoint("a", "ohio")
-        b = Endpoint("b", "tokyo")
-        return engine, network, injector, a, b
-
-    def test_crashed_endpoint_blocks_sends(self):
-        engine, network, injector, a, b = self._network()
-        injector.crash("b")
-        delivered = []
-        t = network.send(a, b, 100, lambda: delivered.append(1))
-        engine.run()
-        assert t == float("inf")
-        assert delivered == []
-        assert self.registry.value("network.messages_blocked") == 1
-
-    def test_partition_blocks_cross_group_sends(self):
-        engine, network, injector, a, b = self._network()
-        injector.partition([["a"], ["b"]])
-        assert network.send(a, b, 100, lambda: None) == float("inf")
-        injector.heal()
-        assert network.send(a, b, 100, lambda: None) < float("inf")
-
-    def test_region_partition_applies_to_endpoints(self):
-        engine, network, injector, a, b = self._network()
-        injector.partition([["ohio"], ["tokyo"]])
-        assert network.send(a, b, 100, lambda: None) == float("inf")
-
-    def test_link_degradation_adds_latency(self):
-        engine, network, injector, a, b = self._network()
-        base = network.send(a, b, 100, lambda: None) - engine.now
-        injector.degrade_link("a", "b", extra_latency=0.75, drop_rate=0.0)
-        degraded = network.send(a, b, 100, lambda: None) - engine.now
-        assert degraded == pytest.approx(base + 0.75, abs=1e-2)
-
-    def test_link_drop_rate_loses_messages(self):
-        engine, network, injector, a, b = self._network()
-        injector.degrade_link("ohio", "tokyo", extra_latency=0.0,
-                              drop_rate=1.0)
-        assert network.send(a, b, 100, lambda: None) == float("inf")
-        assert self.registry.value("network.messages_fault_dropped") == 1
-
-    def test_without_injector_nothing_changes(self):
-        engine = Engine()
-        registry = MetricsRegistry()
-        network = Network(engine, jitter_cv=0.0,
-                          metrics=registry.namespace("network"))
-        a, b = Endpoint("a", "ohio"), Endpoint("b", "tokyo")
-        assert network.send(a, b, 100, lambda: None) < float("inf")
-        assert registry.value("network.messages_blocked") == 0

@@ -230,4 +230,7 @@ DOCUMENTS: Dict[str, Document] = {
                      adversary=AdversarySpec(budget=200_000_000,
                                              rate=2_000.0,
                                              bid_multiplier=3.0)),
+    "byzantine": _scenario(
+        "byzantine", 200.0, 90.0,
+        byzantine=tuple(Silence(30.0, 60.0, node) for node in _VICTIMS)),
 }
