@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -81,6 +83,9 @@ if TYPE_CHECKING:  # a feature's module is imported where it is attached
     from repro.vm.base import VirtualMachine
     from repro.vm.program import Contract
 
+_size = attrgetter("size")
+_gas_used = attrgetter("gas_used")
+
 
 def default_scale() -> float:
     """Experiment scale factor from the ``REPRO_SCALE`` environment."""
@@ -112,9 +117,12 @@ class ExperimentScale:
         """Inflate per-transaction CPU so utilisation is preserved."""
         return seconds / self.factor
 
-    def inflate_bytes(self, size: int) -> int:
-        """Inflate per-transaction wire size so block bytes are preserved."""
-        return int(size / self.factor)
+    def inflate_bytes(self, sizes: Iterable[int]) -> int:
+        """Inflate per-transaction wire sizes so block bytes are preserved:
+        each size is inflated and truncated on its own, then the results
+        are summed in order."""
+        factor = self.factor
+        return sum([int(size / factor) for size in sizes])
 
 
 @dataclass(frozen=True)
@@ -674,7 +682,7 @@ class BlockchainNetwork:
         exec_time = (self.scale.inflate_cpu(exec_cpu)
                      / max(1.0, self.params.exec_parallelism))
         self.machines[leader_index].execute(self.scale.inflate_cpu(exec_cpu))
-        payload_bytes = sum(self.scale.inflate_bytes(tx.size) for tx in batch)
+        payload_bytes = self.scale.inflate_bytes(map(_size, batch))
         attempt = BlockAttempt(
             tx_count=len(batch),
             payload_bytes=payload_bytes,
@@ -754,7 +762,7 @@ class BlockchainNetwork:
             proposer=proposer,
             transactions=list(batch),
             timestamp=now,
-            gas_used=sum(r.gas_used for r in receipts))
+            gas_used=sum(map(_gas_used, receipts)))
         self.ledger.append(block, decided_at=now)
         if self.fee_market is not None:
             self.fee_market.settle_block(batch, receipts, block.gas_used)

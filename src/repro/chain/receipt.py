@@ -38,12 +38,14 @@ class Receipt:
     A chain keeps a block's receipts only until the block is appended
     (its gas total and fee charges read them); what outlives that is the
     status of a failed execution, until the block commits or is requeued.
+    A receipt names neither its transaction nor its block: it sits at its
+    transaction's position in the block's list. Successful native
+    transfers share one receipt (``repro.vm.base.TRANSFER_OK``), so no
+    code writes a receipt's fields.
     """
 
-    tx_uid: int
     status: ExecStatus
     gas_used: int = 0
-    block_height: Optional[int] = None
     return_value: Any = None
     error: Optional[str] = None
     events: Sequence[Event] = ()

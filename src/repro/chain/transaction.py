@@ -63,6 +63,12 @@ class TxKind(Enum):
         self.tag = tag
 
 
+#: ``TxKind.TRANSFER`` as a plain global: reading a member off an Enum
+#: class costs about ten global reads, and the size, execution and
+#: emission paths each test a transaction's kind once per transaction
+TRANSFER_KIND = TxKind.TRANSFER
+
+
 @dataclass(slots=True)
 class Transaction:
     """A signed client request.
@@ -134,7 +140,7 @@ class Transaction:
     @property
     def size(self) -> int:
         """Wire size in bytes, used by the network and block-size limits."""
-        if self.kind is TxKind.TRANSFER:
+        if self.kind is TRANSFER_KIND:
             return TRANSFER_SIZE + self.extra_size
         return INVOKE_BASE_SIZE + 32 * len(self.args) + self.extra_size
 

@@ -22,7 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
-from repro.chain.transaction import Transaction, TxKind, skip_tx_uids
+from repro.chain.transaction import (
+    TRANSFER_KIND,
+    Transaction,
+    TxKind,
+    skip_tx_uids,
+)
 from repro.common.errors import ConfigurationError, SpecError
 from repro.contracts.registry import CONTRACT_FACTORIES
 from repro.core.spec import (
@@ -215,7 +220,7 @@ class SimConnector(BlockchainConnector):
                 signer = signers.get(account.address)
                 if signer is None:
                     signer = signer_for(account)
-                tx = Transaction(sender=account.address, kind=TxKind.TRANSFER,
+                tx = Transaction(sender=account.address, kind=TRANSFER_KIND,
                                  amount=amount, recipient=recipient.address,
                                  sequence=account.next_sequence(),
                                  gas_limit=TRANSFER_GAS_LIMIT, signer=signer)

@@ -29,6 +29,7 @@ _SUMMARY_OPEN = '{"summary": '
 _SUMMARY_CLOSE = ', "transactions": ['
 _DOCUMENT_CLOSE = "]}"
 _DECODER = json.JSONDecoder()
+_new_tuple = tuple.__new__
 
 
 class TransactionRecord(NamedTuple):
@@ -71,10 +72,12 @@ class TransactionRecord(NamedTuple):
                 f"transaction {tx.uid} was never submitted"
                 " (submitted_at is None)")
         aborted = tx.aborted
-        return TransactionRecord(
+        # tuple.__new__ builds the same tuple as the class call without
+        # the named tuple's Python-level __new__ frame
+        return _new_tuple(TransactionRecord, (
             tx.uid, tx.kind.tag, tx.contract, tx.function, client,
             tx.submitted_at, None if aborted else tx.committed_at,
-            aborted, tx.abort_reason, tx.retries)
+            aborted, tx.abort_reason, tx.retries))
 
 
 #: a record's fields after ``uid``: its *tail*, in document order

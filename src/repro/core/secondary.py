@@ -28,6 +28,7 @@ cost of a tick then follows what is admitted, not what is offered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.interface import Client
@@ -41,6 +42,7 @@ if TYPE_CHECKING:
     from repro.sim.engine import Engine
 
 DEFAULT_TICK = 0.1
+_name = attrgetter("name")
 
 
 @dataclass(slots=True)
@@ -114,7 +116,7 @@ class Secondary:
 
         def record(txs: List[Transaction], clients: List[Client],
                    accepted: int) -> None:
-            self.sent.extend(zip(txs, (c.name for c in clients)))
+            self.sent.extend(zip(txs, map(_name, clients)))
             self.rejected += len(txs) - accepted
 
         self._start_lane(f"{self.name}-", behavior.load.duration,

@@ -23,7 +23,7 @@ from repro.common.errors import (
 )
 from repro.chain.receipt import ExecStatus, Receipt
 from repro.chain.state import WorldState
-from repro.chain.transaction import TxKind
+from repro.chain.transaction import TRANSFER_KIND
 from repro.vm.gas import DEFAULT_SCHEDULE, GasMeter
 from repro.vm.program import ExecutionContext
 
@@ -38,6 +38,13 @@ if TYPE_CHECKING:
 DEFAULT_GAS_PER_CPU_SECOND = 50e6
 
 DEPLOY_GAS_LIMIT = 50_000_000
+
+#: What every successful native transfer returns when its schedule charges
+#: the default intrinsic gas (every built-in schedule does): one receipt,
+#: built at import, shared by all of them. Nothing writes a receipt's
+#: fields, so sharing it is safe; a transfer that fails, one under a
+#: schedule with another ``base_tx`` and every invocation get their own.
+TRANSFER_OK = Receipt(ExecStatus.SUCCESS, gas_used=DEFAULT_SCHEDULE.base_tx)
 
 
 @dataclass
@@ -102,48 +109,43 @@ class VirtualMachine:
         """Execute one transaction, returning its receipt.
 
         Never raises for in-contract failures — they become receipt
-        statuses, matching how blocks include failed transactions.
+        statuses, matching how blocks include failed transactions. A
+        native transfer runs inline; one that succeeds under the default
+        intrinsic gas returns :data:`TRANSFER_OK`.
         """
         if self.strict_nonce and tx.sequence != state.nonce(tx.sender):
-            return Receipt(tx.uid, ExecStatus.INVALID,
-                           block_height=block_height,
+            return Receipt(ExecStatus.INVALID,
                            error=f"bad sequence {tx.sequence},"
                                  f" expected {state.nonce(tx.sender)}")
-        if tx.kind is TxKind.TRANSFER:
-            return self._execute_transfer(state, tx, block_height)
-        state.bump_nonce(tx.sender)
-        return self._execute_invoke(state, tx, block_height)
-
-    def _execute_transfer(self, state: WorldState, tx: Transaction,
-                          block_height: int) -> Receipt:
+        if tx.kind is not TRANSFER_KIND:
+            state.bump_nonce(tx.sender)
+            return self._execute_invoke(state, tx, block_height)
         gas = self.schedule.base_tx
         if gas > tx.gas_limit:
             state.bump_nonce(tx.sender)
-            return Receipt(tx.uid, ExecStatus.OUT_OF_GAS, gas_used=tx.gas_limit,
-                           block_height=block_height, error="intrinsic gas")
+            return Receipt(ExecStatus.OUT_OF_GAS, gas_used=tx.gas_limit,
+                           error="intrinsic gas")
         if tx.recipient is None:
             state.bump_nonce(tx.sender)
-            return Receipt(tx.uid, ExecStatus.INVALID, gas_used=gas,
-                           block_height=block_height, error="no recipient")
+            return Receipt(ExecStatus.INVALID, gas_used=gas,
+                           error="no recipient")
         # nonce, debit and credit in one call
         if not state.transfer(tx.sender, tx.recipient, tx.amount):
-            return Receipt(tx.uid, ExecStatus.REVERTED, gas_used=gas,
-                           block_height=block_height,
+            return Receipt(ExecStatus.REVERTED, gas_used=gas,
                            error="insufficient balance")
-        return Receipt(tx.uid, ExecStatus.SUCCESS, gas_used=gas,
-                       block_height=block_height)
+        if gas == TRANSFER_OK.gas_used:
+            return TRANSFER_OK
+        return Receipt(ExecStatus.SUCCESS, gas_used=gas)
 
     def _execute_invoke(self, state: WorldState, tx: Transaction,
                         block_height: int) -> Receipt:
         if tx.contract is None or tx.function is None:
-            return Receipt(tx.uid, ExecStatus.INVALID,
-                           block_height=block_height,
+            return Receipt(ExecStatus.INVALID,
                            error="invoke without contract/function")
         try:
             deployed = self.deployed(tx.contract)
         except ContractError as exc:
-            return Receipt(tx.uid, ExecStatus.INVALID,
-                           block_height=block_height, error=str(exc))
+            return Receipt(ExecStatus.INVALID, error=str(exc))
         storage = state.storage(deployed.address)
         intrinsic = self.schedule.base_tx + self.schedule.call_overhead
         # The hard budget caps *contract execution*, not the intrinsic
@@ -159,21 +161,16 @@ class VirtualMachine:
             fn = deployed.contract.get_function(tx.function)
             value = fn(ctx)
         except BudgetExceededError as exc:
-            return Receipt(tx.uid, ExecStatus.BUDGET_EXCEEDED,
-                           gas_used=intrinsic + meter.used,
-                           block_height=block_height, error=str(exc))
+            return Receipt(ExecStatus.BUDGET_EXCEEDED,
+                           gas_used=intrinsic + meter.used, error=str(exc))
         except OutOfGasError as exc:
-            return Receipt(tx.uid, ExecStatus.OUT_OF_GAS,
-                           gas_used=tx.gas_limit,
-                           block_height=block_height, error=str(exc))
+            return Receipt(ExecStatus.OUT_OF_GAS, gas_used=tx.gas_limit,
+                           error=str(exc))
         except (ContractError, StateLimitError) as exc:
-            return Receipt(tx.uid, ExecStatus.REVERTED,
-                           gas_used=intrinsic + meter.used,
-                           block_height=block_height, error=str(exc))
-        return Receipt(tx.uid, ExecStatus.SUCCESS,
-                       gas_used=intrinsic + meter.used,
-                       block_height=block_height, return_value=value,
-                       events=ctx.events)
+            return Receipt(ExecStatus.REVERTED,
+                           gas_used=intrinsic + meter.used, error=str(exc))
+        return Receipt(ExecStatus.SUCCESS, gas_used=intrinsic + meter.used,
+                       return_value=value, events=ctx.events)
 
     def probe_gas(self, state: WorldState, tx: Transaction) -> Tuple[ExecStatus, int]:
         """Dry-run a transaction on a copy-free probe.

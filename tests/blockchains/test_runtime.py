@@ -41,7 +41,15 @@ class TestExperimentScale:
     def test_cpu_and_bytes_inflate(self):
         scale = ExperimentScale(0.1)
         assert scale.inflate_cpu(1.0) == pytest.approx(10.0)
-        assert scale.inflate_bytes(100) == 1000
+        assert scale.inflate_bytes([100]) == 1000
+        assert scale.inflate_bytes([]) == 0
+
+    def test_bytes_inflate_truncates_each_size_before_summing(self):
+        # 110 / 0.3 = 366.67 truncates to 366 per transaction: three make
+        # 1098, where truncating the inflated sum would give 1100
+        scale = ExperimentScale(0.3)
+        assert scale.inflate_bytes([110, 110, 110]) == 3 * 366 == 1098
+        assert int(330 / 0.3) == 1100
 
     def test_invalid_factor_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -155,7 +163,18 @@ class TestSubmissionAndBlocks:
             expected += (receipt.gas_used / net.vm.gas_per_cpu_second
                          + net.params.signature_scheme.verify_cost)
         assert cpu == expected      # the same float order, exactly
-        assert [r.tx_uid for r in receipts] == [tx.uid for tx in batch]
+        # a receipt names no transaction: it answers for the one at its
+        # position, exactly as that transaction executed alone would
+        alone = []
+        for tx in batch:
+            _, solo = make_net(chain="diem")
+            solo.deploy_contract(make_counter_contract())
+            (receipt,), _ = solo._execute_batch([tx])
+            alone.append(receipt)
+        outcome = [(r.status, r.gas_used, r.return_value) for r in receipts]
+        assert outcome == [(r.status, r.gas_used, r.return_value)
+                           for r in alone]
+        assert len(set(outcome)) == len(batch)   # a reordering shows
         # only the failed execution leaves a trace beyond the block
         assert net._failed == {batch[2].uid: "reverted"}
 

@@ -196,5 +196,5 @@ class TestLedger:
 
 class TestReceipts:
     def test_ok_property(self):
-        assert Receipt(1, ExecStatus.SUCCESS).ok
-        assert not Receipt(1, ExecStatus.BUDGET_EXCEEDED).ok
+        assert Receipt(ExecStatus.SUCCESS).ok
+        assert not Receipt(ExecStatus.BUDGET_EXCEEDED).ok

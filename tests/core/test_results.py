@@ -144,6 +144,10 @@ class TestSerialization:
         assert rec.committed
         assert rec.latency == pytest.approx(2.0)
         assert rec.client == "c7"
+        # the same record, of the same type, as the class call builds
+        assert type(rec) is TransactionRecord
+        assert rec == TransactionRecord(
+            tx.uid, "transfer", None, None, "c7", 1.0, 3.0, False, None, 0)
 
     def test_from_aborted_transaction(self):
         tx = transfer("a", "b")
