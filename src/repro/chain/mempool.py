@@ -80,7 +80,11 @@ class Mempool:
         self._admitted = self._metrics.counter("admitted")
         # per-reason drop counters, registered on a reason's first drop
         self._drop_counters: Dict[str, Counter] = {}
-        self._resident_bytes = self._metrics.gauge("resident_bytes")
+        # a plain int, so admitting or evicting calls no Gauge.add; the
+        # gauge reads it on demand
+        self._resident_bytes = 0
+        self._metrics.gauge("resident_bytes",
+                            supplier=lambda: self._resident_bytes)
         self._metrics.gauge("resident", supplier=self._pool.__len__)
         self.last_drop_reason: Optional[str] = None
         # a fee market (duck-typed: floor() and effective_price(tx)) makes
@@ -102,7 +106,7 @@ class Mempool:
     @property
     def resident_bytes(self) -> int:
         """Wire bytes of the currently resident transactions."""
-        return self._resident_bytes.value
+        return self._resident_bytes
 
     @property
     def drops(self) -> Dict[str, int]:
@@ -237,7 +241,7 @@ class Mempool:
                     f"mempool byte budget exhausted ({max_bytes} bytes)")
         self._pool[tx.uid] = tx
         self._per_sender[tx.sender] += 1
-        self._resident_bytes.add(tx.size)
+        self._resident_bytes += tx.size
         self._admitted.inc()
 
     def try_add(self, tx: Transaction) -> bool:
@@ -255,7 +259,7 @@ class Mempool:
     def _evict_one(self) -> None:
         uid, victim = self._pool.popitem(last=False)
         self._per_sender[victim.sender] -= 1
-        self._resident_bytes.add(-victim.size)
+        self._resident_bytes -= victim.size
         self._count_drop(DROP_EVICTED)
 
     def _cheapest(self) -> Optional[Transaction]:
@@ -268,7 +272,7 @@ class Mempool:
     def _evict_victim(self, victim: Transaction, reason: str) -> None:
         del self._pool[victim.uid]
         self._per_sender[victim.sender] -= 1
-        self._resident_bytes.add(-victim.size)
+        self._resident_bytes -= victim.size
         self._count_drop(reason)
         if self.on_evict is not None and reason == DROP_FEE_EVICTED:
             self.on_evict(victim)
@@ -319,8 +323,7 @@ class Mempool:
         for tx in batch:
             del pool[tx.uid]
             per_sender[tx.sender] -= 1
-        # the batch's sizes sum to byte_total: one gauge move per pop
-        self._resident_bytes.add(-byte_total)
+        self._resident_bytes -= byte_total
         return batch
 
     def remove(self, tx: Transaction) -> bool:
@@ -329,7 +332,7 @@ class Mempool:
             return False
         del self._pool[tx.uid]
         self._per_sender[tx.sender] -= 1
-        self._resident_bytes.add(-tx.size)
+        self._resident_bytes -= tx.size
         return True
 
     def drop_expired(self, now: float, max_age: float) -> List[Transaction]:

@@ -345,16 +345,23 @@ class Primary:
             result.chain_stats["arrivals_aggregate"] = (
                 len(aggregate_sent) + aggregate_unbuilt)
         record = TransactionRecord.from_transaction
+        records = result.records
+        sent = 0
         for secondary in self.secondaries:
-            # a transaction the Secondary generated but never actually
-            # handed to a node has no place in latency or throughput
-            # aggregates — it is counted below instead
-            result.records += [
-                record(tx, client_name) for tx, client_name in secondary.sent
-                if tx.submitted_at is not None]
-        records_without_submit = (
-            sum(len(secondary.sent) for secondary in self.secondaries)
-            - len(result.records))
+            # take the log: once its records are built, a transaction
+            # nothing else holds (an evicted one) is freed by reference
+            # counting, before the collector's exit walk and to_json
+            log, secondary.sent = secondary.sent, []
+            for txs, clients in log:
+                sent += len(txs)
+                # one tick at a time, so no second list of a whole log's
+                # records is built; a transaction the Secondary generated
+                # but never handed to a node has no place in latency or
+                # throughput aggregates — it is counted below instead
+                records += [record(tx, client.name)
+                            for tx, client in zip(txs, clients)
+                            if tx.submitted_at is not None]
+        records_without_submit = sent - len(records)
         if records_without_submit:
             result.chain_stats["records_without_submit"] = (
                 records_without_submit)

@@ -28,7 +28,6 @@ cost of a tick then follows what is admitted, not what is offered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.interface import Client
@@ -42,7 +41,6 @@ if TYPE_CHECKING:
     from repro.sim.engine import Engine
 
 DEFAULT_TICK = 0.1
-_name = attrgetter("name")
 
 
 @dataclass(slots=True)
@@ -66,7 +64,11 @@ class Secondary:
         self.scale = scale
         self.tick = tick
         self.assignments: List[Assignment] = []
-        self.sent: List[Tuple[Transaction, str]] = []  # (tx, client name)
+        #: the per-client lane's log, one ``(transactions, clients)``
+        #: entry per tick that emitted anything: the two lists the tick
+        #: encoded and triggered. ``Primary`` takes it when it aggregates,
+        #: so a transaction nothing else holds is freed then
+        self.sent: List[Tuple[List[Transaction], List[Client]]] = []
         self.rejected = 0
         self.late_warnings = 0
         # the aggregate lane (population workloads): arrival processes
@@ -97,8 +99,8 @@ class Secondary:
 
     def _start_assignment(self, assignment: Assignment) -> None:
         """Per-client rate lane: a carry accumulator turns the schedule's
-        rate into whole transactions, recorded in ``sent`` under the
-        client that triggered them."""
+        rate into whole transactions, logged in ``sent`` with the
+        clients that triggered them."""
         behavior = assignment.behavior
         nclients = len(assignment.clients)
         rate_at = behavior.load.rate_at
@@ -116,7 +118,7 @@ class Secondary:
 
         def record(txs: List[Transaction], clients: List[Client],
                    accepted: int) -> None:
-            self.sent.extend(zip(txs, map(_name, clients)))
+            self.sent.append((txs, clients))
             self.rejected += len(txs) - accepted
 
         self._start_lane(f"{self.name}-", behavior.load.duration,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import pytest
 
@@ -50,3 +50,24 @@ def fault_window() -> Callable[[Any], Optional[Tuple[float, float]]]:
             duration=90.0, scale=1.0,
             fault_events=schedule.summaries()).fault_window()
     return window
+
+
+@pytest.fixture
+def encoded_batches(monkeypatch) -> List[list]:
+    """Every batch ``SimConnector.encode_batch`` returns, in call order.
+
+    A Secondary's ``sent`` log is taken when the Primary aggregates, so a
+    test that reads what was encoded after a run reads it here; the
+    batches are the very lists the lanes triggered, on either lane."""
+    from repro.core.interface import SimConnector
+
+    batches: List[list] = []
+    encode_batch = SimConnector.encode_batch
+
+    def kept(self, *args, **kwargs):
+        batch = encode_batch(self, *args, **kwargs)
+        batches.append(batch)
+        return batch
+
+    monkeypatch.setattr(SimConnector, "encode_batch", kept)
+    return batches

@@ -263,8 +263,12 @@ class TestEmissionScheduleProperty:
         # ...triggered round-robin over the clients...
         names = [f"c{i % nclients}" for i in range(total)]
         assert connector.triggered == names
-        # ...and booked under the client that triggered it
-        assert secondary.sent == list(zip(range(1, total + 1), names))
+        # ...and booked under the client that triggered it, one log entry
+        # per tick that emitted anything
+        assert [len(txs) for txs, _ in secondary.sent] == connector.batches
+        assert [(tx, client.name) for txs, clients in secondary.sent
+                for tx, client in zip(txs, clients)] == \
+            list(zip(range(1, total + 1), names))
         assert secondary.rejected == (total // reject_every
                                       if reject_every else 0)
         assert secondary.late_warnings == 0

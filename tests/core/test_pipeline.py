@@ -110,12 +110,21 @@ class TestPrimary:
         node_regions = {ep.region for ep in primary.network.endpoints}
         assert regions == node_regions
 
-    def test_location_sample_filters_secondaries(self):
+    def test_location_sample_filters_secondaries(self, monkeypatch):
         spec = simple_spec(TransferSpec(AccountSample(10)),
                            LoadSchedule.constant(50, 5), location="ohio")
         primary = Primary("quorum", "devnet", scale=0.2)
+        # the Secondaries' logs as the run left them, read before the
+        # aggregation takes them
+        active = []
+        aggregate = Primary._aggregate
+
+        def spied(self, *args, **kwargs):
+            active.extend(s for s in self.secondaries if s.sent)
+            return aggregate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Primary, "_aggregate", spied)
         primary.run(spec, drain=30)
-        active = [s for s in primary.secondaries if s.sent]
         assert {s.region for s in active} == {"ohio"}
 
     def test_unmatchable_location_rejected(self):

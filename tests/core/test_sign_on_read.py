@@ -55,11 +55,9 @@ def run(chain: str, spec: WorkloadSpec, params=None) -> Primary:
     return primary
 
 
-def sent(primary: Primary) -> List[Transaction]:
+def sent(encoded_batches: List[List[Transaction]]) -> List[Transaction]:
     """Every transaction a Secondary encoded, on either lane."""
-    return [tx for secondary in primary.secondaries
-            for tx in ([tx for tx, _ in secondary.sent]
-                       + secondary.aggregate_sent)]
+    return [tx for batch in encoded_batches for tx in batch]
 
 
 def assert_signed(primary: Primary, txs: Iterable[Transaction]) -> None:
@@ -86,7 +84,8 @@ SPECS = {
 
 
 @pytest.mark.parametrize("shape", SPECS)
-def test_the_run_path_signs_nothing_and_it_all_verifies(shape, monkeypatch):
+def test_the_run_path_signs_nothing_and_it_all_verifies(shape, monkeypatch,
+                                                        encoded_batches):
     calls = []
     sign = PrecomputedSigner.__call__
 
@@ -100,7 +99,7 @@ def test_the_run_path_signs_nothing_and_it_all_verifies(shape, monkeypatch):
 
     # committed, rejected and aggregate-lane transactions are all among
     # what the Secondaries encoded
-    encoded = sent(primary)
+    encoded = sent(encoded_batches)
     assert primary.network.committed
     assert set(primary.network.committed) <= set(encoded)
     if shape == "transfer":
@@ -139,7 +138,8 @@ def test_signature_is_derived_from_the_transaction_as_it_stands():
 # -- a resubmitted transaction is covered by its signature -----------------------
 
 
-def test_solana_retry_refreshes_the_blockhash_under_the_signature():
+def test_solana_retry_refreshes_the_blockhash_under_the_signature(
+        encoded_batches):
     params = small_pool("solana", retry_policy=RetryPolicy(
         max_attempts=4, base_delay=0.5))
     primary = run("solana",
@@ -147,20 +147,21 @@ def test_solana_retry_refreshes_the_blockhash_under_the_signature():
                   params=params)
     network = primary.network
     assert network.retries_succeeded > 0
-    retried = [tx for tx in sent(primary) if tx.retries]
+    retried = [tx for tx in sent(encoded_batches) if tx.retries]
     assert any(tx.committed_at is not None for tx in retried)
     assert all(tx.recent_block_hash is not None for tx in retried)
     assert_signed(primary, network.committed)
     assert_signed(primary, retried)
 
 
-def test_ethereum_fee_bump_raises_the_price_under_the_signature():
+def test_ethereum_fee_bump_raises_the_price_under_the_signature(
+        encoded_batches):
     spec = simple_spec(TRANSFER, LoadSchedule.constant(3000, 5),
                        fees=FeeSpec(fee_bump=1.25))
     primary = run("ethereum", spec, params=small_pool("ethereum"))
     network = primary.network
     anchors = network.retries._fee_anchors
-    bumped = [tx for tx in sent(primary)
+    bumped = [tx for tx in sent(encoded_batches)
               if tx.uid in anchors and tx.fee_per_gas > anchors[tx.uid][0]]
     assert bumped, "the scenario must bump a fee"
     assert_signed(primary, network.committed)

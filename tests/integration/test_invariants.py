@@ -139,11 +139,11 @@ class TestPrimaryAccountingConsistency:
         aborted_records = sum(1 for r in result.records if r.aborted)
         assert aborted_records == len(primary.network.dropped)
 
-    def test_every_sent_transaction_is_recorded_once(self):
+    def test_every_sent_transaction_is_recorded_once(self, encoded_batches):
         primary = Primary("algorand", "testnet", scale=0.2, seed=3)
         trace = stock_trace("google")
         result = primary.run(trace.spec(accounts=200), trace.name, drain=240)
         uids = [r.uid for r in result.records]
         assert len(uids) == len(set(uids))
-        sent = sum(len(s.sent) for s in primary.secondaries)
+        sent = sum(len(batch) for batch in encoded_batches)
         assert len(uids) == sent
