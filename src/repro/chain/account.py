@@ -31,12 +31,6 @@ class Account:
     balance: int = DEFAULT_INITIAL_BALANCE
     sequence: int = 0
 
-    def next_sequence(self) -> int:
-        """Allocate the next client-side sequence number (nonce)."""
-        value = self.sequence
-        self.sequence += 1
-        return value
-
 
 @dataclass(frozen=True)
 class AccountFactoryLimits:

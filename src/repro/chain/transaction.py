@@ -33,15 +33,16 @@ def reset_tx_counter() -> None:
     _TX_COUNTER = itertools.count()
 
 
-def skip_tx_uids(count: int) -> None:
-    """Consume *count* uids without building their transactions.
+def take_tx_uids(count: int) -> range:
+    """Consume the next *count* uids and return them.
 
-    The aggregate lane does not build what the node would turn away (see
-    ``SimConnector.trigger_aggregate``), but the transactions it builds
-    next must carry the uids they would have had.
+    ``SimConnector.encode_batch`` numbers what it builds with them, and
+    ``SimConnector.trigger_aggregate`` the tail the node would turn away.
     """
     global _TX_COUNTER
-    _TX_COUNTER = itertools.count(next(_TX_COUNTER) + count)
+    first = next(_TX_COUNTER)
+    _TX_COUNTER = itertools.count(first + count)
+    return range(first, first + count)
 
 
 # Baseline payload sizes in bytes. A native transfer is roughly an Ethereum
@@ -85,6 +86,8 @@ class Transaction:
     ``submitted_at`` / ``committed_at`` are filled in by the DIABLO
     secondaries during a benchmark — they correspond to the submission and
     decision timestamps the Primary aggregates into its JSON output.
+    ``SimConnector.encode_batch`` passes the fields up to ``uid`` by
+    position (field order is tested in tests/core/test_emission_fastpath.py).
     """
 
     sender: str

@@ -26,7 +26,7 @@ from repro.chain.transaction import (
     TRANSFER_KIND,
     Transaction,
     TxKind,
-    skip_tx_uids,
+    take_tx_uids,
 )
 from repro.common.errors import ConfigurationError, SpecError
 from repro.contracts.registry import CONTRACT_FACTORIES
@@ -195,7 +195,10 @@ class SimConnector(BlockchainConnector):
         The invariant lookups — fee-market suggestion callable, ledger
         head — are hoisted out of the loop; hoisting the head hash is safe
         because the whole batch runs inside one engine callback and the
-        head only moves in block-append events.
+        head only moves in block-append events. A transaction is one
+        positional ``Transaction(...)`` call (a keyword costs CPython a
+        match by name), and the batch's uids come from one
+        :func:`take_tx_uids` call.
         """
         if count <= 0:
             return []
@@ -207,52 +210,51 @@ class SimConnector(BlockchainConnector):
         signer_for = self._signer_for
         market = network.fee_market
         suggest = market.model.suggest if market is not None else None
-        expiry = network.params.tx_expiry is not None
-        head_hash = network.ledger.head.block_hash if expiry else None
+        head_hash = (network.ledger.head.block_hash
+                     if network.params.tx_expiry is not None else None)
         txs: List[Transaction] = []
         append = txs.append
         if isinstance(interaction, TransferSpec):
             amount = interaction.amount
-            for _ in range(count):
+            for uid in take_tx_uids(count):
                 account = ring[cursor % n]
                 recipient = ring[(cursor + 1) % n]
                 cursor += 2
                 signer = signers.get(account.address)
                 if signer is None:
                     signer = signer_for(account)
-                tx = Transaction(sender=account.address, kind=TRANSFER_KIND,
-                                 amount=amount, recipient=recipient.address,
-                                 sequence=account.next_sequence(),
-                                 gas_limit=TRANSFER_GAS_LIMIT, signer=signer)
+                sequence = account.sequence
+                account.sequence = sequence + 1
+                tx = Transaction(account.address, TRANSFER_KIND, sequence,
+                                 amount, recipient.address, None, None, (),
+                                 1, 0, TRANSFER_GAS_LIMIT, head_hash, signer,
+                                 0, uid)
                 if suggest is not None:
                     # honest wallets price at the current suggestion (base
                     # fee times headroom plus default tip); the signature
                     # covers the price fields, like a real signed envelope
                     tx.fee_per_gas, tx.tip = suggest()
-                if expiry:
-                    tx.recent_block_hash = head_hash
                 append(tx)
         elif isinstance(interaction, InvokeSpec):
             contract_name = self._contract_name(interaction.contract.name)
             function = interaction.function
             args = tuple(interaction.args)
-            for _ in range(count):
+            for uid in take_tx_uids(count):
                 account = ring[cursor % n]
                 cursor += 1
                 signer = signers.get(account.address)
                 if signer is None:
                     signer = signer_for(account)
-                tx = Transaction(sender=account.address, kind=TxKind.INVOKE,
-                                 contract=contract_name, function=function,
-                                 args=args, sequence=account.next_sequence(),
-                                 gas_limit=DEFAULT_INVOKE_GAS_LIMIT,
-                                 signer=signer)
+                sequence = account.sequence
+                account.sequence = sequence + 1
+                tx = Transaction(account.address, TxKind.INVOKE, sequence, 0,
+                                 None, contract_name, function, args, 1, 0,
+                                 DEFAULT_INVOKE_GAS_LIMIT, head_hash, signer,
+                                 0, uid)
                 tx.gas_limit = self._invoke_gas_limit(
                     contract_name, function, tx)
                 if suggest is not None:
                     tx.fee_per_gas, tx.tip = suggest()
-                if expiry:
-                    tx.recent_block_hash = head_hash
                 append(tx)
         else:
             raise SpecError(f"unknown interaction {interaction!r}")
@@ -301,7 +303,7 @@ class SimConnector(BlockchainConnector):
         for i in range(min(turned_away, period)):
             ring[(cursor + stride * i) % n].sequence += full + (i < rest)
         self._account_cursor = cursor + stride * turned_away
-        skip_tx_uids(turned_away)
+        take_tx_uids(turned_away)
         return self.network.submit_batch(encoded, turned_away)
 
     # -- triggering ----------------------------------------------------------------------

@@ -33,12 +33,6 @@ class TestAccounts:
         registry.create(50)
         assert len(set(registry.addresses())) == 50
 
-    def test_sequence_numbers_increment(self):
-        registry = AccountRegistry()
-        (account,) = registry.create(1)
-        assert account.next_sequence() == 0
-        assert account.next_sequence() == 1
-
     def test_diem_provisioning_limit(self):
         # §5.2: "the provided setup tools would fail systematically after
         # creating 130 accounts"

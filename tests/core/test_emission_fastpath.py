@@ -4,9 +4,14 @@
   batches of one (``encode`` is the batch of one), for transfers,
   invocations, fee markets and expiry chains: the property client
   retries and the DoS adversary rely on when they submit singly;
+* field order — ``encode_batch`` builds each transaction by position,
+  so every dataclass field is checked against transactions built by
+  keyword from a twin connector's accounts, with the uids a fresh
+  counter hands out;
 * the unbuilt tail — what ``trigger_aggregate`` is told the node turned
   away consumes the uids, ring positions and sequence numbers that
-  encoding it would have;
+  encoding it would have, and one sender's sequence numbers count up
+  across batches and a skipped tail;
 * schedule level (hypothesis) — the Secondary's tick loop emits what the
   carry accumulator dictates, at the tick's timestamp, round-robin over
   its clients, for arbitrary rate profiles, tick sizes and client counts;
@@ -19,7 +24,7 @@ Run-level bytes are pinned by tests/core/test_result_golden.py.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +34,14 @@ from repro.blockchains.base import BlockchainNetwork, ExperimentScale
 from repro.blockchains.retry import RetryPolicy
 from repro.blockchains.registry import build_network, chain_params
 from repro.chain.mempool import MempoolPolicy
-from repro.chain.transaction import reset_tx_counter, transfer
+from repro.chain.transaction import (
+    Transaction,
+    TxKind,
+    invoke,
+    reset_tx_counter,
+    transfer,
+)
+from repro.contracts.registry import CONTRACT_FACTORIES
 from repro.core.interface import BlockchainConnector, Client, SimConnector
 from repro.core.secondary import Secondary
 from repro.core.spec import (
@@ -135,6 +147,101 @@ class TestEncodeBatchMatchesEncodeLoop:
         assert got == expected
 
 
+def every_field(tx):
+    """Every dataclass field of *tx* by name; the signer as what it says
+    about a fixed message, which names the key it signs with."""
+    return [(f.name, getattr(tx, f.name)) for f in fields(Transaction)
+            if f.name != "signer"] + [("signer", tx.signer("probe"))]
+
+
+class TestEncodeBatchFieldOrder:
+    """``encode_batch`` against an oracle built by keyword: a positional
+    argument in the wrong slot, a dropped head hash or a uid handed out
+    twice changes some field. Two batches per test, so the second one's
+    uids show whether the first advanced the counter."""
+
+    @staticmethod
+    def encode_two_batches(connector, spec, first, second):
+        reset_tx_counter()
+        txs = connector.encode_batch(spec, None, 0.0, first)
+        txs += connector.encode_batch(spec, None, 0.0, second)
+        return txs
+
+    @staticmethod
+    def oracle(twin, total, stride, build):
+        """*total* transactions built by keyword from *twin*'s accounts:
+        the sender walks the ring *stride* positions at a time, each
+        sender's sequence counts up from zero and the uids run from 0."""
+        ring = list(twin.network.accounts)
+        scheme = twin.network.params.signature_scheme
+        head = twin.network.ledger.head.block_hash
+        expiry = twin.network.params.tx_expiry is not None
+        sent = {}
+        expected = []
+        for uid in range(total):
+            sender = ring[stride * uid % len(ring)]
+            sequence = sent.get(sender.address, 0)
+            sent[sender.address] = sequence + 1
+            expected.append(build(
+                ring, uid, sender, sequence,
+                uid=uid, signer=scheme.signer(sender.private_key),
+                recent_block_hash=head if expiry else None))
+        return expected
+
+    @pytest.mark.parametrize("chain, fees", [
+        *((chain, False) for chain in SIX_CHAINS), ("ethereum", True)])
+    def test_transfers(self, chain, fees):
+        spec = TransferSpec(AccountSample(10), amount=4)
+        twin = fresh_connector(chain, fees=fees)
+        price = {}
+        if fees:
+            price["fee_per_gas"], price["tip"] = \
+                twin.network.fee_market.model.suggest()
+
+        def build(ring, position, sender, sequence, **kwargs):
+            recipient = ring[(2 * position + 1) % len(ring)]
+            return transfer(sender.address, recipient.address, amount=4,
+                            sequence=sequence, gas_limit=21_000,
+                            **price, **kwargs)
+
+        expected = self.oracle(twin, 25, 2, build)
+        fast = fresh_connector(chain, fees=fees)
+        got = self.encode_two_batches(fast, spec, 11, 14)
+        assert [every_field(tx) for tx in got] == \
+            [every_field(tx) for tx in expected]
+        # one signer per sender, and the counter moved past both batches
+        assert all(tx.signer is fast._signers[tx.sender] for tx in got)
+        assert transfer("a", "b").uid == 25
+        if chain == "solana":
+            assert all(tx.recent_block_hash is not None for tx in got)
+        if fees:
+            assert all(tx.fee_per_gas > 1 for tx in got)
+
+    def test_invocations(self):
+        spec = InvokeSpec(AccountSample(10), ContractSample("exchange"),
+                          "order", ("google", 2))
+        twin = fresh_connector("quorum")
+        twin.create_resource(spec.contract)
+        contract = CONTRACT_FACTORIES["exchange"]().name
+        gas_limit = twin._invoke_gas_limit(
+            contract, "order",
+            invoke(twin.network.accounts.addresses()[0], contract, "order",
+                   ("google", 2), gas_limit=5_000_000))
+
+        def build(ring, position, sender, sequence, **kwargs):
+            return invoke(sender.address, contract, "order", ("google", 2),
+                          sequence=sequence, gas_limit=gas_limit, **kwargs)
+
+        expected = self.oracle(twin, 23, 1, build)
+        fast = fresh_connector("quorum")
+        fast.create_resource(spec.contract)
+        got = self.encode_two_batches(fast, spec, 9, 14)
+        assert all(tx.kind is TxKind.INVOKE for tx in got)
+        assert [every_field(tx) for tx in got] == \
+            [every_field(tx) for tx in expected]
+        assert transfer("a", "b").uid == 23
+
+
 class TestUnbuiltTailConsumesWhatEncodingWould:
     """``trigger_aggregate``'s unbuilt tail against encoding and
     discarding it: the next transaction and every account's sequence
@@ -165,6 +272,21 @@ class TestUnbuiltTailConsumesWhatEncodingWould:
                           "order", ("google", 2))
         assert self.next_after(spec, 10, 3, tail, False) == \
             self.next_after(spec, 10, 3, tail, True)
+
+    def test_sequence_numbers_increment(self):
+        # sender i % 3 at position i (stride 2 over 3 accounts); its
+        # sequence number is how often it sent before, built or skipped
+        spec = TransferSpec(AccountSample(3))
+        connector = fresh_connector("quorum", accounts=3)
+        ring = list(connector.network.accounts)
+        built = connector.encode_batch(spec, None, 0.0, 4)
+        connector.trigger_aggregate([], spec, 5)
+        built += connector.encode_batch(spec, None, 0.0, 6)
+        positions = [*range(4), *range(9, 15)]
+        senders = [ring[2 * p % 3].address for p in range(15)]
+        assert [(tx.sender, tx.sequence) for tx in built] == \
+            [(senders[p], senders[:p].count(senders[p])) for p in positions]
+        assert [a.sequence for a in ring] == [5, 5, 5]
 
     def test_uncached_gas_estimate_is_not_answered(self):
         spec = InvokeSpec(AccountSample(10), ContractSample("exchange"),

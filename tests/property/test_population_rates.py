@@ -109,6 +109,7 @@ class TestDeterministicArrivalsExact:
     @pytest.mark.parametrize("users, rate, duration, tick", [
         (496, 0.03125, 1.0, 0.1),       # emits 17 against 15.47
         (139, 0.03125, 2.0, 1 / 3),     # emits 10 against 8.63
+        (38, 0.03125, 6.0, 0.9999999999999999),  # off by 1.0625
     ])
     def test_the_tick_grid_is_exact(self, users, rate, duration, tick):
         spec = PopulationSpec(users=users, interaction=INTERACTION,
