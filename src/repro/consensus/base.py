@@ -271,11 +271,11 @@ class ConsensusHarness:
               message: Message) -> None:
         """Carry *message* from *sender* to each of *targets*, in order.
 
-        A fan-out is one call: the sender's crash state and region and
-        whether the injector has any fault in force are read once; crash,
-        reachability and link-degrade checks then run per target only
-        while a fault is in force. Adversary, auditor, the two drop
-        streams and every counter stay per target, in target order. The
+        A fan-out is one call. Whether anything can intervene (a fault in
+        force, an adversary, an auditor or a baseline drop rate) is
+        decided once, and so are the sender's crash state and the event
+        labels. Only then does each target go through :meth:`_screen`, in
+        target order; otherwise a target gets the message as sent. The
         network takes the surviving deliveries as one broadcast.
         """
         self._messages_routed.inc(len(targets))
@@ -290,52 +290,20 @@ class ConsensusHarness:
             labels = self._labels[kind] = (
                 f"msg-{kind}", f"self-{kind}", f"degraded-{kind}")
         network_label, self_label, degraded_label = labels
+        screened = (faulty or self.adversary is not None
+                    or self.auditor is not None or self.drop_rate > 0)
         endpoints = self.endpoints
-        sender_region = endpoints[sender].region
-        adversary, auditor = self.adversary, self.auditor
+        replicas = self.replicas
         engine = self.engine
         deliveries: List[Tuple[Endpoint, Callable[[], None]]] = []
         for target in targets:
-            if faulty:
-                target_region = endpoints[target].region
-                if injector.is_crashed(target):
-                    self._dropped_by_crash.inc()
+            if screened:
+                deliver = self._screen(sender, target, message, faulty,
+                                       degraded_label)
+                if deliver is None:
                     continue
-                if not injector.reachable(sender, target,
-                                          sender_region, target_region):
-                    self._dropped_by_fault.inc()
-                    continue
-            # every target starts from the sender's message: the adversary
-            # forks per audience, never from another target's variant
-            outgoing = message
-            extra_latency = 0.0
-            if adversary is not None:
-                outgoing, extra_latency = adversary.intervene(
-                    sender, target, message, engine.now)
-                if outgoing is None:
-                    continue
-            # audited post-adversary: forked variants count as endorsements
-            # (they are really signed and sent), withheld ones never do
-            if auditor is not None:
-                auditor.observe_message(sender, target, outgoing)
-            if sender != target:
-                if faulty:
-                    link_latency, fault_drop = injector.link_faults(
-                        sender, target, sender_region, target_region)
-                    extra_latency += link_latency
-                    if (fault_drop > 0
-                            and float(self._fault_rng.random()) < fault_drop):
-                        self._dropped_by_fault.inc()
-                        continue
-                if self.drop_rate > 0:
-                    if float(self._drop_rng.random()) < self.drop_rate:
-                        self._dropped_by_loss.inc()
-                        continue
-            deliver: Callable[[], None] = partial(
-                self.replicas[target].on_message, outgoing)
-            if extra_latency > 0:
-                deliver = partial(engine.schedule_after, extra_latency,
-                                  deliver, degraded_label)
+            else:
+                deliver = partial(replicas[target].on_message, message)
             if sender == target:
                 # local delivery: next event, no network transit
                 engine.schedule_after(0.0, deliver, self_label)
@@ -345,6 +313,62 @@ class ConsensusHarness:
             # every variant of a message keeps its size
             self.network.broadcast(endpoints[sender], deliveries,
                                    message.size, network_label)
+
+    def _screen(self, sender: int, target: int, message: Message,
+                faulty: bool, degraded_label: str
+                ) -> Optional[Callable[[], None]]:
+        """The delivery of *message* to *target*, or None if it is lost.
+
+        The steps run in this order: crash and reachability (while a fault
+        is in force), the adversary, the auditor, then, off the sender's
+        own node, the link faults and the fault and baseline drop
+        streams, each loss on its counter. A delivery that picks up extra
+        latency is rescheduled by it on arrival.
+        """
+        injector = self.injector
+        if faulty:
+            sender_region = self.endpoints[sender].region
+            target_region = self.endpoints[target].region
+            if injector.is_crashed(target):
+                self._dropped_by_crash.inc()
+                return None
+            if not injector.reachable(sender, target,
+                                      sender_region, target_region):
+                self._dropped_by_fault.inc()
+                return None
+        # every target starts from the sender's message: the adversary
+        # forks per audience, never from another target's variant
+        outgoing: Optional[Message] = message
+        extra_latency = 0.0
+        engine = self.engine
+        if self.adversary is not None:
+            outgoing, extra_latency = self.adversary.intervene(
+                sender, target, message, engine.now)
+            if outgoing is None:
+                return None
+        # audited post-adversary: forked variants count as endorsements
+        # (they are really signed and sent), withheld ones never do
+        if self.auditor is not None:
+            self.auditor.observe_message(sender, target, outgoing)
+        if sender != target:
+            if faulty:
+                link_latency, fault_drop = injector.link_faults(
+                    sender, target, sender_region, target_region)
+                extra_latency += link_latency
+                if (fault_drop > 0
+                        and float(self._fault_rng.random()) < fault_drop):
+                    self._dropped_by_fault.inc()
+                    return None
+            if self.drop_rate > 0:
+                if float(self._drop_rng.random()) < self.drop_rate:
+                    self._dropped_by_loss.inc()
+                    return None
+        deliver: Callable[[], None] = partial(
+            self.replicas[target].on_message, outgoing)
+        if extra_latency > 0:
+            deliver = partial(engine.schedule_after, extra_latency,
+                              deliver, degraded_label)
+        return deliver
 
     def stats(self) -> Dict[str, int]:
         """Routing statistics, fault losses accounted separately."""

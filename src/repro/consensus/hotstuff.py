@@ -180,7 +180,9 @@ class HotStuffReplica(Replica):
         block_id = message.payload["block_id"]
         if self.leader_of(view + 1) != self.node_id or view < self.view - 1:
             return
-        voters = self._votes.setdefault(view, set())
+        voters = self._votes.get(view)
+        if voters is None:
+            voters = self._votes[view] = set()
         voters.add(message.sender)
         self._vote_block[view] = block_id
         if len(voters) >= self.quorum and view + 1 == self.view:
@@ -216,13 +218,15 @@ class HotStuffReplica(Replica):
         self.view = view
         self._timeouts_fired = 0
         self._arm_timer()
-        for stale in [v for v in self._votes if v < view - 1]:
-            del self._votes[stale], self._vote_block[stale]
-        for stale in [v for v in self._new_views if v < view]:
-            del self._new_views[stale]
+        if self._votes:
+            for stale in [v for v in self._votes if v < view - 1]:
+                del self._votes[stale], self._vote_block[stale]
+        if self._new_views:
+            for stale in [v for v in self._new_views if v < view]:
+                del self._new_views[stale]
         # a leader that already holds quorum votes for view-1 proposes now
-        votes = self._votes.get(view - 1, set())
-        if (self.leader_of(view) == self.node_id
+        votes = self._votes.get(view - 1)
+        if (votes is not None and self.leader_of(view) == self.node_id
                 and len(votes) >= self.quorum):
             qc = QuorumCertificate(view - 1, self._vote_block[view - 1])
             self._update_high_qc(qc)

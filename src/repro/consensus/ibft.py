@@ -103,8 +103,9 @@ class IBFTReplica(Replica):
         self.height = height
         self.round = 0
         for votes in (self._prepares, self._commits, self._round_changes):
-            for key in [key for key in votes if key[0] < height]:
-                del votes[key]
+            if votes:
+                for key in [key for key in votes if key[0] < height]:
+                    del votes[key]
         for sent in (self._sent_prepare, self._sent_commit):
             sent.difference_update([key for key in sent if key[0] < height])
         self._start_round()
@@ -158,7 +159,9 @@ class IBFTReplica(Replica):
         digest = message.payload["digest"]
         if height < self.height:
             return
-        voters = self._prepares.setdefault((height, round_, digest), set())
+        voters = self._prepares.get((height, round_, digest))
+        if voters is None:
+            voters = self._prepares[height, round_, digest] = set()
         voters.add(message.sender)
         if (height, round_) != (self.height, self.round):
             return
@@ -176,7 +179,9 @@ class IBFTReplica(Replica):
         digest = message.payload["digest"]
         if height < self.height:
             return
-        voters = self._commits.setdefault((height, round_, digest), set())
+        voters = self._commits.get((height, round_, digest))
+        if voters is None:
+            voters = self._commits[height, round_, digest] = set()
         voters.add(message.sender)
         if height != self.height:
             return

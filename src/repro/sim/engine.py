@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import gc
 import heapq
+import math
+import sys
 from contextlib import contextmanager
 from typing import (Any, Callable, Iterable, Iterator, List, Optional, Set,
                     Tuple)
@@ -179,18 +181,29 @@ class Engine:
             max_events: Optional[int] = None) -> None:
         """Run until the calendar drains, *until* is reached, or *max_events*.
 
-        When *until* is given, the clock is advanced to exactly *until* even
-        if the last event fires earlier, so subsequent scheduling is relative
-        to the requested horizon.
+        At most *max_events* callbacks run in this call, none of them after
+        *until*. The clock then moves to exactly *until*, even if the last
+        event fired earlier, so later scheduling is relative to the
+        horizon, but only when nothing live is left on the calendar at or
+        before *until*: a run cut short by *max_events* leaves the clock at
+        its last event, so the next :meth:`run` resumes at the next entry
+        and time never goes backwards. :attr:`events_executed` counts an
+        event before its callback runs, so the callback sees itself
+        counted, and one that raises stays counted; the engine is then
+        idle again and can be re-run.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
-        executed = 0
         queue = self._queue
         cancelled = self._cancelled
         profiler = self.profiler
         heappop = heapq.heappop
+        # the two stop tests compare against loop constants, never None
+        # (an int limit keeps the count test an int comparison)
+        horizon = math.inf if until is None else until
+        limit = (sys.maxsize if max_events is None
+                 else self._events_executed + max_events)
         try:
             while queue:
                 time, sequence, callback, label = queue[0]
@@ -198,14 +211,15 @@ class Engine:
                     heappop(queue)
                     cancelled.discard(sequence)
                     continue
-                if until is not None and time > until:
+                if time > horizon:
                     break
-                if max_events is not None and executed >= max_events:
-                    break
+                executed = self._events_executed
+                if executed >= limit:
+                    # a live entry is due by the horizon: the clock stays
+                    return
                 heappop(queue)
                 self._now = time
-                self._events_executed += 1
-                executed += 1
+                self._events_executed = executed + 1
                 if profiler is not None:
                     profiler.record(label, callback)
                 else:

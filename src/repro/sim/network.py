@@ -147,10 +147,6 @@ INTRA_REGION_BANDWIDTH = gbps(10.0)
 _REGION_INDEX: Dict[str, int] = {region: i for i, region in enumerate(REGIONS)}
 
 
-def _region_index() -> Dict[str, int]:
-    return _REGION_INDEX
-
-
 def _build_rtt_matrix() -> np.ndarray:
     matrix = np.full((len(REGIONS), len(REGIONS)), INTRA_REGION_RTT)
     for (a, b), value in _RTT_MS_LOWER.items():
@@ -229,6 +225,10 @@ class _LinkPipe:
         self.free_at = 0.0
 
 
+#: (propagation, bandwidth, pipe) of a directed region pair
+_Link = Tuple[float, float, Optional[_LinkPipe]]
+
+
 class Network:
     """Point-to-point message delivery over the Table 3 topology.
 
@@ -256,11 +256,12 @@ class Network:
                 factory.stream("network", "jitter"), "lognormal",
                 -jitter_cv * jitter_cv / 2, jitter_cv)
         self._model_bandwidth = model_bandwidth
-        self._index = _region_index()
-        # hot-path views: exact Python floats, no numpy scalar boxing
-        self._half_rtt = _HALF_RTT
-        self._bandwidth = _BANDWIDTH
-        self._pipes: Dict[Tuple[int, int], _LinkPipe] = {}
+        # source region -> destination region -> (propagation, bandwidth,
+        # pipe) of that directed pair, filled on first use and kept for
+        # the network's lifetime: at most 10 x 10 entries, each pipe
+        # shared by every message of its pair; no pipe when bandwidth is
+        # not modelled
+        self._links: Dict[str, Dict[str, _Link]] = {}
         self._metrics = (metrics if metrics is not None
                          else MetricsRegistry().namespace("network"))
         self._messages_sent = self._metrics.counter("messages_sent")
@@ -289,8 +290,9 @@ class Network:
         message reserves its pipe and draws its jitter in turn, so the
         jitter stream and the pipes end up where the one-by-one path
         leaves them. What depends only on the region pair
-        (propagation, transfer time, the pipe) is looked up once per
-        destination region, the sent counters move once, and the
+        (propagation, bandwidth, the pipe) is resolved once per network
+        and read from its table; the transfer time ``size / bandwidth``
+        is per message. The sent counters move once per call, and the
         calendar takes the fan-out as one :meth:`Engine.schedule_batch`.
         """
         if size < 0:
@@ -298,16 +300,21 @@ class Network:
         now = self.engine.now
         src_region = src.region
         jitter_sampler = self._jitter_sampler
-        links: Dict[str, Tuple[float, float, Optional[_LinkPipe]]] = {}
+        row = self._links.get(src_region)
+        if row is None:
+            row = self._links[src_region] = {}
         times: List[float] = []
         batch: List[Tuple[float, Callable[[], None]]] = []
         for dst, on_delivery in deliveries:
             dst_region = dst.region
-            link = links.get(dst_region)
+            link = row.get(dst_region)
             if link is None:
-                link = links[dst_region] = self._link(
-                    src_region, dst_region, size)
-            propagation, transfer, pipe = link
+                i, j = _REGION_INDEX[src_region], _REGION_INDEX[dst_region]
+                link = row[dst_region] = (
+                    _HALF_RTT[i][j], _BANDWIDTH[i][j],
+                    _LinkPipe() if self._model_bandwidth else None)
+            propagation, bandwidth, pipe = link
+            transfer = size / bandwidth
             if pipe is None:
                 queueing = 0.0
             else:
@@ -335,18 +342,6 @@ class Network:
         self._bytes_sent.inc(size * len(batch))
         self.engine.schedule_batch(batch, label or "network-delivery")
         return times
-
-    def _link(self, src_region: str, dst_region: str, size: int
-              ) -> Tuple[float, float, Optional[_LinkPipe]]:
-        """(propagation, transfer time of *size* bytes, pipe) of a directed
-        region pair; no pipe when bandwidth is not modelled."""
-        i, j = self._index[src_region], self._index[dst_region]
-        pipe = None
-        if self._model_bandwidth:
-            pipe = self._pipes.get((i, j))
-            if pipe is None:
-                pipe = self._pipes[(i, j)] = _LinkPipe()
-        return self._half_rtt[i][j], size / self._bandwidth[i][j], pipe
 
 
 def spread_endpoints(count: int, regions: Iterable[str] = REGIONS,

@@ -175,6 +175,24 @@ def test_message_level_bytes_match_golden(protocol, scenario, golden):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_screening_schedules_what_the_unscreened_route_does(protocol):
+    """An auditor sends every target of every fan-out through the
+    harness's per-target screening step; with no adversary and no fault
+    in force, that step must pass each message on exactly as the
+    unscreened route does, so the audited run is the bare one."""
+    def observed(harness: ConsensusHarness):
+        return (harness.decisions, harness.stats(),
+                harness.network.messages_sent,
+                harness.engine.events_executed)
+
+    audited, auditor = run_audited(protocol, ByzantineSchedule(()),
+                                   n=_size(protocol),
+                                   until=_horizon(protocol))
+    assert auditor._observed_messages == audited.messages_routed
+    assert observed(audited) == observed(_benign(protocol))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_a_continued_run_does_not_restart_the_replicas(protocol):
     """``harness.run(t1); harness.run(t2)`` is one run to t2: replicas
     start on the first call only, so the second continues where the

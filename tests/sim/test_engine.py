@@ -135,6 +135,63 @@ class TestRun:
         engine.schedule_at(1.0, recurse)
         engine.run()
 
+    def test_a_run_cut_by_max_events_keeps_the_clock_at_its_last_event(
+            self, engine):
+        seen = []
+        for time in (1.0, 2.0, 3.0):
+            engine.schedule_at(time, lambda: seen.append(engine.now))
+        engine.run(until=10.0, max_events=1)
+        assert seen == [1.0] and engine.now == 1.0
+        # the calendar still holds 2.0 and 3.0, so 5.0 is in the future
+        engine.schedule_at(5.0, lambda: seen.append(engine.now))
+        engine.run()
+        assert seen == [1.0, 2.0, 3.0, 5.0]
+
+    def test_max_events_at_the_last_live_entry_still_reaches_the_horizon(
+            self, engine):
+        engine.schedule_at(1.0, lambda: None)
+        engine.schedule_at(20.0, lambda: None)
+        engine.run(until=10.0, max_events=1)
+        assert engine.now == 10.0
+        engine.run(max_events=1)
+        assert engine.now == 20.0
+        engine.run(until=30.0, max_events=1)
+        assert engine.now == 30.0
+
+    def test_a_callback_sees_its_own_event_counted(self, engine):
+        seen = []
+        for time in (1.0, 2.0):
+            engine.schedule_at(
+                time, lambda: seen.append(engine.events_executed))
+        engine.run()
+        assert seen == [1, 2]
+
+    def test_a_raising_callback_is_counted_and_the_run_resumes(self, engine):
+        seen = []
+
+        def fail():
+            raise RuntimeError("boom")
+
+        engine.schedule_at(1.0, lambda: seen.append(engine.now))
+        engine.schedule_at(2.0, fail)
+        engine.schedule_at(3.0, lambda: seen.append(engine.now))
+        with pytest.raises(RuntimeError):
+            engine.run(until=10.0)
+        assert engine.events_executed == 2 and engine.now == 2.0
+        engine.run(until=10.0)
+        assert seen == [1.0, 3.0]
+        assert engine.events_executed == 3 and engine.now == 10.0
+
+    def test_max_events_zero_executes_nothing(self, engine):
+        seen = []
+        engine.schedule_at(1.0, lambda: seen.append(engine.now))
+        engine.run(until=5.0, max_events=0)
+        engine.run(max_events=0)
+        assert seen == [] and engine.events_executed == 0
+        assert engine.now == 0.0
+        engine.run()
+        assert seen == [1.0]
+
 class TestPeriodicTask:
     def test_fires_at_fixed_period(self, engine):
         seen = []
@@ -288,7 +345,8 @@ class ListCalendar:
             if until is not None and time > until:
                 break
             if max_events is not None and executed >= max_events:
-                break
+                # a pending entry is due by the horizon: the clock stays
+                return
             del self.pending[sequence]
             self.now = time
             self.events_executed += 1

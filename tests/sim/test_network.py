@@ -245,7 +245,8 @@ class TestBroadcastEquivalence:
         assert results[0] == results[1]
         first, second, _ = results[0]
         # one pipe per region pair: three pipes, each FIFO across fan-outs
-        assert len(fanned[1]._pipes) == 3
+        assert [sorted(row) for row in fanned[1]._links.values()] == [
+            ["ohio", "oregon", "tokyo"]]
         tokyo = [i for i, d in enumerate(dsts) if d.region == "tokyo"]
         assert first[tokyo[0]] < first[tokyo[1]] < first[tokyo[2]]
         assert (min(second[i] for i in tokyo)
