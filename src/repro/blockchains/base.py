@@ -46,7 +46,7 @@ from typing import (
 
 from repro.blockchains.overload import OverloadPolicy, OverloadResponse
 from repro.chain.account import AccountFactoryLimits, AccountRegistry
-from repro.chain.admission import AdmissionController, AdmissionPolicy
+from repro.chain.admission import AdmissionController
 from repro.chain.block import Block
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool, MempoolPolicy
@@ -138,7 +138,6 @@ class ChainParams:
     block_gas_limit: Optional[int] = None
     block_tx_limit: Optional[int] = None
     block_gas_per_vcpu: Optional[int] = None  # Solana: CPU-bound intake
-    block_bytes_limit: Optional[int] = None
     mempool_policy: MempoolPolicy = field(default_factory=MempoolPolicy)
     confirmation_depth: int = 0
     commit_api: str = "stream"           # "stream" | "poll" | "blocking"
@@ -150,7 +149,6 @@ class ChainParams:
     gossip_hop: float = 0.08             # client tx -> proposer gossip delay
     retry_policy: Optional[RetryPolicy] = None  # client retries (off = 1 shot)
     fee_policy: Optional[FeePolicy] = None  # fee dialect (inert until fees: on)
-    admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     overload: OverloadPolicy = field(default_factory=OverloadPolicy)
     perf_model: Callable[[WanProfile], ConsensusPerfModel] = None  # type: ignore[assignment]
 
@@ -195,13 +193,8 @@ class BlockchainNetwork:
                 params.mempool_policy.per_sender_quota))
         self.mempool = Mempool(policy,
                                metrics=self.metrics.namespace("mempool"))
-        queue_capacity = params.admission.queue_capacity
-        if queue_capacity:
-            queue_capacity = self.scale.capacity(queue_capacity)
-        admission = replace(params.admission, queue_capacity=queue_capacity)
         self.admission = AdmissionController(
-            self.mempool, admission,
-            metrics=self.metrics.namespace("admission"))
+            self.mempool, metrics=self.metrics.namespace("admission"))
         #: the §6 resource-exhaustion model; None when the chain has none
         self.overload: Optional[OverloadResponse] = None
         if params.overload.response != "none":
@@ -224,7 +217,6 @@ class BlockchainNetwork:
         self._gas_cap = self.scale.capacity(gas_cap)
         self._tx_cap_unscaled = params.block_tx_limit
         self._tx_cap = self.scale.capacity(params.block_tx_limit)
-        self._bytes_cap = params.block_bytes_limit  # bytes already inflated
         # arrival-rate tracking for the admission-overhead term
         self._arrival_window = 5.0
         self._arrivals: List[Tuple[float, int]] = []
@@ -312,15 +304,8 @@ class BlockchainNetwork:
     # -- tracing --------------------------------------------------------------------
 
     def attach_tracer(self, tracer: LifecycleTracer) -> None:
-        """Attach a lifecycle tracer to this chain's pipeline.
-
-        Also hooks the admission queue's drain path so transactions that
-        enter the pool from the backpressure queue get their admission
-        timestamp (direct admits are stamped in :meth:`submit_batch`).
-        """
+        """Attach a lifecycle tracer to this chain's pipeline."""
         self.tracer = tracer
-        self.admission.on_admit = (
-            lambda tx: tracer.tx_admitted(tx, self.engine.now))
 
     # -- fault injection ----------------------------------------------------------
 
@@ -471,11 +456,11 @@ class BlockchainNetwork:
         would have counted them, and no more.
 
         Each transaction reaches the proposer's pool one gossip hop later;
-        admission control applies the chain's mempool policy — including
-        the backpressure front door (load shedding, admission queue). With
-        :attr:`retries` in force, a rejected submission schedules a
-        backed-off client retry instead of dropping immediately; the
-        transaction only counts as dropped once its attempts are exhausted.
+        admission control applies the chain's mempool policy behind the
+        backpressure front door (load shedding). With :attr:`retries` in
+        force, a rejected submission schedules a backed-off client retry
+        instead of dropping immediately; the transaction only counts as
+        dropped once its attempts are exhausted.
 
         The batch is recorded as one arrival and its counter increments
         are accumulated across the loop. That is safe because
@@ -507,7 +492,7 @@ class BlockchainNetwork:
             if tracer is not None:
                 tracer.tx_submit(tx, now, attempt)
             try:
-                status = admission_submit(tx)
+                admission_submit(tx)
             except NodeOverloadedError:
                 # shed at the door: the node rejected cheaply, before
                 # paying the admission path, so no churn is charged
@@ -521,10 +506,7 @@ class BlockchainNetwork:
                 if attempt > 1:
                     retried_ok += 1
                 if tracer is not None:
-                    if status == "queued":
-                        tracer.tx_queued(tx, now)
-                    else:
-                        tracer.tx_admitted(tx, now)
+                    tracer.tx_admitted(tx, now)
                 if not accepted:
                     # nothing in the loop stops production again, so the
                     # first acceptance is the only call that can start it
@@ -607,7 +589,6 @@ class BlockchainNetwork:
         overload = self.overload
         if overload is not None:
             overload.update(now)
-        self.admission.drain()
         if not self._quorum_available():
             # the fault schedule took out too many validators (or split
             # them): no side of the network can assemble a commit quorum,
@@ -645,8 +626,7 @@ class BlockchainNetwork:
                    else max(21_000, int(self._gas_cap * factor)))
         tx_cap = (None if self._tx_cap is None
                   else max(1, int(self._tx_cap * factor)))
-        batch = self.mempool.pop_batch(max_count=tx_cap, max_gas=gas_cap,
-                                       max_bytes=self._bytes_cap)
+        batch = self.mempool.pop_batch(max_count=tx_cap, max_gas=gas_cap)
         if not batch:
             self._next_round("retry")
             return

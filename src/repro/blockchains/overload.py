@@ -109,18 +109,18 @@ class OverloadResponse:
     def update(self, now: float) -> None:
         """Re-price every node's memory footprint; fire the response.
 
-        The categories are :class:`OverloadPolicy`'s: ``mempool`` (pool
-        plus admission queue), ``consensus`` (every arrival that paid the
-        full admission path, pool rejections included, minus every
-        transaction sealed into a block) and ``state``. The validator set
-        replicates the same data, so the levels are identical per node and
-        built once per round; jittered per-node capacity margins stagger
-        when each crosses its own high-water mark.
+        The categories are :class:`OverloadPolicy`'s: ``mempool`` (the
+        pool), ``consensus`` (every arrival that paid the full admission
+        path, pool rejections included, minus every transaction sealed
+        into a block) and ``state``. The validator set replicates the same
+        data, so the levels are identical per node and built once per
+        round; jittered per-node capacity margins stagger when each
+        crosses its own high-water mark.
         """
         network = self.network
         policy = self.policy
         factor = network.scale.factor
-        pending = (len(network.mempool) + network.admission.queue_depth) / factor
+        pending = len(network.mempool) / factor
         exits = network.pipeline_exits
         debt = max(0, network.admission_processed - exits) / factor
         settled = exits / factor

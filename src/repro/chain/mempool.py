@@ -9,13 +9,16 @@ Three policies matter in the evaluation:
 * **effectively unbounded** (Quorum/IBFT): "historically designed to never
   drop a client request" — commits everything under bursts (§6.5) but
   saturates and collapses under constant 10 kTPS load (§6.3).
-* **fee-ordered bounded** (Ethereum-style): admission prefers higher fees;
-  underpriced transactions linger or are evicted.
+* **evict-oldest bounded** (geth's txpool): a full pool makes room for a
+  newcomer by throwing out its oldest resident.
+
+A fee market (``fees:``) makes any of them price-aware: underpriced
+transactions are rejected, pressure evicts the cheapest resident, and
+blocks are filled highest bid first.
 
 Every rejection and eviction path records a typed drop reason in
 :attr:`Mempool.drops`, and resident bytes are tracked alongside resident
-transactions so the resource-exhaustion model (and ``max_bytes`` policies)
-can account for pool memory.
+transactions so the resource-exhaustion model can account for pool memory.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.common.errors import (
-    MempoolBytesError,
     MempoolFullError,
     SenderQuotaError,
     UnderpricedError,
@@ -39,7 +41,6 @@ if TYPE_CHECKING:
 #: Canonical drop-reason tags recorded by the pool.
 DROP_CAPACITY = "capacity"
 DROP_QUOTA = "sender_quota"
-DROP_BYTES = "bytes"
 DROP_EVICTED = "evicted"
 DROP_EXPIRED = "expired"
 DROP_UNDERPRICED = "underpriced"
@@ -53,19 +54,15 @@ class MempoolPolicy:
     ``capacity``            maximum resident transactions (None = unbounded)
     ``per_sender_quota``    maximum pending per signer (None = unbounded)
     ``evict_oldest``        when full, evict the oldest instead of rejecting
-    ``fee_ordered``         pop highest-fee transactions first
-    ``max_bytes``           maximum resident wire bytes (None = unbounded)
     """
 
     capacity: Optional[int] = None
     per_sender_quota: Optional[int] = None
     evict_oldest: bool = False
-    fee_ordered: bool = False
-    max_bytes: Optional[int] = None
 
 
 class Mempool:
-    """FIFO (or fee-ordered) transaction pool with admission control."""
+    """FIFO (or price-ordered) transaction pool with admission control."""
 
     def __init__(self, policy: MempoolPolicy = MempoolPolicy(),
                  metrics: Optional[MetricsNamespace] = None) -> None:
@@ -139,15 +136,15 @@ class Mempool:
     def room(self, count: int) -> Optional[int]:
         """How many of *count* transactions :meth:`add` would take right
         now, whoever sends them and whatever they carry; None when that
-        depends on the transactions (sender quota, byte budget, price) or
-        admitting one evicts another.
+        depends on the transactions (sender quota, price) or admitting one
+        evicts another.
 
         With a capacity-only policy :meth:`add` takes exactly the first
         that many of any *count* and rejects the rest for capacity.
         """
         policy = self.policy
         if (self.pricer is not None or policy.per_sender_quota is not None
-                or policy.max_bytes is not None or policy.evict_oldest):
+                or policy.evict_oldest):
             return None
         if policy.capacity is None:
             return count
@@ -157,36 +154,6 @@ class Mempool:
         """Count *count* capacity rejections of transactions nobody built:
         the tail of a batch :meth:`room` left no room for."""
         self._count_drop(DROP_CAPACITY, count)
-
-    def would_accept(self, tx: Transaction) -> Optional[str]:
-        """Drop reason :meth:`add` would record for *tx*, or None if it fits.
-
-        A pure probe: no counters move and nothing is evicted, so admission
-        front ends can test for room without generating phantom drops.
-        """
-        if (self.pricer is not None
-                and self.pricer.effective_price(tx) < self.pricer.floor()):
-            return DROP_UNDERPRICED
-        quota = self.policy.per_sender_quota
-        if quota is not None and self._per_sender[tx.sender] >= quota:
-            return DROP_QUOTA
-        cap = self.policy.capacity
-        if cap is not None and len(self._pool) >= cap:
-            if self.pricer is not None:
-                victim = self._cheapest()
-                if (victim is None
-                        or self.pricer.effective_price(victim)
-                        >= self.pricer.effective_price(tx)):
-                    return DROP_UNDERPRICED
-            elif not self.policy.evict_oldest:
-                return DROP_CAPACITY
-        max_bytes = self.policy.max_bytes
-        if (max_bytes is not None
-                and self.resident_bytes + tx.size > max_bytes
-                and not self.policy.evict_oldest
-                and self.pricer is None):
-            return DROP_BYTES
-        return None
 
     def add(self, tx: Transaction) -> None:
         """Admit a transaction or raise a :class:`MempoolFullError` subclass."""
@@ -214,31 +181,13 @@ class Mempool:
                     raise UnderpricedError(
                         f"price {incoming} cannot displace any of the"
                         f" {len(self._pool)} resident transactions")
-                self._evict_victim(victim, DROP_FEE_EVICTED)
+                self._evict_victim(victim)
             elif self.policy.evict_oldest:
                 self._evict_one()
             else:
                 self._count_drop(DROP_CAPACITY)
                 raise MempoolFullError(
                     f"mempool at capacity ({cap} transactions)")
-        max_bytes = self.policy.max_bytes
-        if max_bytes is not None and self.resident_bytes + tx.size > max_bytes:
-            if self.pricer is not None:
-                incoming = self.pricer.effective_price(tx)
-                while self.resident_bytes + tx.size > max_bytes:
-                    victim = self._cheapest()
-                    if (victim is None
-                            or self.pricer.effective_price(victim) >= incoming):
-                        break
-                    self._evict_victim(victim, DROP_FEE_EVICTED)
-            elif self.policy.evict_oldest:
-                while (self._pool
-                       and self.resident_bytes + tx.size > max_bytes):
-                    self._evict_one()
-            if self.resident_bytes + tx.size > max_bytes:
-                self._count_drop(DROP_BYTES)
-                raise MempoolBytesError(
-                    f"mempool byte budget exhausted ({max_bytes} bytes)")
         self._pool[tx.uid] = tx
         self._per_sender[tx.sender] += 1
         self._resident_bytes += tx.size
@@ -269,34 +218,29 @@ class Mempool:
         return min(self._pool.values(),
                    key=lambda t: (self.pricer.effective_price(t), t.uid))
 
-    def _evict_victim(self, victim: Transaction, reason: str) -> None:
+    def _evict_victim(self, victim: Transaction) -> None:
         del self._pool[victim.uid]
         self._per_sender[victim.sender] -= 1
         self._resident_bytes -= victim.size
-        self._count_drop(reason)
-        if self.on_evict is not None and reason == DROP_FEE_EVICTED:
+        self._count_drop(DROP_FEE_EVICTED)
+        if self.on_evict is not None:
             self.on_evict(victim)
 
     # -- removal ---------------------------------------------------------------
 
     def pop_batch(self, max_count: Optional[int] = None,
-                  max_gas: Optional[int] = None,
-                  max_bytes: Optional[int] = None) -> List[Transaction]:
+                  max_gas: Optional[int] = None) -> List[Transaction]:
         """Remove and return transactions for the next block.
 
-        Selection is FIFO unless ``fee_ordered`` is set, bounded by any of a
-        transaction count, a cumulative gas limit (using each transaction's
-        gas limit as its reservation, as block builders do) and a cumulative
-        byte size.
+        Selection is FIFO, or highest effective price first under a fee
+        market, bounded by a transaction count and a cumulative gas limit
+        (using each transaction's gas limit as its reservation, as block
+        builders do).
         """
         if self.pricer is not None:
             candidates = sorted(
                 self._pool.values(),
                 key=lambda t: (-self.pricer.effective_price(t), t.uid))
-        elif self.policy.fee_ordered:
-            candidates = sorted(
-                self._pool.values(),
-                key=lambda t: (-(t.fee_per_gas + t.tip), t.uid))
         else:
             # FIFO: nothing leaves the pool until the selection is made
             candidates = self._pool.values()
@@ -311,13 +255,9 @@ class Mempool:
                     break
                 # a single oversized transaction still fits alone so block
                 # production cannot deadlock on it
-            size = tx.size
-            if (max_bytes is not None and byte_total + size > max_bytes
-                    and batch):
-                break
             batch.append(tx)
             gas_total += tx.gas_limit
-            byte_total += size
+            byte_total += tx.size
         pool = self._pool
         per_sender = self._per_sender
         for tx in batch:

@@ -62,10 +62,6 @@ class SenderQuotaError(MempoolFullError):
     """Per-sender mempool quota exceeded (Diem's 100-transaction limit)."""
 
 
-class MempoolBytesError(MempoolFullError):
-    """The pool's resident byte budget is exhausted (size-based rejection)."""
-
-
 class BackpressureError(ChainError):
     """A node pushed back on a client submission before pool admission.
 

@@ -24,7 +24,6 @@ __all__ = [
     "load_spec",
     "parse_function_call",
     "run_benchmark",
-    "run_matrix",
     "run_trace",
     "simple_spec",
     "spec_from_dict",
@@ -34,7 +33,7 @@ __getattr__, __dir__ = lazy_package(globals(), {
     "repro.core.interface": ("BlockchainConnector", "Client", "SimConnector"),
     "repro.core.primary": ("Primary",),
     "repro.core.results": ("BenchmarkResult", "TransactionRecord"),
-    "repro.core.runner": ("run_benchmark", "run_matrix", "run_trace"),
+    "repro.core.runner": ("run_benchmark", "run_trace"),
     "repro.core.secondary": ("Secondary",),
     "repro.core.spec": (
         "AccountSample", "Behavior", "ClientSpec", "ContractSample",

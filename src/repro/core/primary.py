@@ -19,7 +19,7 @@ from repro.blockchains.base import (
     default_scale,
 )
 from repro.blockchains.registry import build_network
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SpecError
 from repro.core.interface import SimConnector
 from repro.core.population import AggregateArrivals, population_block
 from repro.core.results import BenchmarkResult, TransactionRecord
@@ -198,20 +198,34 @@ class Primary:
 
     def _attach_schedules(self, spec: WorkloadSpec) -> None:
         """Attach the spec's fault and byzantine schedules, failing fast
-        on an event that names an unknown target.
+        on an event that names an unknown target or that a chain run
+        cannot apply.
 
         Node keys the deployment answers for: endpoint indices, endpoint
         names and region tags (the injector is key-agnostic, so a spec
-        may use any of them). Raises ``SpecError`` before anything runs.
+        may use any of them). A ``link_degrade`` acts on messages, and the
+        chain model sends none: only the message-level lane
+        (``ConsensusHarness.route``) reads link state. Raises
+        ``SpecError`` before anything runs.
         """
         endpoints = self.network.endpoints
         if spec.faults:
-            from repro.sim.faults import FaultInjector
+            from repro.sim.faults import (
+                FaultInjector,
+                LinkDegrade,
+                event_summary,
+            )
             nodes = (set(range(len(endpoints)))
                      | {ep.name for ep in endpoints})
             regions = set(self.deployment.regions)
             schedule = spec.fault_schedule()
             schedule.validate(nodes | regions, regions)
+            for event in schedule.events:
+                if isinstance(event, LinkDegrade):
+                    raise SpecError(
+                        "faults: link_degrade acts on message-level"
+                        " consensus runs only, a chain run has no links:"
+                        f" {event_summary(event)}")
             self.network.attach_faults(FaultInjector(schedule))
         if spec.byzantine:
             byzantine = spec.byzantine_schedule()

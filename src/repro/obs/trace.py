@@ -10,7 +10,7 @@ spans, all on the simulated clock:
 phase      interval
 ========== ==================================================================
 admission  client submit (first attempt) → entry into the mempool; covers
-           retry/backoff loops and admission-queue waiting
+           retry/backoff loops
 mempool    pool residency: admission → inclusion in a sealed block
 execution  the block's VM execution slice attributed to its transactions
 consensus  end of execution → the block reaching finality (propose/vote
@@ -102,9 +102,6 @@ class LifecycleTracer:
                     will_retry: bool) -> None:
         self.events.append({"t": t, "kind": "rejected", "uid": tx.uid,
                             "reason": reason, "will_retry": will_retry})
-
-    def tx_queued(self, tx: Any, t: float) -> None:
-        self.events.append({"t": t, "kind": "queued", "uid": tx.uid})
 
     def tx_admitted(self, tx: Any, t: float) -> None:
         marks = self._marks.setdefault(tx.uid, {"submitted": t})

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.mempool import (
-    DROP_BYTES,
     DROP_CAPACITY,
     DROP_EVICTED,
     DROP_EXPIRED,
@@ -14,11 +13,7 @@ from repro.chain.mempool import (
     MempoolPolicy,
 )
 from repro.chain.transaction import transfer
-from repro.common.errors import (
-    MempoolBytesError,
-    MempoolFullError,
-    SenderQuotaError,
-)
+from repro.common.errors import MempoolFullError, SenderQuotaError
 
 
 def make_txs(n, sender="alice", gas_limit=21_000):
@@ -112,15 +107,6 @@ class TestDropReasons:
         assert stats["resident_bytes"] == tx.size
         assert stats[f"drop_{DROP_CAPACITY}"] == 1
 
-    def test_would_accept_is_a_pure_probe(self):
-        pool = Mempool(MempoolPolicy(capacity=1))
-        pool.add(transfer("a", "b"))
-        probe = transfer("a", "b")
-        assert pool.would_accept(probe) == DROP_CAPACITY
-        assert pool.drops == {}   # no phantom drop recorded
-        pool.pop_batch()
-        assert pool.would_accept(probe) is None
-
     def test_legacy_views_read_the_unified_counters(self):
         pool = Mempool(MempoolPolicy(capacity=1, per_sender_quota=2))
         pool.add(transfer("a", "b"))
@@ -147,39 +133,20 @@ class TestByteAccounting:
         pool.remove(tx)
         assert pool.resident_bytes == 0
 
-    def test_max_bytes_rejects_when_exhausted(self):
-        small = transfer("a", "b")
-        pool = Mempool(MempoolPolicy(max_bytes=small.size))
-        pool.add(small)
-        with pytest.raises(MempoolBytesError):
-            pool.add(transfer("a", "b"))
-        assert pool.drops == {DROP_BYTES: 1}
-
-    def test_max_bytes_error_is_a_mempool_full_error(self):
-        # clients treat byte exhaustion like any pool-full rejection
-        assert issubclass(MempoolBytesError, MempoolFullError)
-
     def test_evict_oldest_frees_bytes_for_large_tx(self):
         unit = transfer("a", "b").size
-        pool = Mempool(MempoolPolicy(max_bytes=4 * unit, evict_oldest=True))
+        pool = Mempool(MempoolPolicy(capacity=3, evict_oldest=True))
         for tx in make_txs(3):
             pool.add(tx)
-        big = transfer("a", "b", extra_size=unit)   # needs 2 slots
+        big = transfer("a", "b", extra_size=unit)   # twice a transfer
         pool.add(big)
         assert big in pool
-        assert pool.resident_bytes <= 4 * unit
+        assert pool.resident_bytes == 2 * unit + big.size
         assert pool.drops[DROP_EVICTED] == 1
-
-    def test_oversized_tx_rejected_even_after_evicting_all(self):
-        unit = transfer("a", "b").size
-        pool = Mempool(MempoolPolicy(max_bytes=2 * unit, evict_oldest=True))
-        pool.add(transfer("a", "b"))
-        with pytest.raises(MempoolBytesError):
-            pool.add(transfer("a", "b", extra_size=10 * unit))
 
     def test_drop_expired_releases_bytes(self):
         # satellite: expiry and byte accounting interact correctly
-        pool = Mempool(MempoolPolicy(max_bytes=1 << 20))
+        pool = Mempool()
         old = transfer("a", "b", extra_size=100)
         old.submitted_at = 0.0
         fresh = transfer("a", "b")
@@ -217,14 +184,6 @@ class TestPopBatch:
         assert batch == txs[:3]
         assert len(pool) == 2
 
-    def test_fee_ordered_pops_highest_fee_first(self):
-        pool = Mempool(MempoolPolicy(fee_ordered=True))
-        low = transfer("a", "b", fee_per_gas=1)
-        high = transfer("a", "b", fee_per_gas=10)
-        pool.add(low)
-        pool.add(high)
-        assert pool.pop_batch(max_count=1) == [high]
-
     def test_gas_cap_limits_batch(self):
         pool = Mempool()
         for tx in make_txs(10, gas_limit=21_000):
@@ -238,19 +197,6 @@ class TestPopBatch:
         pool.add(transfer("a", "b", gas_limit=10_000_000))
         batch = pool.pop_batch(max_gas=1_000_000)
         assert len(batch) == 1
-
-    def test_bytes_cap_limits_batch(self):
-        pool = Mempool()
-        for tx in make_txs(10):
-            pool.add(tx)
-        size = make_txs(1)[0].size
-        batch = pool.pop_batch(max_bytes=3 * size)
-        assert len(batch) == 3
-
-    def test_oversized_by_bytes_still_fits_alone(self):
-        pool = Mempool()
-        pool.add(transfer("a", "b", extra_size=10_000))
-        assert len(pool.pop_batch(max_bytes=100)) == 1
 
     def test_unlimited_pop_drains_pool(self):
         pool = Mempool()

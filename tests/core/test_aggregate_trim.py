@@ -143,8 +143,8 @@ def test_capacity_only_pool_is_trimmed():
 FALLBACKS = {
     "quota": dict(mempool_policy=MempoolPolicy(
         capacity=CAPACITY, per_sender_quota=3)),
-    "byte budget": dict(mempool_policy=MempoolPolicy(
-        capacity=CAPACITY, max_bytes=10_000)),
+    "quota and evict_oldest": dict(mempool_policy=MempoolPolicy(
+        capacity=CAPACITY, per_sender_quota=3, evict_oldest=True)),
     "evict_oldest": dict(mempool_policy=MempoolPolicy(
         capacity=CAPACITY, evict_oldest=True)),
     "retry policy": dict(retry_policy=RetryPolicy()),

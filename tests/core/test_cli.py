@@ -122,3 +122,17 @@ class TestSpecErrors:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err == (
             "repro: error: sweep.seeds[0]: expected an integer, got 'one'\n")
+
+    def test_run_rejects_a_link_fault_on_a_chain(self, tmp_path, capsys):
+        # the chain model sends no messages, so a degraded link would be
+        # reported as applied and change nothing
+        spec = tmp_path / "link.yaml"
+        spec.write_text(WORKLOAD + "faults:\n"
+                        "  - { at: 2, kind: link_degrade, src: 0, dst: 1,"
+                        " extra_latency: 5.0, drop_rate: 1.0 }\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--chain", "quorum", "--scale", "0.05", str(spec)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: faults: link_degrade")
+        assert err.count("\n") == 1

@@ -67,6 +67,21 @@ class TestSpecParsing:
         assert spec.faults == faults
 
 
+class TestLinkFaultsOnAChain:
+    """A chain run reads no link state: a ``link_degrade`` there fails
+    before anything runs instead of being reported as applied."""
+
+    @pytest.mark.parametrize("restore", [False, True])
+    def test_a_chain_run_rejects_link_degrade(self, restore):
+        link = ("{ at: 60, kind: link_degrade, src: 0, dst: 1 }" if restore
+                else "{ at: 30, kind: link_degrade, src: 0, dst: 1,"
+                " extra_latency: 5.0, drop_rate: 1.0 }")
+        spec = load_spec(FAULTED_YAML.split("faults:")[0]
+                         + f"faults:\n  - {link}\n")
+        with pytest.raises(SpecError, match="^faults: link_degrade"):
+            run_benchmark("quorum", "testnet", spec, scale=0.05)
+
+
 class TestEndToEnd:
     """The acceptance scenario: crash 4/10 validators at t=30, recover at 60.
 

@@ -9,7 +9,7 @@ from repro.blockchains.registry import build_network
 from repro.common.errors import ConfigurationError, SpecError
 from repro.core.interface import SimConnector
 from repro.core.primary import Primary
-from repro.core.runner import run_benchmark, run_matrix, run_trace
+from repro.core.runner import run_benchmark, run_trace
 from repro.core.spec import (
     AccountSample,
     ContractSample,
@@ -19,6 +19,7 @@ from repro.core.spec import (
     simple_spec,
 )
 from repro.sim.engine import Engine
+from repro.sweep import CellOptions, SweepSpec, run_sweep
 from repro.workloads.synthetic import constant_transfer_trace
 
 
@@ -173,9 +174,12 @@ workloads:
         assert result.submitted > 0
 
     def test_run_matrix(self):
-        results = run_matrix(["quorum", "solana"], "testnet",
-                             constant_transfer_trace(50, 10),
-                             accounts=20, scale=0.2, drain=60)
+        # a chains x one-trace matrix is a one-row sweep
+        sweep = run_sweep(SweepSpec(
+            chains=("quorum", "solana"), configurations=("testnet",),
+            workloads=(constant_transfer_trace(50, 10),), scales=(0.2,),
+            options=CellOptions(accounts=20, drain=60)))
+        results = {o.cell.chain: o.result for o in sweep.outcomes}
         assert set(results) == {"quorum", "solana"}
         assert all(r.submitted > 0 for r in results.values())
 

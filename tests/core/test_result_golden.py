@@ -5,7 +5,7 @@ x eight scenarios (native transfer, one DApp trace, a population with a
 tracked cohort, a fault schedule, a ``fees:`` section, the Uber
 ``checkDistance`` trace, a Byzantine schedule, a fee-bidding DoS
 adversary on a saturated pool), of a 10x overload on the four chains
-whose overload responses differ, and of five traced runs, whose digest
+whose overload responses differ, and of four traced runs, whose digest
 also covers the tracer's events and spans. Any change to the simulation,
 to the result encoding or to what a tracer records moves a digest; a
 change that means to keep behaviour must leave every one of them alone.
@@ -32,9 +32,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 import pytest
 
-from repro.blockchains.base import ChainParams
-from repro.blockchains.registry import chain_params
-from repro.chain.admission import AdmissionPolicy
 from repro.core.primary import Primary
 from repro.core.results import BenchmarkResult
 from repro.core.runner import run_benchmark, run_trace
@@ -49,7 +46,6 @@ from repro.core.spec import (
 from repro.econ.fees import FeeSpec
 from repro.obs import LifecycleTracer, ObservabilityOptions
 from repro.sim.byzantine import Silence
-from repro.sim.deployment import TESTNET
 from repro.sim.dos import AdversarySpec
 from repro.sim.faults import events_from_dicts
 from repro.workloads import workload_registry
@@ -178,38 +174,22 @@ OVERLOAD_CHAINS = ("solana", "diem", "ethereum", "algorand")
 SHEDDING_CHAINS = ("ethereum", "algorand")
 
 
-def _queued_params() -> ChainParams:
-    # no registry chain has an admission queue; a capped pool with a
-    # queue behind it is what makes ``AdmissionController.submit`` answer
-    # "queued" (capacities are unscaled: 200 and 100 slots at scale 0.1)
-    params = chain_params("quorum", TESTNET)
-    return replace(
-        params,
-        mempool_policy=replace(params.mempool_policy, capacity=2_000),
-        admission=AdmissionPolicy(queue_capacity=1_000))
-
-
-#: cell -> (spec, run arguments, chain parameters or None for the
-#: registry's): a clean run, fee-bump retries with evictions and drops,
-#: shed-load rejections, the aggregate lane, the admission queue
-TRACED: Dict[str, Tuple[Callable[[], WorkloadSpec], Dict,
-                        Optional[Callable[[], ChainParams]]]] = {
-    "diem/traced-transfer": (_transfer_spec, RUN, None),
-    "solana/traced-dos": (_dos_spec, RUN, None),
-    "ethereum/traced-overload": (_overload_spec, OVERLOAD_RUN, None),
-    "algorand/traced-population": (_population_spec, RUN, None),
-    "quorum/traced-queued": (
-        lambda: simple_spec(TRANSFER, LoadSchedule.constant(3000, 5)),
-        RUN, _queued_params),
+#: cell -> (spec, run arguments): a clean run, fee-bump retries with
+#: evictions and drops, shed-load rejections, the aggregate lane
+TRACED: Dict[str, Tuple[Callable[[], WorkloadSpec], Dict]] = {
+    "diem/traced-transfer": (_transfer_spec, RUN),
+    "solana/traced-dos": (_dos_spec, RUN),
+    "ethereum/traced-overload": (_overload_spec, OVERLOAD_RUN),
+    "algorand/traced-population": (_population_spec, RUN),
 }
 
 
 @functools.cache
 def _traced(cell: str, trace: bool
             ) -> Tuple[BenchmarkResult, Optional[LifecycleTracer]]:
-    spec, run, params = TRACED[cell]
+    spec, run = TRACED[cell]
     primary = Primary(cell.split("/")[0], "testnet", scale=run["scale"],
-                      seed=run["seed"], params=params and params(),
+                      seed=run["seed"],
                       observe=ObservabilityOptions(trace=True)
                       if trace else None)
     result = primary.run(spec(), "golden-traced", drain=run["drain"])
@@ -318,7 +298,6 @@ def test_traced_cells_reach_every_admission_outcome():
     assert ("rejected", True) in kinds["solana/traced-dos"]
     assert ("rejected", False) in kinds["solana/traced-dos"]
     assert ("rejected", False) in kinds["ethereum/traced-overload"]
-    assert ("queued", None) in kinds["quorum/traced-queued"]
     assert all(("admitted", None) in seen for seen in kinds.values())
 
 

@@ -89,8 +89,8 @@ def test_a_finished_run_keeps_only_the_transactions_the_network_holds():
     network = primary.network
     assert network.mempool.drops.get("evicted", 0) > 0
     assert network.committed
-    held = [*network.mempool._pool.values(), *network.admission._queue,
-            *network.committed, *network.dropped]
+    held = [*network.mempool._pool.values(), *network.committed,
+            *network.dropped]
     for height in range(1, network.ledger.height + 1):
         held += network.ledger.block_at(height).transactions
     assert live == {id(tx) for tx in held}

@@ -36,7 +36,6 @@ class TestFloor:
         with pytest.raises(UnderpricedError):
             pool.add(tx("a", fee=9))
         assert pool.drops == {DROP_UNDERPRICED: 1}
-        assert pool.would_accept(tx("a", fee=9)) == DROP_UNDERPRICED
 
     def test_at_floor_admitted(self):
         pool = priced_pool(base_fee=10)
@@ -97,15 +96,3 @@ class TestOrdering:
         assert pool.pop_batch() == sorted([first, second],
                                           key=lambda t: t.uid)
 
-
-class TestByteBudget:
-    def test_bytes_pressure_evicts_cheapest_first(self):
-        size = tx("x", fee=100).size
-        pool = Mempool(MempoolPolicy(max_bytes=2 * size))
-        pool.pricer = pricer()
-        cheap, rich = tx("a", fee=100, tip=1), tx("b", fee=100, tip=20)
-        pool.add(cheap)
-        pool.add(rich)
-        pool.add(tx("c", fee=100, tip=10))
-        assert cheap not in pool and rich in pool
-        assert pool.drops[DROP_FEE_EVICTED] == 1

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runner import run_matrix, run_trace
+from repro.core.runner import run_trace
+from repro.sweep import CellOptions, SweepSpec, run_sweep
 from repro.workloads import (
     constant_transfer_trace,
     stock_trace,
@@ -29,8 +30,13 @@ class TestNativeTransfersAcrossChains:
         assert committed > 0, f"{chain} committed nothing"
 
     def test_fast_chain_beats_slow_chain(self):
-        results = run_matrix(["quorum", "ethereum"], "testnet",
-                             constant_transfer_trace(500, 30), **FAST)
+        sweep = run_sweep(SweepSpec(
+            chains=("quorum", "ethereum"), configurations=("testnet",),
+            workloads=(constant_transfer_trace(500, 30),),
+            scales=(FAST["scale"],),
+            options=CellOptions(accounts=FAST["accounts"],
+                                drain=FAST["drain"])))
+        results = {o.cell.chain: o.result for o in sweep.outcomes}
         assert (results["quorum"].average_throughput
                 > 5 * results["ethereum"].average_throughput)
 

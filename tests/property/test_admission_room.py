@@ -1,11 +1,11 @@
 """``AdmissionController.room`` against one-by-one ``submit``.
 
 The aggregate lane builds only the transactions ``room`` says the node
-takes, so the answer must be exact or withheld: for any pool fill, queue
-fill and shedding state, ``room(count)`` is None or exactly the number
-of *count* fresh uniform transactions that ``submit`` accepts one by
-one, those are the first ones, and ``turn_away`` leaves the counters
-where the rejected submissions would have left them.
+takes, so the answer must be exact or withheld: for any pool fill and
+shedding state, ``room(count)`` is None or exactly the number of *count*
+fresh uniform transactions that ``submit`` accepts one by one, those are
+the first ones, and ``turn_away`` leaves the counters where the rejected
+submissions would have left them.
 """
 
 from __future__ import annotations
@@ -13,28 +13,19 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.chain.admission import AdmissionController, AdmissionPolicy
+from repro.chain.admission import AdmissionController
 from repro.chain.mempool import Mempool, MempoolPolicy
 from repro.chain.transaction import transfer
 from repro.common.errors import MempoolFullError, NodeOverloadedError
 
 
-def controller(capacity, pool_fill, queue_capacity, queue_fill,
-               shedding, target):
-    """A capacity-only pool holding *pool_fill*, *queue_fill* queued
-    behind it, shedding as given."""
+def controller(capacity, pool_fill, shedding, target):
+    """A capacity-only pool holding *pool_fill*, shedding as given."""
     pool = Mempool(MempoolPolicy(capacity=capacity))
-    ctl = AdmissionController(pool, AdmissionPolicy(queue_capacity))
-    if capacity is None:
-        for _ in range(pool_fill):
-            ctl.submit(transfer("a", "b"))
-    else:
-        # the queue only takes what a full pool rejects: fill the pool,
-        # queue behind it, then free pool slots without draining
-        for _ in range(capacity + queue_fill):
-            ctl.submit(transfer("a", "b"))
-        pool.pop_batch(max_count=capacity - pool_fill)
-    assert len(pool) == pool_fill and ctl.queue_depth == queue_fill
+    ctl = AdmissionController(pool)
+    for _ in range(pool_fill):
+        ctl.submit(transfer("a", "b"))
+    assert len(pool) == pool_fill
     ctl.set_shedding(shedding, target)
     return pool, ctl
 
@@ -55,12 +46,9 @@ def submit_one_by_one(ctl, count):
 def states(draw):
     capacity = draw(st.one_of(st.none(), st.integers(1, 12)))
     pool_fill = draw(st.integers(0, 12 if capacity is None else capacity))
-    queue_capacity = draw(st.integers(0, 6))
-    queue_fill = (0 if capacity is None
-                  else draw(st.integers(0, queue_capacity)))
     shedding = draw(st.booleans())
     target = draw(st.one_of(st.none(), st.integers(1, 16)))
-    return capacity, pool_fill, queue_capacity, queue_fill, shedding, target
+    return capacity, pool_fill, shedding, target
 
 
 @given(states(), st.integers(1, 30))
@@ -70,7 +58,7 @@ def test_room_is_unknown_or_what_submit_accepts(state, count):
     accepted = submit_one_by_one(ctl, count)
     if room is None:
         # only a shed target the pool cannot reach goes unanswered
-        capacity, *_, shedding, target = state
+        capacity, _, shedding, target = state
         assert shedding and None not in (target, capacity)
         assert target > capacity
         return

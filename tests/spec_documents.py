@@ -233,4 +233,8 @@ DOCUMENTS: Dict[str, Document] = {
     "byzantine": _scenario(
         "byzantine", 200.0, 90.0,
         byzantine=tuple(Silence(30.0, 60.0, node) for node in _VICTIMS)),
+    "partition": _scenario(
+        "partition", 200.0, 90.0,
+        faults=(Partition(30.0, (tuple(_VICTIMS), tuple(range(4, 10)))),
+                Heal(60.0))),
 }
