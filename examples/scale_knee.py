@@ -26,8 +26,9 @@ documents the regeneration command.
 
 from __future__ import annotations
 
-from repro import run_population
 from repro.analysis.summary import format_table, knee_table
+from repro.sweep import CellOptions, SweepSpec, run_sweep
+from repro.workloads.synthetic import constant_transfer_trace
 
 CHAINS = ("quorum", "ethereum")
 POPULATIONS = (100_000, 1_000_000, 5_000_000)
@@ -39,19 +40,23 @@ SCALE = 0.1
 SEED = 1
 
 
-def knee_for(chain: str) -> list:
-    """The chain's knee-table rows over the population ladder."""
-    results = {}
-    for users in POPULATIONS:
-        results[users] = run_population(
-            chain, "testnet", users=users, rate_per_user=RATE_PER_USER,
-            duration=DURATION, cohort=1_000, scale=SCALE, seed=SEED)
-    return knee_table(results)
+def knee_tables() -> dict:
+    """Each chain's knee-table rows over the population ladder."""
+    # a constant 1 TPS shape; the populations axis normalizes it to
+    # RATE_PER_USER per user
+    shape = constant_transfer_trace(1.0, DURATION)
+    sweep = run_sweep(SweepSpec(
+        chains=CHAINS, configurations=("testnet",), workloads=(shape,),
+        seeds=(SEED,), scales=(SCALE,), populations=POPULATIONS,
+        options=CellOptions(rate_per_user=RATE_PER_USER, cohort=1_000)))
+    return {chain: knee_table({
+        outcome.cell.population: outcome.result
+        for outcome in sweep.outcomes if outcome.cell.chain == chain})
+        for chain in CHAINS}
 
 
 def main() -> None:
-    for chain in CHAINS:
-        rows = knee_for(chain)
+    for chain, rows in knee_tables().items():
         print(f"\n-- {chain}: population ladder at"
               f" {RATE_PER_USER:g} TPS/user (scale {SCALE:g}) --")
         print(format_table(rows))

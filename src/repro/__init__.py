@@ -44,7 +44,6 @@ __all__ = [
     "load_spec",
     "load_sweep",
     "run_benchmark",
-    "run_population",
     "run_sweep",
     "run_trace",
 ]
@@ -84,7 +83,7 @@ __getattr__, __dir__ = lazy_package(globals(), {
     "repro.core.population": ("PopulationSpec",),
     "repro.core.primary": ("Primary",),
     "repro.core.results": ("BenchmarkResult",),
-    "repro.core.runner": ("run_benchmark", "run_population", "run_trace"),
+    "repro.core.runner": ("run_benchmark", "run_trace"),
     "repro.core.spec": ("LoadSchedule", "WorkloadSpec", "load_spec"),
     # the sweep package loads whole: a sweep is specified to be run
     "repro.sweep": ("ResultCache", "SweepSpec", "load_sweep", "run_sweep"),

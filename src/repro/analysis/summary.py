@@ -254,7 +254,7 @@ def knee_table(results: Dict[int, BenchmarkResult],
     """Rows of a population-scale knee sweep for one chain.
 
     *results* maps a user count to the population run at that count
-    (``run_population`` or a sweep's ``populations`` axis). Each row
+    (a ``population:`` spec or a sweep's ``populations`` axis). Each row
     reports the population-scaled offered load, delivered throughput,
     commit ratio and p95 latency plus the binding subsystem; the first
     population whose commit ratio falls below *knee_ratio* is flagged as

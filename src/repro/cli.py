@@ -17,29 +17,18 @@ workload is the same YAML dialect::
     python -m repro suite --chain solana --configuration consortium \
         --workload dapp-web
 
-    python -m repro population --chain ethereum --users 1000000 \
-        --rate-per-user 0.001 --duration 120
-
     python -m repro csv results.json > results.csv
 
-    python -m repro trace ethereum --duration 30 --chrome-trace out.json
+    python -m repro trace ethereum examples/specs/transfer.yaml \
+        --chrome-trace out.json
 
     python -m repro sweep experiments.yaml --workers 4
 
-``run`` executes a YAML workload specification (the robustness scenarios,
-crash-and-recover, overload and economic DoS, are the spec files under
-``examples/specs/``); ``suite`` runs one of the built-in DApp/synthetic
-traces; ``population`` simulates an aggregate client population
-(millions of users as batched arrival processes plus a tracked cohort —
-see docs/SCALE.md); ``sweep`` executes a whole
-experiment matrix (chains × configurations × workloads × seeds × scales
-× populations) over a worker pool with result caching; ``csv`` converts
-a results JSON file to
-the artifact's per-transaction CSV format; ``trace`` runs a short
-workload with full observability (lifecycle tracer + engine profiler)
-and prints the per-phase latency breakdown; ``chains`` and ``workloads``
-list what is available. The simulator's own host cost is measured from
-outside the package, by ``python3 perfbench/run.py`` (docs/BENCHMARKS.md).
+Each command's ``--help`` says what it does. A chain run reads its
+workload from a spec file: the robustness and population scenarios
+are the ones under ``examples/specs/``. The simulator's own host cost
+is measured from outside the package, by ``python3 perfbench/run.py``
+(docs/BENCHMARKS.md).
 """
 
 from __future__ import annotations
@@ -120,7 +109,7 @@ def _emit(result: BenchmarkResult, output: Optional[Path],
             print(report(result))
 
 
-# -- run / suite / population -------------------------------------------------
+# -- run / suite ---------------------------------------------------------------
 
 
 def _add_run(parser: argparse.ArgumentParser) -> None:
@@ -161,44 +150,6 @@ def _suite(args: argparse.Namespace) -> int:
                        seed=args.seed,
                        max_sim_seconds=args.max_sim_seconds,
                        watchdog_window=args.watchdog_window)
-    _emit(result, args.output, args.stat, args.compress)
-    return 0
-
-
-def _add_population(parser: argparse.ArgumentParser) -> None:
-    from repro.core.population import ARRIVAL_KINDS
-
-    _add_common(parser)
-    parser.add_argument("--accounts", type=int, default=2_000)
-    parser.add_argument("--users", required=True, type=int,
-                        help="simulated population size")
-    parser.add_argument("--rate-per-user", type=float, default=0.001,
-                        help="transactions per second each user submits"
-                        " (population offered load = users x rate)")
-    parser.add_argument("--duration", type=float, default=120.0,
-                        help="workload duration (seconds)")
-    parser.add_argument("--cohort", type=int, default=None,
-                        help="tracked-cohort size (default: min(1000,"
-                        " users)); cohort members run as ordinary clients"
-                        " so their transactions keep full per-tx metrics")
-    parser.add_argument("--arrival", default="poisson",
-                        choices=ARRIVAL_KINDS,
-                        help="aggregate-lane arrival process")
-
-
-def _population(args: argparse.Namespace) -> int:
-    from repro.core.runner import run_population
-
-    result = run_population(args.chain, args.configuration,
-                            users=args.users,
-                            rate_per_user=args.rate_per_user,
-                            duration=args.duration,
-                            cohort=args.cohort,
-                            arrival=args.arrival,
-                            accounts=args.accounts,
-                            scale=args.scale, seed=args.seed,
-                            max_sim_seconds=args.max_sim_seconds,
-                            watchdog_window=args.watchdog_window)
     _emit(result, args.output, args.stat, args.compress)
     return 0
 
@@ -402,11 +353,8 @@ def _add_trace(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("trace_chain", metavar="chain", choices=CHAIN_NAMES)
     _add_chain_setup(parser)
     parser.set_defaults(configuration="datacenter")
-    parser.add_argument("--duration", type=float, default=30.0,
-                        help="workload duration (seconds)")
-    parser.add_argument("--rate", type=float, default=200.0,
-                        help="offered load in TPS")
-    parser.add_argument("--accounts", type=int, default=2_000)
+    parser.add_argument("workload", type=Path,
+                        help="workload specification YAML file")
     parser.add_argument("--sample-period", type=float, default=1.0,
                         help="metrics sampling period on the simulated"
                         " clock (0 disables the sampler)")
@@ -425,12 +373,7 @@ def _add_trace(parser: argparse.ArgumentParser) -> None:
 
 def _trace(args: argparse.Namespace) -> int:
     from repro.core.primary import Primary
-    from repro.core.spec import (
-        AccountSample,
-        LoadSchedule,
-        TransferSpec,
-        simple_spec,
-    )
+    from repro.core.spec import load_spec
     from repro.obs.exporters import (
         write_chrome_trace,
         write_prometheus,
@@ -443,9 +386,8 @@ def _trace(args: argparse.Namespace) -> int:
                                    sample_period=args.sample_period)
     primary = Primary(args.trace_chain, args.configuration,
                       scale=args.scale, seed=args.seed, observe=observe)
-    spec = simple_spec(TransferSpec(AccountSample(args.accounts)),
-                       LoadSchedule.constant(args.rate, args.duration))
-    result = primary.run(spec, workload_name="trace")
+    result = primary.run(load_spec(args.workload.read_text()),
+                         workload_name=args.workload.stem)
     print(trace_report(primary.tracer, primary.profiler, top=args.top))
     if args.chrome_trace is not None:
         write_chrome_trace(primary.tracer, args.chrome_trace,
@@ -491,14 +433,10 @@ Handler = Callable[[argparse.Namespace], int]
 #: use, so a command loads only its own stack, and ``--help`` none.
 COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None],
                           Handler]] = {
-    "run": ("run a YAML workload specification (the robustness scenarios"
-            " are the ones under examples/specs/)", _add_run, _run),
+    "run": ("run a YAML workload specification (the robustness and"
+            " population scenarios are the ones under examples/specs/)",
+            _add_run, _run),
     "suite": ("run a built-in workload trace", _add_suite, _suite),
-    "population": (
-        "simulate an aggregate client population: millions of users as"
-        " batched arrival processes plus a tracked cohort with"
-        " per-transaction fidelity (see docs/SCALE.md)",
-        _add_population, _population),
     "sweep": (
         "execute an experiment matrix (chains x configurations x workloads"
         " x seeds x scales x populations) over a worker pool, replaying"
@@ -511,8 +449,8 @@ COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None],
         " SafetyAuditor; exits nonzero on a safety violation",
         _add_byzantine, _byzantine),
     "trace": (
-        "run a short workload with lifecycle tracing and engine"
-        " profiling; print the per-phase latency breakdown",
+        "run a YAML workload specification with lifecycle tracing and"
+        " engine profiling; print the per-phase latency breakdown",
         _add_trace, _trace),
     "chains": ("list the evaluated blockchains", _no_arguments, _chains),
     "workloads": ("list the built-in workloads", _no_arguments, _workloads),

@@ -1,6 +1,6 @@
 """One-call benchmark pipeline.
 
-``run_trace`` is the ``diablo primary ... setup.yaml workload.yaml``
+``run_benchmark`` is the ``diablo primary ... setup.yaml workload.yaml``
 command in one function: deploy the chain, provision resources, generate
 the workload, run, aggregate.
 """
@@ -39,38 +39,6 @@ def run_benchmark(chain: str, deployment: Union[str, DeploymentConfig],
     return primary.run(spec, workload_name=workload_name, drain=drain,
                        max_sim_seconds=max_sim_seconds,
                        watchdog_window=watchdog_window)
-
-
-def run_population(chain: str, deployment: Union[str, DeploymentConfig],
-                   users: int,
-                   rate_per_user: float = 0.001,
-                   duration: float = 120.0,
-                   cohort: Optional[int] = None,
-                   arrival: str = "poisson",
-                   accounts: int = 2_000,
-                   scale: Optional[float] = None,
-                   seed: int = 0,
-                   drain: float = DEFAULT_DRAIN,
-                   max_sim_seconds: Optional[float] = None,
-                   watchdog_window: float = DEFAULT_WINDOW,
-                   observe: Optional[ObservabilityOptions] = None
-                   ) -> BenchmarkResult:
-    """Run a population workload: *users* simulated users transferring at
-    a constant per-user rate, as aggregate arrival processes plus a
-    tracked cohort (see :mod:`repro.core.population` and docs/SCALE.md).
-    """
-    from repro.core.spec import AccountSample, TransferSpec, \
-        simple_population_spec
-    spec = simple_population_spec(
-        users=users, interaction=TransferSpec(AccountSample(accounts)),
-        rate_per_user=rate_per_user, duration=duration,
-        cohort=cohort, arrival=arrival)
-    return run_benchmark(chain, deployment, spec,
-                         workload_name=f"population-{users}",
-                         scale=scale, seed=seed, drain=drain,
-                         max_sim_seconds=max_sim_seconds,
-                         watchdog_window=watchdog_window,
-                         observe=observe)
 
 
 def run_trace(chain: str, deployment: Union[str, DeploymentConfig],

@@ -70,15 +70,16 @@ class Partition:
     """Split the network into *groups* at *time*.
 
     Nodes in different groups cannot exchange messages. Nodes not named in
-    any group form one implicit extra group ("the rest").
+    any group form one implicit extra group ("the rest"), so one listed
+    group cuts its nodes off from all the others.
     """
 
     time: float
     groups: Tuple[Tuple[NodeKey, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.groups) < 2:
-            raise SimulationError("a partition needs at least two groups")
+        if not self.groups:
+            raise SimulationError("a partition needs at least one group")
         seen: Set[NodeKey] = set()
         for group in self.groups:
             for node in group:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ from repro.core.spec import (
     simple_spec,
 )
 from repro.sim.faults import NodeCrash, NodeRecover, events_from_dicts
+
+PARTITION = (Path(__file__).resolve().parents[2] / "examples" / "specs"
+             / "partition.yaml")
 
 FAULTED_YAML = """
 let:
@@ -80,6 +84,23 @@ class TestLinkFaultsOnAChain:
                          + f"faults:\n  - {link}\n")
         with pytest.raises(SpecError, match="^faults: link_degrade"):
             run_benchmark("quorum", "testnet", spec, scale=0.05)
+
+
+class TestPartitionOnAChain:
+    def test_one_listed_group_splits_it_from_the_rest(self):
+        """The unlisted nodes are the other side, so ``[[0, 1, 2, 3]]``
+        is partition.yaml's explicit 4|6 split."""
+        text = PARTITION.read_text()
+        explicit = "groups: [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]]"
+        assert explicit in text
+        listed, implicit = (
+            run_benchmark("quorum", "testnet", document, scale=0.05)
+            for document in (text, text.replace(explicit,
+                                                "groups: [[0, 1, 2, 3]]")))
+        assert implicit.records == listed.records
+        assert implicit.summary()["degradation"] == \
+            listed.summary()["degradation"]
+        assert listed.summary()["degradation"]["commit_ratio_during"] == 0
 
 
 class TestEndToEnd:

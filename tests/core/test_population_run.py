@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.analysis.summary import (
     knee_table,
     population_report,
 )
-from repro.core.runner import run_benchmark, run_population
+from repro.core.runner import run_benchmark
 from repro.core.spec import (
     AccountSample,
     LoadSchedule,
@@ -29,6 +30,9 @@ from repro.core.spec import (
 )
 
 INTERACTION = TransferSpec(AccountSample(100))
+#: 1 000 000 users x 0.002 TPS x 20 s, cohort 1 000
+MILLION = (Path(__file__).resolve().parents[2] / "examples" / "specs"
+           / "population.yaml").read_text()
 FAST = dict(scale=0.5, seed=3, drain=120.0)
 
 
@@ -72,9 +76,8 @@ class TestCohortOnlyByteIdentity:
 
 class TestAggregateRun:
     def run_million(self, seed=1):
-        return run_population("ethereum", "testnet", users=1_000_000,
-                              rate_per_user=0.002, duration=20.0,
-                              cohort=1_000, seed=seed, scale=0.1)
+        return run_benchmark("ethereum", "testnet", MILLION, seed=seed,
+                             scale=0.1)
 
     def test_million_users_within_watchdog_bounds(self):
         result = self.run_million()

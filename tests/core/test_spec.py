@@ -289,10 +289,14 @@ class TestSectionReading:
                       " nodes: [1] }\n")
 
     def test_an_event_check_fails_at_its_entry(self):
-        with pytest.raises(SpecError, match=r"^faults\[0\]: a partition"
-                           " needs at least two groups"):
+        with pytest.raises(SpecError, match=r"^faults\[0\]: node 1 appears"
+                           " in two partition groups"):
             load_spec(_GROUP + "faults:\n  - { at: 5, kind: partition,"
-                      " groups: [[0, 1]] }\n")
+                      " groups: [[0, 1], [1, 2]] }\n")
+        with pytest.raises(SpecError, match=r"^faults\[0\]\.groups: expected"
+                           " a non-empty list"):
+            load_spec(_GROUP + "faults:\n  - { at: 5, kind: partition,"
+                      " groups: [] }\n")
 
     def test_a_section_check_names_its_key_once(self):
         with pytest.raises(SpecError,

@@ -5,7 +5,8 @@ EXPERIMENTS.md once already). This test walks README.md, EXPERIMENTS.md,
 everything under docs/ and ``repro/cli.py``'s module docstring, extracts
 each quoted ``python -m repro`` invocation, and asserts its subcommand
 still exists and its ``--help`` exits 0 — so a renamed or removed
-subcommand fails CI with the name of the file that still quotes it. A
+subcommand fails CI with the name of the file that still quotes it, and
+README.md must quote every subcommand the CLI has. A
 command written out on its own line whose words are all literal (no
 ``<placeholder>`` or ``$variable``) must parse whole: its argument list
 goes through ``main`` with every handler stubbed, so a flag or choice
@@ -86,6 +87,14 @@ def test_docs_actually_quote_commands():
     """Guard the guard: the extraction must keep finding commands."""
     names = {command for _, command in quoted_subcommands()}
     assert {"run", "suite", "sweep", "trace"} <= names
+
+
+def test_readme_quotes_every_command():
+    """The reverse direction: each subcommand the CLI has is quoted in
+    README.md, so none is reachable only by reading ``--help``."""
+    quoted = {command for doc, command in quoted_subcommands()
+              if doc == "README.md"}
+    assert sorted(set(cli.COMMANDS) - quoted) == []
 
 
 @pytest.mark.parametrize("doc,command", quoted_subcommands(),

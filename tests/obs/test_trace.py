@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.core.spec import (
     AccountSample,
     LoadSchedule,
     TransferSpec,
+    load_spec,
     simple_spec,
 )
 from repro.obs import (
@@ -21,6 +23,14 @@ from repro.obs import (
     spans_to_jsonl,
 )
 from repro.obs.trace import TX_PHASES
+
+SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
+#: (example spec, chain, seed): each spec on a chain where it bites
+TRACED_SPECS = [
+    ("crash-and-recover", "quorum", 0), ("partition", "quorum", 0),
+    ("byzantine", "quorum", 0), ("overload", "solana", 0),
+    ("dos", "ethereum", 3), ("population", "ethereum", 0),
+    ("transfer", "ethereum", 0)]
 
 
 def short_spec(duration=10.0, rate=100.0):
@@ -127,6 +137,23 @@ class TestDeterminism:
         summary_observed = result_observed.summary()
         summary_observed.pop("timeseries", None)
         assert summary_plain == summary_observed
+
+    @pytest.mark.parametrize("name, chain, seed", TRACED_SPECS)
+    def test_a_traced_example_spec_gives_the_same_bytes(self, name, chain,
+                                                        seed):
+        """The run that gets traced is the run that gets benchmarked."""
+        spec = load_spec((SPECS / f"{name}.yaml").read_text())
+        plain = Primary(chain, "testnet", scale=0.05, seed=seed).run(spec)
+        traced = Primary(chain, "testnet", scale=0.05, seed=seed,
+                         observe=ObservabilityOptions(
+                             trace=True, profile=False, sample_period=0))
+        result = traced.run(spec)
+        assert traced.tracer.spans
+        assert result.to_json() == plain.to_json()
+
+    def test_every_example_spec_is_traced(self):
+        assert ({name for name, _, _ in TRACED_SPECS}
+                == {path.stem for path in SPECS.glob("*.yaml")})
 
     def test_disabled_run_has_no_tracer_and_no_timeseries(self):
         primary = Primary("quorum", "testnet", scale=0.1, seed=7)

@@ -147,7 +147,8 @@ class TestCyclicGarbage:
     @pytest.mark.parametrize("name, chain", [
         ("crash-and-recover", "quorum"), ("overload", "solana"),
         ("overload", "ethereum"), ("dos", "ethereum"), ("dos", "algorand"),
-        ("byzantine", "quorum"), ("partition", "quorum")])
+        ("byzantine", "quorum"), ("partition", "quorum"),
+        ("population", "ethereum"), ("transfer", "ethereum")])
     def test_each_example_spec(self, name, chain):
         spec = load_spec((SPECS / f"{name}.yaml").read_text())
         found, (_, result) = cyclic_garbage_after(
@@ -158,7 +159,7 @@ class TestCyclicGarbage:
     def test_every_example_spec_is_covered(self):
         names = {path.stem for path in SPECS.glob("*.yaml")}
         assert names == {"crash-and-recover", "overload", "dos", "byzantine",
-                         "partition"}
+                         "partition", "population", "transfer"}
 
     def test_a_sixteen_replica_hotstuff_harness(self):
         def run() -> ConsensusHarness:

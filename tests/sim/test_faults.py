@@ -66,7 +66,9 @@ class TestScheduleParsing:
 
     def test_partition_validation(self):
         with pytest.raises(SimulationError):
-            Partition(0.0, (((0, 1),)))  # one group is not a partition
+            Partition(0.0, ())  # no group is not a partition
+        # one listed group: the unlisted nodes are the other side
+        assert Partition(0.0, ((0, 1),)).groups == ((0, 1),)
         with pytest.raises(SimulationError):
             Partition(0.0, ((0, 1), (1, 2)))  # duplicate membership
 

@@ -30,6 +30,7 @@ from repro.core.spec import (
     TransferSpec,
     WorkloadGroup,
     WorkloadSpec,
+    simple_population_spec,
     simple_spec,
     spec_document,
     spec_from_dict,
@@ -237,4 +238,11 @@ DOCUMENTS: Dict[str, Document] = {
         "partition", 200.0, 90.0,
         faults=(Partition(30.0, (tuple(_VICTIMS), tuple(range(4, 10)))),
                 Heal(60.0))),
+    "transfer": _scenario("transfer", 200.0, 10.0),
+    "population": Document(
+        (SCENARIOS / "population.yaml").read_text(), spec_from_dict,
+        spec_document,
+        simple_population_spec(
+            users=1_000_000, interaction=TransferSpec(AccountSample(2_000)),
+            rate_per_user=0.002, duration=20.0, cohort=1_000)),
 }

@@ -142,11 +142,12 @@ README = (
     "python -m repro run --chain ethereum --configuration testnet"
     " --scale 0.05 --seed 3 examples/specs/dos.yaml",
     "python -m repro byzantine quorum --equivocators 1",
-    "python -m repro trace ethereum --duration 10 --scale 0.05"
-    " --chrome-trace {tmp}/trace.json --spans-jsonl {tmp}/spans.jsonl"
-    " --prometheus {tmp}/metrics.prom --output {tmp}/trace-result.json",
-    "python -m repro population --chain quorum --users 50000 --duration 20"
-    " --scale 0.05 --stat",
+    "python -m repro trace ethereum examples/specs/transfer.yaml"
+    " --scale 0.05 --chrome-trace {tmp}/trace.json"
+    " --spans-jsonl {tmp}/spans.jsonl --prometheus {tmp}/metrics.prom"
+    " --output {tmp}/trace-result.json",
+    "python -m repro run --chain quorum --configuration testnet --scale 0.05"
+    " --stat examples/specs/population.yaml",
     "python -m repro sweep {tmp}/fig3.yaml --workers 2"
     " --cache-dir {tmp}/sweep-cache --output-dir {tmp}/fig3-out",
 )
