@@ -87,7 +87,7 @@ def run_chain_trace(chain: str, configuration: str, trace: Trace,
     key = cell_key(cell)
     cached = _RESULT_CACHE.get(key)
     if cached is not None:
-        return BenchmarkResult.from_json(cached)
+        return BenchmarkResult.from_json(cached.read())
     result = run_trace(chain, configuration, trace, accounts=accounts,
                        scale=scale, seed=seed, drain=drain)
     _RESULT_CACHE.put(key, cell_key_fields(cell), result.to_json())

@@ -209,11 +209,12 @@ def _sweep(args: argparse.Namespace) -> int:
     if args.output_dir is not None:
         args.output_dir.mkdir(parents=True, exist_ok=True)
         summary = []
+        # one document at a time: with a cache, each is read from its entry
         for outcome in sweep.outcomes:
             cell = outcome.cell
             name = (f"{cell.index:03d}-{cell.chain}-{cell.configuration.name}"
                     f"-{cell.workload}-seed{cell.seed}.json")
-            if outcome.result_json is not None:
+            if outcome.summary is not None:
                 (args.output_dir / name).write_text(outcome.result_json)
             summary.append({
                 "index": cell.index,
@@ -221,7 +222,7 @@ def _sweep(args: argparse.Namespace) -> int:
                 "status": outcome.status,
                 "cached": outcome.cached,
                 "wall_seconds": round(outcome.wall_seconds, 3),
-                "file": name if outcome.result_json is not None else None,
+                "file": name if outcome.summary is not None else None,
                 "failure": (None if outcome.failure is None
                             else str(outcome.failure)),
             })
@@ -231,7 +232,7 @@ def _sweep(args: argparse.Namespace) -> int:
                         "cells": summary}, indent=2))
         print(f"wrote {args.output_dir}/sweep-summary.json", file=sys.stderr)
     print(sweep_report(sweep))
-    crashed = [o for o in sweep.outcomes if o.result_json is None]
+    crashed = [o for o in sweep.outcomes if o.summary is None]
     return 1 if crashed else 0
 
 

@@ -15,7 +15,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -439,14 +440,36 @@ class BenchmarkResult:
         what lies between is not read (:meth:`from_json` does that).
         Raises :class:`ValueError` on a text that is not such a document.
         """
-        if not (text.startswith(_SUMMARY_OPEN)
-                and text.endswith(_DOCUMENT_CLOSE)):
+        return BenchmarkResult.summary_from_head(iter((text,)), text)
+
+    @staticmethod
+    def summary_from_head(head: Iterator[str], tail: str) -> Dict[str, Any]:
+        """The ``summary`` of a document given as its head and its tail.
+
+        *head* yields the document's text from its start, piece after
+        piece; pieces are taken only until the summary and the opening of
+        the transaction list have been read. *tail* is the document's end
+        (at least its last two characters). The checks are those of
+        :meth:`summary_from_json`, which passes the whole text as both.
+        """
+        if not tail.endswith(_DOCUMENT_CLOSE):
             raise ValueError("not a result document")
-        summary, end = _DECODER.raw_decode(text, len(_SUMMARY_OPEN))
-        if not (isinstance(summary, dict)
-                and text.startswith(_SUMMARY_CLOSE, end)):
-            raise ValueError("not a result document")
-        return summary
+        text = ""
+        for piece in head:
+            text += piece
+            if not text.startswith(_SUMMARY_OPEN[:len(text)]):
+                break
+            try:
+                summary, end = _DECODER.raw_decode(text, len(_SUMMARY_OPEN))
+            except ValueError:
+                continue                  # cut short, or not JSON at all
+            if not isinstance(summary, dict):
+                break
+            if len(text) >= end + len(_SUMMARY_CLOSE):
+                if text.startswith(_SUMMARY_CLOSE, end):
+                    return summary
+                break
+        raise ValueError("not a result document")
 
     @staticmethod
     def from_json(text: str) -> "BenchmarkResult":

@@ -23,18 +23,28 @@ entry of an older format are all misses (counted in
 :attr:`ResultCache.corrupt`) that the re-run overwrites. Entries are
 written atomically (temp file + rename), so concurrent sweeps sharing a
 cache directory cannot corrupt each other.
+
+A hit is a :class:`CacheEntry`, not the document: :meth:`ResultCache.get`
+verifies the body as a stream of chunks and keeps none of it, and the
+entry reads the document's summary, or the whole text, from disk when
+asked, checking again that the bytes are the ones it verified.
 """
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import hashlib
 import json
 import os
 import tempfile
-from functools import lru_cache
+from contextlib import contextmanager
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import (TYPE_CHECKING, Any, BinaryIO, Dict, Iterator, Optional,
+                    Union)
+
+from repro.core.results import BenchmarkResult
 
 if TYPE_CHECKING:
     from repro.core.spec import WorkloadSpec
@@ -42,6 +52,13 @@ if TYPE_CHECKING:
 
 #: cache format version; bump to orphan every existing entry
 CACHE_VERSION = 3
+#: bytes :meth:`ResultCache.get` reads per step while it verifies a body,
+#: and :meth:`CacheEntry.summary` reads first from its head (small enough
+#: that a chunk and its decoded text stay in the CPU's cache)
+CHUNK_BYTES = 1 << 16
+#: bytes of a body's end :meth:`CacheEntry.summary` reads (a result
+#: document ends with ``]}``)
+_TAIL_BYTES = 16
 
 
 def _canonical(value: Any) -> Any:
@@ -146,6 +163,100 @@ def cell_key(cell: SweepCell) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+class CacheEntryError(ValueError):
+    """A verified cache entry is gone, or holds another document now."""
+
+
+@dataclasses.dataclass(frozen=True)
+class CacheEntry:
+    """A verified entry on disk: where it is and its body's digest.
+
+    Holds no document text. :meth:`summary` and :meth:`read` open the
+    file again, and raise :class:`CacheEntryError` naming the entry when
+    it is gone or no longer holds the body that :meth:`ResultCache.get`
+    verified (or :meth:`ResultCache.put` wrote).
+    """
+
+    path: Path
+    sha256: str
+
+    @contextmanager
+    def _body(self) -> Iterator[BinaryIO]:
+        """The entry's file, read from the start of its body."""
+        try:
+            with self.path.open("rb") as handle:
+                if _header_digest(handle.readline()) != self.sha256:
+                    raise CacheEntryError(
+                        f"cache entry {self.path} holds another document"
+                        " than the one verified")
+                yield handle
+        except OSError as exc:
+            raise CacheEntryError(
+                f"cache entry {self.path} cannot be read: {exc}") from exc
+
+    def summary(self) -> Dict[str, Any]:
+        """The result document's ``summary``, its records left unread.
+
+        Reads the body's last bytes and its head, in pieces that double
+        from :data:`CHUNK_BYTES` until the summary decodes. Raises
+        :class:`ValueError` if the body is not a result document.
+        """
+        with self._body() as handle:
+            start = handle.tell()
+            end = handle.seek(0, os.SEEK_END)
+            handle.seek(max(start, end - _TAIL_BYTES))
+            # a cut character can only open the tail, never end it
+            tail = handle.read().decode("utf-8", errors="replace")
+            handle.seek(start)
+            return BenchmarkResult.summary_from_head(_pieces(handle), tail)
+
+    def read(self) -> str:
+        """The whole document, its digest checked again."""
+        with self._body() as handle:
+            body = handle.read()
+        if hashlib.sha256(body).hexdigest() != self.sha256:
+            raise CacheEntryError(
+                f"cache entry {self.path} changed since it was verified")
+        return body.decode("utf-8")
+
+
+def _header_digest(line: bytes) -> Any:
+    """The body digest an entry's header line names, or None."""
+    try:
+        return json.loads(line)["sha256"]
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def _verified_digest(handle: BinaryIO) -> str:
+    """SHA-256 of the rest of *handle*, read a chunk at a time.
+
+    Each chunk is also fed to an incremental UTF-8 decoder, which carries
+    a character cut by a chunk's end over to the next chunk, so a body
+    that is not UTF-8 raises :class:`UnicodeDecodeError` (a
+    :class:`ValueError`).
+    """
+    digest = hashlib.sha256()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for chunk in iter(partial(handle.read, CHUNK_BYTES), b""):
+        digest.update(chunk)
+        decoder.decode(chunk)
+    decoder.decode(b"", final=True)
+    return digest.hexdigest()
+
+
+def _pieces(handle: BinaryIO) -> Iterator[str]:
+    """The rest of *handle* as text, in reads that double in size."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    size = CHUNK_BYTES
+    while True:
+        chunk = handle.read(size)
+        if not chunk:
+            return
+        yield decoder.decode(chunk)
+        size *= 2
+
+
 class ResultCache:
     """On-disk store mapping cell keys to verbatim result JSON."""
 
@@ -157,39 +268,42 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Optional[str]:
-        """The cached result JSON for *key*, or None on a miss.
+    def get(self, key: str) -> Optional[CacheEntry]:
+        """The verified entry for *key*, or None on a miss.
 
         No entry file is a plain miss. An entry that is there but is not
         what :meth:`put` wrote — no header line, a header that is not a
         JSON object naming *key* and a digest, a body with another digest
         or one that is not UTF-8 — is a miss too, counted in
         :attr:`corrupt` (it will be overwritten by the re-run), never an
-        error. The body is returned unparsed.
+        error. The body is read in chunks of :data:`CHUNK_BYTES`, hashed
+        and decoded as it passes, and not kept.
         """
+        path = self._path(key)
         try:
-            with self._path(key).open("rb") as handle:
-                header_line = handle.readline()
-                body = handle.read()
+            with path.open("rb") as handle:
+                header = json.loads(handle.readline())
+                if header["key"] != key:
+                    raise ValueError("entry is another cell's")
+                entry = CacheEntry(path, header["sha256"])
+                if _verified_digest(handle) != entry.sha256:
+                    raise ValueError("body is not the one put() wrote")
         except OSError:
             return None
-        try:
-            header = json.loads(header_line)
-            if (header["key"] != key
-                    or header["sha256"] != hashlib.sha256(body).hexdigest()):
-                raise ValueError("entry is not the one put() wrote")
-            return body.decode("utf-8")
         except (ValueError, KeyError, TypeError):
             self.corrupt += 1
             return None
+        return entry
 
-    def put(self, key: str, fields: Dict[str, Any], result_json: str) -> None:
+    def put(self, key: str, fields: Dict[str, Any],
+            result_json: str) -> CacheEntry:
         """Store *result_json* under *key*, atomically and verbatim."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         body = result_json.encode("utf-8")
+        entry = CacheEntry(path, hashlib.sha256(body).hexdigest())
         header = json.dumps({"key": key, "fields": fields,
-                             "sha256": hashlib.sha256(body).hexdigest()})
+                             "sha256": entry.sha256})
         descriptor, temp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
         try:
@@ -203,9 +317,4 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def entries(self) -> int:
-        """Number of cached results on disk."""
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("??/*.json"))
+        return entry

@@ -10,15 +10,20 @@ watchdog-failed run is captured as a typed :class:`CellFailure`; it never
 takes the sweep down with it.
 
 Cache discipline: the parent process resolves hits before dispatching
-(hits are instant replays, no worker involved) and writes misses back
-after they complete, so workers never touch the cache directory.
+(hits are instant replays, no worker involved). A miss is written to its
+cache entry by whoever ran it, a worker or the parent inline, so a
+document never crosses the pool's result pipe: the worker sends back
+the summary and the :class:`~repro.sweep.cache.CacheEntry` it wrote.
 
-A result document becomes a :class:`CellOutcome` in one place,
-:func:`_outcome`, whether a worker just produced it or the cache
+A cell's outcome is built in one place, :func:`_outcome`, from the
+document's summary, whether a worker just produced it or the cache
 returned it: status, the watchdog :class:`CellFailure` and
-``CellOutcome.summary`` are read from the document's summary, so a replay
-reports what the run reported and parses no transaction record.
-``CellOutcome.result`` parses the records when somebody asks for them.
+``CellOutcome.summary``, so a replay reports what the run reported and
+parses no transaction record. With a cache, an outcome holds only the
+entry, and ``CellOutcome.result_json`` reads the document from disk
+each time it is asked for (checking its digest again); without one, the
+outcome holds the text. ``CellOutcome.result`` parses the records when
+somebody asks for them.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple, Union)
 
 from repro.core.results import BenchmarkResult
 from repro.core.runner import run_benchmark, run_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.sweep.cache import cell_key, cell_key_fields
+from repro.sweep.cache import CacheEntry, cell_key, cell_key_fields
 
 if TYPE_CHECKING:
     from repro.sweep.cache import ResultCache
@@ -69,18 +75,32 @@ class CellOutcome:
     status: str                       # "done" | "failed"
     cached: bool
     wall_seconds: float
-    result_json: Optional[str] = None
     failure: Optional[CellFailure] = None
     #: the result document's ``summary`` (None for a crashed cell): what
     #: the sweep report reads, so a replay parses nothing else
     summary: Optional[Dict[str, Any]] = None
+    #: where the result document is: the cache entry holding it when the
+    #: sweep had a cache, else its text (None for a crashed cell)
+    document: Union[CacheEntry, str, None] = field(default=None, repr=False)
     _result: Optional[BenchmarkResult] = field(
         default=None, repr=False, compare=False)
 
     @property
+    def result_json(self) -> Optional[str]:
+        """The result document's text, None for a crashed cell.
+
+        Read from the cache entry on every call when the sweep had a
+        cache; raises :class:`~repro.sweep.cache.CacheEntryError` if the
+        entry has since been deleted or rewritten with other bytes.
+        """
+        if isinstance(self.document, CacheEntry):
+            return self.document.read()
+        return self.document
+
+    @property
     def result(self) -> Optional[BenchmarkResult]:
         """The parsed result (lazily deserialized), if the run produced one."""
-        if self._result is None and self.result_json is not None:
+        if self._result is None and self.summary is not None:
             self._result = BenchmarkResult.from_json(self.result_json)
         return self._result
 
@@ -124,7 +144,7 @@ class SweepResult:
     def results(self) -> Dict[str, BenchmarkResult]:
         """Label → result for every cell that produced one."""
         return {o.cell.label: o.result for o in self.outcomes
-                if o.result_json is not None}
+                if o.summary is not None}
 
     def summary_line(self) -> str:
         """The one-line verdict the CLI (and CI) key off."""
@@ -136,13 +156,13 @@ class SweepResult:
                 f"  workers: {self.workers}")
 
 
-def _outcome(cell: SweepCell, result_json: str, cached: bool,
+def _outcome(cell: SweepCell, summary: Dict[str, Any],
+             document: Union[CacheEntry, str], cached: bool,
              wall_seconds: float) -> CellOutcome:
-    """The outcome of a cell that produced *result_json*, fresh or cached.
+    """The outcome of a cell whose document has *summary*, fresh or cached.
 
-    Raises :class:`ValueError` if *result_json* is not a result document.
+    Raises :class:`KeyError` if *summary* lacks what a result's has.
     """
-    summary = BenchmarkResult.summary_from_json(result_json)
     failure = None
     if summary["status"] == "failed":
         failure = CellFailure(
@@ -152,13 +172,25 @@ def _outcome(cell: SweepCell, result_json: str, cached: bool,
                      f" commit_ratio={summary['commit_ratio']:.4f}"))
     return CellOutcome(
         cell=cell, status="done" if failure is None else "failed",
-        cached=cached, wall_seconds=wall_seconds, result_json=result_json,
-        failure=failure, summary=summary)
+        cached=cached, wall_seconds=wall_seconds, failure=failure,
+        summary=summary, document=document)
 
 
-def _execute_cell(cell: SweepCell) -> Tuple[int, Optional[str],
-                                            Optional[CellFailure], float]:
-    """Run one cell; never raises. Returns (index, json, crash, wall)."""
+#: what :func:`_execute_cell` returns: the cell's index, its wall time,
+#: and either the crash or the run's summary and document
+_Ran = Tuple[int, float, Optional[CellFailure], Optional[Dict[str, Any]],
+             Union[CacheEntry, str, None]]
+
+
+def _execute_cell(job: Tuple[SweepCell, Optional[ResultCache],
+                             Optional[str]]) -> _Ran:
+    """Run the cell of *job* = (cell, cache, key), in a worker or inline.
+
+    A crash is captured, never raised. With a cache, the document is
+    written to the cell's entry here and the entry is returned in its
+    place; only a failed write raises, as it would in the parent.
+    """
+    cell, cache, key = job
     start = time.perf_counter()
     options = cell.options
     try:
@@ -187,9 +219,14 @@ def _execute_cell(cell: SweepCell) -> Tuple[int, Optional[str],
             error_type=type(exc).__name__,
             message=str(exc),
             traceback_text=traceback.format_exc())
-        return cell.index, None, failure, time.perf_counter() - start
+        return cell.index, time.perf_counter() - start, failure, None, None
     wall = time.perf_counter() - start
-    return cell.index, result.to_json(), None, wall
+    text = result.to_json()
+    summary = BenchmarkResult.summary_from_json(text)
+    if cache is None:
+        return cell.index, wall, None, summary, text
+    entry = cache.put(key, cell_key_fields(cell), text)
+    return cell.index, wall, None, summary, entry
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1,
@@ -204,10 +241,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
       single-worker run.
     * With a *cache*, cells whose key is already on disk are replayed
       instantly; fresh results (including watchdog-failed ones, which are
-      deterministic outcomes) are written back. Crashed cells are never
-      cached. An entry the cache refuses, or whose body is not a result
-      document, is a miss (also counted in ``sweep.cache.corrupt``) and is
-      overwritten by the re-run.
+      deterministic outcomes) are written to their entries by whoever ran
+      them. Crashed cells are never cached. An entry the cache refuses, or
+      whose body is not a result document, is a miss (also counted in
+      ``sweep.cache.corrupt``) and is overwritten by the re-run. Every
+      outcome then holds its cache entry, not its document: the entry
+      must outlive the reads of ``result_json`` and ``result``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -254,10 +293,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
         if cache is not None:
             key = cell_key(cell)
             keys[cell.index] = key
-            cached_json = cache.get(key)
-            if cached_json is not None:
+            entry = cache.get(key)
+            if entry is not None:
                 try:
-                    hit = _outcome(cell, cached_json, cached=True,
+                    hit = _outcome(cell, entry.summary(), entry, cached=True,
                                    wall_seconds=0.0)
                 except (ValueError, KeyError):
                     # a body that is not a result document is a miss: the
@@ -272,26 +311,27 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     if cache is not None:
         corrupt_counter.inc(cache.corrupt - corrupt_before)
 
-    def ran(index: int, result_json: Optional[str],
-            crash: Optional[CellFailure], wall: float) -> None:
+    def ran(index: int, wall: float, crash: Optional[CellFailure],
+            summary: Optional[Dict[str, Any]],
+            document: Union[CacheEntry, str, None]) -> None:
         cell = cells[index]
         cell_wall.observe(wall)
-        if result_json is None:
+        if crash is not None:
             finish(CellOutcome(cell=cell, status="failed", cached=False,
                                wall_seconds=wall, failure=crash))
             return
-        if cache is not None:
-            cache.put(keys[index], cell_key_fields(cell), result_json)
-        finish(_outcome(cell, result_json, cached=False, wall_seconds=wall))
+        finish(_outcome(cell, summary, document, cached=False,
+                        wall_seconds=wall))
 
+    jobs = [(cell, cache, keys.get(cell.index)) for cell in pending]
     if workers == 1 or len(pending) <= 1:
-        for cell in pending:
-            emit(CellEvent("running", cell))
-            ran(*_execute_cell(cell))
+        for job in jobs:
+            emit(CellEvent("running", job[0]))
+            ran(*_execute_cell(job))
     else:
         pool_size = min(workers, len(pending))
         with multiprocessing.Pool(processes=pool_size) as pool:
-            for completed in pool.imap_unordered(_execute_cell, pending):
+            for completed in pool.imap_unordered(_execute_cell, jobs):
                 ran(*completed)
 
     ordered = [outcomes[i] for i in range(len(cells))]

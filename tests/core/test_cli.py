@@ -123,6 +123,36 @@ class TestSpecErrors:
         assert capsys.readouterr().err == (
             "repro: error: sweep.seeds[0]: expected an integer, got 'one'\n")
 
+    def test_sweep_output_dir_reads_each_entry_once(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """Testing whether a cell has a document reads none: only the
+        --output-dir copy reads an entry, once per cell."""
+        from repro.sweep.cache import CacheEntry
+
+        monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text("sweep:\n  chains: [quorum, solana]\n"
+                        "  configurations: [testnet]\n"
+                        "  workloads: [native-100]\n  scales: [0.05]\n")
+        reads = []
+        read = CacheEntry.read
+        monkeypatch.setattr(CacheEntry, "read",
+                            lambda entry: reads.append(entry) or read(entry))
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        for _ in ("cold", "warm"):
+            reads.clear()
+            assert main(["sweep", "--quiet", *cache, str(spec)]) == 0
+            assert reads == []
+        out = tmp_path / "out"
+        assert main(["sweep", "--quiet", *cache, "--output-dir", str(out),
+                     str(spec)]) == 0
+        assert len(reads) == 2
+        cells = json.loads((out / "sweep-summary.json").read_text())["cells"]
+        for cell, entry in zip(cells, reads):
+            assert (out / cell["file"]).read_bytes() == \
+                entry.path.read_bytes().split(b"\n", 1)[1]
+        capsys.readouterr()
+
     def test_run_rejects_a_link_fault_on_a_chain(self, tmp_path, capsys):
         # the chain model sends no messages, so a degraded link would be
         # reported as applied and change nothing

@@ -14,6 +14,7 @@ from repro.sweep import (
     load_sweep,
     spec_fingerprint,
 )
+from repro.sweep.cache import CHUNK_BYTES, CacheEntryError
 from repro.core.spec import load_spec
 
 SWEEP = """
@@ -64,6 +65,11 @@ def pinned_code_version(monkeypatch):
 def _single_cell(text: str = SWEEP):
     (cell,) = load_sweep(text).cells()
     return cell
+
+
+def _entry_files(directory):
+    """The entry files under a cache directory."""
+    return list(directory.glob("*/*.json"))
 
 
 class TestKeys:
@@ -118,8 +124,8 @@ class TestStore:
         cache = ResultCache(tmp_path)
         payload = '{"summary": {"chain": "quorum"}, "transactions": []}'
         cache.put("ab" + "0" * 62, {"chain": "quorum"}, payload)
-        assert cache.get("ab" + "0" * 62) == payload
-        assert cache.entries() == 1
+        assert cache.get("ab" + "0" * 62).read() == payload
+        assert len(_entry_files(tmp_path)) == 1
 
     def test_miss_returns_none(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -134,6 +140,9 @@ class TestStore:
         path = tmp_path / key[:2] / f"{key}.json"
         header = path.read_bytes().split(b"\n", 1)[0]
         version_2 = json.dumps({"key": key, "fields": {}}).encode()
+        # bodies past one chunk: digest and UTF-8 are checked to the end
+        long_body = b"a" * (2 * CHUNK_BYTES)
+        cut = long_body[:CHUNK_BYTES - 1] + b"\xc3(" + long_body[CHUNK_BYTES + 1:]
         for entry in (
                 b"not json {",
                 b"",                                    # empty file
@@ -148,13 +157,64 @@ class TestStore:
                 header + b"\n{",                        # truncated body
                 header + b"\n[]",                       # same length
                 header + b"\n\xff\xfe",                 # undecodable body
+                # the digest matches, but a character that starts at the
+                # end of the first chunk is not continued in the second
+                _header(key, cut) + b"\n" + cut,
+                # a flipped byte in the second chunk
+                _header(key, long_body) + b"\n" + long_body[:CHUNK_BYTES + 1]
+                + b"b" + long_body[CHUNK_BYTES + 2:],
         ):
             cache.put(key, {}, "{}")
-            assert cache.get(key) == "{}"
+            assert cache.get(key).read() == "{}"
             refused = cache.corrupt
             path.write_bytes(entry)
             assert cache.get(key) is None, entry
             assert cache.corrupt == refused + 1, entry
+
+    def test_a_character_across_a_chunk_boundary_is_a_hit(self, tmp_path):
+        """Chunks split characters; the decoder carries the cut bytes."""
+        cache = ResultCache(tmp_path)
+        key = "ab" + "2" * 62
+        # two-byte characters at odd offsets: the first chunk ends inside one
+        body = "x" + "\u00e9" * CHUNK_BYTES
+        cache.put(key, {}, body)
+        assert cache.get(key).read() == body
+        assert cache.corrupt == 0
+
+    def test_an_entry_is_read_again_when_asked(self, tmp_path):
+        """get() keeps no text: a read after the entry changes fails,
+        naming the entry, and never returns another document."""
+        cache = ResultCache(tmp_path)
+        key = "ab" + "3" * 62
+        path = tmp_path / key[:2] / f"{key}.json"
+        cache.put(key, {}, '{"first": 1}')
+        entry = cache.get(key)
+        first = path.read_bytes()
+        cache.put(key, {}, '{"second": 2}')              # another document
+        with pytest.raises(CacheEntryError, match=key):
+            entry.read()
+        with pytest.raises(CacheEntryError, match=key):
+            entry.summary()
+        path.write_bytes(first.replace(b"1}", b"2}"))    # the body edited
+        with pytest.raises(CacheEntryError, match=key):
+            entry.read()
+        path.unlink()
+        with pytest.raises(CacheEntryError, match=key):
+            entry.read()
+        path.write_bytes(first)                           # the same bytes
+        assert entry.read() == '{"first": 1}'
+
+    def test_summary_reads_past_the_first_piece(self, tmp_path):
+        """A summary longer than the first read still decodes."""
+        cache = ResultCache(tmp_path)
+        key = "ab" + "4" * 62
+        summary = {"chain": "quorum", "timeseries": [{"t": t, "x": "y" * 50}
+                                                     for t in range(5000)]}
+        body = ('{"summary": ' + json.dumps(summary)
+                + ', "transactions": []}')
+        assert len(body) > 4 * CHUNK_BYTES
+        cache.put(key, {}, body)
+        assert cache.get(key).summary() == summary
 
     def test_entry_is_a_header_line_then_the_verbatim_body(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -169,8 +229,16 @@ class TestStore:
             "key": key, "fields": {"chain": "quorum"},
             "sha256": hashlib.sha256(stored).hexdigest()}
         assert stored == body.encode()
-        assert cache.get(key) == body
+        assert cache.get(key).read() == body
         assert not list(tmp_path.glob("*/.*.tmp"))     # temp file renamed
 
     def test_entries_on_missing_directory(self, tmp_path):
-        assert ResultCache(tmp_path / "nowhere").entries() == 0
+        cache = ResultCache(tmp_path / "nowhere")
+        assert cache.get("ab" + "0" * 62) is None
+        assert _entry_files(tmp_path) == []
+
+
+def _header(key: str, body: bytes) -> bytes:
+    """The header line put() writes for *body*."""
+    return json.dumps({"key": key, "fields": {},
+                       "sha256": hashlib.sha256(body).hexdigest()}).encode()

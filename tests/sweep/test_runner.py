@@ -18,6 +18,7 @@ from repro.sweep import (
     cell_key_fields,
     run_sweep,
 )
+from repro.sweep.cache import CacheEntry, CacheEntryError
 from repro.workloads.traces import Trace
 
 FAST = dict(configurations=("testnet",), workloads=("native-100",),
@@ -50,7 +51,7 @@ def _damaged_entry_heals(tmp_path, monkeypatch, damage):
     assert second.metrics["sweep.cache.corrupt"] == 1
     assert second.metrics["sweep.cache.hits"] == 1
     assert second.metrics["sweep.cache.misses"] == 1
-    assert cache.get(cell_key(quorum.cell)) == quorum.result_json
+    assert cache.get(cell_key(quorum.cell)).read() == quorum.result_json
     third = run_sweep(spec, cache=cache)
     assert (third.cache_hits, third.metrics["sweep.cache.corrupt"]) == (2, 0)
 
@@ -118,12 +119,12 @@ class TestFailureIsolation:
         spec = SweepSpec(chains=("quorum",), configurations=("testnet",),
                          workloads=(crashing_trace(),), scales=(0.05,))
         run_sweep(spec, cache=cache)
-        assert cache.entries() == 0
+        assert list(tmp_path.glob("*/*.json")) == []
         # a failed-status run, by contrast, is a deterministic outcome
         spec = SweepSpec(chains=("quorum",), seeds=(1,),
                          options=CellOptions(max_sim_seconds=5.0), **FAST)
         run_sweep(spec, cache=cache)
-        assert cache.entries() == 1
+        assert len(list(tmp_path.glob("*/*.json"))) == 1
         (replay,) = run_sweep(spec, cache=cache).outcomes
         assert replay.cached and replay.status == "failed"
 
@@ -267,3 +268,69 @@ class TestCaching:
         kinds = []
         run_sweep(spec, progress=lambda e: kinds.append(e.kind))
         assert kinds == ["queued", "running", "done"]
+
+
+class TestDocumentLifetime:
+    """With a cache, a cell's document lives in its entry, not in memory."""
+
+    @pytest.fixture
+    def spec(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+        return SweepSpec(chains=("quorum", "solana"), seeds=(1,), **FAST)
+
+    @staticmethod
+    def _held_texts(outcome):
+        return [value for value in vars(outcome).values()
+                if isinstance(value, str) and value.startswith('{"summary"')]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_outcome_holds_its_document(self, spec, tmp_path, workers):
+        cache = ResultCache(tmp_path)
+        for sweep in (run_sweep(spec, workers=workers, cache=cache),
+                      run_sweep(spec, workers=workers, cache=cache)):
+            for outcome in sweep.outcomes:
+                assert isinstance(outcome.document, CacheEntry)
+                assert self._held_texts(outcome) == []
+                assert outcome.result_json.startswith('{"summary"')
+                assert self._held_texts(outcome) == []   # read, not kept
+
+    def test_documents_are_the_same_bytes_however_they_ran(self, spec,
+                                                           tmp_path):
+        uncached = run_sweep(spec).outcomes
+        assert all(isinstance(o.document, str) for o in uncached)
+        without = [o.result_json for o in uncached]
+        for workers in (1, 2):
+            cache = ResultCache(tmp_path / f"workers-{workers}")
+            for _ in ("cold", "warm"):
+                sweep = run_sweep(spec, workers=workers, cache=cache)
+                assert [o.result_json for o in sweep.outcomes] == without
+
+    @pytest.mark.parametrize("damage", ["deleted", "rewritten"])
+    def test_a_changed_entry_is_an_error_naming_it(self, spec, tmp_path,
+                                                   damage):
+        quorum, solana = run_sweep(spec, cache=ResultCache(tmp_path)).outcomes
+        path = quorum.document.path
+        if damage == "deleted":
+            path.unlink()
+        else:
+            path.write_bytes(solana.document.path.read_bytes())
+        with pytest.raises(CacheEntryError, match=path.name):
+            quorum.result_json
+        with pytest.raises(CacheEntryError, match=path.name):
+            quorum.result
+        assert solana.result.chain == "solana"
+
+    def test_a_watchdog_failed_cell_replays_as_failed(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+        cache = ResultCache(tmp_path)
+        spec = SweepSpec(chains=("quorum",), seeds=(1,),
+                         options=CellOptions(max_sim_seconds=5.0), **FAST)
+        cold, warm = (run_sweep(spec, cache=cache).outcomes[0]
+                      for _ in ("cold", "warm"))
+        assert (cold.cached, warm.cached) == (False, True)
+        for outcome in (cold, warm):
+            assert outcome.status == "failed"
+            assert outcome.failure.kind == "watchdog"
+            assert outcome.result.status == "failed"
+        assert warm.result_json == cold.result_json
