@@ -30,7 +30,9 @@ full scale.
 from __future__ import annotations
 
 import os
+from weakref import WeakMethod
 from dataclasses import dataclass, field, replace
+from functools import partial
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
@@ -62,7 +64,7 @@ from repro.common.errors import (
 from repro.common.rng import RngFactory
 from repro.consensus.models import BlockAttempt, WanProfile
 from repro.crypto.signing import ECDSA
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, weak_supplier
 from repro.sim.machine import Machine
 from repro.vm.machines import VM_FACTORIES
 
@@ -243,14 +245,19 @@ class BlockchainNetwork:
         self._drop_counters: Dict[str, Counter] = {}
         self._blocks_failed = chain_metrics.counter("blocks_failed")
         self._view_changes = chain_metrics.counter("view_changes")
-        chain_metrics.gauge("height", supplier=lambda: self.ledger.height)
-        chain_metrics.gauge("committed_total",
-                            supplier=lambda: len(self.committed))
-        chain_metrics.gauge(
-            "dropped_total",
-            supplier=lambda: len(self.dropped) + self.dropped_unbuilt)
-        chain_metrics.gauge("memory_pressure", supplier=lambda: (
-            0.0 if self.overload is None else self.overload.memory_pressure))
+        # a supplier reads a state object the network owns, or holds the
+        # network weakly: closing over the network would tie the whole run
+        # into a cycle through the registry the network owns
+        chain_metrics.gauge("height",
+                            supplier=partial(getattr, self.ledger, "height"))
+        chain_metrics.gauge("committed_total", supplier=self.committed.__len__)
+        chain_metrics.gauge("dropped_total", supplier=weak_supplier(
+            self, attrgetter("dropped_total")))
+        if self.overload is None:
+            chain_metrics.gauge("memory_pressure").set(0.0)
+        else:
+            chain_metrics.gauge("memory_pressure", supplier=partial(
+                getattr, self.overload, "memory_pressure"))
         self._committed_height = 0
         self._commit_listeners: List[
             Callable[[List[Transaction]], None]] = []
@@ -284,6 +291,11 @@ class BlockchainNetwork:
     def drop_reasons(self) -> Dict[str, int]:
         """Per-reason counts of client-visible drops."""
         return self._chain_metrics.counters_with_prefix("drops")
+
+    @property
+    def dropped_total(self) -> int:
+        """Client-visible drops, built or not."""
+        return len(self.dropped) + self.dropped_unbuilt
 
     @property
     def blocks_failed(self) -> int:
@@ -364,7 +376,9 @@ class BlockchainNetwork:
         model = build_fee_model(policy, self._fee_gas_target(policy))
         self.fee_market = FeeMarket(model, self.metrics.namespace("fees"))
         self.mempool.pricer = model
-        self.mempool.on_evict = self._on_fee_evicted
+        # the pool holds the network weakly, as the network owns the pool
+        on_fee_evicted = WeakMethod(self._on_fee_evicted)
+        self.mempool.on_evict = lambda tx: on_fee_evicted()(tx)
         retry = RetryPolicy() if self.retries is None else self.retries.policy
         self.retries = ClientRetries(self, retry.with_fees(spec))
 
@@ -372,7 +386,7 @@ class BlockchainNetwork:
         """An underpriced resident was priced out of the pool: its owner
         re-bids like after any other rejection, and with its attempts
         exhausted the eviction becomes a client-visible drop."""
-        if not self.retries.after_eviction(tx):
+        if not self.retries.after_eviction(self, tx):
             self._record_drop(tx, "fee_evicted")
 
     def _quorum_available(self) -> bool:
@@ -513,7 +527,8 @@ class BlockchainNetwork:
                     self._ensure_production()
                 accepted += 1
                 continue
-            will_retry = retries is not None and retries.schedule(tx, attempt)
+            will_retry = (retries is not None
+                          and retries.schedule(self, tx, attempt))
             if tracer is not None:
                 tracer.tx_rejected(tx, now, reason, will_retry)
             if not will_retry:
@@ -561,9 +576,18 @@ class BlockchainNetwork:
         (see :meth:`_commit_block`)."""
         self._commit_listeners.append(listener)
 
+    def off_commit(self, listener: Callable[[List[Transaction]], None]
+                   ) -> None:
+        """Stop calling *listener*, which :meth:`on_commit` added."""
+        self._commit_listeners.remove(listener)
+
     def on_drop(self, listener: Callable[[Transaction], None]) -> None:
         """Observe every client-visible drop (see :meth:`_record_drop`)."""
         self._drop_listeners.append(listener)
+
+    def off_drop(self, listener: Callable[[Transaction], None]) -> None:
+        """Stop calling *listener*, which :meth:`on_drop` added."""
+        self._drop_listeners.remove(listener)
 
     # -- block production --------------------------------------------------------------------
 
@@ -588,7 +612,7 @@ class BlockchainNetwork:
         self._expire_pool(now)
         overload = self.overload
         if overload is not None:
-            overload.update(now)
+            overload.update(self, now)
         if not self._quorum_available():
             # the fault schedule took out too many validators (or split
             # them): no side of the network can assemble a commit quorum,
@@ -808,7 +832,7 @@ class BlockchainNetwork:
             return
         retries = self.retries
         for tx in self.mempool.drop_expired(now, self.params.tx_expiry):
-            if retries is None or not retries.after_expiry(tx):
+            if retries is None or not retries.after_expiry(self, tx):
                 self._record_drop(tx, "expired")
 
     # -- results ----------------------------------------------------------------------------------
@@ -817,7 +841,7 @@ class BlockchainNetwork:
         stats: Dict[str, float] = {
             "height": self.ledger.height,
             "committed": len(self.committed),
-            "dropped": len(self.dropped) + self.dropped_unbuilt,
+            "dropped": self.dropped_total,
             "pending": len(self.mempool),
             "blocks_failed": self.blocks_failed,
             "view_changes": self._view_changes.value,

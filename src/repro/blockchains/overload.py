@@ -88,12 +88,14 @@ class OverloadResponse:
 
     Owns the memory pressure, its peak and the ``overload_events`` record.
     A stall or shed holds while any node is past high water (hysteresis
-    included); the block pipeline checks :attr:`stalled`.
+    included); the block pipeline checks :attr:`stalled`. It keeps no
+    reference to its network, which owns it and passes itself to
+    :meth:`update`.
     """
 
     def __init__(self, network: BlockchainNetwork,
                  policy: OverloadPolicy) -> None:
-        self.network = network
+        self._chain = network.params.name
         self.policy = policy
         for machine in network.machines:
             machine.memory.high_water = policy.high_water
@@ -106,7 +108,7 @@ class OverloadResponse:
         #: commit stall: consensus makes no progress while set
         self.stalled = False
 
-    def update(self, now: float) -> None:
+    def update(self, network: BlockchainNetwork, now: float) -> None:
         """Re-price every node's memory footprint; fire the response.
 
         The categories are :class:`OverloadPolicy`'s: ``mempool`` (the
@@ -117,7 +119,6 @@ class OverloadResponse:
         round; jittered per-node capacity margins stagger when each
         crosses its own high-water mark.
         """
-        network = self.network
         policy = self.policy
         factor = network.scale.factor
         pending = len(network.mempool) / factor
@@ -142,7 +143,7 @@ class OverloadResponse:
         self.memory_pressure = pressure
         self.peak_memory_pressure = max(self.peak_memory_pressure, pressure)
         if policy.response == "oom_crash":
-            self._oom_crash(now)
+            self._oom_crash(network, now)
         elif high != self._engaged:
             self._engaged = high
             if policy.response == "commit_stall":
@@ -162,13 +163,12 @@ class OverloadResponse:
 
     def _event(self, now: float, kind: str, **extra: Any) -> None:
         self.events.append({"at": round(now, 3), "kind": kind,
-                            "chain": self.network.params.name,
+                            "chain": self._chain,
                             "pressure": round(self.memory_pressure, 3),
                             **extra})
 
-    def _oom_crash(self, now: float) -> None:
+    def _oom_crash(self, network: BlockchainNetwork, now: float) -> None:
         """Solana-style: validators past their high-water mark OOM-crash."""
-        network = self.network
         for index, machine in enumerate(network.machines):
             if machine.memory.state != "high":
                 continue

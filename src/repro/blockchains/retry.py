@@ -18,6 +18,7 @@ if TYPE_CHECKING:
     from repro.blockchains.base import BlockchainNetwork
     from repro.chain.transaction import Transaction
     from repro.econ.fees import FeeSpec
+    from repro.econ.market import FeeMarket
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,13 @@ def attempts_for(tx: Transaction) -> int:
 
 class ClientRetries:
     """Resubmits rejected, expired and evicted transactions under one
-    :class:`RetryPolicy`, counting each in ``chain.retries_scheduled``."""
+    :class:`RetryPolicy`, counting each in ``chain.retries_scheduled``.
+
+    Keeps no reference to its network, which owns it and passes itself
+    to each call."""
 
     def __init__(self, network: BlockchainNetwork,
                  policy: RetryPolicy) -> None:
-        self.network = network
         self.policy = policy
         self._scheduled = network.metrics.counter("chain.retries_scheduled")
         self._rng = network.rng.stream("client", "retry-jitter")
@@ -111,40 +114,43 @@ class ClientRetries:
         # fee-bump cap across resubmissions
         self._fee_anchors: Dict[int, Tuple[int, int]] = {}
 
-    def schedule(self, tx: Transaction, attempt: int) -> bool:
-        """Back off and resubmit *tx*, whose submission *attempt* just
-        failed, if the policy allows another try."""
+    def schedule(self, network: BlockchainNetwork, tx: Transaction,
+                 attempt: int) -> bool:
+        """Back off and resubmit *tx* to *network*, whose submission
+        *attempt* just failed, if the policy allows another try."""
         policy = self.policy
         if attempt >= policy.max_attempts:
             return False
         delay = policy.backoff(attempt, self._rng)
         self._scheduled.inc()
-        network = self.network
-        network.engine.schedule_after(delay, lambda: self._resubmit(tx),
-                                      label=f"{network.params.name}-retry")
+        network.engine.schedule_after(
+            delay, lambda: self._resubmit(network, tx),
+            label=f"{network.params.name}-retry")
         return True
 
-    def after_eviction(self, tx: Transaction) -> bool:
+    def after_eviction(self, network: BlockchainNetwork,
+                       tx: Transaction) -> bool:
         """Re-bid for *tx*, which the pool let go of, if attempts remain."""
-        return self.schedule(tx, max(1, attempts_for(tx)))
+        return self.schedule(network, tx, max(1, attempts_for(tx)))
 
-    def after_expiry(self, tx: Transaction) -> bool:
+    def after_expiry(self, network: BlockchainNetwork,
+                     tx: Transaction) -> bool:
         """Resubmit a pool-expired *tx* if the policy does."""
-        return self.policy.resubmit_on_expiry and self.after_eviction(tx)
+        return (self.policy.resubmit_on_expiry
+                and self.after_eviction(network, tx))
 
-    def _resubmit(self, tx: Transaction) -> None:
-        network = self.network
+    def _resubmit(self, network: BlockchainNetwork, tx: Transaction) -> None:
         if tx.aborted or tx.committed_at is not None or tx in network.mempool:
             return
         if network.fee_market is not None:
-            self._bump_fee(tx)
+            self._bump_fee(network.fee_market, tx)
         if network.params.tx_expiry is not None:
             # a resubmitting client re-reads the chain head first, exactly
             # the Solana recent-blockhash refresh loop (§5.2)
             tx.recent_block_hash = network.ledger.head.block_hash
         network.submit_batch((tx,))
 
-    def _bump_fee(self, tx: Transaction) -> None:
+    def _bump_fee(self, market: FeeMarket, tx: Transaction) -> None:
         """Raise *tx*'s bid before resubmission, within the cumulative cap.
 
         The cap anchors to the transaction's *original* price, so repeated
@@ -155,7 +161,7 @@ class ClientRetries:
         """
         policy = self.policy
         if (policy.fee_bump <= 1.0
-                or self.network.fee_market.label_for(tx.sender) != HONEST):
+                or market.label_for(tx.sender) != HONEST):
             return
         anchor = self._fee_anchors.setdefault(tx.uid, (tx.fee_per_gas, tx.tip))
         cap_fee = max(anchor[0],

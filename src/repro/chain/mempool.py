@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.common.errors import (
@@ -32,7 +33,7 @@ from repro.common.errors import (
     SenderQuotaError,
     UnderpricedError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, weak_supplier
 
 if TYPE_CHECKING:
     from repro.chain.transaction import Transaction
@@ -80,8 +81,8 @@ class Mempool:
         # a plain int, so admitting or evicting calls no Gauge.add; the
         # gauge reads it on demand
         self._resident_bytes = 0
-        self._metrics.gauge("resident_bytes",
-                            supplier=lambda: self._resident_bytes)
+        self._metrics.gauge("resident_bytes", supplier=weak_supplier(
+            self, attrgetter("_resident_bytes")))
         self._metrics.gauge("resident", supplier=self._pool.__len__)
         self.last_drop_reason: Optional[str] = None
         # a fee market (duck-typed: floor() and effective_price(tx)) makes

@@ -10,6 +10,8 @@ perturb the others.
 from __future__ import annotations
 
 import hashlib
+import itertools
+from typing import Callable
 
 import numpy as np
 
@@ -73,25 +75,18 @@ class BlockSampler:
     True
     """
 
-    __slots__ = ("_draw", "_block", "_buffer", "_index")
+    __slots__ = ("next",)
 
     def __init__(self, stream: np.random.Generator, distribution: str,
                  *params: float, block: int = BLOCK_DRAW) -> None:
         if block < 1:
             raise ValueError(f"block size must be >= 1, got {block}")
         method = getattr(stream, distribution)
-        self._draw = lambda n: method(*params, n)
-        self._block = block
-        self._buffer: list = []
-        self._index = 0
-
-    def next(self) -> float:
-        """The next value of the stream, as a Python float."""
-        index = self._index
-        buffer = self._buffer
-        if index >= len(buffer):
-            # ndarray.tolist() yields exact Python floats (no rounding)
-            buffer = self._buffer = self._draw(self._block).tolist()
-            index = 0
-        self._index = index + 1
-        return buffer[index]
+        # ndarray.tolist() yields exact Python floats (no rounding); a
+        # block is drawn when the one before it runs out
+        blocks = iter(lambda: method(*params, block).tolist(), None)
+        #: the next value of the stream, as a Python float: a C iterator's
+        #: ``__next__``, so a draw runs no Python frame (and holds no
+        #: reference back to the sampler)
+        self.next: Callable[[], float] = (
+            itertools.chain.from_iterable(blocks).__next__)

@@ -54,9 +54,14 @@ class Message:
     size: int = VOTE_MESSAGE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Decision:
-    """A committed value: (height/slot, value, deciding node, time)."""
+    """A committed value: (height/slot, value, deciding node, time).
+
+    Treated as immutable, and hashed by value like a frozen dataclass, but
+    not frozen: a frozen one pays an ``object.__setattr__`` per field on
+    construction, once per replica per decided value.
+    """
 
     height: int
     value: Any

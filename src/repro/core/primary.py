@@ -304,6 +304,11 @@ class Primary:
         watchdog.stop()
         if self._sampler is not None:
             self._sampler.stop()
+        if self.adversary is not None:
+            self.adversary.stop()
+        # a finished run is never resumed: what is still pending (the next
+        # block, a retry, a tick) would only keep the run in a cycle
+        self.engine.clear()
         deadline_hit = (deadline is not None and deadline < duration + drain
                         and self.engine.now >= deadline)
         if deadline_hit:

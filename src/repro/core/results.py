@@ -104,7 +104,7 @@ class _TailTexts(dict):
     because ``-0.0 == 0.0`` while the two encode apart; such a row is
     encoded on its own. The other fields encode by value at their
     declared types. One instance lives for one
-    :meth:`BenchmarkResult.to_json` call, because ``records`` is a public
+    :meth:`BenchmarkResult.json_parts` call, because ``records`` is a public
     list that callers may edit between calls.
     """
 
@@ -408,19 +408,28 @@ class BenchmarkResult:
     def to_json(self) -> str:
         """The run's JSON file: ``{"summary": ..., "transactions": [...]}``.
 
-        Byte-for-byte what ``json.dumps`` of the whole payload writes. A
-        row is its uid plus the text of its other nine fields, its tail.
-        Every transaction that entered in the same tick and committed in
-        the same block shares a tail, so each distinct tail's text, up to
-        the next row's uid, is encoded once per call (:class:`_TailTexts`),
-        and the document is one join of two pieces per row: the uid's
-        digits and that text. The returned string is the only full copy
-        of the rows.
+        Byte-for-byte what ``json.dumps`` of the whole payload writes: one
+        join of :meth:`json_parts`. The returned string is the only full
+        copy of the rows.
+        """
+        return "".join(self.json_parts())
+
+    def json_parts(self) -> List[str]:
+        """The pieces whose concatenation is :meth:`to_json`'s document.
+
+        The head (the summary, up to the first row's uid), then two pieces
+        per row: the uid's digits and the text of its other nine fields,
+        its tail, up to the next row's uid; the last row's tail closes the
+        document. Every transaction that entered in the same tick and
+        committed in the same block shares a tail, so each distinct tail's
+        text is encoded once per call (:class:`_TailTexts`) and shared. A
+        result cache writes these pieces to its entry a slice at a time,
+        never holding the whole document.
         """
         records = self.records
         head = _SUMMARY_OPEN + json.dumps(self.summary()) + _SUMMARY_CLOSE
         if not records:
-            return head + _DOCUMENT_CLOSE
+            return [head + _DOCUMENT_CLOSE]
         keys = zip(map(_tail, records),
                    map(type, map(_submitted_at, records)),
                    map(type, map(_committed_at, records)))
@@ -429,7 +438,7 @@ class BenchmarkResult:
             map(str, map(_uid, records)), map(_TailTexts().__getitem__, keys)))
         # the last row closes the document instead of opening another row
         parts[-1] = parts[-1][:-len(_ROW_JOIN)] + _DOCUMENT_CLOSE
-        return "".join(parts)
+        return parts
 
     @staticmethod
     def summary_from_json(text: str) -> Dict[str, Any]:

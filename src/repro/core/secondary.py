@@ -27,6 +27,7 @@ cost of a tick then follows what is admitted, not what is offered.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -197,6 +198,10 @@ class Secondary:
                 record(txs, batch, accepted)
             t += tick
             if t < duration:
-                engine.schedule_after(tick, emit, label=emit_label)
+                engine.schedule_after(tick, lane(), label=emit_label)
 
+        # the loop reaches itself through a weak reference (alive while it
+        # runs, as the engine holds it): a closure naming itself would be a
+        # cycle holding the whole run
+        lane = weakref.ref(emit)
         engine.schedule_after(0.0, emit, label=label + "start")

@@ -94,7 +94,9 @@ class LivenessWatchdog:
         return self._stalled
 
     def stop(self) -> None:
+        """Stop checking and stop listening to the network's commits."""
         self._task.stop()
+        self.network.off_commit(self._on_commit)
 
     def finalize(self) -> str:
         """Run status verdict: ``failed`` / ``degraded`` / ``ok``.

@@ -21,6 +21,7 @@ module is the same layer for the reproduction — see also
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
@@ -82,6 +83,26 @@ class Gauge:
         if self._supplier is not None:
             return self._supplier()
         return self._value
+
+
+def weak_supplier(owner: Any, read: Callable[[Any], Number]
+                  ) -> Callable[[], Number]:
+    """A gauge supplier returning ``read(owner)`` without keeping *owner*
+    alive; it reads 0 once *owner* is gone.
+
+    A component that registers into a namespace it holds, with a supplier
+    closing over itself, makes a reference cycle (registry, gauge,
+    supplier, component, namespace, registry) that only the cyclic
+    collector frees, and with it everything the component holds. A
+    supplier that reads a state object the component owns (its ledger,
+    its pool) closes no cycle and needs no weak reference.
+    """
+    ref = weakref.ref(owner)
+
+    def supplier() -> Number:
+        target = ref()
+        return 0 if target is None else read(target)
+    return supplier
 
 
 class Histogram:

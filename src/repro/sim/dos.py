@@ -25,10 +25,12 @@ pure function of the current fee floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.chain.transaction import transfer
 from repro.common.errors import SpecError
+from repro.obs.metrics import weak_supplier
 
 if TYPE_CHECKING:
     from repro.blockchains.base import BlockchainNetwork
@@ -101,8 +103,12 @@ class DoSAdversary:
         self._committed = metrics.counter("committed")
         self._dropped = metrics.counter("dropped")
         self._skipped_broke = metrics.counter("skipped_budget")
-        metrics.gauge("reserved", supplier=lambda: self._reserved)
-        metrics.gauge("budget_left", supplier=self._budget_left)
+        # held weakly: the registry is the network's, and the network
+        # must not keep its adversary alive
+        metrics.gauge("reserved",
+                      supplier=weak_supplier(self, attrgetter("_reserved")))
+        metrics.gauge("budget_left", supplier=weak_supplier(
+            self, DoSAdversary._budget_left))
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -118,6 +124,11 @@ class DoSAdversary:
         self.network.engine.schedule_after(
             self.spec.start, self._tick,
             label=f"{self.network.params.name}-adversary")
+
+    def stop(self) -> None:
+        """Stop listening to the network's commits and drops."""
+        self.network.off_commit(self._on_commit)
+        self.network.off_drop(self._on_drop)
 
     def _stop_at(self) -> float:
         stop = self.duration if self.spec.stop is None else self.spec.stop

@@ -175,6 +175,16 @@ class Engine:
             heapq.heapify(queue)
             cancelled.clear()
 
+    def clear(self) -> None:
+        """Drop every pending event, cancelled or not, for good.
+
+        For a finished run, which is never resumed: its pending callbacks
+        hold the components that hold this engine, a cycle that only the
+        cyclic collector would otherwise free.
+        """
+        self._queue.clear()
+        self._cancelled.clear()
+
     # -- execution ---------------------------------------------------------------
 
     def run(self, until: Optional[float] = None,
@@ -255,8 +265,11 @@ class PeriodicTask:
         return self._stopped
 
     def stop(self) -> None:
+        """Stop for good, and let go of the callback: an owner that holds
+        its task and passed its own method is then no longer in a cycle."""
         self._stopped = True
         self._handle.cancel()
+        self._callback = None
 
     def _tick(self) -> None:
         if self._stopped:

@@ -18,6 +18,7 @@ the NASDAQ peak, Diem ceasing to commit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -155,8 +156,10 @@ class Machine:
                          else MetricsRegistry().namespace("machine"))
         self._cpu_seconds = self._metrics.counter("cpu_seconds")
         self._jobs = self._metrics.counter("jobs_executed")
+        # reads the ledger, not the machine: a supplier closing over the
+        # machine would tie it into a cycle through the registry
         self._metrics.gauge("memory_pressure",
-                            supplier=lambda: self.memory.pressure)
+                            supplier=partial(getattr, self.memory, "pressure"))
 
     @property
     def name(self) -> str:

@@ -24,6 +24,14 @@ entry of an older format are all misses (counted in
 written atomically (temp file + rename), so concurrent sweeps sharing a
 cache directory cannot corrupt each other.
 
+A fresh document is streamed into its entry: :meth:`ResultCache.put`
+takes the pieces a result's JSON is joined from and writes them a slice
+at a time, hashing each slice as it goes. The header's digest is the
+last value of its one line and is always 64 hex characters, so the
+header is written first with a placeholder of that length and the digest
+is written over it once the body is in: the entry is byte for byte what
+writing the joined text would have made.
+
 A hit is a :class:`CacheEntry`, not the document: :meth:`ResultCache.get`
 verifies the body as a stream of chunks and keeps none of it, and the
 entry reads the document's summary, or the whole text, from disk when
@@ -40,9 +48,10 @@ import os
 import tempfile
 from contextlib import contextmanager
 from functools import lru_cache, partial
+from itertools import islice
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, BinaryIO, Dict, Iterator, Optional,
-                    Union)
+from typing import (TYPE_CHECKING, Any, BinaryIO, Dict, Iterable, Iterator,
+                    Optional, Union)
 
 from repro.core.results import BenchmarkResult
 
@@ -59,6 +68,12 @@ CHUNK_BYTES = 1 << 16
 #: bytes of a body's end :meth:`CacheEntry.summary` reads (a result
 #: document ends with ``]}``)
 _TAIL_BYTES = 16
+#: pieces of a document :meth:`ResultCache.put` joins, encodes and hashes
+#: per write (a result row is two pieces, about 200 bytes)
+PUT_PARTS = 1 << 12
+#: what :meth:`ResultCache.put` writes in the header before the body's
+#: digest is known: a SHA-256 hex digest is always this long
+_PLACEHOLDER = "0" * 64
 
 
 def _canonical(value: Any) -> Any:
@@ -296,20 +311,42 @@ class ResultCache:
         return entry
 
     def put(self, key: str, fields: Dict[str, Any],
-            result_json: str) -> CacheEntry:
-        """Store *result_json* under *key*, atomically and verbatim."""
+            document: Union[str, Iterable[str]]) -> CacheEntry:
+        """Store *document* under *key*, atomically and verbatim.
+
+        *document* is the text, or pieces whose concatenation is the text
+        (:meth:`~repro.core.results.BenchmarkResult.json_parts`). Pieces
+        are written :data:`PUT_PARTS` at a time, each slice encoded and
+        hashed as it goes, so the whole text never exists at once; the
+        header is written first with a placeholder digest of the same
+        length, which is overwritten once the body is in. A source that
+        raises leaves no entry and no temporary file.
+        """
+        if isinstance(document, str):
+            document = (document,)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        body = result_json.encode("utf-8")
-        entry = CacheEntry(path, hashlib.sha256(body).hexdigest())
         header = json.dumps({"key": key, "fields": fields,
-                             "sha256": entry.sha256})
+                             "sha256": _PLACEHOLDER}).encode("utf-8")
+        # the digest is the header's last value: it ends '..."}'
+        digest_at = len(header) - len(_PLACEHOLDER) - 2
+        digest = hashlib.sha256()
+        parts = iter(document)
         descriptor, temp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
         try:
             with os.fdopen(descriptor, "wb") as handle:
-                handle.write(header.encode("utf-8") + b"\n")
-                handle.write(body)
+                handle.write(header + b"\n")
+                while True:
+                    piece = list(islice(parts, PUT_PARTS))
+                    if not piece:
+                        break
+                    chunk = "".join(piece).encode("utf-8")
+                    digest.update(chunk)
+                    handle.write(chunk)
+                entry = CacheEntry(path, digest.hexdigest())
+                handle.seek(digest_at)
+                handle.write(entry.sha256.encode("ascii"))
             os.replace(temp_name, path)
         except BaseException:
             try:

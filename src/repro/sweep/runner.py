@@ -10,10 +10,13 @@ watchdog-failed run is captured as a typed :class:`CellFailure`; it never
 takes the sweep down with it.
 
 Cache discipline: the parent process resolves hits before dispatching
-(hits are instant replays, no worker involved). A miss is written to its
-cache entry by whoever ran it, a worker or the parent inline, so a
-document never crosses the pool's result pipe: the worker sends back
-the summary and the :class:`~repro.sweep.cache.CacheEntry` it wrote.
+(hits are instant replays, no worker involved). A miss is streamed into
+its cache entry by whoever ran it, a worker or the parent inline, so a
+document never crosses the pool's result pipe and is never whole in
+memory: the worker sends back the summary, read back from the entry by
+the parser a hit uses, and the :class:`~repro.sweep.cache.CacheEntry` it
+wrote. A finished run leaves no reference cycle, so its cell is freed
+before the worker runs the next one.
 
 A cell's outcome is built in one place, :func:`_outcome`, from the
 document's summary, whether a worker just produced it or the cache
@@ -221,12 +224,13 @@ def _execute_cell(job: Tuple[SweepCell, Optional[ResultCache],
             traceback_text=traceback.format_exc())
         return cell.index, time.perf_counter() - start, failure, None, None
     wall = time.perf_counter() - start
-    text = result.to_json()
-    summary = BenchmarkResult.summary_from_json(text)
     if cache is None:
-        return cell.index, wall, None, summary, text
-    entry = cache.put(key, cell_key_fields(cell), text)
-    return cell.index, wall, None, summary, entry
+        text = result.to_json()
+        return (cell.index, wall, None,
+                BenchmarkResult.summary_from_json(text), text)
+    # streamed: the document's text is never whole in memory
+    entry = cache.put(key, cell_key_fields(cell), result.json_parts())
+    return cell.index, wall, None, entry.summary(), entry
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1,

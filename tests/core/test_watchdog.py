@@ -20,6 +20,9 @@ class StubNetwork:
     def on_commit(self, listener):
         self._listeners.append(listener)
 
+    def off_commit(self, listener):
+        self._listeners.remove(listener)
+
     def __len__(self):
         return self._pending
 

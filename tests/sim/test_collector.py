@@ -12,6 +12,10 @@ So each kind of traffic is run with the collector paused, and
 behind, with the run's own objects still held. That count must not grow
 with the transactions: a per-transaction reference cycle fails here
 instead of piling up during every run.
+
+Once the run and its result are dropped, nothing at all may be left for
+the collector: no cycle spans a finished run, so a process that runs one
+after another (a sweep worker) frees each by reference counting.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from repro.core.primary import Primary
 from repro.core.results import BenchmarkResult
 from repro.core.spec import (AccountSample, LoadSchedule, TransferSpec,
                              WorkloadSpec, load_spec, simple_spec)
+from repro.core.watchdog import LivenessWatchdog
 from repro.sim.engine import collector_paused
+from repro.workloads.registry import workload_registry
 
 SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 #: the most cyclic garbage one run may leave: the first run in a process
@@ -116,6 +122,15 @@ class TestScope:
         assert any(item is survivor for item in oldest) is caller_state
 
 
+#: an example spec and a chain that runs it, for each spec
+EXAMPLE_RUNS = pytest.mark.parametrize("name, chain", [
+    ("crash-and-recover", "quorum"), ("overload", "solana"),
+    ("overload", "ethereum"), ("dos", "ethereum"), ("dos", "algorand"),
+    ("byzantine", "quorum"), ("partition", "quorum"),
+    ("population", "ethereum"), ("transfer", "ethereum")])
+CHAINS = ("algorand", "avalanche", "diem", "ethereum", "quorum", "solana")
+
+
 def cyclic_garbage_after(run: Callable[[], object]) -> Tuple[int, object]:
     """The unreachable objects ``run()`` leaves, its result still held."""
     gc.collect()
@@ -144,11 +159,7 @@ class TestCyclicGarbage:
                 len(large_result.records)) == (510, 2040)
         assert small == large <= MAX_CYCLIC_GARBAGE
 
-    @pytest.mark.parametrize("name, chain", [
-        ("crash-and-recover", "quorum"), ("overload", "solana"),
-        ("overload", "ethereum"), ("dos", "ethereum"), ("dos", "algorand"),
-        ("byzantine", "quorum"), ("partition", "quorum"),
-        ("population", "ethereum"), ("transfer", "ethereum")])
+    @EXAMPLE_RUNS
     def test_each_example_spec(self, name, chain):
         spec = load_spec((SPECS / f"{name}.yaml").read_text())
         found, (_, result) = cyclic_garbage_after(
@@ -171,3 +182,53 @@ class TestCyclicGarbage:
         found, harness = cyclic_garbage_after(run)
         assert harness.decisions
         assert found <= MAX_CYCLIC_GARBAGE
+
+
+def garbage_after_dropping(run: Callable[[], object]) -> int:
+    """The unreachable objects ``run()`` leaves once its result is dropped.
+
+    The collector stays paused throughout, so the run's own exit cannot
+    collect anything on its behalf: whatever a cycle holds is counted.
+    """
+    gc.collect()
+    with collector_paused():
+        run()
+        return gc.collect()
+
+
+class TestADiscardedRunLeavesNothing:
+    """Dropping a run's Primary and its result frees the whole run by
+    reference counting: no reference cycle spans a finished run, so a
+    sweep worker holds one cell at a time without a cyclic collection."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def warm_up(self):
+        # the first run in a process leaves its one-off set-up
+        garbage_after_dropping(chain_run("diem", transfers(100), drain=5))
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_each_chain(self, chain):
+        spec = workload_registry()["native-1000"].spec(accounts=2_000)
+        assert garbage_after_dropping(chain_run(chain, spec, scale=0.05)) == 0
+
+    @EXAMPLE_RUNS
+    def test_each_example_spec(self, name, chain):
+        spec = load_spec((SPECS / f"{name}.yaml").read_text())
+        assert garbage_after_dropping(chain_run(chain, spec, scale=0.05)) == 0
+
+    def test_a_stopped_watchdog_hears_no_commit(self):
+        heard = {}
+
+        class Listening(LivenessWatchdog):
+            def _on_commit(self, txs) -> None:
+                heard[self] = heard.get(self, 0) + 1
+                super()._on_commit(txs)
+
+        primary = Primary("diem", "testnet", scale=1.0, seed=1)
+        stopped = Listening(primary.engine, primary.network)
+        running = Listening(primary.engine, primary.network)
+        stopped.stop()
+        result = primary.run(transfers(20), drain=2)
+        assert result.commit_ratio > 0
+        assert heard.get(running, 0) > 0
+        assert stopped not in heard

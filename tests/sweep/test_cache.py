@@ -7,15 +7,17 @@ import json
 
 import pytest
 
+from repro.core.results import BenchmarkResult, TransactionRecord
+from repro.core.spec import load_spec
 from repro.sweep import (
     ResultCache,
     cell_key,
     cell_key_fields,
     load_sweep,
+    run_sweep,
     spec_fingerprint,
 )
-from repro.sweep.cache import CHUNK_BYTES, CacheEntryError
-from repro.core.spec import load_spec
+from repro.sweep.cache import CHUNK_BYTES, PUT_PARTS, CacheEntryError
 
 SWEEP = """
 sweep:
@@ -236,6 +238,79 @@ class TestStore:
         cache = ResultCache(tmp_path / "nowhere")
         assert cache.get("ab" + "0" * 62) is None
         assert _entry_files(tmp_path) == []
+
+
+def _result(rows: int) -> BenchmarkResult:
+    """A result with *rows* records: runs of rows share a tail, and
+    every fifth one never commits."""
+    records = [TransactionRecord(
+        uid, "transfer", None, None, f"client-{uid % 3}", uid // 7 * 0.5,
+        None if uid % 5 == 4 else uid // 7 * 0.5 + 1.25, False, None)
+        for uid in range(rows)]
+    return BenchmarkResult("quorum", "testnet", "native", 10.0, 0.05,
+                           records=records, chain_stats={"height": 3})
+
+
+def _parent_entry(key: str, fields: dict, text: str) -> bytes:
+    """The bytes an entry had when put() encoded the whole text at once:
+    a header naming the body's digest, a newline, the body."""
+    body = text.encode("utf-8")
+    header = json.dumps({"key": key, "fields": fields,
+                         "sha256": hashlib.sha256(body).hexdigest()})
+    return header.encode("utf-8") + b"\n" + body
+
+
+class TestStreamedPut:
+    """put() writes a document's pieces a slice at a time and fills the
+    header's digest in last; the entry is the one the text made."""
+
+    FIELDS = {"chain": "quorum", "seed": 1, "note": "caf\u00e9"}
+
+    @pytest.mark.parametrize("rows", [0, 1, 3 * PUT_PARTS],
+                             ids=["no records", "one row", "many slices"])
+    def test_an_entry_from_parts_is_the_entry_from_the_text(
+            self, tmp_path, rows):
+        result = _result(rows)
+        parts = result.json_parts()
+        if rows > 1:
+            assert len(parts) > 2 * PUT_PARTS        # several slices
+        text = result.to_json()
+        key = "ab" + "5" * 62
+        cache = ResultCache(tmp_path)
+        entry = cache.put(key, self.FIELDS, parts)
+        assert entry.path.read_bytes() == _parent_entry(key, self.FIELDS,
+                                                        text)
+        hit = cache.get(key)
+        assert hit == entry
+        assert hit.read() == text
+        assert hit.summary() == BenchmarkResult.summary_from_json(text)
+        assert cache.corrupt == 0
+
+    def test_a_raising_source_leaves_no_entry_and_no_temp_file(
+            self, tmp_path):
+        parts = _result(2 * PUT_PARTS).json_parts()
+
+        def source():
+            yield from parts[:PUT_PARTS + 7]       # past the first slice
+            raise RuntimeError("the run died mid-document")
+
+        cache = ResultCache(tmp_path)
+        key = "ab" + "6" * 62
+        with pytest.raises(RuntimeError, match="mid-document"):
+            cache.put(key, {}, source())
+        assert cache.get(key) is None
+        assert list(tmp_path.rglob("*")) == [tmp_path / key[:2]]
+
+    def test_a_fresh_cell_reports_the_summary_its_replay_does(
+            self, tmp_path):
+        spec = load_sweep(SWEEP)
+        fresh = run_sweep(spec, cache=ResultCache(tmp_path))
+        replay = run_sweep(spec, cache=ResultCache(tmp_path))
+        (cold,), (warm,) = fresh.outcomes, replay.outcomes
+        assert (cold.cached, warm.cached) == (False, True)
+        assert cold.summary == warm.summary
+        assert cold.summary == BenchmarkResult.summary_from_json(
+            warm.result_json)
 
 
 def _header(key: str, body: bytes) -> bytes:
