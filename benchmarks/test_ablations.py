@@ -106,7 +106,7 @@ def test_ablation_hard_budget(benchmark):
     Diem — the budget, not the workload, is what Fig. 5's X measures."""
     from repro.chain.state import WorldState
     from repro.chain.transaction import invoke
-    from repro.contracts import make_uber_contract
+    from repro.contracts.mobility import make_uber_contract
     from repro.vm.machines import MOVE_VM_CAPS
 
     def experiment():

@@ -21,9 +21,12 @@ Quickstart::
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 
-Every package init but :mod:`repro.sweep`'s imports nothing: a name is
-imported from its home module the first time it is read
-(:func:`lazy_package`), so a run loads only the modules it uses.
+Five packages are facades: this one, :mod:`repro.analysis`,
+:mod:`repro.obs`, :mod:`repro.sweep` and :mod:`repro.workloads`. Every
+other package init is its docstring alone, so a name there is imported
+from its home module. No package init but :mod:`repro.sweep`'s imports
+anything: a facade imports a name from its home module the first time it
+is read (:func:`lazy_package`), so a run loads only the modules it uses.
 """
 
 import importlib

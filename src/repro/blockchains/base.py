@@ -69,7 +69,7 @@ from repro.sim.machine import Machine
 from repro.vm.machines import VM_FACTORIES
 
 if TYPE_CHECKING:  # a feature's module is imported where it is attached
-    from repro.blockchains.retry import ClientRetries, RetryPolicy
+    from repro.blockchains.retry import ClientRetries
     from repro.chain.receipt import Receipt
     from repro.chain.transaction import Transaction
     from repro.consensus.models import ConsensusPerfModel
@@ -149,7 +149,6 @@ class ChainParams:
         default_factory=AccountFactoryLimits)
     exec_parallelism: float = 1.0        # execution threads (geth: ~1)
     gossip_hop: float = 0.08             # client tx -> proposer gossip delay
-    retry_policy: Optional[RetryPolicy] = None  # client retries (off = 1 shot)
     fee_policy: Optional[FeePolicy] = None  # fee dialect (inert until fees: on)
     overload: OverloadPolicy = field(default_factory=OverloadPolicy)
     perf_model: Callable[[WanProfile], ConsensusPerfModel] = None  # type: ignore[assignment]
@@ -275,12 +274,9 @@ class BlockchainNetwork:
         self.fee_market: Optional[FeeMarket] = None
         self._retries_scheduled = chain_metrics.counter("retries_scheduled")
         self._retries_succeeded = chain_metrics.counter("retries_succeeded")
-        #: client retries; None (one shot per submission) unless the chain
-        #: carries a retry policy or :meth:`attach_fees` installs one
+        #: client retries; None (one shot per submission) unless
+        #: :meth:`attach_fees` installs the fee-bumping ones
         self.retries: Optional[ClientRetries] = None
-        if params.retry_policy is not None:
-            from repro.blockchains.retry import ClientRetries
-            self.retries = ClientRetries(self, params.retry_policy)
         #: lifecycle tracer; None = tracing fully off (the default), every
         #: hook site is guarded so the untraced path does no extra work
         self.tracer: Optional[LifecycleTracer] = None
@@ -364,11 +360,11 @@ class BlockchainNetwork:
 
         Builds the chain's declared :class:`FeePolicy` (EIP-1559 default)
         with the spec's overrides, makes mempool admission price-aware,
-        and upgrades the client retry policy to fee-bump resubmissions.
+        and gives clients fee-bumping retries.
         Never called for workloads without a ``fees:`` section, so benign
         runs stay byte-identical.
         """
-        from repro.blockchains.retry import ClientRetries, RetryPolicy
+        from repro.blockchains.retry import ClientRetries
         from repro.econ.fees import build_fee_model
         from repro.econ.market import FeeMarket
 
@@ -379,8 +375,7 @@ class BlockchainNetwork:
         # the pool holds the network weakly, as the network owns the pool
         on_fee_evicted = WeakMethod(self._on_fee_evicted)
         self.mempool.on_evict = lambda tx: on_fee_evicted()(tx)
-        retry = RetryPolicy() if self.retries is None else self.retries.policy
-        self.retries = ClientRetries(self, retry.with_fees(spec))
+        self.retries = ClientRetries(self, spec)
 
     def _on_fee_evicted(self, tx: Transaction) -> None:
         """An underpriced resident was priced out of the pool: its owner
@@ -449,13 +444,12 @@ class BlockchainNetwork:
         pass the rest as ``turned_away``.
 
         None means unknown, and the caller builds everything: either a
-        tracer, client retries or a drop listener would look at a rejected
-        transaction, or the pool's answer depends on the transactions
-        (see :meth:`AdmissionController.room`; a fee market installs both
-        a pricer and client retries).
+        tracer or a drop listener would look at a rejected transaction, or
+        the pool's answer depends on the transactions (see
+        :meth:`AdmissionController.room`; the fee market that client
+        retries come with installs a pricer).
         """
-        if (self.tracer is not None or self.retries is not None
-                or self._drop_listeners):
+        if self.tracer is not None or self._drop_listeners:
             return None
         return self.admission.room(count)
 
@@ -832,7 +826,7 @@ class BlockchainNetwork:
             return
         retries = self.retries
         for tx in self.mempool.drop_expired(now, self.params.tx_expiry):
-            if retries is None or not retries.after_expiry(self, tx):
+            if retries is None or not retries.after_eviction(self, tx):
                 self._record_drop(tx, "expired")
 
     # -- results ----------------------------------------------------------------------------------
@@ -854,10 +848,9 @@ class BlockchainNetwork:
             stats[f"admission_{key}"] = value
         if self.overload is not None:
             stats.update(self.overload.stats())
-        if self.retries is not None:
+        if self.fee_market is not None:     # and its client retries
             stats["retries_scheduled"] = self.retries_scheduled
             stats["retries_succeeded"] = self.retries_succeeded
-        if self.fee_market is not None:
             for key, value in self.fee_market.stats().items():
                 stats[f"fees_{key}"] = value
         if self.injector is not None:

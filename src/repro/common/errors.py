@@ -66,8 +66,9 @@ class BackpressureError(ChainError):
     """A node pushed back on a client submission before pool admission.
 
     Backpressure rejections are transient by construction — the client is
-    expected to back off and retry, so :class:`~repro.blockchains.base.
-    RetryPolicy` treats every subclass as retryable.
+    expected to back off and retry, so client retries
+    (:class:`~repro.blockchains.retry.ClientRetries`) resubmit after every
+    subclass.
     """
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import SpecError
@@ -399,10 +399,10 @@ class WorkloadSpec:
 # -- YAML loading -----------------------------------------------------------------------
 
 
-def spec_document(text: str) -> Any:
-    """*text* parsed as YAML, each ``!kind`` node a mapping holding the tag
-    under ``__kind__`` (a sequence's items under ``patterns``), read
-    where it is used."""
+@lru_cache(maxsize=None)
+def _spec_loader() -> type:
+    """SafeLoader plus the DIABLO custom tags, built once, on first use,
+    so that importing this module does not import yaml."""
     import yaml
 
     class Loader(yaml.SafeLoader):
@@ -417,7 +417,16 @@ def spec_document(text: str) -> Any:
                 **loader.construct_mapping(node, deep=True)}
 
     Loader.add_multi_constructor("!", tagged)
-    return yaml.load(text, Loader=Loader)
+    return Loader
+
+
+def spec_document(text: str) -> Any:
+    """*text* parsed as YAML, each ``!kind`` node a mapping holding the tag
+    under ``__kind__`` (a sequence's items under ``patterns``), read
+    where it is used."""
+    import yaml
+
+    return yaml.load(text, Loader=_spec_loader())
 
 
 def _sample(kind: str, cls: type):

@@ -94,10 +94,12 @@ class FeeSpec:
     Turning the section on activates the chain's declared
     :class:`FeePolicy`; every optional field here overrides the
     same-named policy field. The three client-side knobs control the
-    fee-bumping retry behavior of honest clients: each resubmission
+    client retries the section brings
+    (:class:`~repro.blockchains.retry.ClientRetries`; without ``fees:``
+    a client submits once): each resubmission by an honest client
     multiplies the transaction's price by ``fee_bump``, never exceeding
     ``fee_bump_cap`` times the original price, for up to
-    ``retry_attempts`` total submission attempts.
+    ``retry_attempts`` total submission attempts (default 3).
     """
 
     enabled: bool = True

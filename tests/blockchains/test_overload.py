@@ -15,7 +15,6 @@ import pytest
 
 from repro.blockchains.base import BlockchainNetwork, ExperimentScale
 from repro.blockchains.overload import OverloadPolicy
-from repro.blockchains.retry import RetryPolicy
 from repro.blockchains.registry import chain_params
 from repro.chain.transaction import transfer
 from repro.common.errors import ConfigurationError
@@ -26,6 +25,7 @@ from repro.core.spec import (
     TransferSpec,
     simple_spec,
 )
+from repro.econ.fees import FeeSpec
 from repro.sim.deployment import DeploymentConfig, TESTNET
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector
@@ -38,14 +38,16 @@ TINY = DeploymentConfig("testnet", 4,
                         ("ohio",))
 
 
-def make_net(base="quorum", seed=1, deployment=TINY, retry_policy=None,
+def make_net(base="quorum", seed=1, deployment=TINY, fees=None,
              **overload_kwargs):
-    params = replace(chain_params(base, deployment), retry_policy=retry_policy,
+    params = replace(chain_params(base, deployment),
                      overload=OverloadPolicy(**overload_kwargs))
     engine = Engine()
     net = BlockchainNetwork(params, deployment, engine,
                             scale=ExperimentScale(1.0), seed=seed)
     net.create_accounts(200)
+    if fees is not None:
+        net.attach_fees(fees)
     return engine, net
 
 
@@ -174,9 +176,7 @@ class TestShedLoad:
 
     def test_shed_rejections_are_retried_then_dropped(self):
         engine, net = make_net(
-            response="shed_load",
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.5,
-                                     jitter=0.0, resubmit_on_expiry=False))
+            response="shed_load", fees=FeeSpec(retry_attempts=2))
         net.admission.set_shedding(True, pool_target=0)
         accts = net.accounts.addresses()
         victim = transfer(accts[0], accts[1])

@@ -20,7 +20,7 @@ from repro.blockchains.base import ExperimentScale
 from repro.blockchains.registry import CHAIN_NAMES, build_network
 from repro.chain.receipt import ExecStatus, Receipt
 from repro.chain.transaction import invoke, transfer
-from repro.contracts import make_counter_contract
+from repro.contracts.webservice import make_counter_contract
 from repro.core.primary import Primary
 from repro.core.spec import (
     AccountSample,

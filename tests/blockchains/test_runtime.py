@@ -13,7 +13,7 @@ from repro.blockchains.registry import (
 )
 from repro.chain.transaction import transfer
 from repro.common.errors import ConfigurationError
-from repro.contracts import make_counter_contract
+from repro.contracts.webservice import make_counter_contract
 from repro.chain.transaction import invoke
 from repro.sim.deployment import CONSORTIUM, TESTNET, get_configuration
 from repro.sim.engine import Engine

@@ -16,7 +16,6 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.blockchains.base import BlockchainNetwork, ExperimentScale
-from repro.blockchains.retry import RetryPolicy
 from repro.blockchains.registry import chain_params
 from repro.chain.mempool import MempoolPolicy
 from repro.chain.transaction import Transaction, reset_tx_counter
@@ -147,7 +146,6 @@ FALLBACKS = {
         capacity=CAPACITY, per_sender_quota=3, evict_oldest=True)),
     "evict_oldest": dict(mempool_policy=MempoolPolicy(
         capacity=CAPACITY, evict_oldest=True)),
-    "retry policy": dict(retry_policy=RetryPolicy()),
     "fee market": lambda network: network.attach_fees(FeeSpec()),
     "tracer": lambda network: network.attach_tracer(
         LifecycleTracer(chain="algorand")),

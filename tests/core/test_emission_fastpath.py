@@ -31,7 +31,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockchains.base import BlockchainNetwork, ExperimentScale
-from repro.blockchains.retry import RetryPolicy
 from repro.blockchains.registry import build_network, chain_params
 from repro.chain.mempool import MempoolPolicy
 from repro.chain.transaction import (
@@ -412,16 +411,18 @@ class TestSingleFormsAreTheBatchOfOne:
     def test_submit_reports_each_admission_outcome(self, max_attempts,
                                                    outcome):
         params = replace(chain_params("quorum", TESTNET),
-                         retry_policy=RetryPolicy(max_attempts=max_attempts),
                          mempool_policy=MempoolPolicy(capacity=1))
         net = BlockchainNetwork(params, TESTNET, Engine(),
                                 scale=ExperimentScale(1.0), seed=1)
-        admitted, rejected = transfer("a", "b"), transfer("c", "d")
+        # equal bids, resent unbumped: the full pool rejects the second
+        net.attach_fees(FeeSpec(fee_bump=1.0, retry_attempts=max_attempts))
+        admitted = transfer("a", "b", fee_per_gas=20, tip=1)
+        rejected = transfer("c", "d", fee_per_gas=20, tip=1)
         assert net.submit_batch((admitted,)) == 1
         assert not admitted.aborted and admitted in net.mempool
         accepted = net.submit_batch((rejected,)) == 1
         # a rejection is a scheduled retry or a recorded drop, never both
         dropped = rejected.aborted
         assert (accepted, not accepted and not dropped) == outcome
-        assert net.drop_reasons.get("MempoolFullError", 0) == int(dropped)
+        assert net.drop_reasons.get("UnderpricedError", 0) == int(dropped)
         assert net.retries_scheduled == int(not accepted and not dropped)

@@ -16,7 +16,6 @@ from typing import Iterable, List
 
 import pytest
 
-from repro.blockchains.retry import RetryPolicy
 from repro.blockchains.registry import chain_params
 from repro.chain.mempool import MempoolPolicy
 from repro.chain.transaction import Transaction
@@ -140,11 +139,9 @@ def test_signature_is_derived_from_the_transaction_as_it_stands():
 
 def test_solana_retry_refreshes_the_blockhash_under_the_signature(
         encoded_batches):
-    params = small_pool("solana", retry_policy=RetryPolicy(
-        max_attempts=4, base_delay=0.5))
-    primary = run("solana",
-                  simple_spec(TRANSFER, LoadSchedule.constant(3000, 5)),
-                  params=params)
+    spec = simple_spec(TRANSFER, LoadSchedule.constant(3000, 5),
+                       fees=FeeSpec(retry_attempts=4))
+    primary = run("solana", spec, params=small_pool("solana"))
     network = primary.network
     assert network.retries_succeeded > 0
     retried = [tx for tx in sent(encoded_batches) if tx.retries]

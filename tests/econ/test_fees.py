@@ -94,6 +94,8 @@ class TestFeeSpec:
             FeeSpec(fee_bump=0.5)
         with pytest.raises(SpecError, match="fee_bump_cap"):
             FeeSpec(fee_bump_cap=0.9)
+        with pytest.raises(SpecError, match="retry_attempts"):
+            FeeSpec(retry_attempts=0)
 
 
 class TestEip1559Model:

@@ -31,7 +31,7 @@ def run_network(chain="quorum", config="testnet", scale=0.2, seed=2):
 class TestStateReceiptAgreement:
     def test_exchange_supply_matches_successful_buys(self):
         """Every committed buyApple decrements the supply by exactly one."""
-        from repro.contracts import make_exchange_contract
+        from repro.contracts.exchange import make_exchange_contract
         engine, net = run_network()
         supply = 10_000
         net.deploy_contract(make_exchange_contract(supply=supply))
@@ -49,7 +49,7 @@ class TestStateReceiptAgreement:
         assert successes > 0
 
     def test_counter_equals_committed_adds(self):
-        from repro.contracts import make_counter_contract
+        from repro.contracts.webservice import make_counter_contract
         engine, net = run_network(chain="solana")
         net.active_until = 60.0
         net.deploy_contract(make_counter_contract())

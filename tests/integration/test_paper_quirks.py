@@ -36,7 +36,7 @@ class TestAlgorandQuirks:
         engine = Engine()
         net = build_network("algorand", TESTNET, engine,
                             scale=ExperimentScale(0.05))
-        from repro.contracts import make_youtube_contract
+        from repro.contracts.videoshare import make_youtube_contract
         with pytest.raises(StateLimitError):
             net.deploy_contract(make_youtube_contract())
 

@@ -30,7 +30,7 @@ TRACED_SPECS = [
     ("crash-and-recover", "quorum", 0), ("partition", "quorum", 0),
     ("byzantine", "quorum", 0), ("overload", "solana", 0),
     ("dos", "ethereum", 3), ("population", "ethereum", 0),
-    ("transfer", "ethereum", 0)]
+    ("transfer", "ethereum", 0), ("dapp", "quorum", 0)]
 
 
 def short_spec(duration=10.0, rate=100.0):

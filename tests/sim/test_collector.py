@@ -127,7 +127,8 @@ EXAMPLE_RUNS = pytest.mark.parametrize("name, chain", [
     ("crash-and-recover", "quorum"), ("overload", "solana"),
     ("overload", "ethereum"), ("dos", "ethereum"), ("dos", "algorand"),
     ("byzantine", "quorum"), ("partition", "quorum"),
-    ("population", "ethereum"), ("transfer", "ethereum")])
+    ("population", "ethereum"), ("transfer", "ethereum"),
+    ("dapp", "quorum")])
 CHAINS = ("algorand", "avalanche", "diem", "ethereum", "quorum", "solana")
 
 
@@ -170,7 +171,19 @@ class TestCyclicGarbage:
     def test_every_example_spec_is_covered(self):
         names = {path.stem for path in SPECS.glob("*.yaml")}
         assert names == {"crash-and-recover", "overload", "dos", "byzantine",
-                         "partition", "population", "transfer"}
+                         "partition", "population", "transfer", "dapp"}
+
+    def test_loading_a_spec_leaves_nothing(self):
+        texts = [path.read_text() for path in sorted(SPECS.glob("*.yaml"))]
+        # a first pass takes the one-off set-up: the loader class, and
+        # the modules a spec's sections import
+        for text in texts:
+            load_spec(text)
+        gc.collect()
+        with collector_paused():
+            for text in texts:
+                load_spec(text)
+            assert gc.collect() == 0
 
     def test_a_sixteen_replica_hotstuff_harness(self):
         def run() -> ConsensusHarness:

@@ -204,14 +204,16 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "examples" / "specs"
 
 
 def _scenario(name: str, rate: float, duration: float,
+              interaction: Any = TransferSpec(AccountSample(2_000)),
               **sections: Any) -> Document:
-    """``examples/specs/<name>.yaml``: one client transferring from 2 000
-    accounts at *rate* for *duration*, plus *sections*."""
+    """``examples/specs/<name>.yaml``: one client running *interaction*
+    (by default, transferring from 2 000 accounts) at *rate* for
+    *duration*, plus *sections*."""
     return Document(
         (SCENARIOS / f"{name}.yaml").read_text(), spec_from_dict,
         spec_document,
-        simple_spec(TransferSpec(AccountSample(2_000)),
-                    LoadSchedule.constant(rate, duration), **sections))
+        simple_spec(interaction, LoadSchedule.constant(rate, duration),
+                    **sections))
 
 
 #: f+1 of a 10-node configuration
@@ -239,6 +241,8 @@ DOCUMENTS: Dict[str, Document] = {
         faults=(Partition(30.0, (tuple(_VICTIMS), tuple(range(4, 10)))),
                 Heal(60.0))),
     "transfer": _scenario("transfer", 200.0, 10.0),
+    "dapp": _scenario("dapp", 200.0, 10.0, InvokeSpec(
+        AccountSample(2_000), ContractSample("counter"), "add")),
     "population": Document(
         (SCENARIOS / "population.yaml").read_text(), spec_from_dict,
         spec_document,

@@ -14,7 +14,7 @@ import pytest
 from repro.chain.receipt import ExecStatus, Receipt
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction, TxKind, invoke, transfer
-from repro.contracts import make_counter_contract
+from repro.contracts.webservice import make_counter_contract
 from repro.core.primary import Primary
 from repro.core.spec import (
     AccountSample,

@@ -67,6 +67,8 @@ REASONS = {
     "abstract": "an interface method; subclasses override it",
     "needs-path": "user-facing, or dead, with no user path yet: give it"
                   " one or delete it",
+    "error-path": "raises on input no user path supplies; safety code,"
+                  " never a deletion target",
     "perfbench-pinned": "perfbench wraps or reads it by name, and"
                         " perfbench/ changes only in a benchmark PR",
 }
