@@ -295,6 +295,14 @@ class Mempool:
             self._count_drop(DROP_EXPIRED)
         return expired
 
+    def release(self) -> None:
+        """Let go of every resident transaction, for a finished run whose
+        statistics are taken: the pool reads empty after, while the
+        admitted and drop counters keep their values."""
+        self._pool.clear()
+        self._per_sender.clear()
+        self._resident_bytes = 0
+
     # -- observability -----------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:

@@ -15,6 +15,7 @@ the ground truth those models are validated against (see
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -79,14 +80,16 @@ class Replica:
     """
 
     def __init__(self) -> None:
-        # wired by the harness
+        # wired by the harness, which it holds weakly (a proxy): the
+        # harness owns its replicas
         self.node_id: int = -1
         self.harness: "ConsensusHarness" = None  # type: ignore[assignment]
         #: cluster size, Byzantine faults tolerated (n-1)//3, quorum 2f+1
         self.n = self.f = self.quorum = 0
-        # filled on first sight: message kind -> bound ``_on_<kind>``,
+        # filled on first sight: message kind -> the class's ``_on_<kind>``
+        # (unbound: a bound method held by its own replica is a cycle),
         # counter name -> the registry's ``replica.<protocol>.<name>``
-        self._handlers: Dict[str, Callable[[Message], None]] = {}
+        self._handlers: Dict[str, Callable[[Replica, Message], None]] = {}
         self._counters: Dict[str, Counter] = {}
 
     # -- harness plumbing ----------------------------------------------------------
@@ -144,8 +147,8 @@ class Replica:
         handler = self._handlers.get(message.kind)
         if handler is None:
             handler = self._handlers[message.kind] = getattr(
-                self, "_on_" + message.kind.replace("-", "_"))
-        handler(message)
+                type(self), "_on_" + message.kind.replace("-", "_"))
+        handler(self, message)
 
     def on_recover(self) -> None:
         """Called when this replica rejoins after a crash.
@@ -157,7 +160,13 @@ class Replica:
 
 
 class ConsensusHarness:
-    """Runs ``n`` replicas of a protocol over the simulated network."""
+    """Runs ``n`` replicas of a protocol over the simulated network.
+
+    No reference cycle runs through a benign harness: its replicas and
+    its injector's listener hold it weakly, and a pending event's handle
+    holds the engine weakly. So dropping a harness frees it, its
+    replicas and its calendar by reference counting.
+    """
 
     def __init__(self, replicas: Sequence[Replica],
                  engine: Optional[Engine] = None,
@@ -185,7 +194,9 @@ class ConsensusHarness:
         self._fault_rng = factory.stream("harness", "fault-drops")
         self.drop_rate = drop_rate
         self.injector = injector or FaultInjector()
-        self.injector.subscribe(self._on_fault_event)
+        on_fault_event = weakref.WeakMethod(self._on_fault_event)
+        self.injector.subscribe(
+            lambda kind, payload: on_fault_event()(kind, payload))
         if injector is not None and len(injector.schedule):
             self.injector.register(self.engine)
         self.decisions: List[Decision] = []
@@ -202,9 +213,10 @@ class ConsensusHarness:
         # baseline drop_rate losses
         self._dropped_by_loss = harness_metrics.counter("dropped_by_loss")
         f = (self.n - 1) // 3
+        proxy = weakref.proxy(self)
         for node_id, replica in enumerate(self.replicas):
             replica.node_id = node_id
-            replica.harness = self
+            replica.harness = proxy
             replica.n, replica.f, replica.quorum = self.n, f, 2 * f + 1
         self._started = False
         # byzantine adversary + safety auditor (repro.sim.byzantine /

@@ -353,12 +353,17 @@ class Primary:
             status=status,
             liveness_events=list(liveness_events or []),
             overload_events=[] if overload is None else list(overload.events))
+        # the statistics are taken: a transaction still pending is held
+        # only by the logs below from here on
+        self.network.mempool.release()
         # aggregate-lane txs never become records (they carry no client
         # identity); they are counted here and in the population block.
         # Only that lane leaves submissions unbuilt, so the network's
         # count of them is the lane's
-        aggregate_sent = [tx for secondary in self.secondaries
-                          for tx in secondary.aggregate_sent]
+        aggregate_sent = []
+        for secondary in self.secondaries:
+            aggregate_sent += secondary.aggregate_sent
+            secondary.aggregate_sent = []
         aggregate_unbuilt = self.network.dropped_unbuilt
         if aggregate_sent or aggregate_unbuilt:
             result.chain_stats["arrivals_aggregate"] = (
@@ -367,11 +372,14 @@ class Primary:
         records = result.records
         sent = 0
         for secondary in self.secondaries:
-            # take the log: once its records are built, a transaction
-            # nothing else holds (an evicted one) is freed by reference
-            # counting, before the collector's exit walk and to_json
+            # take the log and consume it tick by tick: once a tick's
+            # records are built, a transaction nothing else holds (an
+            # evicted or a pending one) is freed by reference counting,
+            # so records replace transactions instead of adding to them
             log, secondary.sent = secondary.sent, []
-            for txs, clients in log:
+            log.reverse()
+            while log:
+                txs, clients = log.pop()
                 sent += len(txs)
                 # one tick at a time, so no second list of a whole log's
                 # records is built; a transaction the Secondary generated

@@ -32,6 +32,7 @@ import gc
 import heapq
 import math
 import sys
+import weakref
 from contextlib import contextmanager
 from typing import (Any, Callable, Iterable, Iterator, List, Optional, Set,
                     Tuple)
@@ -69,11 +70,19 @@ COMPACT_MIN = 64
 
 
 class EventHandle:
-    """Handle to a scheduled event, allowing cancellation."""
+    """Handle to a scheduled event, allowing cancellation.
+
+    It holds its engine weakly: a component keeps the handle of a timer
+    whose callback reaches back into that component, and the engine's
+    calendar holds the callback, so a strong reference would be a cycle
+    for as long as the timer is pending. Once the engine is gone there
+    is nothing left to cancel.
+    """
 
     __slots__ = ("_engine", "_sequence", "time", "cancelled")
 
-    def __init__(self, engine: "Engine", sequence: int, time: float) -> None:
+    def __init__(self, engine: "weakref.ref[Engine]", sequence: int,
+                 time: float) -> None:
         self._engine = engine
         self._sequence = sequence
         self.time = time
@@ -82,7 +91,9 @@ class EventHandle:
     def cancel(self) -> None:
         """Cancel the event; a cancelled event's callback never runs."""
         self.cancelled = True
-        self._engine._cancel(self._sequence)
+        engine = self._engine()
+        if engine is not None:
+            engine._cancel(self._sequence)
 
 
 class Engine:
@@ -101,6 +112,8 @@ class Engine:
         #: :meth:`run` starts; every event callback then runs through it
         #: (wall-clock attribution per event label — observation only)
         self.profiler: Optional[Any] = None
+        # what each EventHandle holds, made once
+        self._ref = weakref.ref(self)
 
     # -- clock ---------------------------------------------------------------
 
@@ -126,7 +139,7 @@ class Engine:
         sequence = self._sequence
         heapq.heappush(self._queue, (time, sequence, callback, label))
         self._sequence = sequence + 1
-        return EventHandle(self, sequence, time)
+        return EventHandle(self._ref, sequence, time)
 
     def schedule_after(self, delay: float, callback: EventCallback,
                        label: str = "") -> EventHandle:
@@ -137,7 +150,7 @@ class Engine:
         sequence = self._sequence
         heapq.heappush(self._queue, (time, sequence, callback, label))
         self._sequence = sequence + 1
-        return EventHandle(self, sequence, time)
+        return EventHandle(self._ref, sequence, time)
 
     def schedule_batch(self, items: Iterable[Tuple[float, EventCallback]],
                        label: str = "") -> None:

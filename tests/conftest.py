@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
 
@@ -71,3 +71,24 @@ def encoded_batches(monkeypatch) -> List[list]:
 
     monkeypatch.setattr(SimConnector, "encode_batch", kept)
     return batches
+
+
+@pytest.fixture
+def aggregate_lanes(monkeypatch) -> Dict[Any, list]:
+    """Each Primary's aggregate-lane transactions, keyed by the Primary.
+
+    Aggregation takes a Secondary's ``aggregate_sent`` as it takes its
+    ``sent`` log, so a test that reads the lane after a run reads it
+    here: the transactions the lanes built, as aggregation found them."""
+    from repro.core.primary import Primary
+
+    lanes: Dict[Any, list] = {}
+    aggregate = Primary._aggregate
+
+    def kept(self, *args, **kwargs):
+        lanes[self] = [tx for secondary in self.secondaries
+                       for tx in secondary.aggregate_sent]
+        return aggregate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Primary, "_aggregate", kept)
+    return lanes

@@ -57,16 +57,21 @@ def tx_fields(tx: Transaction):
 
 
 @pytest.mark.parametrize("chain", ["algorand", "solana"])
-def test_trimmed_run_equals_the_run_that_builds_everything(chain):
+def test_trimmed_run_equals_the_run_that_builds_everything(
+        chain, aggregate_lanes):
     trimmed, trimmed_result = population_run(chain, build_everything=False)
     full, full_result = population_run(chain, build_everything=True)
     assert trimmed.network.dropped_unbuilt > 0, \
         "the scenario must overflow the pool"
     assert full.network.dropped_unbuilt == 0
+    # aggregation took each lane, so a finished Secondary holds none
+    assert all(secondary.aggregate_sent == []
+               for primary in (trimmed, full)
+               for secondary in primary.secondaries)
 
     def admitted(primary):
-        return [tx_fields(tx) for secondary in primary.secondaries
-                for tx in secondary.aggregate_sent if not tx.aborted]
+        return [tx_fields(tx) for tx in aggregate_lanes[primary]
+                if not tx.aborted]
 
     assert admitted(trimmed) == admitted(full)
     assert len(admitted(trimmed)) > 0

@@ -84,7 +84,8 @@ SPECS = {
 
 @pytest.mark.parametrize("shape", SPECS)
 def test_the_run_path_signs_nothing_and_it_all_verifies(shape, monkeypatch,
-                                                        encoded_batches):
+                                                        encoded_batches,
+                                                        aggregate_lanes):
     calls = []
     sign = PrecomputedSigner.__call__
 
@@ -105,8 +106,7 @@ def test_the_run_path_signs_nothing_and_it_all_verifies(shape, monkeypatch,
         assert any(tx.aborted for tx in encoded), \
             "the scenario must overflow the pool"
     if shape == "population":
-        assert any(secondary.aggregate_sent
-                   for secondary in primary.secondaries), \
+        assert aggregate_lanes[primary], \
             "the scenario must use the aggregate lane"
     assert_signed(primary, encoded)
     assert len(calls) == len(encoded)       # the reads above, and only they

@@ -15,7 +15,9 @@ instead of piling up during every run.
 
 Once the run and its result are dropped, nothing at all may be left for
 the collector: no cycle spans a finished run, so a process that runs one
-after another (a sweep worker) frees each by reference counting.
+after another (a sweep worker) frees each by reference counting. That
+holds for a consensus harness too, though its run can be resumed and so
+keeps its calendar.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.consensus.base import ConsensusHarness
 from repro.consensus.hotstuff import HotStuffReplica
+from repro.consensus.ibft import IBFTReplica
 from repro.core.primary import Primary
 from repro.core.results import BenchmarkResult
 from repro.core.spec import (AccountSample, LoadSchedule, TransferSpec,
@@ -228,6 +231,17 @@ class TestADiscardedRunLeavesNothing:
     def test_each_example_spec(self, name, chain):
         spec = load_spec((SPECS / f"{name}.yaml").read_text())
         assert garbage_after_dropping(chain_run(chain, spec, scale=0.05)) == 0
+
+    @pytest.mark.parametrize("replica", [HotStuffReplica, IBFTReplica],
+                             ids=["hotstuff", "ibft"])
+    def test_a_sixteen_replica_harness(self, replica):
+        # stopped mid-run, with timers and messages still on the calendar
+        def run() -> None:
+            harness = ConsensusHarness([replica() for _ in range(16)])
+            harness.run(0.5)
+            assert harness.decisions
+
+        assert garbage_after_dropping(run) == 0
 
     def test_a_stopped_watchdog_hears_no_commit(self):
         heard = {}
