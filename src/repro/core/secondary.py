@@ -27,6 +27,7 @@ cost of a tick then follows what is admitted, not what is offered.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
@@ -166,6 +167,13 @@ class Secondary:
         engine = self.engine
         tick = self.tick
         late_after = 5 * tick
+        ticks = duration / tick
+        whole = math.floor(ticks)
+        if 0.0 < ticks - whole < 1e-9:
+            # a duration less than 1e-9 ticks past the whole-th tick is float
+            # noise on whole ticks: end midway through that tick, so that
+            # the lane emits exactly whole ticks however t rounds
+            duration = (whole - 0.5) * tick
         t = 0.0
         cursor = 0
 

@@ -109,7 +109,6 @@ class TestDeterministicArrivalsExact:
     @pytest.mark.parametrize("users, rate, duration, tick", [
         (496, 0.03125, 1.0, 0.1),       # emits 17 against 15.47
         (139, 0.03125, 2.0, 1 / 3),     # emits 10 against 8.63
-        (38, 0.03125, 6.0, 0.9999999999999999),  # off by 1.0625
     ])
     def test_the_tick_grid_is_exact(self, users, rate, duration, tick):
         spec = PopulationSpec(users=users, interaction=INTERACTION,
@@ -119,6 +118,25 @@ class TestDeterministicArrivalsExact:
         expected = tick_grid_total(rate, spec.aggregate_users, duration,
                                    tick, 1.0)
         assert abs(connector.aggregate_emitted - expected) <= 1.0
+
+    @pytest.mark.parametrize("users, rate, duration, tick", [
+        (38, 0.03125, 6.0, 0.9999999999999999),  # was off by 1.0625
+        (49, 0.03125, 1.0000000000000002, 1.0),  # was off by 1.5
+        (497, 0.03125, 5e-10, 1.0),              # no tick at all
+    ])
+    def test_a_duration_a_hair_past_a_tick_ends_on_it(self, users, rate,
+                                                      duration, tick):
+        # a duration within 1e-9 ticks past a tick boundary is float noise
+        # on that boundary: the lane emits no tick beyond it
+        spec = PopulationSpec(users=users, interaction=INTERACTION,
+                              load=LoadSchedule.constant(rate, duration),
+                              cohort=1, arrival="deterministic")
+        connector = run_population_secondary(spec, tick, scale=1.0)
+        expected = tick_grid_total(rate, spec.aggregate_users, duration,
+                                   tick, 1.0)
+        assert abs(connector.aggregate_emitted - expected) <= 1.0
+        assert abs(connector.cohort_emitted
+                   - tick_grid_total(rate, 1, duration, tick, 1.0)) <= 1.0
 
 
 class TestPoissonArrivalsMean:
