@@ -34,7 +34,10 @@ def transactions_to_csv(result: BenchmarkResult) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["submitted_at", "latency_s", "committed", "abort_reason"])
-    for record in sorted(result.records, key=lambda r: r.submitted_at):
+    records = result.records
+    # a stable sort: records submitted together keep their order
+    for row in np.argsort(records.submitted_times(), kind="stable").tolist():
+        record = records[row]
         writer.writerow([
             f"{record.submitted_at:.2f}",
             f"{record.latency:.2f}" if record.latency is not None else "",

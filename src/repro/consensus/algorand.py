@@ -71,6 +71,7 @@ class AlgorandReplica(Replica):
 
     def _start_round(self) -> None:
         round_ = self.round
+        self._forget_passed_rounds()
         selected, priority = sortition(round_, "propose", self.node_id,
                                        self.n, self.proposer_count)
         if selected:
@@ -83,10 +84,35 @@ class AlgorandReplica(Replica):
         self.schedule(STEP_TIMEOUT,
                       lambda: self._recover(round_), label="ba-recover")
 
+    def _forget_passed_rounds(self) -> None:
+        """Keep only the state a node can still act on.
+
+        Proposals, soft votes and the sent marks are read for the current
+        round only, and rounds only move forward, so those of a passed
+        round go. Cert votes go once their round is decided; an undecided
+        passed round keeps them, because a late certificate still decides
+        it.
+        """
+        current, decided = self.round, self._decided
+        self._best_proposal = {round_: best for round_, best
+                               in self._best_proposal.items()
+                               if round_ >= current}
+        self._soft_votes = {key: voters for key, voters
+                            in self._soft_votes.items() if key[0] >= current}
+        self._soft_sent = {round_ for round_ in self._soft_sent
+                           if round_ >= current}
+        self._cert_sent = {round_ for round_ in self._cert_sent
+                           if round_ >= current}
+        self._cert_votes = {key: voters for key, voters
+                            in self._cert_votes.items()
+                            if key[0] not in decided}
+
     on_message = Replica.dispatch
 
     def _on_ba_proposal(self, message: Message) -> None:
         round_ = message.payload["round"]
+        if round_ < self.round:
+            return                      # too late to be soft-voted on
         priority = message.payload["priority"]
         value = message.payload["value"]
         best = self._best_proposal.get(round_)
@@ -113,6 +139,8 @@ class AlgorandReplica(Replica):
 
     def _on_ba_soft(self, message: Message) -> None:
         round_ = message.payload["round"]
+        if round_ < self.round:
+            return                      # too late to lead to a cert vote
         digest = message.payload["digest"]
         voters = self._soft_votes.setdefault((round_, digest), set())
         voters.add(message.sender)
@@ -129,11 +157,11 @@ class AlgorandReplica(Replica):
 
     def _on_ba_cert(self, message: Message) -> None:
         round_ = message.payload["round"]
+        if round_ in self._decided:
+            return
         digest = message.payload["digest"]
         voters = self._cert_votes.setdefault((round_, digest), set())
         voters.add(message.sender)
-        if round_ in self._decided:
-            return
         if len(voters) >= self.committee_threshold():
             value = message.payload["value"]
             self._decided[round_] = value

@@ -27,6 +27,7 @@ and, in strict mode, raised immediately as
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.errors import SafetyViolationError
@@ -75,8 +76,13 @@ class SafetyAuditor:
 
     def bind(self, harness: Any, byzantine: Iterable[int] = ()) -> None:
         """Attach to a harness; extra Byzantine ids (e.g. the adversary's
-        schedule) merge into the exemption set."""
-        self._harness = harness
+        schedule) merge into the exemption set.
+
+        The harness holds the auditor, so the auditor holds it through a
+        proxy: a dropped harness is freed by reference counting, and the
+        auditor's reports that read it are for a caller that holds it.
+        """
+        self._harness = weakref.proxy(harness)
         self.byzantine.update(byzantine)
 
     # -- observation hooks ---------------------------------------------------
@@ -172,8 +178,8 @@ class SafetyAuditor:
         ``degraded`` when commits pause for the whole window but resume,
         ``ok`` otherwise.
         """
-        times = [d.time for d in (self._harness.decisions if self._harness
-                                  else []) if d.node not in self.byzantine]
+        decisions = [] if self._harness is None else self._harness.decisions
+        times = [d.time for d in decisions if d.node not in self.byzantine]
         if not times:
             return "failed"
         if window is None:

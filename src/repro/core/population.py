@@ -43,7 +43,7 @@ from repro.common.rng import BlockSampler
 if TYPE_CHECKING:  # imported lazily at runtime (spec.py imports us)
     from repro.chain.transaction import Transaction
     from repro.common.rng import RngFactory
-    from repro.core.results import TransactionRecord
+    from repro.core.results import RecordTable
     from repro.core.spec import Interaction, LoadSchedule
 
 #: individually-tracked clients sampled from the population by default
@@ -230,7 +230,7 @@ def _latency_stats(latencies: Sequence[float]) -> Dict[str, float]:
 
 
 def population_block(spec: PopulationSpec,
-                     cohort_records: Sequence["TransactionRecord"],
+                     cohort_records: "RecordTable",
                      aggregate_sent: Sequence["Transaction"],
                      aggregate_unbuilt: int,
                      duration: float,
@@ -251,20 +251,23 @@ def population_block(spec: PopulationSpec,
     """
     unscale = (lambda rate: rate / scale_factor if scale_factor > 0
                else rate)
-    cohort_committed = [r for r in cohort_records if r.committed]
-    cohort_in_window = [r for r in cohort_committed
-                        if r.committed_at <= duration]
+    cohort_submitted = len(cohort_records)
+    committed = cohort_records.committed_mask()
+    commits = cohort_records.committed_times(committed)
+    cohort_latencies = (
+        commits - cohort_records.submitted_times(committed)).tolist()
+    cohort_committed = len(cohort_latencies)
+    cohort_in_window = int((commits <= duration).sum())
     cohort: Dict[str, object] = {
-        "submitted": len(cohort_records),
-        "committed": len(cohort_committed),
-        "commit_ratio": round(
-            len(cohort_committed) / len(cohort_records), 4)
-        if cohort_records else 0.0,
+        "submitted": cohort_submitted,
+        "committed": cohort_committed,
+        "commit_ratio": round(cohort_committed / cohort_submitted, 4)
+        if cohort_submitted else 0.0,
         "retries_per_tx": round(
-            sum(r.retries for r in cohort_records) / len(cohort_records), 4)
-        if cohort_records else 0.0,
+            cohort_records.total_retries() / cohort_submitted, 4)
+        if cohort_submitted else 0.0,
     }
-    cohort.update(_latency_stats([r.latency for r in cohort_committed]))
+    cohort.update(_latency_stats(cohort_latencies))
     agg_submitted = [tx for tx in aggregate_sent
                      if tx.submitted_at is not None]
     agg_committed = [tx for tx in agg_submitted
@@ -282,9 +285,9 @@ def population_block(spec: PopulationSpec,
     }
     aggregate.update(_latency_stats(
         [tx.committed_at - tx.submitted_at for tx in agg_committed]))
-    combined_submitted = len(cohort_records) + agg_count
-    combined_committed = len(cohort_committed) + len(agg_committed)
-    committed_in_window = len(cohort_in_window) + len(agg_in_window)
+    combined_submitted = cohort_submitted + agg_count
+    combined_committed = cohort_committed + len(agg_committed)
+    committed_in_window = cohort_in_window + len(agg_in_window)
     scaled: Dict[str, object] = {
         "offered_load_tps": round(spec.offered_load(), 2),
         "submitted": combined_submitted,

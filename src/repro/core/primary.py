@@ -381,13 +381,14 @@ class Primary:
             while log:
                 txs, clients = log.pop()
                 sent += len(txs)
-                # one tick at a time, so no second list of a whole log's
-                # records is built; a transaction the Secondary generated
+                # one tick at a time: the table spreads the tick's records
+                # into its columns and the records go, so no record
+                # outlives its tick; a transaction the Secondary generated
                 # but never handed to a node has no place in latency or
                 # throughput aggregates — it is counted below instead
-                records += [record(tx, client.name)
-                            for tx, client in zip(txs, clients)
-                            if tx.submitted_at is not None]
+                records.extend([record(tx, client.name)
+                                for tx, client in zip(txs, clients)
+                                if tx.submitted_at is not None])
         records_without_submit = sent - len(records)
         if records_without_submit:
             result.chain_stats["records_without_submit"] = (

@@ -5,18 +5,22 @@ time of each transaction" into a JSON file (§4); summary statistics and time
 series are computed post-mortem. :class:`BenchmarkResult` is that JSON
 file's in-memory form, with the aggregations the paper reports: average
 load, average throughput, average/median latency, the proportion of
-committed transactions, per-second time series and latency CDFs.
+committed transactions, per-second time series and latency CDFs. Its
+records are a :class:`RecordTable`: columns, not one tuple per
+transaction.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from collections import Counter
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, NamedTuple,
-                    Optional, Tuple)
+from operator import is_not, itemgetter
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -81,51 +85,254 @@ class TransactionRecord(NamedTuple):
             aborted, tx.abort_reason, tx.retries))
 
 
-#: a record's fields after ``uid``: its *tail*, in document order
-_TAIL_FIELDS = TransactionRecord._fields[1:]
+#: a record's fields after ``uid``, in document order
+_ROW_FIELDS = TransactionRecord._fields[1:]
 #: what opens a row, up to its uid's digits
 _ROW_OPEN = '{"uid": '
 #: what lies between one row's close and the next row's uid
 _ROW_JOIN = ", " + _ROW_OPEN
-_uid = itemgetter(0)
-_tail = itemgetter(slice(1, None))
-_submitted_at = itemgetter(5)
-_committed_at = itemgetter(6)
+#: a record's *tail*: every field but ``uid`` and the two timestamps
+_tail = itemgetter(1, 2, 3, 4, 7, 8, 9)
+_first = itemgetter(0)
+#: rows :meth:`RecordTable.extend` takes at a time from an iterable that
+#: is not a list
+_SPREAD_ROWS = 4096
+
+
+class _TailIds(dict):
+    """A record's tail -> its index in *tails*, the distinct tails in the
+    order they were first seen; a new tail is appended on its lookup."""
+
+    def __init__(self, tails: List[tuple]) -> None:
+        super().__init__()
+        self.tails = tails
+
+    def __missing__(self, tail: tuple) -> int:
+        index = self[tail] = len(self.tails)
+        self.tails.append(tail)
+        return index
+
+
+class RecordTable(MutableSequence):
+    """A run's :class:`TransactionRecord` rows, kept as columns.
+
+    ``uid``, ``submitted_at`` and ``committed_at`` are lists, so they
+    share the transactions' own int and float objects and keep each
+    value's type; ``tail`` is an ``array('I')`` of indices into
+    ``tails``, the distinct ``(kind, contract, function, client, aborted,
+    abort_reason, retries)`` tuples, each kept once. A row costs 28 bytes
+    of column slots, where a record tuple and its list slot cost 144.
+
+    As a sequence it reads and takes :class:`TransactionRecord` rows: an
+    index or an iteration builds them, :meth:`extend` spreads a list of
+    them into the columns (with C-level passes, so a caller can drop each
+    batch of rows as soon as it is taken). The aggregates of
+    :class:`BenchmarkResult` read the columns through numpy.
+
+    Tails are interned by equality, so tail fields hold their declared
+    types: ``aborted`` a bool, ``retries`` an int, the rest a str or
+    ``None`` (a tail holding ``1`` would read back as an equal interned
+    ``True``). The timestamps may be ints or floats.
+    """
+
+    __slots__ = ("uid", "submitted_at", "committed_at", "tail", "tails",
+                 "_tail_ids")
+
+    def __init__(self, rows: Iterable[Sequence] = ()) -> None:
+        self.uid: List[int] = []
+        self.submitted_at: List[float] = []
+        self.committed_at: List[Optional[float]] = []
+        self.tail = array("I")
+        self.tails: List[tuple] = []
+        self._tail_ids = _TailIds(self.tails)
+        self.extend(rows)
+
+    # -- the sequence of rows --------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.uid)
+
+    def _row(self, index: int) -> TransactionRecord:
+        kind, contract, function, client, aborted, reason, retries = (
+            self.tails[self.tail[index]])
+        return _new_tuple(TransactionRecord, (
+            self.uid[index], kind, contract, function, client,
+            self.submitted_at[index], self.committed_at[index], aborted,
+            reason, retries))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordTable(map(self._row,
+                                   range(*index.indices(len(self)))))
+        return self._row(index)
+
+    def __iter__(self) -> Iterator[TransactionRecord]:
+        tails = self.tails
+        for uid, submitted, committed, tail in zip(
+                self.uid, self.submitted_at, self.committed_at, self.tail):
+            kind, contract, function, client, aborted, reason, retries = (
+                tails[tail])
+            yield _new_tuple(TransactionRecord, (
+                uid, kind, contract, function, client, submitted,
+                committed, aborted, reason, retries))
+
+    def __setitem__(self, index, row) -> None:
+        if isinstance(index, slice):
+            rows = list(self)
+            rows[index] = row
+            del self[:]
+            self.extend(rows)
+            return
+        self.uid[index] = row[0]
+        self.submitted_at[index] = row[5]
+        self.committed_at[index] = row[6]
+        self.tail[index] = self._tail_ids[_tail(row)]
+
+    def __delitem__(self, index) -> None:
+        del self.uid[index], self.submitted_at[index]
+        del self.committed_at[index], self.tail[index]
+
+    def insert(self, index: int, row: Sequence) -> None:
+        self.uid.insert(index, row[0])
+        self.submitted_at.insert(index, row[5])
+        self.committed_at.insert(index, row[6])
+        # array.insert clamps like list.insert, so the columns stay aligned
+        self.tail.insert(index, self._tail_ids[_tail(row)])
+
+    def extend(self, rows: Iterable[Sequence]) -> None:
+        """Spread *rows* into the columns, with C-level passes only.
+
+        A list is transposed once (``zip(*rows)``). When its rows share
+        one tail, as a tick's rows from one client do, that tail is looked
+        up once; otherwise each row's is. Any other iterable is taken a
+        batch at a time.
+        """
+        if rows is self:
+            rows = list(rows)
+        if not isinstance(rows, list):
+            rows = iter(rows)
+            while batch := list(itertools.islice(rows, _SPREAD_ROWS)):
+                self.extend(batch)
+            return
+        if not rows:
+            return
+        (uid, kind, contract, function, client, submitted, committed,
+         aborted, reason, retries) = zip(*rows)
+        self.uid += uid
+        self.submitted_at += submitted
+        self.committed_at += committed
+        tails = (kind, contract, function, client, aborted, reason, retries)
+        count = len(rows)
+        if all(map(count.__eq__, map(tuple.count, tails, map(_first, tails)))):
+            self.tail += array("I", (self._tail_ids[_tail(rows[0])],)) * count
+        else:
+            self.tail.extend(map(self._tail_ids.__getitem__, zip(*tails)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordTable):
+            return (self.uid == other.uid
+                    and self.submitted_at == other.submitted_at
+                    and self.committed_at == other.committed_at
+                    and list(map(self.tails.__getitem__, self.tail))
+                    == list(map(other.tails.__getitem__, other.tail)))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None     # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RecordTable({list(self)!r})"
+
+    # -- the columns as numpy arrays ---------------------------------------------
+
+    def submitted_times(self, rows: Optional[np.ndarray] = None
+                        ) -> np.ndarray:
+        """``submitted_at`` as floats: every row's, or those *rows* (a
+        mask) selects."""
+        if rows is None:
+            return np.array(self.submitted_at, dtype=float)
+        return _selected(self.submitted_at, rows)
+
+    def committed_times(self, rows: np.ndarray) -> np.ndarray:
+        """``committed_at`` as floats, of the rows *rows* (a mask of rows
+        that have one, such as :meth:`committed_mask`) selects."""
+        return _selected(self.committed_at, rows)
+
+    def committed_mask(self) -> np.ndarray:
+        """Per row: committed (a commit time, not aborted)."""
+        committed = np.frombuffer(bytes(map(
+            is_not, self.committed_at, itertools.repeat(None))), dtype=bool)
+        aborted = [tail[4] for tail in self.tails]
+        if any(aborted):
+            # a copy of the tail column: a live view would stop it growing
+            tails = np.frombuffer(self.tail, dtype=np.uint32).astype(np.intp)
+            committed = committed & ~np.array(aborted, dtype=bool)[tails]
+        return committed
+
+    def tail_counts(self) -> Dict[int, int]:
+        """Tail index -> its rows, in the order of each tail's first row
+        (which edits may have moved from the order tails were first seen
+        in)."""
+        return Counter(self.tail)
+
+    def total_retries(self) -> int:
+        tails = self.tails
+        return sum(tails[index][6] * count
+                   for index, count in self.tail_counts().items())
+
+
+def _selected(column: List[Any], rows: np.ndarray) -> np.ndarray:
+    """The values of *column* in the rows the mask *rows* selects."""
+    return np.fromiter(itertools.compress(column, rows.tobytes()),
+                       dtype=float, count=int(np.count_nonzero(rows)))
 
 
 class _TailTexts(dict):
-    """``(tail, type(submitted_at), type(committed_at))`` -> its row text.
+    """``(tail index, submitted_at, committed_at, their types)`` -> row text.
 
-    The text is what ``json.dumps`` writes after a row's uid, from the
-    tail's nine fields through the row's close, followed by
+    The text is what ``json.dumps`` writes after a row's uid, from its
+    nine other fields through the row's close, followed by
     :data:`_ROW_JOIN`: everything up to the next row's uid. The key
     carries the timestamp types because ``5 == 5.0`` while the two encode
-    as ``5`` and ``5.0``. A tail holding a float zero is never stored,
+    as ``5`` and ``5.0``. A key holding a float zero is never stored,
     because ``-0.0 == 0.0`` while the two encode apart; such a row is
-    encoded on its own. The other fields encode by value at their
-    declared types. One instance lives for one
-    :meth:`BenchmarkResult.json_parts` call, because ``records`` is a public
-    list that callers may edit between calls.
+    encoded on its own. One instance lives for one
+    :meth:`BenchmarkResult.json_parts` call, because callers may edit the
+    records between calls.
     """
 
+    def __init__(self, tails: List[tuple]) -> None:
+        super().__init__()
+        self.tails = tails
+
     def __missing__(self, key: tuple) -> str:
-        row = dict(zip(_TAIL_FIELDS, key[0]))
+        tail, submitted, committed = key[:3]
+        kind, contract, function, client, aborted, reason, retries = (
+            self.tails[tail])
+        row = dict(zip(_ROW_FIELDS, (
+            kind, contract, function, client, submitted, committed,
+            aborted, reason, retries)))
         text = ", " + json.dumps(row)[1:] + _ROW_JOIN
-        if 0.0 not in (row["submitted_at"], row["committed_at"]):
+        if 0.0 not in (submitted, committed):
             self[key] = text
         return text
 
 
 @dataclass
 class BenchmarkResult:
-    """Everything one benchmark run produced."""
+    """Everything one benchmark run produced.
+
+    ``records`` is always a :class:`RecordTable`: one assigned or passed
+    as any other iterable of records is spread into a new table.
+    """
 
     chain: str
     configuration: str
     workload_name: str
     duration: float
     scale: float
-    records: List[TransactionRecord] = field(default_factory=list)
+    records: RecordTable = field(default_factory=RecordTable)
     chain_stats: Dict[str, float] = field(default_factory=dict)
     #: JSON summaries of the fault schedule applied during the run
     #: (see :func:`repro.sim.faults.event_summary`)
@@ -153,6 +360,11 @@ class BenchmarkResult:
     #: identically to runs from before the population layer existed
     population: Dict[str, Any] = field(default_factory=dict)
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "records" and not isinstance(value, RecordTable):
+            value = RecordTable(value)
+        object.__setattr__(self, name, value)
+
     # -- core aggregates (unscaled back to real-experiment units) ----------------
 
     def _unscale(self, rate: float) -> float:
@@ -162,31 +374,23 @@ class BenchmarkResult:
     def submitted(self) -> int:
         return len(self.records)
 
-    def committed_records(self, window: Optional[float] = None
-                          ) -> List[TransactionRecord]:
-        """Records committed within the measurement window.
-
-        The window defaults to the run duration — commits that land after
-        the load generator stopped do not count toward throughput, matching
-        the paper's average-throughput-over-the-run metric.
-        """
-        horizon = self.duration if window is None else window
-        return [r for r in self._committed() if r.committed_at <= horizon]
-
     def _rate(self, count: int) -> float:
         """*count* transactions over the run window, as unscaled TPS."""
         if self.duration <= 0:
             return 0.0
         return self._unscale(count / self.duration)
 
-    def _committed(self) -> List[TransactionRecord]:
-        """Every committed record, in record order.
+    def _committed(self) -> np.ndarray:
+        """Per record, in record order: whether it committed.
 
         The one walk over ``records`` that throughput, latency and the
         commit ratio are all derived from.
         """
-        return [r for r in self.records
-                if r.committed_at is not None and not r.aborted]
+        return self.records.committed_mask()
+
+    def _commit_times(self) -> np.ndarray:
+        """The commit time of every committed record, in record order."""
+        return self.records.committed_times(self._committed())
 
     @property
     def average_load(self) -> float:
@@ -196,15 +400,15 @@ class BenchmarkResult:
     @property
     def average_throughput(self) -> float:
         """Average committed TPS over the run window."""
-        return self._rate(len(self.committed_records()))
+        return self._rate(self.latencies(self.duration).size)
 
     @property
     def commit_ratio(self) -> float:
         """Proportion of submitted transactions ever committed."""
-        return _ratio(len(self._committed()), len(self.records))
+        return _ratio(int(self._committed().sum()), len(self.records))
 
     def latencies(self, window: Optional[float] = None) -> np.ndarray:
-        return _latencies(self._committed(), window)
+        return _latencies(self.records, self._committed(), window)
 
     @property
     def average_latency(self) -> float:
@@ -218,8 +422,7 @@ class BenchmarkResult:
 
     def throughput_series(self, bin_size: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         """(bin start times, committed TPS per bin), unscaled."""
-        commits = np.array([r.committed_at for r in self.records
-                            if r.committed], dtype=float)
+        commits = self._commit_times()
         end = self.duration
         bins = np.arange(0.0, end + bin_size, bin_size)
         counts, edges = np.histogram(commits, bins=bins)
@@ -227,7 +430,7 @@ class BenchmarkResult:
 
     def load_series(self, bin_size: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         """(bin start times, submitted TPS per bin), unscaled."""
-        submits = np.array([r.submitted_at for r in self.records], dtype=float)
+        submits = self.records.submitted_times()
         end = self.duration
         bins = np.arange(0.0, end + bin_size, bin_size)
         counts, edges = np.histogram(submits, bins=bins)
@@ -282,12 +485,12 @@ class BenchmarkResult:
         toward zero; after the repair the backlog lands and the ratio can
         transiently exceed one.
         """
-        submitted = sum(1 for r in self.records
-                        if t0 <= r.submitted_at < t1)
+        submits = self.records.submitted_times()
+        submitted = int(np.count_nonzero((t0 <= submits) & (submits < t1)))
         if submitted == 0:
             return 0.0
-        committed = sum(1 for r in self.records
-                        if r.committed and t0 <= r.committed_at < t1)
+        commits = self._commit_times()
+        committed = int(np.count_nonzero((t0 <= commits) & (commits < t1)))
         return committed / submitted
 
     def time_to_recover(self, fault_end: Optional[float] = None
@@ -302,17 +505,17 @@ class BenchmarkResult:
             if window is None:
                 return None
             fault_end = window[1]
-        after = [r.committed_at for r in self.records
-                 if r.committed and r.committed_at >= fault_end]
-        if not after:
+        commits = self._commit_times()
+        after = commits[commits >= fault_end]
+        if not after.size:
             return None
-        return min(after) - fault_end
+        return float(after.min()) - fault_end
 
     def retries_per_transaction(self) -> float:
         """Average client resubmissions per submitted transaction."""
         if not self.records:
             return 0.0
-        return sum(r.retries for r in self.records) / len(self.records)
+        return self.records.total_retries() / len(self.records)
 
     def degradation(self) -> Optional[Dict[str, Any]]:
         """Before/during/after availability around the fault window.
@@ -353,8 +556,17 @@ class BenchmarkResult:
 
     def abort_reasons(self) -> Dict[str, int]:
         """Abort reason -> count, in order of first occurrence."""
-        return dict(Counter(r.abort_reason for r in self.records
-                            if r.aborted and r.abort_reason))
+        table = self.records
+        reasons = {index: tail[5] for index, tail in enumerate(table.tails)
+                   if tail[4] and tail[5]}
+        if not reasons:
+            return {}
+        found: Dict[str, int] = {}
+        for index, count in table.tail_counts().items():
+            reason = reasons.get(index)
+            if reason is not None:
+                found[reason] = found.get(reason, 0) + count
+        return found
 
     def execution_failed(self) -> bool:
         """True when the chain could not execute the DApp at all (Fig. 5's X).
@@ -363,15 +575,14 @@ class BenchmarkResult:
         exceeded" errors and no transaction of the workload commits.
         """
         budget_failures = self.abort_reasons().get("budget_exceeded", 0)
-        return budget_failures > 0 and not any(
-            r.committed for r in self.records)
+        return budget_failures > 0 and not self._committed().any()
 
     # -- serialization ------------------------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
         submitted = len(self.records)
         committed = self._committed()
-        in_window = _latencies(committed, self.duration)
+        in_window = _latencies(self.records, committed, self.duration)
         summary: Dict[str, Any] = {
             "chain": self.chain,
             "configuration": self.configuration,
@@ -385,7 +596,8 @@ class BenchmarkResult:
             if submitted else None,
             "median_latency_s": round(_median(in_window), 3)
             if submitted else None,
-            "commit_ratio": round(_ratio(len(committed), submitted), 4),
+            "commit_ratio": round(
+                _ratio(int(committed.sum()), submitted), 4),
             "aborts": self.abort_reasons(),
             "chain_stats": self.chain_stats,
             "status": self.status,
@@ -418,24 +630,25 @@ class BenchmarkResult:
         """The pieces whose concatenation is :meth:`to_json`'s document.
 
         The head (the summary, up to the first row's uid), then two pieces
-        per row: the uid's digits and the text of its other nine fields,
-        its tail, up to the next row's uid; the last row's tail closes the
-        document. Every transaction that entered in the same tick and
-        committed in the same block shares a tail, so each distinct tail's
-        text is encoded once per call (:class:`_TailTexts`) and shared. A
-        result cache writes these pieces to its entry a slice at a time,
-        never holding the whole document.
+        per row: the uid's digits and the text of its other nine fields
+        up to the next row's uid; the last row's text closes the
+        document. Every transaction that entered in the same tick from
+        the same client and committed in the same block shares that text,
+        so each distinct one is encoded once per call (:class:`_TailTexts`)
+        and shared. A result cache writes these pieces to its entry a
+        slice at a time, never holding the whole document.
         """
-        records = self.records
+        table = self.records
         head = _SUMMARY_OPEN + json.dumps(self.summary()) + _SUMMARY_CLOSE
-        if not records:
+        if not table:
             return [head + _DOCUMENT_CLOSE]
-        keys = zip(map(_tail, records),
-                   map(type, map(_submitted_at, records)),
-                   map(type, map(_committed_at, records)))
+        submitted, committed = table.submitted_at, table.committed_at
+        keys = zip(table.tail, submitted, committed,
+                   map(type, submitted), map(type, committed))
         parts = [head + _ROW_OPEN]
         parts += itertools.chain.from_iterable(zip(
-            map(str, map(_uid, records)), map(_TailTexts().__getitem__, keys)))
+            map(str, table.uid),
+            map(_TailTexts(table.tails).__getitem__, keys)))
         # the last row closes the document instead of opening another row
         parts[-1] = parts[-1][:-len(_ROW_JOIN)] + _DOCUMENT_CLOSE
         return parts
@@ -490,8 +703,8 @@ class BenchmarkResult:
             workload_name=summary["workload"],
             duration=summary["duration"],
             scale=summary["scale"],
-            records=[TransactionRecord(**raw)
-                     for raw in payload["transactions"]],
+            records=RecordTable(TransactionRecord(**raw)
+                                for raw in payload["transactions"]),
             chain_stats=summary.get("chain_stats", {}),
             fault_events=summary.get("fault_events", []),
             status=summary.get("status", "ok"),
@@ -506,12 +719,15 @@ def _ratio(count: int, total: int) -> float:
     return count / total if total else 0.0
 
 
-def _latencies(committed: List[TransactionRecord],
+def _latencies(table: RecordTable, committed: np.ndarray,
                window: Optional[float]) -> np.ndarray:
-    """Latencies of *committed* records (landing within *window*, if given)."""
-    return np.array([r.committed_at - r.submitted_at for r in committed
-                     if window is None or r.committed_at <= window],
-                    dtype=float)
+    """Latencies of the *committed* rows of *table*, in row order (those
+    landing within *window*, if given)."""
+    commits = table.committed_times(committed)
+    latencies = commits - table.submitted_times(committed)
+    if window is not None:
+        latencies = latencies[commits <= window]
+    return latencies
 
 
 def _mean(latencies: np.ndarray) -> float:

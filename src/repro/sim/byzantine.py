@@ -27,6 +27,7 @@ contract the tracing layer makes).
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -336,8 +337,13 @@ class ByzantineAdversary:
         self._counters: Dict[str, Any] = {}
 
     def bind(self, harness: Any) -> None:
-        """Attach to a harness: counters land in its metrics registry."""
-        self._harness = harness
+        """Attach to a harness: counters land in its metrics registry.
+
+        The harness holds the adversary, so the adversary holds it through
+        a proxy, as its replicas do: a dropped harness is freed by
+        reference counting, not left in a cycle for the collector.
+        """
+        self._harness = weakref.proxy(harness)
         ns = harness.metrics.namespace("byzantine")
         self._counters = {
             "equivocations": ns.counter("equivocations"),

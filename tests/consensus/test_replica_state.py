@@ -2,7 +2,8 @@
 
 A HotStuff or Clique block id is a fixed-size header digest, so a long
 chain does not make its ids longer; IBFT's vote tables hold no height a
-replica has passed, and HotStuff's none below ``view - 1``. Memory then
+replica has passed, HotStuff's none below ``view - 1``, and BA*'s no
+passed round (cert votes: no decided round). Memory then
 grows linearly with the chain (blocks and decisions are kept), not with
 its square.
 """
@@ -95,6 +96,21 @@ def test_ibft_vote_tables_hold_no_passed_height():
                       replica._round_changes, replica._sent_prepare,
                       replica._sent_commit):
             assert all(key[0] >= replica.height for key in table)
+
+
+def test_algorand_keeps_only_the_rounds_it_can_act_on():
+    # proposals, soft votes and sent marks of a passed round are never
+    # read again; cert votes are, until their round is decided
+    harness = _run("algorand", 60.0)
+    for replica in harness.replicas:
+        assert replica.round > 25 and len(replica._decided) > 20
+        for table in (replica._best_proposal, replica._soft_sent,
+                      replica._cert_sent):
+            assert all(round_ >= replica.round for round_ in table)
+        assert all(round_ >= replica.round
+                   for round_, _ in replica._soft_votes)
+        assert not any(round_ in replica._decided
+                       for round_, _ in replica._cert_votes)
 
 
 def test_hotstuff_memory_grows_with_the_window_not_the_history():

@@ -5,8 +5,9 @@ and ``Primary`` takes that log when it aggregates, after it has taken the
 chain's statistics and emptied the pool. It consumes the log tick by
 tick: once a tick's records are built, a transaction that only the log
 referenced (evicted, or still pending when the run ended) is freed by
-reference counting. So records replace transactions instead of adding to
-them, after a run the live transactions are exactly the ones the network
+reference counting, and the records go too once the result's columns
+(``RecordTable``) have taken them. So records replace transactions
+instead of adding to them, after a run the live transactions are exactly the ones the network
 still holds (committed, dropped or sealed), and the bytes a run retains
 per offered transaction stay small however much of the load the chain
 turned away.
@@ -32,11 +33,12 @@ from repro.sim.deployment import TESTNET
 SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 #: the most bytes a finished evicting run may retain per offered
-#: transaction (records, blocks, the network's own state): 215-230 are
-#: measured on CPython 3.11, plus a 30-byte margin. A log that outlives
+#: transaction (record columns, blocks, the network's own state):
+#: 122-125 are measured on CPython 3.11, plus a 25-byte margin. Records
+#: kept as one tuple each retain 227-230, and a log that outlives
 #: aggregation keeps every evicted transaction and its client pairing
-#: too, and retains ~490 bytes per offered transaction
-MAX_RETAINED_BYTES_PER_TX = 260
+#: too, ~490 bytes per offered transaction
+MAX_RETAINED_BYTES_PER_TX = 150
 #: how far the traced memory may rise above its level at the start of
 #: aggregation, per offered transaction: ~2 bytes are measured. A record
 #: that adds to its transaction instead of replacing it costs ~140

@@ -13,20 +13,27 @@ finds the summary by position, so whatever text the summary's own keys
 hold, it must return what a full parse returns. The returned document is
 the only full copy of the rows the encoder makes, which a ``tracemalloc``
 peak checks.
+
+The records live in a ``RecordTable``, as columns. Any list of records
+fed to one, or edited in one (``append``, ``__setitem__``, ``insert``,
+``del``), must read back as the same rows, value and type, and encode and
+summarise exactly as the plain list would.
 """
 
 from __future__ import annotations
 
 import json
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import results as results_module
-from repro.core.results import BenchmarkResult, TransactionRecord
+from repro.core.results import BenchmarkResult, RecordTable, TransactionRecord
 
 FIELDS = ("uid", "kind", "contract", "function", "client", "submitted_at",
           "committed_at", "aborted", "abort_reason", "retries")
@@ -219,6 +226,141 @@ def test_the_document_is_the_only_full_copy_of_the_rows():
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * len(text), peak / len(text)
+
+
+#: every timestamp and uid the columns must keep exactly: ints, a
+#: negative zero beside a positive one, uids past 64 bits
+exact_timestamps = st.one_of(timestamps, st.sampled_from([0, 0.0, -0.0, 5]))
+exact_records = st.builds(
+    TransactionRecord,
+    uid=st.one_of(st.integers(min_value=0, max_value=2**70),
+                  st.sampled_from([2**63, 2**64 + 1])),
+    kind=st.sampled_from(["transfer", "invoke"]),
+    contract=names,
+    function=names,
+    client=st.sampled_from(["c", "clïent", ""]),
+    submitted_at=exact_timestamps,
+    committed_at=st.one_of(st.none(), exact_timestamps),
+    aborted=st.booleans(),
+    abort_reason=st.one_of(st.none(), st.sampled_from(["expired",
+                                                       "evicted"])),
+    retries=st.integers(min_value=0, max_value=3))
+
+
+def summary_oracle(recs, duration, scale):
+    """The summary's record-derived keys, record by record."""
+    committed = [r for r in recs if r.committed_at is not None
+                 and not r.aborted]
+    in_window = np.array([r.committed_at - r.submitted_at for r in committed
+                          if r.committed_at <= duration], dtype=float)
+
+    def rate(count):
+        return count / duration / scale if duration > 0 else 0.0
+
+    return {
+        "submitted": len(recs),
+        "average_load_tps": round(rate(len(recs)), 2),
+        "average_throughput_tps": round(rate(in_window.size), 2),
+        "average_latency_s": round(float(in_window.mean()), 3)
+        if recs and in_window.size else (float("nan") if recs else None),
+        "median_latency_s": round(float(np.median(in_window)), 3)
+        if recs and in_window.size else (float("nan") if recs else None),
+        "commit_ratio": round(len(committed) / len(recs), 4) if recs
+        else 0.0,
+        "aborts": dict(Counter(r.abort_reason for r in recs
+                               if r.aborted and r.abort_reason)),
+    }
+
+
+def assert_holds_the_rows(result, recs):
+    """The table reads back *recs*, value and type, and encodes and
+    summarises as the plain list would."""
+    table = result.records
+    assert isinstance(table, RecordTable)
+    assert len(table) == len(recs)
+    assert table == recs and table == RecordTable(recs)
+    # repr tells 5 from 5.0 and -0.0 from 0.0, which == does not
+    assert repr(list(table)) == repr(recs)
+    assert [repr(table[i]) for i in range(-len(recs), 0)] == \
+        [repr(r) for r in recs]
+    assert result.to_json() == json.dumps({
+        "summary": result.summary(),
+        "transactions": [r._asdict() for r in recs]})
+    summary = result.summary()
+    expected = summary_oracle(recs, result.duration, result.scale)
+    assert json.dumps({key: summary[key] for key in expected}) == \
+        json.dumps(expected)
+    assert result.retries_per_transaction() == (
+        sum(r.retries for r in recs) / len(recs) if recs else 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(recs=st.lists(exact_records, max_size=12),
+       duration=st.sampled_from([0.0, 10.0, 1e6]))
+def test_a_table_reads_back_and_encodes_the_rows_it_was_fed(recs, duration):
+    result = BenchmarkResult("quorum", "testnet", "w", duration, 0.5,
+                             records=recs)
+    assert_holds_the_rows(result, recs)
+    assert BenchmarkResult.from_json(result.to_json()) == result
+
+
+#: (operation, index, record) edits applied alike to a list and a table
+edits = st.lists(st.tuples(
+    st.sampled_from(["append", "setitem", "insert", "delitem"]),
+    st.integers(min_value=-15, max_value=15), exact_records), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(recs=st.lists(exact_records, max_size=6), steps=edits)
+def test_an_edited_table_encodes_like_the_edited_list(recs, steps):
+    result = make_result(recs)
+    result.to_json()                       # encode once before the edits
+    rows = list(recs)
+    for operation, index, record in steps:
+        if operation == "append":
+            rows.append(record)
+            result.records.append(record)
+        elif operation == "insert":
+            rows.insert(index, record)
+            result.records.insert(index, record)
+        elif rows:
+            index %= len(rows)
+            if operation == "setitem":
+                rows[index] = record
+                result.records[index] = record
+            else:
+                del rows[index]
+                del result.records[index]
+    assert_holds_the_rows(result, rows)
+
+
+def test_an_assigned_or_passed_list_becomes_a_table():
+    row = TransactionRecord(2**64, "transfer", None, None, "c", 5, -0.0,
+                            False, None)
+    result = BenchmarkResult("quorum", "testnet", "w", 10.0, 1.0,
+                             records=[row])
+    assert isinstance(result.records, RecordTable)
+    result.records = (row._replace(uid=1), row)
+    assert isinstance(result.records, RecordTable)
+    assert list(result.records) == [row._replace(uid=1), row]
+    result.records += [row]
+    assert len(result.records) == 3 and result.records[-1] == row
+    assert result.records[1:] == [row, row]
+
+
+def test_rows_sharing_a_tail_share_one_entry():
+    # a tick whose rows share one tail, then a tick that mixes two
+    rows = [TransactionRecord(uid, "transfer", None, None,
+                              f"c{uid % 2 if uid >= 300 else 0}",
+                              uid // 300 * 0.1, None, False, None)
+            for uid in range(600)]
+    table = RecordTable()
+    table.extend(rows[:300])
+    table.extend(rows[300:])
+    assert table.tails == [rows[0][1:5] + rows[0][7:],
+                           rows[301][1:5] + rows[301][7:]]
+    assert table.tail.itemsize == 4
+    assert list(table) == rows
 
 
 @given(record=records)

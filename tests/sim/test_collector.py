@@ -30,6 +30,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.consensus.base import ConsensusHarness
+from repro.consensus.testbed import run_audited
 from repro.consensus.hotstuff import HotStuffReplica
 from repro.consensus.ibft import IBFTReplica
 from repro.core.primary import Primary
@@ -37,6 +38,7 @@ from repro.core.results import BenchmarkResult
 from repro.core.spec import (AccountSample, LoadSchedule, TransferSpec,
                              WorkloadSpec, load_spec, simple_spec)
 from repro.core.watchdog import LivenessWatchdog
+from repro.sim.byzantine import ByzantineSchedule, CensorLeader, Equivocate
 from repro.sim.engine import collector_paused
 from repro.workloads.registry import workload_registry
 
@@ -240,6 +242,20 @@ class TestADiscardedRunLeavesNothing:
             harness = ConsensusHarness([replica() for _ in range(16)])
             harness.run(0.5)
             assert harness.decisions
+
+        assert garbage_after_dropping(run) == 0
+
+    @pytest.mark.parametrize("kind", [Equivocate, CensorLeader],
+                             ids=["equivocate", "censor-leader"])
+    def test_an_audited_hotstuff_run(self, kind):
+        # the adversary and the auditor hold the harness that holds them;
+        # the auditor still reads it while the caller holds it too
+        def run() -> None:
+            harness, auditor = run_audited(
+                "hotstuff", ByzantineSchedule((kind(node=0, start=0.0,
+                                                    stop=1e9),)))
+            assert auditor.report()["verdict"] == "ok"
+            assert auditor.liveness_grade() == "ok"
 
         assert garbage_after_dropping(run) == 0
 
