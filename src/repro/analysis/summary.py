@@ -307,7 +307,9 @@ def population_report(result: BenchmarkResult) -> str:
         f" {block['aggregate_users']:,} aggregate,"
         f" {block['arrival']} arrivals)",
         f"offered load          {scaled['offered_load_tps']:,.0f} TPS",
-        f"delivered throughput  {scaled['throughput_tps']:,.1f} TPS",
+        f"delivered throughput  {scaled['throughput_tps']:,.1f} TPS"
+        f" in the {result.duration:g} s load window"
+        f" ({scaled['committed']:,} committed overall, drain included)",
         f"commit ratio          {scaled['commit_ratio']:.2%}"
         f" (cohort {cohort['commit_ratio']:.2%},"
         f" aggregate {aggregate['commit_ratio']:.2%})",

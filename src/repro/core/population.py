@@ -43,7 +43,7 @@ from repro.common.rng import BlockSampler
 if TYPE_CHECKING:  # imported lazily at runtime (spec.py imports us)
     from repro.chain.transaction import Transaction
     from repro.common.rng import RngFactory
-    from repro.core.results import RecordTable
+    from repro.core.results import BenchmarkResult
     from repro.core.spec import Interaction, LoadSchedule
 
 #: individually-tracked clients sampled from the population by default
@@ -230,17 +230,17 @@ def _latency_stats(latencies: Sequence[float]) -> Dict[str, float]:
 
 
 def population_block(spec: PopulationSpec,
-                     cohort_records: "RecordTable",
+                     result: "BenchmarkResult",
                      aggregate_sent: Sequence["Transaction"],
-                     aggregate_unbuilt: int,
-                     duration: float,
-                     scale_factor: float) -> Dict[str, object]:
-    """The ``population`` block of a :class:`BenchmarkResult` summary.
+                     aggregate_unbuilt: int) -> Dict[str, object]:
+    """The ``population`` block of *result*'s summary.
 
     Three clearly-labelled sections:
 
-    * ``cohort_exact`` — per-transaction metrics from the tracked cohort
-      (exact for those users: full retry/fee-bump/latency fidelity);
+    * ``cohort_exact`` — per-transaction metrics from the tracked cohort,
+      whose records are *result*'s (exact for those users: full
+      retry/fee-bump/latency fidelity); its commit ratio and retries are
+      the result's own;
     * ``aggregate_lane`` — totals from the aggregate arrival process
       (directly simulated load, but no per-client identity):
       *aggregate_sent* plus the *aggregate_unbuilt* submissions the node
@@ -249,23 +249,15 @@ def population_block(spec: PopulationSpec,
       throughput/commit counts (both lanes are real simulated traffic)
       with latency quantiles borrowed from the cohort distribution.
     """
-    unscale = (lambda rate: rate / scale_factor if scale_factor > 0
-               else rate)
-    cohort_submitted = len(cohort_records)
-    committed = cohort_records.committed_mask()
-    commits = cohort_records.committed_times(committed)
-    cohort_latencies = (
-        commits - cohort_records.submitted_times(committed)).tolist()
+    duration = result.duration
+    cohort_latencies = result.latencies().tolist()
     cohort_committed = len(cohort_latencies)
-    cohort_in_window = int((commits <= duration).sum())
+    cohort_in_window = result.latencies(duration).size
     cohort: Dict[str, object] = {
-        "submitted": cohort_submitted,
+        "submitted": result.submitted,
         "committed": cohort_committed,
-        "commit_ratio": round(cohort_committed / cohort_submitted, 4)
-        if cohort_submitted else 0.0,
-        "retries_per_tx": round(
-            cohort_records.total_retries() / cohort_submitted, 4)
-        if cohort_submitted else 0.0,
+        "commit_ratio": round(result.commit_ratio, 4),
+        "retries_per_tx": round(result.retries_per_transaction(), 4),
     }
     cohort.update(_latency_stats(cohort_latencies))
     agg_submitted = [tx for tx in aggregate_sent
@@ -285,7 +277,7 @@ def population_block(spec: PopulationSpec,
     }
     aggregate.update(_latency_stats(
         [tx.committed_at - tx.submitted_at for tx in agg_committed]))
-    combined_submitted = cohort_submitted + agg_count
+    combined_submitted = result.submitted + agg_count
     combined_committed = cohort_committed + len(agg_committed)
     committed_in_window = cohort_in_window + len(agg_in_window)
     scaled: Dict[str, object] = {
@@ -294,9 +286,7 @@ def population_block(spec: PopulationSpec,
         "committed": combined_committed,
         "commit_ratio": round(combined_committed / combined_submitted, 4)
         if combined_submitted else 0.0,
-        "throughput_tps": round(
-            unscale(committed_in_window / duration), 2)
-        if duration > 0 else 0.0,
+        "throughput_tps": round(result._rate(committed_in_window), 2),
     }
     for key in ("latency_p50_s", "latency_p95_s"):
         if key in cohort:

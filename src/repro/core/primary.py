@@ -403,6 +403,5 @@ class Primary:
         if spec.population is not None:
             # every TransactionRecord of a population run is a cohort record
             result.population = population_block(
-                spec.population, result.records, aggregate_sent,
-                aggregate_unbuilt, duration, self.scale.factor)
+                spec.population, result, aggregate_sent, aggregate_unbuilt)
         return result

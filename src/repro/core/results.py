@@ -16,11 +16,11 @@ import itertools
 import json
 from array import array
 from collections import Counter
-from collections.abc import MutableSequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import is_not, itemgetter
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple)
+                    NamedTuple, Optional, Tuple)
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class _TailIds(dict):
         return index
 
 
-class RecordTable(MutableSequence):
+class RecordTable(Sequence):
     """A run's :class:`TransactionRecord` rows, kept as columns.
 
     ``uid``, ``submitted_at`` and ``committed_at`` are lists, so they
@@ -123,11 +123,12 @@ class RecordTable(MutableSequence):
     abort_reason, retries)`` tuples, each kept once. A row costs 28 bytes
     of column slots, where a record tuple and its list slot cost 144.
 
-    As a sequence it reads and takes :class:`TransactionRecord` rows: an
-    index or an iteration builds them, :meth:`extend` spreads a list of
-    them into the columns (with C-level passes, so a caller can drop each
-    batch of rows as soon as it is taken). The aggregates of
-    :class:`BenchmarkResult` read the columns through numpy.
+    As a sequence it reads :class:`TransactionRecord` rows: an index or an
+    iteration builds them. Rows go in only through the constructor and
+    :meth:`extend`, which spreads them into the columns with C-level
+    passes, so a caller can drop each batch of rows as soon as it is
+    taken. The aggregates of :class:`BenchmarkResult` read the columns
+    through numpy.
 
     Tails are interned by equality, so tail fields hold their declared
     types: ``aborted`` a bool, ``retries`` an int, the rest a str or
@@ -152,19 +153,13 @@ class RecordTable(MutableSequence):
     def __len__(self) -> int:
         return len(self.uid)
 
-    def _row(self, index: int) -> TransactionRecord:
+    def __getitem__(self, index: int) -> TransactionRecord:
         kind, contract, function, client, aborted, reason, retries = (
             self.tails[self.tail[index]])
         return _new_tuple(TransactionRecord, (
             self.uid[index], kind, contract, function, client,
             self.submitted_at[index], self.committed_at[index], aborted,
             reason, retries))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RecordTable(map(self._row,
-                                   range(*index.indices(len(self)))))
-        return self._row(index)
 
     def __iter__(self) -> Iterator[TransactionRecord]:
         tails = self.tails
@@ -176,29 +171,6 @@ class RecordTable(MutableSequence):
                 uid, kind, contract, function, client, submitted,
                 committed, aborted, reason, retries))
 
-    def __setitem__(self, index, row) -> None:
-        if isinstance(index, slice):
-            rows = list(self)
-            rows[index] = row
-            del self[:]
-            self.extend(rows)
-            return
-        self.uid[index] = row[0]
-        self.submitted_at[index] = row[5]
-        self.committed_at[index] = row[6]
-        self.tail[index] = self._tail_ids[_tail(row)]
-
-    def __delitem__(self, index) -> None:
-        del self.uid[index], self.submitted_at[index]
-        del self.committed_at[index], self.tail[index]
-
-    def insert(self, index: int, row: Sequence) -> None:
-        self.uid.insert(index, row[0])
-        self.submitted_at.insert(index, row[5])
-        self.committed_at.insert(index, row[6])
-        # array.insert clamps like list.insert, so the columns stay aligned
-        self.tail.insert(index, self._tail_ids[_tail(row)])
-
     def extend(self, rows: Iterable[Sequence]) -> None:
         """Spread *rows* into the columns, with C-level passes only.
 
@@ -207,8 +179,6 @@ class RecordTable(MutableSequence):
         up once; otherwise each row's is. Any other iterable is taken a
         batch at a time.
         """
-        if rows is self:
-            rows = list(rows)
         if not isinstance(rows, list):
             rows = iter(rows)
             while batch := list(itertools.islice(rows, _SPREAD_ROWS)):
@@ -235,8 +205,6 @@ class RecordTable(MutableSequence):
                     and self.committed_at == other.committed_at
                     and list(map(self.tails.__getitem__, self.tail))
                     == list(map(other.tails.__getitem__, other.tail)))
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None     # type: ignore[assignment]
@@ -271,9 +239,7 @@ class RecordTable(MutableSequence):
         return committed
 
     def tail_counts(self) -> Dict[int, int]:
-        """Tail index -> its rows, in the order of each tail's first row
-        (which edits may have moved from the order tails were first seen
-        in)."""
+        """Tail index -> its rows, in the order of each tail's first row."""
         return Counter(self.tail)
 
     def total_retries(self) -> int:
@@ -298,8 +264,8 @@ class _TailTexts(dict):
     as ``5`` and ``5.0``. A key holding a float zero is never stored,
     because ``-0.0 == 0.0`` while the two encode apart; such a row is
     encoded on its own. One instance lives for one
-    :meth:`BenchmarkResult.json_parts` call, because callers may edit the
-    records between calls.
+    :meth:`BenchmarkResult.json_parts` call, because the table may grow
+    between calls.
     """
 
     def __init__(self, tails: List[tuple]) -> None:
@@ -321,11 +287,7 @@ class _TailTexts(dict):
 
 @dataclass
 class BenchmarkResult:
-    """Everything one benchmark run produced.
-
-    ``records`` is always a :class:`RecordTable`: one assigned or passed
-    as any other iterable of records is spread into a new table.
-    """
+    """Everything one benchmark run produced."""
 
     chain: str
     configuration: str
@@ -360,11 +322,6 @@ class BenchmarkResult:
     #: identically to runs from before the population layer existed
     population: Dict[str, Any] = field(default_factory=dict)
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name == "records" and not isinstance(value, RecordTable):
-            value = RecordTable(value)
-        object.__setattr__(self, name, value)
-
     # -- core aggregates (unscaled back to real-experiment units) ----------------
 
     def _unscale(self, rate: float) -> float:
@@ -380,18 +337,6 @@ class BenchmarkResult:
             return 0.0
         return self._unscale(count / self.duration)
 
-    def _committed(self) -> np.ndarray:
-        """Per record, in record order: whether it committed.
-
-        The one walk over ``records`` that throughput, latency and the
-        commit ratio are all derived from.
-        """
-        return self.records.committed_mask()
-
-    def _commit_times(self) -> np.ndarray:
-        """The commit time of every committed record, in record order."""
-        return self.records.committed_times(self._committed())
-
     @property
     def average_load(self) -> float:
         """Average submitted TPS (the paper's 'average workload')."""
@@ -405,10 +350,12 @@ class BenchmarkResult:
     @property
     def commit_ratio(self) -> float:
         """Proportion of submitted transactions ever committed."""
-        return _ratio(int(self._committed().sum()), len(self.records))
+        table = self.records
+        return _ratio(int(table.committed_mask().sum()), len(table))
 
     def latencies(self, window: Optional[float] = None) -> np.ndarray:
-        return _latencies(self.records, self._committed(), window)
+        table = self.records
+        return _latencies(table, table.committed_mask(), window)
 
     @property
     def average_latency(self) -> float:
@@ -422,7 +369,8 @@ class BenchmarkResult:
 
     def throughput_series(self, bin_size: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         """(bin start times, committed TPS per bin), unscaled."""
-        commits = self._commit_times()
+        table = self.records
+        commits = table.committed_times(table.committed_mask())
         end = self.duration
         bins = np.arange(0.0, end + bin_size, bin_size)
         counts, edges = np.histogram(commits, bins=bins)
@@ -489,7 +437,8 @@ class BenchmarkResult:
         submitted = int(np.count_nonzero((t0 <= submits) & (submits < t1)))
         if submitted == 0:
             return 0.0
-        commits = self._commit_times()
+        table = self.records
+        commits = table.committed_times(table.committed_mask())
         committed = int(np.count_nonzero((t0 <= commits) & (commits < t1)))
         return committed / submitted
 
@@ -505,7 +454,8 @@ class BenchmarkResult:
             if window is None:
                 return None
             fault_end = window[1]
-        commits = self._commit_times()
+        table = self.records
+        commits = table.committed_times(table.committed_mask())
         after = commits[commits >= fault_end]
         if not after.size:
             return None
@@ -575,13 +525,14 @@ class BenchmarkResult:
         exceeded" errors and no transaction of the workload commits.
         """
         budget_failures = self.abort_reasons().get("budget_exceeded", 0)
-        return budget_failures > 0 and not self._committed().any()
+        return (budget_failures > 0
+                and not self.records.committed_mask().any())
 
     # -- serialization ------------------------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
         submitted = len(self.records)
-        committed = self._committed()
+        committed = self.records.committed_mask()
         in_window = _latencies(self.records, committed, self.duration)
         summary: Dict[str, Any] = {
             "chain": self.chain,

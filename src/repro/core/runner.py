@@ -16,7 +16,6 @@ from repro.core.watchdog import DEFAULT_WINDOW
 if TYPE_CHECKING:
     from repro.core.results import BenchmarkResult
     from repro.core.spec import WorkloadSpec
-    from repro.obs.metrics import ObservabilityOptions
     from repro.sim.deployment import DeploymentConfig
     from repro.workloads.traces import Trace
 
@@ -28,14 +27,12 @@ def run_benchmark(chain: str, deployment: Union[str, DeploymentConfig],
                   seed: int = 0,
                   drain: float = DEFAULT_DRAIN,
                   max_sim_seconds: Optional[float] = None,
-                  watchdog_window: float = DEFAULT_WINDOW,
-                  observe: Optional[ObservabilityOptions] = None
+                  watchdog_window: float = DEFAULT_WINDOW
                   ) -> BenchmarkResult:
     """Run one benchmark from a WorkloadSpec (or its YAML text)."""
     if isinstance(spec, str):
         spec = load_spec(spec)
-    primary = Primary(chain, deployment, scale=scale, seed=seed,
-                      observe=observe)
+    primary = Primary(chain, deployment, scale=scale, seed=seed)
     return primary.run(spec, workload_name=workload_name, drain=drain,
                        max_sim_seconds=max_sim_seconds,
                        watchdog_window=watchdog_window)
@@ -49,8 +46,7 @@ def run_trace(chain: str, deployment: Union[str, DeploymentConfig],
               seed: int = 0,
               drain: float = DEFAULT_DRAIN,
               max_sim_seconds: Optional[float] = None,
-              watchdog_window: float = DEFAULT_WINDOW,
-              observe: Optional[ObservabilityOptions] = None
+              watchdog_window: float = DEFAULT_WINDOW
               ) -> BenchmarkResult:
     """Run one of the workload-suite traces against a chain."""
     spec = trace.spec(accounts=accounts, clients=clients)
@@ -58,5 +54,4 @@ def run_trace(chain: str, deployment: Union[str, DeploymentConfig],
                          workload_name=trace.name,
                          scale=scale, seed=seed, drain=drain,
                          max_sim_seconds=max_sim_seconds,
-                         watchdog_window=watchdog_window,
-                         observe=observe)
+                         watchdog_window=watchdog_window)

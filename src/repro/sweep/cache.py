@@ -137,8 +137,7 @@ def cell_key_fields(cell: SweepCell) -> Dict[str, Any]:
 
     Population cells hash the *population* spec (users, cohort, per-user
     rate profile) plus the explicit ``population`` axis value and the
-    population options; classic cells keep exactly their original field
-    set, so existing cache entries stay valid.
+    population options; classic cells carry none of those fields.
     """
     if cell.population is not None:
         spec = cell.trace.population_spec(
@@ -151,7 +150,6 @@ def cell_key_fields(cell: SweepCell) -> Dict[str, Any]:
         "drain": cell.options.drain,
         "max_sim_seconds": cell.options.max_sim_seconds,
         "watchdog_window": cell.options.watchdog_window,
-        "observe": _canonical(cell.options.observe),
     }
     fields = {
         "cache_version": CACHE_VERSION,

@@ -206,16 +206,14 @@ def _execute_cell(job: Tuple[SweepCell, Optional[ResultCache],
                 workload_name=f"{cell.trace.name}-pop{cell.population}",
                 scale=cell.scale, seed=cell.seed, drain=options.drain,
                 max_sim_seconds=options.max_sim_seconds,
-                watchdog_window=options.watchdog_window,
-                observe=options.observe)
+                watchdog_window=options.watchdog_window)
         else:
             result = run_trace(
                 cell.chain, cell.configuration, cell.trace,
                 accounts=options.accounts, clients=options.clients,
                 scale=cell.scale, seed=cell.seed, drain=options.drain,
                 max_sim_seconds=options.max_sim_seconds,
-                watchdog_window=options.watchdog_window,
-                observe=options.observe)
+                watchdog_window=options.watchdog_window)
     except Exception as exc:  # noqa: BLE001 — isolation is the whole point
         failure = CellFailure(
             kind="crash",

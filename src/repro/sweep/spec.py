@@ -67,7 +67,6 @@ from repro.sim.deployment import CONFIGURATIONS, get_configuration
 from repro.workloads.registry import workload_registry
 
 if TYPE_CHECKING:
-    from repro.obs.metrics import ObservabilityOptions
     from repro.sim.deployment import DeploymentConfig
     from repro.workloads.traces import Trace
 
@@ -76,8 +75,9 @@ if TYPE_CHECKING:
 class CellOptions:
     """Run options shared by every cell of a sweep.
 
-    These mirror the keyword arguments of
-    :func:`repro.core.runner.run_trace`; anything that changes the
+    A cell passes them to :func:`repro.core.runner.run_trace`, or, with a
+    population, to the population spec and
+    :func:`repro.core.runner.run_benchmark`; anything that changes the
     benchmark outcome belongs here so it can take part in the cache key.
     """
 
@@ -86,7 +86,6 @@ class CellOptions:
     drain: float = DEFAULT_DRAIN
     max_sim_seconds: Optional[float] = None
     watchdog_window: float = DEFAULT_WINDOW
-    observe: Optional[ObservabilityOptions] = None
     #: population-axis knobs (only read by cells with a population):
     #: tracked-cohort size (None = the population default) and the mean
     #: per-user rate the trace shape is normalized to
@@ -232,7 +231,7 @@ def _matrix(raw: Any, path: str) -> Dict[str, Any]:
 
 def sweep_from_dict(document: Dict[str, Any]) -> SweepSpec:
     """Build a SweepSpec from a parsed sweep document."""
-    options = partial(read, CellOptions, omit=("observe",))
+    options = partial(read, CellOptions)
     parts = read_keys(document, "", {"sweep": _matrix}, {"options": options})
     return construct(SweepSpec, "sweep", **parts["sweep"],
                      options=parts.get("options", CellOptions()))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,10 +12,13 @@ from repro.analysis.summary import (
     cdf_points,
     comparison_table,
     format_table,
+    population_report,
     throughput_timeseries,
     transactions_to_csv,
 )
-from repro.core.results import BenchmarkResult, TransactionRecord
+from repro.core.population import PopulationSpec, population_block
+from repro.core.results import BenchmarkResult, RecordTable, TransactionRecord
+from repro.core.spec import AccountSample, LoadSchedule, TransferSpec
 
 
 def record(uid, submit, commit=None, aborted=False, reason=None):
@@ -25,10 +29,10 @@ def record(uid, submit, commit=None, aborted=False, reason=None):
 
 
 def make_result(chain="quorum", n=10):
-    result = BenchmarkResult(chain, "testnet", "w", 10.0, 1.0)
-    result.records = [record(i, i * 0.5, commit=i * 0.5 + 1.0)
-                      for i in range(n)]
-    return result
+    return BenchmarkResult(chain, "testnet", "w", 10.0, 1.0,
+                           records=RecordTable(
+                               record(i, i * 0.5, commit=i * 0.5 + 1.0)
+                               for i in range(n)))
 
 
 class TestCsv:
@@ -42,7 +46,8 @@ class TestCsv:
 
     def test_aborted_tx_row_has_reason(self):
         result = make_result(n=1)
-        result.records.append(record(99, 5.0, aborted=True, reason="expired"))
+        result.records.extend([record(99, 5.0, aborted=True,
+                                      reason="expired")])
         text = transactions_to_csv(result)
         assert "expired" in text
 
@@ -78,3 +83,26 @@ class TestSeries:
     def test_cdf_points_empty_result(self):
         empty = BenchmarkResult("q", "t", "w", 10.0, 1.0)
         assert cdf_points(empty) == []
+
+
+class TestPopulationReport:
+    def test_a_run_whose_commits_all_land_in_the_drain_explains_itself(self):
+        # 482 commits, all after the 20 s load window: the window counts
+        # none of them, and the line says which window it counts and how
+        # many committed in all
+        spec = PopulationSpec(users=1_000,
+                              interaction=TransferSpec(AccountSample(10)),
+                              load=LoadSchedule.constant(0.002, 20.0),
+                              cohort=2)
+        result = BenchmarkResult(
+            "ethereum", "testnet", "population", 20.0, 0.1,
+            records=RecordTable([record(0, 1.0, commit=25.0),
+                                 record(1, 2.0)]))
+        lane = [SimpleNamespace(submitted_at=t * 0.01,
+                                committed_at=21.0 + t * 0.01, aborted=False)
+                for t in range(481)]
+        result.population = population_block(spec, result, lane, 0)
+        assert result.population["population_scaled"]["throughput_tps"] == 0
+        assert ("delivered throughput  0.0 TPS in the 20 s load window"
+                " (482 committed overall, drain included)"
+                in population_report(result).splitlines())

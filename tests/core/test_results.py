@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.results import BenchmarkResult, TransactionRecord
+from repro.core.results import BenchmarkResult, RecordTable, TransactionRecord
 from repro.chain.transaction import transfer
 
 
@@ -19,9 +19,8 @@ def record(uid, submit, commit=None, aborted=False, reason=None):
 
 
 def make_result(records, duration=10.0, scale=1.0):
-    result = BenchmarkResult("quorum", "testnet", "w", duration, scale)
-    result.records = list(records)
-    return result
+    return BenchmarkResult("quorum", "testnet", "w", duration, scale,
+                           records=RecordTable(records))
 
 
 class TestAggregates:

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.core.results import BenchmarkResult, TransactionRecord
+from repro.core.results import BenchmarkResult, RecordTable, TransactionRecord
 from repro.core.spec import load_spec
 from repro.sweep import (
     ResultCache,
@@ -248,7 +248,8 @@ def _result(rows: int) -> BenchmarkResult:
         None if uid % 5 == 4 else uid // 7 * 0.5 + 1.25, False, None)
         for uid in range(rows)]
     return BenchmarkResult("quorum", "testnet", "native", 10.0, 0.05,
-                           records=records, chain_stats={"height": 3})
+                           records=RecordTable(records),
+                           chain_stats={"height": 3})
 
 
 def _parent_entry(key: str, fields: dict, text: str) -> bytes:

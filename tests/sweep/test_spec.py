@@ -82,6 +82,11 @@ class TestParsing:
         with pytest.raises(SpecError, match="options.acounts: unknown key"):
             load_sweep(MINIMAL + "options:\n  acounts: 5\n")
 
+    def test_observe_option_rejected(self):
+        # observability is turned on per Primary, never per sweep cell
+        with pytest.raises(SpecError, match="options.observe: unknown key"):
+            load_sweep(MINIMAL + "options:\n  observe: {trace: true}\n")
+
     def test_negative_scale_rejected(self):
         with pytest.raises(SpecError, match="positive"):
             load_sweep("sweep:\n  chains: [quorum]\n"
