@@ -29,6 +29,7 @@ full scale.
 
 from __future__ import annotations
 
+import collections
 import os
 from weakref import WeakMethod
 from dataclasses import dataclass, field, replace
@@ -122,9 +123,12 @@ class ExperimentScale:
     def inflate_bytes(self, sizes: Iterable[int]) -> int:
         """Inflate per-transaction wire sizes so block bytes are preserved:
         each size is inflated and truncated on its own, then the results
-        are summed in order."""
+        are summed. A block carries few distinct sizes, so each is
+        truncated once and multiplied by how often it occurs, which is
+        the same integer."""
         factor = self.factor
-        return sum([int(size / factor) for size in sizes])
+        return sum([int(size / factor) * count
+                    for size, count in collections.Counter(sizes).items()])
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -37,7 +38,7 @@ from repro.obs.metrics import MetricsRegistry, weak_supplier
 
 if TYPE_CHECKING:
     from repro.chain.transaction import Transaction
-    from repro.obs.metrics import Counter, MetricsNamespace
+    from repro.obs.metrics import MetricsNamespace
 
 #: Canonical drop-reason tags recorded by the pool.
 DROP_CAPACITY = "capacity"
@@ -72,14 +73,16 @@ class Mempool:
         self._per_sender: Dict[str, int] = defaultdict(int)
         # counters live in a metrics namespace (the experiment's shared
         # registry when the pool belongs to a chain, a private one
-        # otherwise) so timeseries sampling sees them under mempool.*
+        # otherwise) so timeseries sampling sees them under mempool.*.
+        # Admitting, evicting and dropping add to plain ints, so none
+        # calls Counter.inc or Gauge.add; the registry reads them on demand
         self._metrics = (metrics if metrics is not None
                          else MetricsRegistry().namespace("mempool"))
-        self._admitted = self._metrics.counter("admitted")
-        # per-reason drop counters, registered on a reason's first drop
-        self._drop_counters: Dict[str, Counter] = {}
-        # a plain int, so admitting or evicting calls no Gauge.add; the
-        # gauge reads it on demand
+        self._admitted = 0
+        self._metrics.counter("admitted", supplier=weak_supplier(
+            self, attrgetter("_admitted")))
+        # per-reason drop counts, each registered on the reason's first drop
+        self._drops: Dict[str, int] = {}
         self._resident_bytes = 0
         self._metrics.gauge("resident_bytes", supplier=weak_supplier(
             self, attrgetter("_resident_bytes")))
@@ -94,12 +97,24 @@ class Mempool:
         #: route the victim through the client retry/fee-bump path)
         self.on_evict: Optional[Callable[[Transaction], None]] = None
 
+    @property
+    def policy(self) -> MempoolPolicy:
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: MempoolPolicy) -> None:
+        # the policy is frozen: admission reads its fields once, here
+        self._policy = policy
+        self._capacity = policy.capacity
+        self._quota = policy.per_sender_quota
+        self._evict_oldest = policy.evict_oldest
+
     # -- registry views ----------------------------------------------------------
 
     @property
     def admitted(self) -> int:
         """Transactions ever admitted into the pool."""
-        return self._admitted.value
+        return self._admitted
 
     @property
     def resident_bytes(self) -> int:
@@ -109,7 +124,7 @@ class Mempool:
     @property
     def drops(self) -> Dict[str, int]:
         """Per-reason counters for every transaction turned away/thrown out."""
-        return self._metrics.counters_with_prefix("drops")
+        return dict(sorted(self._drops.items()))
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -121,17 +136,18 @@ class Mempool:
 
     @property
     def evicted(self) -> int:
-        return (self.drops.get(DROP_EVICTED, 0)
-                + self.drops.get(DROP_EXPIRED, 0))
+        drops = self._drops
+        return drops.get(DROP_EVICTED, 0) + drops.get(DROP_EXPIRED, 0)
 
     # -- admission ---------------------------------------------------------------
 
     def _count_drop(self, reason: str, count: int = 1) -> None:
-        counter = self._drop_counters.get(reason)
-        if counter is None:
-            counter = self._drop_counters[reason] = self._metrics.counter(
-                f"drops.{reason}")
-        counter.inc(count)
+        drops = self._drops
+        if reason not in drops:
+            drops[reason] = 0
+            self._metrics.counter(f"drops.{reason}", supplier=partial(
+                drops.__getitem__, reason))
+        drops[reason] += count
         self.last_drop_reason = reason
 
     def room(self, count: int) -> Optional[int]:
@@ -143,13 +159,12 @@ class Mempool:
         With a capacity-only policy :meth:`add` takes exactly the first
         that many of any *count* and rejects the rest for capacity.
         """
-        policy = self.policy
-        if (self.pricer is not None or policy.per_sender_quota is not None
-                or policy.evict_oldest):
+        if (self.pricer is not None or self._quota is not None
+                or self._evict_oldest):
             return None
-        if policy.capacity is None:
+        if self._capacity is None:
             return count
-        return min(count, max(0, policy.capacity - len(self._pool)))
+        return min(count, max(0, self._capacity - len(self._pool)))
 
     def reject_unbuilt(self, count: int) -> None:
         """Count *count* capacity rejections of transactions nobody built:
@@ -158,41 +173,54 @@ class Mempool:
 
     def add(self, tx: Transaction) -> None:
         """Admit a transaction or raise a :class:`MempoolFullError` subclass."""
-        if (self.pricer is not None
-                and self.pricer.effective_price(tx) < self.pricer.floor()):
+        pricer = self.pricer
+        if (pricer is not None
+                and pricer.effective_price(tx) < pricer.floor()):
             self._count_drop(DROP_UNDERPRICED)
             raise UnderpricedError(
-                f"price {self.pricer.effective_price(tx)} below fee floor"
-                f" {self.pricer.floor()}")
-        quota = self.policy.per_sender_quota
-        if quota is not None and self._per_sender[tx.sender] >= quota:
+                f"price {pricer.effective_price(tx)} below fee floor"
+                f" {pricer.floor()}")
+        per_sender = self._per_sender
+        sender = tx.sender
+        quota = self._quota
+        if quota is not None and per_sender[sender] >= quota:
             self._count_drop(DROP_QUOTA)
             raise SenderQuotaError(
-                f"sender {tx.sender} has {quota} pending transactions")
-        cap = self.policy.capacity
-        if cap is not None and len(self._pool) >= cap:
-            if self.pricer is not None:
+                f"sender {sender} has {quota} pending transactions")
+        pool = self._pool
+        cap = self._capacity
+        if cap is not None and len(pool) >= cap:
+            if pricer is not None:
                 # price-based replacement: the incoming transaction must
                 # strictly outbid the cheapest resident to displace it
                 victim = self._cheapest()
-                incoming = self.pricer.effective_price(tx)
+                incoming = pricer.effective_price(tx)
                 if (victim is None
-                        or self.pricer.effective_price(victim) >= incoming):
+                        or pricer.effective_price(victim) >= incoming):
                     self._count_drop(DROP_UNDERPRICED)
                     raise UnderpricedError(
                         f"price {incoming} cannot displace any of the"
-                        f" {len(self._pool)} resident transactions")
+                        f" {len(pool)} resident transactions")
                 self._evict_victim(victim)
-            elif self.policy.evict_oldest:
-                self._evict_one()
+            elif self._evict_oldest:
+                # the oldest resident makes room; inline, because a
+                # saturated evict-oldest pool does this per admission
+                victim = pool.popitem(last=False)[1]
+                per_sender[victim.sender] -= 1
+                self._resident_bytes -= victim.size
+                if DROP_EVICTED in self._drops:
+                    self._drops[DROP_EVICTED] += 1
+                    self.last_drop_reason = DROP_EVICTED
+                else:
+                    self._count_drop(DROP_EVICTED)
             else:
                 self._count_drop(DROP_CAPACITY)
                 raise MempoolFullError(
                     f"mempool at capacity ({cap} transactions)")
-        self._pool[tx.uid] = tx
-        self._per_sender[tx.sender] += 1
+        pool[tx.uid] = tx
+        per_sender[sender] += 1
         self._resident_bytes += tx.size
-        self._admitted.inc()
+        self._admitted += 1
 
     def try_add(self, tx: Transaction) -> bool:
         """Admit a transaction, returning False instead of raising.
@@ -205,12 +233,6 @@ class Mempool:
         except MempoolFullError:
             return False
         return True
-
-    def _evict_one(self) -> None:
-        uid, victim = self._pool.popitem(last=False)
-        self._per_sender[victim.sender] -= 1
-        self._resident_bytes -= victim.size
-        self._count_drop(DROP_EVICTED)
 
     def _cheapest(self) -> Optional[Transaction]:
         """The resident transaction with the lowest effective price."""

@@ -65,8 +65,8 @@ class TxKind(Enum):
 
 
 #: ``TxKind.TRANSFER`` as a plain global: reading a member off an Enum
-#: class costs about ten global reads, and the size, execution and
-#: emission paths each test a transaction's kind once per transaction
+#: class costs about ten global reads, and the execution and emission
+#: paths each test a transaction's kind once per transaction
 TRANSFER_KIND = TxKind.TRANSFER
 
 
@@ -86,6 +86,12 @@ class Transaction:
     ``submitted_at`` / ``committed_at`` are filled in by the DIABLO
     secondaries during a benchmark — they correspond to the submission and
     decision timestamps the Primary aggregates into its JSON output.
+    ``size`` is the wire size in bytes, which the network and the
+    block-size limits read. It is fixed by what the transaction carries,
+    so it is stored where the transaction is built rather than derived on
+    every read. The default is ``TRANSFER_SIZE``, which :func:`transfer`
+    keeps; :func:`invoke` and ``SimConnector.encode_batch`` pass
+    :func:`invoke_size` of the args, and any caller may pass its own.
     ``SimConnector.encode_batch`` passes the fields up to ``uid`` by
     position (field order is tested in tests/core/test_emission_fastpath.py).
     """
@@ -103,7 +109,7 @@ class Transaction:
     gas_limit: int = 10_000_000
     recent_block_hash: Optional[str] = None
     signer: Optional[Callable[[str], str]] = None
-    extra_size: int = 0
+    size: int = TRANSFER_SIZE
     uid: int = field(default_factory=lambda: next(_TX_COUNTER))
 
     # benchmark bookkeeping, set by DIABLO components
@@ -140,13 +146,6 @@ class Transaction:
             f"{self.function}\x00{self.args}\x00"
             f"{self.amount}\x00".encode()).hexdigest()
 
-    @property
-    def size(self) -> int:
-        """Wire size in bytes, used by the network and block-size limits."""
-        if self.kind is TRANSFER_KIND:
-            return TRANSFER_SIZE + self.extra_size
-        return INVOKE_BASE_SIZE + 32 * len(self.args) + self.extra_size
-
     def signing_payload(self) -> str:
         """The string covered by the sender's signature.
 
@@ -171,10 +170,17 @@ def transfer(sender: str, recipient: str, amount: int = 1,
                        recipient=recipient, sequence=sequence, **kwargs)
 
 
+def invoke_size(args: Tuple[Any, ...]) -> int:
+    """Wire size of an invocation: the base plus one ABI word per arg."""
+    return INVOKE_BASE_SIZE + 32 * len(args)
+
+
 def invoke(sender: str, contract: str, function: str,
            args: Tuple[Any, ...] = (), sequence: int = 0,
            **kwargs: Any) -> Transaction:
     """Build a DApp invocation transaction."""
+    args = tuple(args)
+    kwargs.setdefault("size", invoke_size(args))
     return Transaction(sender=sender, kind=TxKind.INVOKE, contract=contract,
-                       function=function, args=tuple(args), sequence=sequence,
+                       function=function, args=args, sequence=sequence,
                        **kwargs)

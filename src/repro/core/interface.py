@@ -24,8 +24,10 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.chain.transaction import (
     TRANSFER_KIND,
+    TRANSFER_SIZE,
     Transaction,
     TxKind,
+    invoke_size,
     take_tx_uids,
 )
 from repro.common.errors import ConfigurationError, SpecError
@@ -197,8 +199,8 @@ class SimConnector(BlockchainConnector):
         because the whole batch runs inside one engine callback and the
         head only moves in block-append events. A transaction is one
         positional ``Transaction(...)`` call (a keyword costs CPython a
-        match by name), and the batch's uids come from one
-        :func:`take_tx_uids` call.
+        match by name) carrying its wire size, worked out once per batch,
+        and the batch's uids come from one :func:`take_tx_uids` call.
         """
         if count <= 0:
             return []
@@ -228,7 +230,7 @@ class SimConnector(BlockchainConnector):
                 tx = Transaction(account.address, TRANSFER_KIND, sequence,
                                  amount, recipient.address, None, None, (),
                                  1, 0, TRANSFER_GAS_LIMIT, head_hash, signer,
-                                 0, uid)
+                                 TRANSFER_SIZE, uid)
                 if suggest is not None:
                     # honest wallets price at the current suggestion (base
                     # fee times headroom plus default tip); the signature
@@ -239,6 +241,7 @@ class SimConnector(BlockchainConnector):
             contract_name = self._contract_name(interaction.contract.name)
             function = interaction.function
             args = tuple(interaction.args)
+            size = invoke_size(args)
             for uid in take_tx_uids(count):
                 account = ring[cursor % n]
                 cursor += 1
@@ -250,7 +253,7 @@ class SimConnector(BlockchainConnector):
                 tx = Transaction(account.address, TxKind.INVOKE, sequence, 0,
                                  None, contract_name, function, args, 1, 0,
                                  DEFAULT_INVOKE_GAS_LIMIT, head_hash, signer,
-                                 0, uid)
+                                 size, uid)
                 tx.gas_limit = self._invoke_gas_limit(
                     contract_name, function, tx)
                 if suggest is not None:

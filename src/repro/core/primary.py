@@ -11,7 +11,7 @@ into a :class:`BenchmarkResult` (the JSON output of the real tool).
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.blockchains.base import (
     BlockchainNetwork,
@@ -32,12 +32,13 @@ from repro.sim.engine import Engine, collector_paused
 if TYPE_CHECKING:  # a feature's module is imported where it is attached
     from repro.blockchains.base import ChainParams
     from repro.core.interface import Client
-    from repro.core.spec import WorkloadSpec
+    from repro.core.spec import EndpointSample, WorkloadSpec
     from repro.obs.metrics import MetricsSampler, ObservabilityOptions
     from repro.obs.profiler import EngineProfiler
     from repro.obs.trace import LifecycleTracer
     from repro.sim.deployment import DeploymentConfig
     from repro.sim.dos import DoSAdversary
+    from repro.sim.network import Endpoint
 
 DEFAULT_DRAIN = 240.0
 #: granularity of the drain loop — how often the Primary re-checks the
@@ -137,8 +138,7 @@ class Primary:
         ``client-{N}`` clients on the classic path; the aggregate lane is
         attached separately by :meth:`_attach_population`.
         """
-        endpoint_names = [ep.name for ep in self.network.endpoints]
-        endpoint_region = {ep.name: ep.region for ep in self.network.endpoints}
+        endpoints = self.network.endpoints
         client_counter = 0
         for group in spec.client_groups():
             matching = [s for s in self.secondaries
@@ -147,22 +147,19 @@ class Primary:
                 raise ConfigurationError(
                     f"no Secondary matches location sample"
                     f" {group.client.location.patterns}")
+            # a client's view depends only on its Secondary's region, so
+            # each Secondary's is resolved once, on its first client
+            views: Dict[int, List[str]] = {}
             # split the group's clients round-robin over the Secondaries
             per_secondary: Dict[int, List[Client]] = {
                 i: [] for i in range(len(matching))}
             for n in range(group.number):
                 sec_index = n % len(matching)
                 secondary = matching[sec_index]
-                view = [name for name in endpoint_names
-                        if group.client.view.matches(name)
-                        and endpoint_region[name] == secondary.region]
-                if not view:
-                    view = [name for name in endpoint_names
-                            if group.client.view.matches(name)]
-                if not view:
-                    raise ConfigurationError(
-                        f"no endpoint matches view sample"
-                        f" {group.client.view.patterns}")
+                view = views.get(sec_index)
+                if view is None:
+                    view = views[sec_index] = self._view(
+                        group.client.view, secondary.region, endpoints)
                 client = self.connector.create_client(
                     f"client-{client_counter}", secondary.region, view)
                 client_counter += 1
@@ -170,6 +167,18 @@ class Primary:
             for index, clients in per_secondary.items():
                 for behavior in group.client.behaviors:
                     matching[index].assign(clients, behavior)
+
+    @staticmethod
+    def _view(sample: EndpointSample, region: str,
+              endpoints: Sequence[Endpoint]) -> List[str]:
+        """The endpoints *sample* names in *region*, or anywhere when it
+        names none there; a sample naming no endpoint is an error."""
+        named = [ep for ep in endpoints if sample.matches(ep.name)]
+        if not named:
+            raise ConfigurationError(
+                f"no endpoint matches view sample {sample.patterns}")
+        return ([ep.name for ep in named if ep.region == region]
+                or [ep.name for ep in named])
 
     def _attach_population(self, spec: WorkloadSpec) -> None:
         """Attach the population's aggregate lane, if any.

@@ -3,13 +3,13 @@
 One :class:`MetricsRegistry` per experiment replaces the ad-hoc stat dicts
 that used to be scattered over the mempool, the admission controller, the
 machines, the network and the blockchain runtime. Components register
-**counters** (monotonic totals), **gauges** (instantaneous levels, either
-set explicitly or read through a supplier callable) and **histograms**
+**counters** (monotonic totals), **gauges** (instantaneous levels), either
+kept by the metric or read through a supplier callable, and **histograms**
 (distributions with percentile queries) under dotted namespaces such as
 ``mempool.admitted`` or ``chain.dropped.expired``.
 
 The registry is deterministic: it never reads the wall clock, and sampling
-it is a pure read (gauge suppliers must be side-effect free). A
+it is a pure read (suppliers must be side-effect free). A
 :class:`MetricsSampler` snapshots every counter and gauge periodically on
 the *simulated* clock, producing the ``timeseries`` rows that land in
 :class:`~repro.core.results.BenchmarkResult`.
@@ -36,22 +36,35 @@ Number = Union[int, float]
 
 
 class Counter:
-    """A monotonically increasing total (events, bytes, drops...)."""
+    """A monotonically increasing total (events, bytes, drops...).
 
-    __slots__ = ("name", "_value")
+    With a *supplier* the total is kept by its owner and read on demand,
+    like a supplier-backed :class:`Gauge`: a component that counts on a
+    per-transaction path adds to a plain int instead of calling
+    :meth:`inc`, and keeps it monotonic itself.
+    """
 
-    def __init__(self, name: str) -> None:
+    __slots__ = ("name", "_value", "_supplier")
+
+    def __init__(self, name: str,
+                 supplier: Optional[Callable[[], Number]] = None) -> None:
         self.name = name
         self._value: Number = 0
+        self._supplier = supplier
 
     def inc(self, amount: Number = 1) -> None:
         if amount < 0:
             raise SimulationError(
                 f"counter {self.name} cannot decrease (inc {amount})")
+        if self._supplier is not None:
+            raise SimulationError(
+                f"counter {self.name} is supplier-backed; cannot inc()")
         self._value += amount
 
     @property
     def value(self) -> Number:
+        if self._supplier is not None:
+            return self._supplier()
         return self._value
 
 
@@ -87,7 +100,7 @@ class Gauge:
 
 def weak_supplier(owner: Any, read: Callable[[Any], Number]
                   ) -> Callable[[], Number]:
-    """A gauge supplier returning ``read(owner)`` without keeping *owner*
+    """A supplier returning ``read(owner)`` without keeping *owner*
     alive; it reads 0 once *owner* is gone.
 
     A component that registers into a namespace it holds, with a supplier
@@ -162,9 +175,10 @@ class MetricsRegistry:
                 f" not a {kind.__name__}")
         return metric
 
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter *name*."""
-        return self._get(name, Counter, lambda: Counter(name))
+    def counter(self, name: str,
+                supplier: Optional[Callable[[], Number]] = None) -> Counter:
+        """Get or create the counter *name* (idempotent per name)."""
+        return self._get(name, Counter, lambda: Counter(name, supplier))
 
     def gauge(self, name: str,
               supplier: Optional[Callable[[], Number]] = None) -> Gauge:
@@ -264,8 +278,9 @@ class MetricsNamespace:
     def _full(self, name: str) -> str:
         return f"{self.prefix}.{name}"
 
-    def counter(self, name: str) -> Counter:
-        return self.registry.counter(self._full(name))
+    def counter(self, name: str,
+                supplier: Optional[Callable[[], Number]] = None) -> Counter:
+        return self.registry.counter(self._full(name), supplier)
 
     def gauge(self, name: str,
               supplier: Optional[Callable[[], Number]] = None) -> Gauge:

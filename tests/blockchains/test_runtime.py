@@ -51,6 +51,17 @@ class TestExperimentScale:
         assert scale.inflate_bytes([110, 110, 110]) == 3 * 366 == 1098
         assert int(330 / 0.3) == 1100
 
+    @pytest.mark.parametrize("factor", [0.05, 0.15, 1 / 3, 1.0])
+    def test_bytes_inflate_mixed_sizes(self, factor):
+        # a block of transfers and invocations with 0 and 2 args, repeats
+        # interleaved: counting each distinct size once gives the sum of
+        # the per-transaction truncations
+        sizes = [110, 140, 204, 110, 110, 204, 140, 110, 204, 204, 110]
+        scale = ExperimentScale(factor)
+        assert scale.inflate_bytes(sizes) == \
+            sum(int(s / factor) for s in sizes)
+        assert scale.inflate_bytes(iter(sizes)) == scale.inflate_bytes(sizes)
+
     def test_invalid_factor_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentScale(0.0)

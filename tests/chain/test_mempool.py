@@ -12,8 +12,10 @@ from repro.chain.mempool import (
     Mempool,
     MempoolPolicy,
 )
-from repro.chain.transaction import transfer
+from repro.chain.transaction import TRANSFER_SIZE, transfer
 from repro.common.errors import MempoolFullError, SenderQuotaError
+from repro.obs.metrics import Counter, MetricsRegistry, MetricsSampler
+from repro.sim.engine import Engine
 
 
 def make_txs(n, sender="alice", gas_limit=21_000):
@@ -128,7 +130,7 @@ class TestByteAccounting:
 
     def test_remove_releases_bytes(self):
         pool = Mempool()
-        tx = transfer("a", "b", extra_size=500)
+        tx = transfer("a", "b", size=TRANSFER_SIZE + 500)
         pool.add(tx)
         pool.remove(tx)
         assert pool.resident_bytes == 0
@@ -138,7 +140,7 @@ class TestByteAccounting:
         pool = Mempool(MempoolPolicy(capacity=3, evict_oldest=True))
         for tx in make_txs(3):
             pool.add(tx)
-        big = transfer("a", "b", extra_size=unit)   # twice a transfer
+        big = transfer("a", "b", size=2 * unit)   # twice a transfer
         pool.add(big)
         assert big in pool
         assert pool.resident_bytes == 2 * unit + big.size
@@ -147,7 +149,7 @@ class TestByteAccounting:
     def test_drop_expired_releases_bytes(self):
         # satellite: expiry and byte accounting interact correctly
         pool = Mempool()
-        old = transfer("a", "b", extra_size=100)
+        old = transfer("a", "b", size=TRANSFER_SIZE + 100)
         old.submitted_at = 0.0
         fresh = transfer("a", "b")
         fresh.submitted_at = 100.0
@@ -233,3 +235,61 @@ class TestRemoveAndExpiry:
         tx = transfer("a", "b")  # submitted_at None
         pool.add(tx)
         assert pool.drop_expired(now=1e9, max_age=1.0) == []
+
+
+class TestRegistryViews:
+    """The pool's counters as the registry, a sampler and the Prometheus
+    exposition read them, on a saturated evict-oldest pool."""
+
+    def test_sampled_and_exported_counters_of_an_evicting_pool(self):
+        engine = Engine()
+        registry = MetricsRegistry()
+        pool = Mempool(MempoolPolicy(capacity=3, evict_oldest=True),
+                       metrics=registry.namespace("mempool"))
+        senders = iter(f"s{i}" for i in range(100))
+        for k in range(5):
+            # two admissions per second, at t = 0.5, 1.5, ...
+            engine.schedule_at(k + 0.5, lambda: [
+                pool.add(transfer(next(senders), "b")) for _ in range(2)])
+        # exported at t = 0.25, 1.25, ...: after a sample, before the
+        # next admissions
+        exported = []
+        for k in range(6):
+            engine.schedule_at(k + 0.25, lambda: exported.append(
+                registry.prometheus()))
+        sampler = MetricsSampler(engine, registry, period=1.0)
+        engine.run(until=5.9)
+        sampler.stop()
+        assert [row["t"] for row in sampler.samples] == [0, 1, 2, 3, 4, 5]
+        for row, text in zip(sampler.samples, exported):
+            admitted = 2 * int(row["t"])
+            evicted = max(0, admitted - 3)
+            assert row["mempool.admitted"] == admitted
+            assert ("# TYPE repro_mempool_admitted counter\n"
+                    f"repro_mempool_admitted {admitted}\n") in text
+            if evicted:
+                assert row["mempool.drops.evicted"] == evicted
+                assert ("# TYPE repro_mempool_drops_evicted counter\n"
+                        f"repro_mempool_drops_evicted {evicted}\n") in text
+            else:
+                # a drop reason is registered on its first drop
+                assert "mempool.drops.evicted" not in row
+                assert "drops_evicted" not in text
+        assert isinstance(registry.get("mempool.admitted"), Counter)
+        assert isinstance(registry.get("mempool.drops.evicted"), Counter)
+        assert registry.value("mempool.admitted") == pool.admitted == 10
+        assert pool.evicted == 7
+        assert pool.drops == {DROP_EVICTED: 7}
+        assert pool.last_drop_reason == DROP_EVICTED
+        assert pool.stats() == {"admitted": 10, "resident": 3,
+                                "resident_bytes": 3 * TRANSFER_SIZE,
+                                "drop_evicted": 7}
+
+    def test_policy_set_after_construction_applies(self):
+        pool = Mempool()
+        pool.policy = MempoolPolicy(capacity=1)
+        pool.add(transfer("a", "b"))
+        with pytest.raises(MempoolFullError):
+            pool.add(transfer("a", "b"))
+        assert pool.drops == {DROP_CAPACITY: 1}
+        assert pool.last_drop_reason == DROP_CAPACITY

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.chain.transaction import (
@@ -51,9 +53,19 @@ class TestSizing:
         assert two_args.size == no_args.size + 64
         assert no_args.size == INVOKE_BASE_SIZE
 
-    def test_extra_size_applies(self):
-        tx = transfer("a", "b", extra_size=100)
-        assert tx.size == TRANSFER_SIZE + 100
+    def test_builders_store_the_wire_size(self):
+        # a stored field, not a property: what the builder set is read back
+        assert "size" in {f.name for f in fields(Transaction)}
+        assert not isinstance(vars(Transaction).get("size"), property)
+        assert transfer("a", "b").size == TRANSFER_SIZE
+        assert invoke("a", "C", "f").size == INVOKE_BASE_SIZE
+        assert invoke("a", "C", "f", ["x", 7]).size == \
+            INVOKE_BASE_SIZE + 32 * 2
+
+    def test_given_size_applies(self):
+        assert transfer("a", "b", size=TRANSFER_SIZE + 100).size == \
+            TRANSFER_SIZE + 100
+        assert invoke("a", "C", "f", (1,), size=999).size == 999
 
 
 class TestHashing:

@@ -34,6 +34,8 @@ from repro.blockchains.base import BlockchainNetwork, ExperimentScale
 from repro.blockchains.registry import build_network, chain_params
 from repro.chain.mempool import MempoolPolicy
 from repro.chain.transaction import (
+    INVOKE_BASE_SIZE,
+    TRANSFER_SIZE,
     Transaction,
     TxKind,
     invoke,
@@ -239,6 +241,29 @@ class TestEncodeBatchFieldOrder:
         assert [every_field(tx) for tx in got] == \
             [every_field(tx) for tx in expected]
         assert transfer("a", "b").uid == 23
+
+
+class TestEncodeBatchWireSize:
+    """Each branch of ``encode_batch`` stores the wire size the builders
+    give: ``TRANSFER_SIZE``, or ``INVOKE_BASE_SIZE`` plus one 32-byte
+    word per argument."""
+
+    def test_transfers(self):
+        fast = fresh_connector("quorum")
+        txs = fast.encode_batch(TransferSpec(AccountSample(10)), None,
+                                0.0, 5)
+        assert [tx.size for tx in txs] == [TRANSFER_SIZE] * 5
+
+    @pytest.mark.parametrize("dapp, function, args", [
+        ("counter", "add", ()), ("exchange", "order", ("google", 2))])
+    def test_invocations(self, dapp, function, args):
+        spec = InvokeSpec(AccountSample(10), ContractSample(dapp),
+                          function, args)
+        fast = fresh_connector("quorum")
+        fast.create_resource(spec.contract)
+        txs = fast.encode_batch(spec, None, 0.0, 4)
+        assert [tx.size for tx in txs] == \
+            [INVOKE_BASE_SIZE + 32 * len(args)] * 4
 
 
 class TestUnbuiltTailConsumesWhatEncodingWould:

@@ -12,10 +12,16 @@ from repro.core.primary import Primary
 from repro.core.runner import run_benchmark, run_trace
 from repro.core.spec import (
     AccountSample,
+    Behavior,
+    ClientSpec,
     ContractSample,
+    EndpointSample,
     InvokeSpec,
     LoadSchedule,
+    LocationSample,
     TransferSpec,
+    WorkloadGroup,
+    WorkloadSpec,
     simple_spec,
 )
 from repro.sim.engine import Engine
@@ -136,8 +142,6 @@ class TestPrimary:
             primary.run(spec)
 
     def test_client_count_matches_group_number(self):
-        from repro.core.spec import Behavior, ClientSpec, EndpointSample, \
-            LocationSample, WorkloadGroup, WorkloadSpec
         spec = WorkloadSpec((WorkloadGroup(
             number=7,
             client=ClientSpec(
@@ -148,6 +152,75 @@ class TestPrimary:
         primary.run(spec, drain=30)
         assert sum(len(a.clients) for s in primary.secondaries
                    for a in s.assignments) == 7
+
+
+class TestDispatch:
+    """``Primary._dispatch`` resolves a client's endpoint view once per
+    matching Secondary, on its first client, not once per client."""
+
+    @staticmethod
+    def group(number, view=(".*",)):
+        return WorkloadGroup(number=number, client=ClientSpec(
+            LocationSample((".*",)), EndpointSample(view),
+            (Behavior(TransferSpec(AccountSample(10)),
+                      LoadSchedule.constant(10, 5)),)))
+
+    @staticmethod
+    def dispatch(*groups):
+        # quorum devnet: ten nodes, one per region, so ten Secondaries
+        primary = Primary("quorum", "devnet", scale=0.2)
+        spec = WorkloadSpec(groups)
+        primary._build_secondaries(spec)
+        primary._dispatch(spec)
+        return primary
+
+    @staticmethod
+    def views(primary):
+        return {client.name: (secondary.region, client.endpoints)
+                for secondary in primary.secondaries
+                for assignment in secondary.assignments
+                for client in assignment.clients}
+
+    def test_view_matched_once_per_secondary(self, monkeypatch):
+        calls = []
+        matches = EndpointSample.matches
+
+        def counted(sample, name):
+            calls.append(name)
+            return matches(sample, name)
+
+        monkeypatch.setattr(EndpointSample, "matches", counted)
+        primary = self.dispatch(self.group(200))
+        endpoints = primary.network.endpoints
+        assert len(primary.secondaries) == len(endpoints) == 10
+        # 10 Secondaries x 10 endpoints, where a lookup per client
+        # would make 200 x 10
+        assert len(calls) == 100
+        views = self.views(primary)
+        assert len(views) == 200
+        region_of = {ep.name: ep.region for ep in endpoints}
+        for region, view in views.values():
+            assert [region_of[name] for name in view] == [region]
+
+    def test_view_falls_back_to_every_named_endpoint(self):
+        # nodes 0-2 sit in three regions; a client elsewhere sees all three
+        primary = self.dispatch(self.group(20, ("quorum-node-[0-2]",)))
+        named = ("quorum-node-0", "quorum-node-1", "quorum-node-2")
+        region_of = {ep.name: ep.region for ep in primary.network.endpoints}
+        for region, view in self.views(primary).values():
+            local = tuple(n for n in named if region_of[n] == region)
+            assert view == (local or named)
+
+    def test_view_naming_no_endpoint_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="no endpoint matches view sample"):
+            self.dispatch(self.group(3, ("ghost-node",)))
+
+    def test_empty_group_resolves_no_view(self):
+        group = self.group(1, ("ghost-node",))
+        object.__setattr__(group, "number", 0)  # past the spec's check
+        primary = self.dispatch(group)
+        assert self.views(primary) == {}
 
 
 class TestRunner:

@@ -32,6 +32,18 @@ class TestCounter:
         with pytest.raises(ConfigurationError):
             registry.gauge("x")
 
+    def test_supplier_backed_counter(self):
+        registry = MetricsRegistry()
+        total = [0]
+        counter = registry.namespace("pool").counter(
+            "admitted", supplier=lambda: total[0])
+        total[0] = 5
+        assert counter.value == registry.value("pool.admitted") == 5
+        assert registry.sample() == {"pool.admitted": 5}
+        assert "# TYPE repro_pool_admitted counter" in registry.prometheus()
+        with pytest.raises(SimulationError):
+            counter.inc()
+
 
 class TestGauge:
     def test_set_and_add(self):
