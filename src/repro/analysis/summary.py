@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.common.stats import median
+
 if TYPE_CHECKING:
     from repro.core.results import BenchmarkResult
 
@@ -188,7 +190,7 @@ def _p50(result: BenchmarkResult) -> Optional[float]:
     latencies = result.latencies()
     if latencies.size == 0:
         return None
-    return float(np.median(latencies))
+    return median(np.sort(latencies))
 
 
 def economic_impact(baseline: BenchmarkResult,

@@ -33,6 +33,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.stats import quantile
 from repro.sim.network import (
     INTRA_REGION_BANDWIDTH,
     INTRA_REGION_RTT,
@@ -72,6 +73,7 @@ class WanProfile:
             self._pair_rtts = np.array([INTRA_REGION_RTT])
         self._region_counts = Counter(self.node_regions)
         self.distinct_regions = sorted(self._region_counts)
+        self._sorted_rtts: Optional[np.ndarray] = None
         self._rtt_quantiles: Dict[float, float] = {}
 
     @property
@@ -84,12 +86,13 @@ class WanProfile:
         Quorum formation waits for the fastest 2/3 of the network, so BFT
         models use q ~= 0.66; gossip completion uses q ~= 0.9. Each
         distinct *q* is computed once: the models ask for the same two or
-        three quantiles on every block.
+        three quantiles on every block, from the RTTs sorted once.
         """
         value = self._rtt_quantiles.get(q)
         if value is None:
-            value = self._rtt_quantiles[q] = float(
-                np.quantile(self._pair_rtts, q))
+            if self._sorted_rtts is None:
+                self._sorted_rtts = np.sort(self._pair_rtts)
+            value = self._rtt_quantiles[q] = quantile(self._sorted_rtts, q)
         return value
 
     def dissemination_time(self, payload_bytes: int, leader_region: str,

@@ -24,6 +24,8 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
 
 import numpy as np
 
+from repro.common.stats import median, quantile
+
 if TYPE_CHECKING:
     from repro.chain.transaction import Transaction
 
@@ -363,7 +365,7 @@ class BenchmarkResult:
 
     def latency_percentile(self, q: float) -> float:
         lats = self.latencies()
-        return float(np.percentile(lats, q)) if lats.size else float("nan")
+        return quantile(np.sort(lats), q / 100) if lats.size else float("nan")
 
     # -- time series -------------------------------------------------------------------
 
@@ -686,4 +688,4 @@ def _mean(latencies: np.ndarray) -> float:
 
 
 def _median(latencies: np.ndarray) -> float:
-    return float(np.median(latencies)) if latencies.size else float("nan")
+    return median(np.sort(latencies)) if latencies.size else float("nan")

@@ -25,9 +25,8 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
-import numpy as np
-
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.stats import quantile
 
 if TYPE_CHECKING:  # sim.machine imports this module; avoid the cycle
     from repro.sim.engine import Engine
@@ -149,7 +148,7 @@ class Histogram:
     def percentile(self, q: float) -> float:
         if not self._values:
             return float("nan")
-        return float(np.percentile(np.asarray(self._values), q))
+        return quantile(sorted(self._values), q / 100)
 
     def values(self) -> List[float]:
         return list(self._values)

@@ -39,9 +39,17 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.common.stats import quantile
+
 #: Canonical transaction phases, in lifecycle order.
 TX_PHASES: Tuple[str, ...] = (
     "admission", "mempool", "execution", "consensus", "receipt")
+
+
+def _percentiles(ordered: Sequence[float]) -> Dict[str, float]:
+    """p50, p95 and p99 of the non-empty ascending *ordered*."""
+    return {"p50": quantile(ordered, 0.5), "p95": quantile(ordered, 0.95),
+            "p99": quantile(ordered, 0.99)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,9 +261,7 @@ class LifecycleTracer:
             breakdown[phase] = {
                 "count": len(values),
                 "mean": float(arr.mean()),
-                "p50": float(np.percentile(arr, 50)),
-                "p95": float(np.percentile(arr, 95)),
-                "p99": float(np.percentile(arr, 99)),
+                **_percentiles(np.sort(arr)),
             }
         return breakdown
 
@@ -271,9 +277,7 @@ class LifecycleTracer:
             out[phase] = {
                 "count": int(arr.size),
                 "mean": float(arr.mean()),
-                "p50": float(np.percentile(arr, 50)),
-                "p95": float(np.percentile(arr, 95)),
-                "p99": float(np.percentile(arr, 99)),
+                **_percentiles(np.sort(arr)),
             }
         return out
 

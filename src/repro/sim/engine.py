@@ -22,8 +22,12 @@ rebuilt in place from its live entries. The next event is always the
 least live ``(time, sequence)``, so neither step can reorder anything.
 
 A run keeps objects alive per submitted transaction, which CPython's
-cyclic collector would re-walk over and over while finding almost no
-cycles, so the run's entry points pause it (:func:`collector_paused`).
+cyclic collector would re-walk over and over while finding nothing, so
+the run's entry points pause it (:func:`collector_paused`). The pause
+ends without a collection, as there is nothing for one to find: a run
+builds no reference cycle, so reference counting frees what it drops as
+it goes, and a finished run owns none either, so it frees the rest once
+the caller lets the run go.
 """
 
 from __future__ import annotations
@@ -49,10 +53,15 @@ def collector_paused() -> Iterator[None]:
     Re-entrant: a nested use finds the collector already off and leaves it
     off, so only the outermost use turns it back on, and only if it was on
     when that use began. The state is restored on an exception too.
-    Turning it back on, it collects the young generations once, so what
-    the paused stretch left alive is walked once and moves to the oldest
-    generation; left to the thresholds, the same objects would be walked
-    by a young collection and soon after by the middle one. Usable as a
+    Turning it back on, it moves what the paused stretch left alive into
+    the oldest generation without walking it (``gc.freeze()`` then
+    ``gc.unfreeze()``); left to the thresholds, the same objects would be
+    walked by a young collection and soon after by the middle one. No
+    walk is needed to free anything: a run builds no reference cycle, so
+    reference counting has already freed whatever it dropped, and frees
+    what is still alive once the caller drops the run, which owns no
+    cycle either. A caller that froze objects of its own keeps them
+    frozen: then the survivors stay where they are. Usable as a
     decorator.
     """
     was_enabled = gc.isenabled()
@@ -62,7 +71,9 @@ def collector_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
-            gc.collect(1)
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
 
 
 #: cancelled entries the heap may hold before compaction is considered

@@ -3,15 +3,17 @@
 A run's two entry points, ``Primary.run`` and ``ConsensusHarness.run``,
 pause CPython's cyclic collector for their whole extent
 (:func:`repro.sim.engine.collector_paused`) and give the caller back the
-state it had, on a normal return and on an exception alike.
+state it had, on a normal return and on an exception alike. Turning it
+back on collects nothing: the run's survivors move to the oldest
+generation unwalked.
 
-The pause is only cheap while the run makes next to no cyclic garbage:
-whatever refcounting cannot free waits, uncollected, until the run ends.
-So each kind of traffic is run with the collector paused, and
+That is sound only while a run makes no cyclic garbage: whatever
+refcounting cannot free would wait for the collector's thresholds after
+the run. So each kind of traffic is run with the collector paused, and
 ``gc.collect()`` right after it counts the cyclic garbage the run left
-behind, with the run's own objects still held. That count must not grow
-with the transactions: a per-transaction reference cycle fails here
-instead of piling up during every run.
+behind, with the run's own objects still held. That count must be 0, a
+process's first run included: a per-transaction reference cycle, or a
+module the run imports lazily, fails here.
 
 Once the run and its result are dropped, nothing at all may be left for
 the collector: no cycle spans a finished run, so a process that runs one
@@ -23,8 +25,13 @@ keeps its calendar.
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import pytest
 
@@ -42,10 +49,11 @@ from repro.sim.byzantine import ByzantineSchedule, CensorLeader, Equivocate
 from repro.sim.engine import collector_paused
 from repro.workloads.registry import workload_registry
 
-SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
-#: the most cyclic garbage one run may leave: the first run in a process
-#: leaves ~350 objects of one-off set-up, a later one 0-30
-MAX_CYCLIC_GARBAGE = 400
+ROOT = Path(__file__).resolve().parents[2]
+SPECS = ROOT / "examples" / "specs"
+#: the most cyclic garbage one run may leave: none, in a process's first
+#: run too (its set-up imports nothing that leaves a cycle behind)
+MAX_CYCLIC_GARBAGE = 0
 
 
 @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
@@ -118,13 +126,45 @@ class TestScope:
             assert not gc.isenabled()
         assert gc.isenabled() is caller_state
 
-    def test_turning_back_on_walks_the_survivors_once(self, caller_state):
+    def test_turning_back_on_moves_the_survivors_unwalked(
+            self, caller_state):
         # a caller with the collector on gets the paused stretch's
-        # survivors in the oldest generation; one with it off, untouched
-        with collector_paused():
-            survivor = [None]
+        # survivors in the oldest generation; one with it off, untouched;
+        # neither sees a collection
+        with collections_during() as collections:
+            with collector_paused():
+                survivor = [None]
         oldest = gc.get_objects(generation=2)
         assert any(item is survivor for item in oldest) is caller_state
+        assert collections == []
+
+    @RUNS
+    def test_a_callers_frozen_objects_stay_frozen(self, run, caller_state):
+        # frozen objects are in no generation, so get_objects misses them
+        pinned = [None]
+        gc.freeze()
+        try:
+            run(lambda engine: None)
+            assert gc.get_freeze_count() > 0
+            assert not any(item is pinned for item in gc.get_objects())
+        finally:
+            gc.unfreeze()
+
+
+@contextmanager
+def collections_during() -> Iterator[List[int]]:
+    """The generation of each collection that starts inside the block."""
+    collections: List[int] = []
+
+    def record(phase: str, info: dict) -> None:
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        yield collections
+    finally:
+        gc.callbacks.remove(record)
 
 
 #: an example spec and a chain that runs it, for each spec
@@ -155,8 +195,6 @@ def chain_run(chain: str, spec: WorkloadSpec, scale: float = 1.0,
 
 class TestCyclicGarbage:
     def test_transfers_leave_the_same_garbage_at_any_size(self):
-        # a warm-up run takes the first run's one-off set-up garbage
-        cyclic_garbage_after(chain_run("diem", transfers(100), drain=5))
         small, (_, small_result) = cyclic_garbage_after(
             chain_run("diem", transfers(100), drain=5))
         large, (_, large_result) = cyclic_garbage_after(
@@ -219,11 +257,6 @@ class TestADiscardedRunLeavesNothing:
     reference counting: no reference cycle spans a finished run, so a
     sweep worker holds one cell at a time without a cyclic collection."""
 
-    @pytest.fixture(scope="class", autouse=True)
-    def warm_up(self):
-        # the first run in a process leaves its one-off set-up
-        garbage_after_dropping(chain_run("diem", transfers(100), drain=5))
-
     @pytest.mark.parametrize("chain", CHAINS)
     def test_each_chain(self, chain):
         spec = workload_registry()["native-1000"].spec(accounts=2_000)
@@ -275,3 +308,44 @@ class TestADiscardedRunLeavesNothing:
         assert result.commit_ratio > 0
         assert heard.get(running, 0) > 0
         assert stopped not in heard
+
+
+#: a chain run, its summary and its document, in a fresh interpreter: the
+#: collections that start inside ``Primary.run`` and the modules imported
+#: from the run's start to the document's end
+RUN_TO_DOCUMENT = """
+import gc, json, sys
+from repro.core.primary import Primary
+from repro.core.spec import AccountSample, LoadSchedule, TransferSpec, \\
+    simple_spec
+spec = simple_spec(TransferSpec(AccountSample(50)),
+                   LoadSchedule.constant(100, 5))
+primary = Primary(sys.argv[1], "testnet", scale=1.0, seed=1)
+collections = []
+def record(phase, info):
+    if phase == "start":
+        collections.append(info["generation"])
+before = set(sys.modules)
+gc.callbacks.append(record)
+result = primary.run(spec, drain=5)
+gc.callbacks.remove(record)
+result.summary()
+result.to_json()
+print(json.dumps({"committed": result.commit_ratio > 0,
+                  "collections": collections,
+                  "imported": sorted(set(sys.modules) - before)}))
+"""
+
+
+@pytest.mark.parametrize("chain", ["diem", "algorand"])
+def test_a_run_ends_without_a_collection_or_an_import(chain):
+    """The run's exit walks nothing, and neither the run (algorand's
+    consensus model reads RTT quantiles) nor its summary reaches numpy's
+    quantile path, whose first call imports ``numpy.ma``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", RUN_TO_DOCUMENT, chain],
+                         env=env, timeout=120, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == {
+        "committed": True, "collections": [], "imported": []}
